@@ -8,6 +8,17 @@ inequality tests.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# weakch's arrays hold at most a few hundred cells, so a BLAS thread pool never
+# pays for itself. OpenBLAS starts one thread per core as numpy loads, and each
+# spins for about 0.1 s: a one-shot `weakch` process burns that much CPU on
+# another core, and its CPU time swings with how busy that core is. Cap the
+# pool when weakch is the first to load numpy; a value already set is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .common_cause import (
     EprbModel,
     PairwiseCcModel,

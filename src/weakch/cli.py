@@ -142,10 +142,28 @@ def _envelope(command: str, inputs: dict, result) -> dict:
     }
 
 
-def _parse_floats(text: str, count: int | None, what: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: nan and inf are usage errors."""
     try:
-        vals = [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _parse_numbers(text: str, count: int | None, what: str, kind=_finite_float) -> list:
+    try:
+        vals = [kind(tok) for tok in text.split(",")]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise _UsageError(f"cannot parse {what}: {exc}") from exc
     if count is not None and len(vals) != count:
         raise _UsageError(f"{what} needs exactly {count} comma-separated values")
@@ -170,24 +188,24 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="singlet predictions")
     p.add_argument("--angles", help="four directions t1,t2,t3,t4")
-    p.add_argument("--phi", type=float, help="single inter-direction angle")
+    p.add_argument("--phi", type=_finite_float, help="single inter-direction angle")
     p.add_argument("--outcomes", help="outcome pair for --phi, e.g. ++ or +-")
     p.add_argument("--degrees", action="store_true")
 
     p = sub.add_parser("bounds", help="correction terms and corrected interval")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--pa", type=float, default=0.5)
-    p.add_argument("--pb", type=float, default=0.5)
-    p.add_argument("--pab", type=float, default=0.25)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--pa", type=_finite_float, default=0.5)
+    p.add_argument("--pb", type=_finite_float, default=0.5)
+    p.add_argument("--pab", type=_finite_float, default=0.25)
 
     sub.add_parser("thresholds", help="largest deficits still violated by quantum values")
 
     p = sub.add_parser("check", help="check one combination value against the interval")
-    p.add_argument("--value", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--pa", type=float, default=0.5)
-    p.add_argument("--pb", type=float, default=0.5)
-    p.add_argument("--pab", type=float, default=0.25)
+    p.add_argument("--value", type=_finite_float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
+    p.add_argument("--pa", type=_finite_float, default=0.5)
+    p.add_argument("--pb", type=_finite_float, default=0.5)
+    p.add_argument("--pab", type=_finite_float, default=0.25)
 
     p = sub.add_parser("check-model", help="validate a model file")
     p.add_argument("--file", required=True)
@@ -208,9 +226,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eps-band", default="1e-6,1e-3")
     p.add_argument("--cards", default="2,2,2,2")
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--decay", type=float, default=0.99)
-    p.add_argument("--penalty-weight", type=float, default=1e4)
+    p.add_argument("--step", type=_finite_float, default=0.05)
+    p.add_argument("--decay", type=_finite_float, default=0.99)
+    p.add_argument("--penalty-weight", type=_finite_float, default=1e4)
 
     p = sub.add_parser("simulate", help="Monte Carlo record with inequality test")
     p.add_argument("--seed", type=int, required=True)
@@ -218,8 +236,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--angles", default="0,0,0,0")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--model", help="model file used as the outcome source")
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--k-sigma", type=float, default=3.0)
+    p.add_argument("--epsilon", type=_finite_float, default=0.0)
+    p.add_argument("--k-sigma", type=_positive_float, default=3.0)
     p.add_argument("--setting-probs", help="four pair probabilities p13,p14,p23,p24")
 
     return parser
@@ -227,7 +245,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_predict(args, fmt: str) -> int:
     if args.angles is not None:
-        theta = _maybe_radians(_parse_floats(args.angles, 4, "--angles"), args.degrees)
+        theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
         terms = singlet.ch_terms(theta)
         value = (
             terms["p13"] + terms["p14"] + terms["p24"]
@@ -352,7 +370,7 @@ def _cmd_check_model(args, fmt: str) -> int:
 
 def _cmd_oracle(args, fmt: str) -> int:
     if args.atoms:
-        probs = _parse_floats(args.atoms, 16, "--atoms")
+        probs = _parse_numbers(args.atoms, 16, "--atoms")
     elif args.file:
         try:
             probs = json.loads(Path(args.file).read_text())
@@ -376,8 +394,8 @@ def _cmd_optimize_angles(args, fmt: str) -> int:
 
 
 def _cmd_search(args, fmt: str) -> int:
-    band = _parse_floats(args.eps_band, 2, "--eps-band")
-    cards = [int(v) for v in _parse_floats(args.cards, 4, "--cards")]
+    band = _parse_numbers(args.eps_band, 2, "--eps-band")
+    cards = _parse_numbers(args.cards, 4, "--cards", kind=int)
     cfg = search.SearchConfig(
         seed=args.seed,
         restarts=args.restarts,
@@ -406,10 +424,10 @@ def _cmd_search(args, fmt: str) -> int:
 
 
 def _cmd_simulate(args, fmt: str) -> int:
-    theta = _maybe_radians(_parse_floats(args.angles, 4, "--angles"), args.degrees)
+    theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
     sp = None
     if args.setting_probs:
-        vals = _parse_floats(args.setting_probs, 4, "--setting-probs")
+        vals = _parse_numbers(args.setting_probs, 4, "--setting-probs")
         sp = np.asarray(vals).reshape(2, 2)
     cfg = simulate.SimConfig(
         seed=args.seed,
@@ -473,7 +491,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args, args.format)
-    except _UsageError:
+    except _UsageError as exc:
+        if args is not None:  # raised by a handler; the parser prints its own
+            print(f"weakch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WeakChError, ValueError) as exc:
         # stdout stays machine-readable on validation failures too

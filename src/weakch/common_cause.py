@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import singlet
 from .inequalities import (
@@ -308,6 +307,26 @@ _OUTCOME_SUFFIX = ("11", "10", "01", "00")  # (in A, in B) indicator pairs
 _GEN_S_MAX = 0.49
 
 
+def _deficit_scale(m1: float, m2: float, mid_mass: float, target: float) -> float:
+    """Deviation scale s in [0, _GEN_S_MAX] at which the deficit hits target.
+
+    The generated model's deficit is 0.5*mid_mass + 2*s*m1 - 4*s^2*m2.
+    Conditionals drawn from [0.6, 1] put its vertex m1/(4*m2) at s >= 0.5,
+    so it rises over [0, _GEN_S_MAX] and, once the target is within reach,
+    the smaller root is the only root there. The root is taken as
+    rhs / (m1 + sqrt(m1^2 - 4*m2*rhs)): the textbook form, as in
+    inequalities._smaller_root, cancels in m1 - sqrt(...) and loses ~1e-7
+    of relative accuracy at a target of 1e-9.
+    """
+    if target <= 0.5 * mid_mass + 1e-15:
+        return 0.0
+    s = _GEN_S_MAX
+    if 0.5 * mid_mass + 2.0 * s * m1 - 4.0 * s * s * m2 < target:
+        raise GenerationFailed(f"target deficit {target} is out of reach for these draws")
+    rhs = target - 0.5 * mid_mass
+    return rhs / (m1 + math.sqrt(m1 * m1 - 4.0 * m2 * rhs))
+
+
 def random_screened_model(
     seed: int | np.random.Generator,
     n_cells: int,
@@ -319,9 +338,10 @@ def random_screened_model(
     complements of each other, which pins both marginals at exactly one
     half; with an odd cell count one self-mirrored cell at conditional 1/2
     takes a small slice of mass. Within-cell joints are products, so
-    screening is exact by construction. The deficit is then matched by a
-    one-dimensional root solve on the shared deviation scale. Deterministic
-    for a given seed.
+    screening is exact by construction. The deficit is quadratic in the
+    shared deviation scale, and the scale that matches the target is its
+    closed-form smaller root (see _deficit_scale). Deterministic for a
+    given seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n_cells < 2:
@@ -344,22 +364,7 @@ def random_screened_model(
     m1 = float(np.sum(cell_mass * (x + y)))
     m2 = float(np.sum(cell_mass * x * y))
 
-    def deficit(s: float) -> float:
-        return 0.5 * mid_mass + 2.0 * s * m1 - 4.0 * s * s * m2
-
-    if epsilon_target <= 0.5 * mid_mass + 1e-15:
-        scale = 0.0
-    else:
-        if deficit(_GEN_S_MAX) < epsilon_target:
-            raise GenerationFailed(
-                f"target deficit {epsilon_target} is out of reach for these draws"
-            )
-        try:
-            scale = float(
-                brentq(lambda s: deficit(s) - epsilon_target, 0.0, _GEN_S_MAX, xtol=1e-15)
-            )
-        except RuntimeError as exc:
-            raise GenerationFailed(f"deficit solve did not converge: {exc}") from exc
+    scale = _deficit_scale(m1, m2, mid_mass, epsilon_target)
 
     atoms: list[str] = []
     weights: list[float] = []
@@ -450,6 +455,8 @@ def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> Oracle
     p = [float(v) for v in atom_probs]
     if len(p) != 16:
         raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
+    if not all(math.isfinite(v) for v in p):
+        raise UnnormalizedInput(f"non-finite atom probability in {p}")
     if min(p) < -1e-12:
         raise UnnormalizedInput(f"negative atom probability {min(p)}")
     total = math.fsum(p)
@@ -499,11 +506,12 @@ class EprbModel:
         expected = (2, 2, 2, 2, *cards)
         if w.shape != expected:
             raise BadModel(f"weight tensor shape {w.shape} does not match {expected}")
-        if np.any(w < 0.0):
-            raise BadModel(f"negative weight {float(w.min())}")
-        total = float(w.sum())
-        if total <= 0.0:
-            raise BadModel("total mass must be positive")
+        lowest = float(w.min())  # NaN propagates through min
+        if not lowest >= 0.0:
+            raise BadModel(f"negative or NaN weight {lowest}")
+        total = float(w.sum())  # +inf survives min but not a finite total
+        if not 0.0 < total < math.inf:
+            raise BadModel(f"total mass must be positive and finite, got {total}")
         w = w / total
         pair = w.sum(axis=tuple(range(2, w.ndim)))
         if np.any(pair <= 0.0):

@@ -66,12 +66,12 @@ class FiniteProbSpace:
             )
         if len(set(atoms)) != len(atoms):
             raise WeakChError("atom labels must be unique")
-        if np.any(w < 0.0):
-            worst = float(w.min())
-            raise NegativeWeight(f"negative atom weight {worst}")
-        total = math.fsum(w.tolist())
-        if total <= 0.0:
-            raise EmptySpace("total mass must be positive")
+        lowest = float(w.min())  # NaN propagates through min
+        if not lowest >= 0.0:
+            raise NegativeWeight(f"negative or NaN atom weight {lowest}")
+        total = math.fsum(w.tolist())  # +inf survives min but not a finite total
+        if not 0.0 < total < math.inf:
+            raise EmptySpace(f"total mass must be positive and finite, got {total}")
         w = w / total
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)

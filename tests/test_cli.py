@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakch.cli import main
 from weakch.common_cause import pairwise_model_to_dict, random_eprb_model, random_screened_model
@@ -269,3 +272,130 @@ def test_stdout_is_single_json_document(capsys):
         code, out, _ = run(capsys, *argv)
         json.loads(out)  # parses as exactly one document
         assert out.count('"command"') == 1
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, weakch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc")
+def test_cli_process_starts_no_blas_threads():
+    # OpenBLAS threads spin as numpy loads; a one-shot process must not start them.
+    code = "import os, weakch.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"  # a caller's own setting is kept
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "2"
+
+
+def test_check_rejects_nonfinite_value(capsys):
+    for bad in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "check", f"--value={bad}", "--epsilon", "1e-3")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+
+def test_oracle_rejects_nonfinite_atoms(capsys, tmp_path):
+    code, out, err = run(capsys, "oracle", "--atoms", "nan" + ",0" * 14 + ",1")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+    atoms_file = tmp_path / "atoms.json"
+    atoms_file.write_text("[NaN" + ", 0" * 14 + ", 1]")  # json.loads accepts NaN
+    code, env, err = run_json(capsys, "oracle", "--file", str(atoms_file))
+    assert code == 2
+    assert "non-finite" in env["error"]
+
+
+def test_check_model_rejects_nan_weight(capsys, tmp_path):
+    joint = random_eprb_model(2, (2, 2, 2, 2), 1e-3).to_dict()
+    joint["weights"][5] = math.nan
+    pairwise = pairwise_model_to_dict(random_screened_model(2, 4, 0.01))
+    pairwise["space"]["weights"][0] = math.nan
+    for data in (joint, pairwise):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))  # written as the NaN literal
+        code, env, _ = run_json(capsys, "check-model", "--file", str(path))
+        assert code == 2
+        assert "NaN" in env["error"]
+
+
+def test_search_rejects_non_integral_cards(capsys):
+    code, out, err = run(capsys, "search", "--restarts", "1", "--iters", "1", "--cards", "2,2,2,2.7")
+    assert code == 1
+    assert out == ""
+    assert "--cards" in err
+
+
+def test_simulate_rejects_nonpositive_k_sigma(capsys):
+    for bad in ("-3", "0"):
+        code, out, err = run(capsys, "simulate", "--seed", "1", "--n", "1000", "--k-sigma", bad)
+        assert code == 1
+        assert out == ""
+        assert "--k-sigma" in err
+
+
+# Every numeric argument of every command, with a valid value for the others.
+_NUMERIC_ARGS = [
+    (["predict", "--outcomes", "++"], "--phi", "0.5"),
+    (["predict"], "--angles", LOWER),
+    (["bounds"], "--epsilon", "1e-4"),
+    (["bounds", "--epsilon", "1e-4"], "--pa", "0.5"),
+    (["bounds", "--epsilon", "1e-4"], "--pb", "0.5"),
+    (["bounds", "--epsilon", "1e-4"], "--pab", "0.25"),
+    (["check", "--epsilon", "1e-3"], "--value", "-0.5"),
+    (["check", "--value", "-0.5"], "--epsilon", "1e-3"),
+    (["check", "--value", "-0.5", "--epsilon", "1e-3"], "--pa", "0.5"),
+    (["check", "--value", "-0.5", "--epsilon", "1e-3"], "--pb", "0.5"),
+    (["check", "--value", "-0.5", "--epsilon", "1e-3"], "--pab", "0.25"),
+    (["oracle"], "--atoms", ",".join(["0.0625"] * 16)),
+    (["optimize-angles", "--refine", "1"], "--grid", "8"),
+    (["optimize-angles", "--grid", "8"], "--refine", "1"),
+    (["optimize-angles", "--grid", "8", "--refine", "1"], "--seed", "0"),
+    (["search", "--restarts", "1", "--iters", "1"], "--seed", "0"),
+    (["search", "--iters", "1"], "--restarts", "1"),
+    (["search", "--restarts", "1"], "--iters", "1"),
+    (["search", "--restarts", "1", "--iters", "1"], "--eps-band", "1e-6,1e-3"),
+    (["search", "--restarts", "1", "--iters", "1"], "--cards", "2,2,2,2"),
+    (["search", "--restarts", "1", "--iters", "1"], "--step", "0.05"),
+    (["search", "--restarts", "1", "--iters", "1"], "--decay", "0.99"),
+    (["search", "--restarts", "1", "--iters", "1"], "--penalty-weight", "1e4"),
+    (["simulate", "--n", "100"], "--seed", "1"),
+    (["simulate", "--seed", "1"], "--n", "100"),
+    (["simulate", "--seed", "1", "--n", "100"], "--angles", "0,0,0,0"),
+    (["simulate", "--seed", "1", "--n", "100"], "--epsilon", "0"),
+    (["simulate", "--seed", "1", "--n", "100"], "--k-sigma", "3"),
+    (["simulate", "--seed", "1", "--n", "100"], "--setting-probs", "0.25,0.25,0.25,0.25"),
+]
+_INT_FLAGS = {"--seed", "--n", "--grid", "--refine", "--restarts", "--iters", "--cards"}
+_NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
+_MALFORMED = ["", "one", "1/2", "0x10"]
+_NON_INTEGRAL = ["2.7", "0.5", "1e-3"]
+
+
+def test_numeric_argument_table_is_valid(capsys):
+    # the property below is only meaningful if each unbroken call succeeds
+    for base, flag, good in _NUMERIC_ARGS:
+        assert main([*base, f"{flag}={good}"]) == 0, (base, flag)
+    capsys.readouterr()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_NUMERIC_ARGS), st.data())
+def test_malformed_numeric_argument_never_succeeds(spec, data):
+    # One list element (or the whole scalar) becomes non-finite, malformed
+    # or, for an integer argument, non-integral: usage or validation error.
+    base, flag, good = spec
+    bad = _NON_FINITE + _MALFORMED + (_NON_INTEGRAL if flag in _INT_FLAGS else [])
+    parts = good.split(",")
+    parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(bad))
+    value = ",".join(parts)
+    assert main([*base, f"{flag}={value}"]) in (1, 2), (base, flag, value)

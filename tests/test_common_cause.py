@@ -13,6 +13,7 @@ from weakch.common_cause import (
     PairwiseCcModel,
     PreconditionViolated,
     UnnormalizedInput,
+    _deficit_scale,
     build_aggregate_cause,
     cell_stats,
     ch_atom_oracle,
@@ -80,6 +81,10 @@ def test_oracle_rejects_bad_input():
     bad[0], bad[1] = 1.1, -0.1
     with pytest.raises(UnnormalizedInput):
         ch_atom_oracle(bad)
+    for nonfinite in (math.nan, math.inf):
+        # atom 0 enters no marginal, so only a finiteness test catches it
+        with pytest.raises(UnnormalizedInput):
+            ch_atom_oracle([nonfinite] + [0.0] * 14 + [1.0])
 
 
 @settings(deadline=None, max_examples=300)
@@ -135,6 +140,54 @@ def test_generator_is_deterministic():
     b = random_screened_model(123, 9, 0.07)
     assert a.space.weights.tolist() == b.space.weights.tolist()
     assert a.cells == b.cells
+
+
+def _generator_moments(seed, n_cells, mid_mass):
+    # the draws random_screened_model makes: pair masses, then x and y
+    rng = np.random.default_rng(seed)
+    n_pairs = n_cells // 2
+    raw = rng.uniform(0.5, 1.5, n_pairs)
+    cell_mass = raw / raw.sum() * (1.0 - mid_mass) / 2.0
+    x = rng.uniform(0.6, 1.0, n_pairs)
+    y = rng.uniform(0.6, 1.0, n_pairs)
+    return float(np.sum(cell_mass * (x + y))), float(np.sum(cell_mass * x * y))
+
+
+def _bisect_increasing(f, target, lo, hi):
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("case", ["tiny", "odd_mid_slice", "just_below_reach"])
+def test_deficit_scale_matches_bisection(case):
+    for seed in range(20):
+        n_cells, mid = (9, 0.05) if case == "odd_mid_slice" else (8, 0.0)
+        m1, m2 = _generator_moments(seed, n_cells, mid)
+
+        def deficit(s):
+            return 0.5 * mid + 2.0 * s * m1 - 4.0 * s * s * m2
+
+        reach = deficit(0.49)
+        target = {"tiny": 1e-9, "odd_mid_slice": 0.07, "just_below_reach": reach * (1 - 1e-12)}[case]
+        scale = _deficit_scale(m1, m2, mid, target)
+        ref = _bisect_increasing(deficit, target, 0.0, 0.49)
+        assert scale == pytest.approx(ref, rel=1e-12, abs=0.0)
+        with pytest.raises(GenerationFailed):
+            _deficit_scale(m1, m2, mid, reach * (1 + 1e-12))
+
+
+def test_generator_fails_just_above_reach():
+    m1, m2 = _generator_moments(5, 8, 0.0)
+    reach = 2.0 * 0.49 * m1 - 4.0 * 0.49 * 0.49 * m2
+    assert random_screened_model(5, 8, reach * (1 - 1e-12)) is not None
+    with pytest.raises(GenerationFailed):
+        random_screened_model(5, 8, reach * (1 + 1e-12))
 
 
 def test_classify_deterministic_model():
@@ -277,6 +330,12 @@ def test_eprb_model_validation():
     w[0, 0, 0, 0, 0, 0, 0, 0] = 1.0  # only one setting pair carries mass
     with pytest.raises(BadModel):
         EprbModel(w, (2, 2, 2, 2))
+    good = random_eprb_model(5, (2, 2, 2, 2), 1e-3).weights
+    for bad in (math.nan, math.inf, -math.inf, -1e-3):
+        w = good.copy()
+        w[0, 1, 0, 0, 1, 0, 1, 0] = bad
+        with pytest.raises(BadModel):
+            EprbModel(w, (2, 2, 2, 2))
 
 
 def test_eprb_json_roundtrip():

@@ -45,6 +45,10 @@ def test_empty_and_negative_inputs():
         make_space([0.0, 0.0])
     with pytest.raises(NegativeWeight):
         make_space([0.5, -0.1])
+    with pytest.raises(NegativeWeight):
+        make_space([0.5, math.nan])
+    with pytest.raises(EmptySpace):
+        make_space([0.5, math.inf])
 
 
 def test_prob_extremes():
