@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, common_cause, search, simulate, singlet
 from .inequalities import (
     SettingProbs,
+    ch_expression,
     correction_terms,
     epsilon_thresholds,
     evaluate_weak_ch,
@@ -247,10 +248,7 @@ def _cmd_predict(args, fmt: str) -> int:
     if args.angles is not None:
         theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
         terms = singlet.ch_terms(theta)
-        value = (
-            terms["p13"] + terms["p14"] + terms["p24"]
-            - terms["p23"] - terms["p1_plus"] - terms["p4_plus"]
-        )
+        value = ch_expression(terms)
         result = {"ch_value": value, "terms": terms, "tsirelson_ok": tsirelson_check(value)}
         inputs = {"angles": list(theta), "degrees": bool(args.degrees)}
     elif args.phi is not None:
@@ -267,10 +265,9 @@ def _cmd_predict(args, fmt: str) -> int:
 
 def _cmd_bounds(args, fmt: str) -> int:
     sp = SettingProbs(args.pa, args.pb, args.pab)
-    ct = correction_terms(args.epsilon, sp)
-    lower, upper = weak_ch_bounds(ct, ct, ct, ct)
+    lower, upper = weak_ch_bounds(args.epsilon, sp)
     result = {
-        "correction_terms": ct,
+        "correction_terms": correction_terms(args.epsilon, sp),
         "lower": lower,
         "upper": upper,
     }
@@ -288,8 +285,7 @@ def _cmd_thresholds(args, fmt: str) -> int:
 
 def _cmd_check(args, fmt: str) -> int:
     sp = SettingProbs(args.pa, args.pb, args.pab)
-    ct = correction_terms(args.epsilon, sp)
-    report = evaluate_weak_ch(args.value, weak_ch_bounds(ct, ct, ct, ct), args.epsilon)
+    report = evaluate_weak_ch(args.value, weak_ch_bounds(args.epsilon, sp), args.epsilon)
     inputs = {
         "value": args.value,
         "epsilon": args.epsilon,

@@ -37,10 +37,13 @@ import numpy as np
 
 from . import singlet
 from .inequalities import (
-    SettingProbs,
+    CH_PAIRS,
     WeakChReport,
+    _smaller_root,
+    ch_expression,
     correction_terms,
     evaluate_weak_ch,
+    pair_settings,
     weak_ch_bounds,
 )
 from .spaces import (
@@ -168,17 +171,38 @@ def model_epsilon(model: PairwiseCcModel) -> float:
     return max(0.0, 1.0 - cond_prob(model.space, model.event_a, model.event_b))
 
 
-def _require_screened_even_model(model: PairwiseCcModel, tol: float) -> ScreeningReport:
+def _require_screened_even_model(model: PairwiseCcModel, tol: float) -> list[float]:
+    # Returns the marginals [p(A), p(B)] it checked.
     scr = model.screening()
     if scr.max_abs > tol:
         raise PreconditionViolated(
             f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}"
         )
+    marginals = []
     for name, ev in (("p(A)", model.event_a), ("p(B)", model.event_b)):
         v = prob(model.space, ev)
         if abs(v - 0.5) > tol:
             raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {tol:.1e}")
-    return scr
+        marginals.append(v)
+    return marginals
+
+
+def _classify(stats: CellStats, eps: float, border: float) -> CellClasses:
+    high, mid, low = [], [], list(stats.skipped)
+    for i, q in zip(stats.index, stats.cond_a):
+        if q <= border:
+            low.append(i)
+        elif q >= 1.0 - border:
+            high.append(i)
+        else:
+            mid.append(i)
+    return CellClasses(
+        high=tuple(sorted(high)),
+        mid=tuple(sorted(mid)),
+        low=tuple(sorted(low)),
+        epsilon=eps,
+        border=border,
+    )
 
 
 def classify_cells(
@@ -194,23 +218,7 @@ def classify_cells(
     """
     _require_screened_even_model(model, precondition_tol)
     eps = model_epsilon(model)
-    b = math.sqrt(eps) if border is None else float(border)
-    stats = cell_stats(model)
-    high, mid, low = [], [], list(stats.skipped)
-    for i, q in zip(stats.index, stats.cond_a):
-        if q <= b:
-            low.append(i)
-        elif q >= 1.0 - b:
-            high.append(i)
-        else:
-            mid.append(i)
-    return CellClasses(
-        high=tuple(sorted(high)),
-        mid=tuple(sorted(mid)),
-        low=tuple(sorted(low)),
-        epsilon=eps,
-        border=b,
-    )
+    return _classify(cell_stats(model), eps, math.sqrt(eps) if border is None else float(border))
 
 
 @dataclass(frozen=True)
@@ -262,14 +270,11 @@ def check_cause_mass_bounds(
     half-marginal tolerance is an implementation choice; the bounds are
     derived for exactly even marginals.
     """
-    _require_screened_even_model(model, precondition_tol)
-    p_a = prob(model.space, model.event_a)
-    p_b = prob(model.space, model.event_b)
-
+    p_a, p_b = _require_screened_even_model(model, precondition_tol)
     eps = model_epsilon(model)
     root = math.sqrt(eps)
-    classes = classify_cells(model, border=border, precondition_tol=precondition_tol)
     stats = cell_stats(model)
+    classes = _classify(stats, eps, root if border is None else float(border))
     by_cell = {i: k for k, i in enumerate(stats.index)}
 
     high_mass = float(sum(stats.mass[by_cell[i]] for i in classes.high))
@@ -313,18 +318,14 @@ def _deficit_scale(m1: float, m2: float, mid_mass: float, target: float) -> floa
     The generated model's deficit is 0.5*mid_mass + 2*s*m1 - 4*s^2*m2.
     Conditionals drawn from [0.6, 1] put its vertex m1/(4*m2) at s >= 0.5,
     so it rises over [0, _GEN_S_MAX] and, once the target is within reach,
-    the smaller root is the only root there. The root is taken as
-    rhs / (m1 + sqrt(m1^2 - 4*m2*rhs)): the textbook form, as in
-    inequalities._smaller_root, cancels in m1 - sqrt(...) and loses ~1e-7
-    of relative accuracy at a target of 1e-9.
+    the smaller root is the only root there.
     """
     if target <= 0.5 * mid_mass + 1e-15:
         return 0.0
     s = _GEN_S_MAX
     if 0.5 * mid_mass + 2.0 * s * m1 - 4.0 * s * s * m2 < target:
         raise GenerationFailed(f"target deficit {target} is out of reach for these draws")
-    rhs = target - 0.5 * mid_mass
-    return rhs / (m1 + math.sqrt(m1 * m1 - 4.0 * m2 * rhs))
+    return _smaller_root(2.0 * m1, 4.0 * m2, target - 0.5 * mid_mass)
 
 
 def random_screened_model(
@@ -463,13 +464,15 @@ def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> Oracle
     if abs(total - 1.0) > atol:
         raise UnnormalizedInput(f"atom probabilities sum to {total!r}, not 1")
 
-    pAB = p[10] + p[11] + p[14] + p[15]
-    pABp = p[9] + p[11] + p[13] + p[15]
-    pApBp = p[5] + p[7] + p[13] + p[15]
-    pApB = p[6] + p[7] + p[14] + p[15]
-    pA = p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15]
-    pBp = p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15]
-    value = pAB + pABp + pApBp - pApB - pA - pBp
+    # A, A', B, B' stand for directions 1, 2, 3, 4, so p13 = p(AB).
+    value = ch_expression({
+        "p13": p[10] + p[11] + p[14] + p[15],
+        "p14": p[9] + p[11] + p[13] + p[15],
+        "p24": p[5] + p[7] + p[13] + p[15],
+        "p23": p[6] + p[7] + p[14] + p[15],
+        "p1_plus": p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15],
+        "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
+    })
     identity = -sum(p[i] for i in _NEGATIVE_ATOMS)
     in_bounds = -1.0 - 1e-12 <= value <= 1e-12
     return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)
@@ -489,6 +492,16 @@ _BOB_LABELS = ("3", "4")
 def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     axes = tuple(k for k in range(w.ndim) if k not in keep)
     return w.sum(axis=axes)
+
+
+def _tables_profile(t: np.ndarray) -> singlet.EpsilonProfile:
+    # Deficit profile of per-setting-pair outcome tables t[a, b, A, B].
+    denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
+    denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond_ab = np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
+        cond_ba = np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
+    return singlet.epsilon_profile(cond_ab=cond_ab, cond_ba=cond_ba)
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,23 +538,13 @@ class EprbModel:
     def setting_probs(self) -> np.ndarray:
         return _marginal(self.weights, (0, 1))
 
-    def setting_pair_probs(self, a: int, b: int) -> SettingProbs:
-        sp = self.setting_probs()
-        return SettingProbs(float(sp[a].sum()), float(sp[:, b].sum()), float(sp[a, b]))
-
     def outcome_tables(self) -> np.ndarray:
         joint = _marginal(self.weights, (0, 1, 2, 3))
         pair = joint.sum(axis=(2, 3), keepdims=True)
         return joint / pair
 
     def profile(self) -> singlet.EpsilonProfile:
-        t = self.outcome_tables()
-        denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
-        denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_ab = np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
-            cond_ba = np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
-        return singlet.epsilon_profile(cond_ab=cond_ab, cond_ba=cond_ba)
+        return _tables_profile(self.outcome_tables())
 
     def alice_plus(self, a: int) -> float:
         w = self.weights
@@ -555,35 +558,14 @@ class EprbModel:
         den = float(_marginal(w, (1,))[b])
         return num / den
 
-    def ch_value(self) -> float:
-        t = self.outcome_tables()
-        return float(
-            t[0, 0, 0, 0] + t[0, 1, 0, 0] + t[1, 1, 0, 0] - t[1, 0, 0, 0]
-            - self.alice_plus(0) - self.bob_plus(1)
-        )
-
-    def ch_terms(self) -> dict[str, float]:
-        t = self.outcome_tables()
-        return {
-            "p13": float(t[0, 0, 0, 0]),
-            "p14": float(t[0, 1, 0, 0]),
-            "p24": float(t[1, 1, 0, 0]),
-            "p23": float(t[1, 0, 0, 0]),
-            "p1_plus": self.alice_plus(0),
-            "p4_plus": self.bob_plus(1),
-        }
-
     def weak_report(self, *, eps_override: float | None = None) -> WeakChReport:
-        prof = self.profile()
-        eps = prof.eps_global if eps_override is None else float(eps_override)
-        cts = {
-            pair: correction_terms(eps, self.setting_pair_probs(*pair))
-            for pair in ((0, 0), (0, 1), (1, 1), (1, 0))
-        }
-        bounds = weak_ch_bounds(cts[(0, 0)], cts[(0, 1)], cts[(1, 1)], cts[(1, 0)])
-        terms = self.ch_terms()
-        value = terms["p13"] + terms["p14"] + terms["p24"] - terms["p23"] - terms["p1_plus"] - terms["p4_plus"]
-        return evaluate_weak_ch(value, bounds, eps, terms=terms)
+        t = self.outcome_tables()
+        eps = _tables_profile(t).eps_global if eps_override is None else float(eps_override)
+        bounds = weak_ch_bounds(eps, pair_settings(self.setting_probs()))
+        terms = {name: float(t[a, b, 0, 0]) for name, (a, b) in CH_PAIRS.items()}
+        terms["p1_plus"] = self.alice_plus(0)
+        terms["p4_plus"] = self.bob_plus(1)
+        return evaluate_weak_ch(ch_expression(terms), bounds, eps, terms=terms)
 
     def to_dict(self) -> dict:
         return {
@@ -877,7 +859,8 @@ def joint_cause_bounds_check(
         raise PreconditionViolated(
             f"setting-independence residual {nc.max_abs:.3e} exceeds {tol:.1e}"
         )
-    prof = model.profile()
+    t = model.outcome_tables()
+    prof = _tables_profile(t)
     scr = validate_screening(model, prof)
     if scr.max_abs > tol:
         raise PreconditionViolated(f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}")
@@ -885,11 +868,11 @@ def joint_cause_bounds_check(
     eps = prof.eps_global if eps_override is None else float(eps_override)
     agg_a = [_aggregate(model, "alice", d, prof) for d in (0, 1)]
     agg_b = [_aggregate(model, "bob", d, prof) for d in (0, 1)]
-    t = model.outcome_tables()
+    settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
     pairs = []
     for ai in (0, 1):
         for bj in (0, 1):
-            ct = correction_terms(eps, model.setting_pair_probs(ai, bj))
+            ct = correction_terms(eps, settings[ai, bj])
             cc = _marginal(model.weights, (4 + ai, 6 + bj))
             sel_a = list(agg_a[ai].cells)
             sel_b = list(agg_b[bj].cells)

@@ -56,10 +56,6 @@ class BadSettingProbs(WeakChError):
     """Setting probabilities violate their constraints."""
 
 
-class MixedEpsilon(WeakChError):
-    """Correction terms built from different deficits were combined."""
-
-
 class UnnormalizedTable(WeakChError):
     """A per-setting-pair outcome table does not sum to one."""
 
@@ -86,13 +82,28 @@ class SettingProbs:
 SYMMETRIC_SETTINGS = SettingProbs(0.5, 0.5, 0.25)
 
 
+# The joint terms of the CH combination and their (Alice, Bob) setting
+# indices, in the pair order 13, 14, 24, 23 used throughout.
+CH_PAIRS = {"p13": (0, 0), "p14": (0, 1), "p24": (1, 1), "p23": (1, 0)}
+
+
+def pair_settings(table) -> tuple[SettingProbs, ...]:
+    """Per-pair SettingProbs of a 2x2 setting table, in CH_PAIRS order.
+
+    table[a, b] is the probability of Alice setting a with Bob setting b.
+    """
+    return tuple(
+        SettingProbs(float(table[a].sum()), float(table[:, b].sum()), float(table[a, b]))
+        for a, b in CH_PAIRS.values()
+    )
+
+
 @dataclass(frozen=True)
 class CorrectionTerms:
     """Correction terms for one setting pair at a given deficit.
 
-    Carries the deficit it was built from so that mixed combinations can be
-    rejected. All four terms vanish at eps = 0 and d_plus dominates d_minus
-    for eps in (0, 1].
+    All four terms vanish at eps = 0 and d_plus dominates d_minus for eps
+    in (0, 1].
     """
 
     epsilon: float
@@ -118,29 +129,35 @@ def correction_terms(epsilon: float, sp: SettingProbs = SYMMETRIC_SETTINGS) -> C
     )
 
 
-def ch_expression(pAB: float, pABp: float, pApBp: float, pApB: float, pA: float, pBp: float) -> float:
-    """The six-term CH combination; in [-1, 0] for events of one space."""
-    return pAB + pABp + pApBp - pApB - pA - pBp
+def ch_expression(terms) -> float:
+    """The six-term CH combination p13 + p14 + p24 - p23 - p1_plus - p4_plus.
+
+    terms maps those six names to probabilities; the combination lies in
+    [-1, 0] for events of one space.
+    """
+    return (
+        terms["p13"] + terms["p14"] + terms["p24"]
+        - terms["p23"] - terms["p1_plus"] - terms["p4_plus"]
+    )
 
 
 def weak_ch_bounds(
-    ct13: CorrectionTerms,
-    ct14: CorrectionTerms,
-    ct24: CorrectionTerms,
-    ct23: CorrectionTerms,
+    epsilon: float,
+    settings: SettingProbs | tuple[SettingProbs, ...] = SYMMETRIC_SETTINGS,
 ) -> tuple[float, float]:
-    """Corrected interval for the CH combination over direction pairs 13, 14, 24, 23.
+    """Corrected interval for the CH combination at deficit epsilon.
 
-    All four correction terms must come from the same deficit. At eps = 0
-    this returns exactly (-1.0, 0.0).
+    settings is one SettingProbs shared by all four pairs, or four of them
+    in pair order 13, 14, 24, 23. At eps = 0 this returns exactly
+    (-1.0, 0.0).
     """
-    cts = (ct13, ct14, ct24, ct23)
-    eps = ct13.epsilon
-    if any(ct.epsilon != eps for ct in cts):
-        raise MixedEpsilon(
-            "correction terms were built from different deficits: "
-            + ", ".join(repr(ct.epsilon) for ct in cts)
-        )
+    if isinstance(settings, SettingProbs):
+        cts = [correction_terms(epsilon, settings)] * 4
+    else:
+        cts = [correction_terms(epsilon, sp) for sp in settings]
+        if len(cts) != 4:
+            raise BadSettingProbs("need one SettingProbs or four, one per pair")
+    ct13, ct14, ct24, ct23 = cts
     lower = -1.0 - ct13.d_minus_ab - ct14.d_minus_ab - ct24.d_minus_ab - ct23.d_plus_ab - 2.0 * ct13.d_plus
     upper = ct13.d_plus_ab + ct14.d_plus_ab + ct24.d_plus_ab + ct23.d_minus_ab + 2.0 * ct13.d_minus
     return lower, upper
@@ -215,10 +232,13 @@ def bound_coefficients(sp: SettingProbs = SYMMETRIC_SETTINGS) -> tuple[tuple[flo
 
 def _smaller_root(lin: float, quad: float, rhs: float) -> float:
     # Solve lin*x - quad*x^2 = rhs for the smaller nonnegative root.
+    # Written as 2*rhs / (lin + sqrt(disc)), which does not cancel when
+    # 4*quad*rhs is small against lin^2 the way (lin - sqrt(disc)) / (2*quad)
+    # does.
     disc = lin * lin - 4.0 * quad * rhs
     if disc < 0.0:
         raise ValueError("no crossing: requested excess exceeds the correction maximum")
-    return (lin - math.sqrt(disc)) / (2.0 * quad)
+    return 2.0 * rhs / (lin + math.sqrt(disc))
 
 
 def epsilon_thresholds(

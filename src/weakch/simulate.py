@@ -17,17 +17,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import singlet
 from .common_cause import EprbModel, model_from_dict
-from .inequalities import (
-    SettingProbs,
-    correction_terms,
-    weak_ch_bounds,
-)
+from .inequalities import CH_PAIRS, ch_expression, pair_settings, weak_ch_bounds
 from .spaces import WeakChError
 
 _CHUNK = 1 << 16
@@ -77,10 +72,14 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Event counts per (setting pair, outcome pair); counts sum to n."""
+    """Event counts per (setting pair, outcome pair); counts sum to n.
+
+    setting_probs is the 2x2 setting law the runs were drawn from.
+    """
 
     counts: np.ndarray
     n: int
+    setting_probs: np.ndarray
 
     def pair_totals(self) -> np.ndarray:
         return self.counts.sum(axis=(2, 3))
@@ -129,7 +128,7 @@ def sample_runs(cfg: SimConfig) -> CountsTable:
                 out[pair] += rng.multinomial(cnt, tables[a, b].ravel())
         remaining -= take
         chunk_idx += 1
-    return CountsTable(counts=out.reshape(2, 2, 2, 2), n=cfg.n)
+    return CountsTable(counts=out.reshape(2, 2, 2, 2), n=cfg.n, setting_probs=cfg.setting_probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +143,7 @@ class Estimates:
     bob_plus_se: np.ndarray
     pair_counts: np.ndarray
     undefined: tuple[str, ...]
+    setting_probs: np.ndarray
 
 
 def _wald(k: float, n: float) -> tuple[float, float]:
@@ -201,6 +201,7 @@ def estimate(table: CountsTable) -> Estimates:
         bob_plus_se=bob_plus_se,
         pair_counts=pair_n,
         undefined=tuple(undefined),
+        setting_probs=table.setting_probs,
     )
 
 
@@ -227,22 +228,17 @@ class SampleTest:
     term_ses: dict
 
 
-def test_inequality(
-    est: Estimates,
-    epsilon: float,
-    k_sigma: float = 3.0,
-    sp: SettingProbs | Sequence[SettingProbs] | None = None,
-) -> SampleTest:
+def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> SampleTest:
     """Check the estimated combination against the corrected interval.
 
-    A violation is declared only when the bound is exceeded by more than
+    The interval uses the setting law the runs were drawn from. A
+    violation is declared only when the bound is exceeded by more than
     k_sigma propagated standard errors. Margins report the signed distance
     past each bound in sigma units.
     """
-    pairs = {"p13": (0, 0), "p14": (0, 1), "p24": (1, 1), "p23": (1, 0)}
     terms: dict[str, float] = {}
     ses: dict[str, float] = {}
-    for name, (a, b) in pairs.items():
+    for name, (a, b) in CH_PAIRS.items():
         terms[name] = float(est.joint[a, b, 0, 0])
         ses[name] = float(est.joint_se[a, b, 0, 0])
     terms["p1_plus"] = float(est.alice_plus[0])
@@ -253,22 +249,9 @@ def test_inequality(
     if bad:
         raise UndefinedEstimate(f"missing observations for {', '.join(bad)}")
 
-    value = (
-        terms["p13"] + terms["p14"] + terms["p24"]
-        - terms["p23"] - terms["p1_plus"] - terms["p4_plus"]
-    )
+    value = ch_expression(terms)
     se = math.sqrt(sum(s * s for s in ses.values()))
-
-    if sp is None:
-        sps = [SettingProbs(0.5, 0.5, 0.25)] * 4
-    elif isinstance(sp, SettingProbs):
-        sps = [sp] * 4
-    else:
-        sps = list(sp)
-        if len(sps) != 4:
-            raise WeakChError("need one SettingProbs or four, one per pair")
-    cts = [correction_terms(epsilon, s) for s in sps]
-    lower, upper = weak_ch_bounds(cts[0], cts[1], cts[2], cts[3])
+    lower, upper = weak_ch_bounds(epsilon, pair_settings(est.setting_probs))
 
     margin_lower = math.inf if se == 0.0 else (lower - value) / se
     margin_upper = math.inf if se == 0.0 else (value - upper) / se

@@ -25,6 +25,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .inequalities import ch_expression
+
 TAU = 2.0 * math.pi
 
 Sign = Literal["+", "-"]
@@ -207,5 +209,4 @@ def ch_terms(theta: Sequence[float]) -> dict[str, float]:
 
 def ch_value(theta: Sequence[float]) -> float:
     """CH combination p13 + p14 + p24 - p23 - p(+|1) - p(+|4) for the singlet."""
-    t = ch_terms(theta)
-    return t["p13"] + t["p14"] + t["p24"] - t["p23"] - t["p1_plus"] - t["p4_plus"]
+    return ch_expression(ch_terms(theta))

@@ -46,3 +46,17 @@ def aligned_cause_joint(cards=(2, 2, 2, 2), p_pattern=0.5) -> np.ndarray:
     joint[(0,) * 4] = p_pattern
     joint[(1,) * 4] = 1.0 - p_pattern
     return joint
+
+
+def ch_from_weights(weights) -> float:
+    """CH combination of a joint tensor (a, b, A, B, causes...), recomputed directly.
+
+    Conditions each joint term on its setting pair and each single-wing
+    term on its own setting, without going through EprbModel.
+    """
+    w = np.asarray(weights, dtype=float)
+    joint = w.reshape(2, 2, 2, 2, -1).sum(axis=4)  # (a, b, A, B)
+    pp = joint[:, :, 0, 0] / joint.sum(axis=(2, 3))
+    p1 = joint[0, :, 0, :].sum() / joint[0].sum()
+    p4 = joint[:, 1, :, 0].sum() / joint[:, 1].sum()
+    return float(pp[0, 0] + pp[0, 1] + pp[1, 1] - pp[1, 0] - p1 - p4)

@@ -23,7 +23,6 @@ from weakch.inequalities import (
     TSIRELSON_LOWER,
     TSIRELSON_UPPER,
     ch_expression,
-    correction_terms,
     epsilon_thresholds,
     evaluate_weak_ch,
     no_signalling_residuals,
@@ -99,8 +98,7 @@ def test_c04_symmetric_bound_formulas():
     worst = 0.0
     for _ in range(20):
         eps = float(rng.uniform(1e-12, 0.01))
-        ct = correction_terms(eps)
-        lower, upper = weak_ch_bounds(ct, ct, ct, ct)
+        lower, upper = weak_ch_bounds(eps)
         root = math.sqrt(eps)
         worst = max(
             worst,
@@ -116,21 +114,19 @@ def test_c05_threshold_bracketing():
     for eps_max, value, side in ((lo, TSIRELSON_LOWER, "lower"), (hi, TSIRELSON_UPPER, "upper")):
         for factor, expect in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
             eps = eps_max * factor
-            ct = correction_terms(eps)
-            rep = evaluate_weak_ch(value, weak_ch_bounds(ct, ct, ct, ct), eps)
+            rep = evaluate_weak_ch(value, weak_ch_bounds(eps), eps)
             flag = rep.violated_lower if side == "lower" else rep.violated_upper
             ok = ok and (flag is expect)
     report(5, "violation flips exactly across both thresholds", ok)
 
 
 def test_c06_zero_deficit_reduction():
-    ct = correction_terms(0.0)
-    bounds = weak_ch_bounds(ct, ct, ct, ct)
+    bounds = weak_ch_bounds(0.0)
     ok = bounds == (-1.0, 0.0)
     rng = np.random.default_rng(606)
     for _ in range(1000):
         probs = rng.uniform(0.0, 1.0, size=6)
-        value = ch_expression(*probs)
+        value = ch_expression(dict(zip(("p13", "p14", "p24", "p23", "p1_plus", "p4_plus"), probs)))
         weak = evaluate_weak_ch(value, bounds, 0.0)
         strict_lower = value < -1.0 - 1e-12
         strict_upper = value > 0.0 + 1e-12

@@ -58,7 +58,7 @@ def test_predict_requires_arguments(capsys):
 def test_thresholds_full_precision(capsys):
     code, out, _ = run(capsys, "thresholds")
     assert code == 0
-    assert "2.6891869170906554e-05" in out
+    assert "2.6891869170905429e-05" in out
     env = json.loads(out)
     assert f"{env['result']['eps_lower_max']:.3e}" == "2.689e-05"
     assert f"{env['result']['eps_upper_max']:.3e}" == "9.869e-06"
@@ -200,6 +200,18 @@ def test_simulate_cli_json(capsys):
     assert env["result"]["test"]["violated_lower"] is True
     counts = np.asarray(env["result"]["counts"])
     assert counts.sum() == 50000
+
+
+def test_simulate_tests_against_the_sampled_setting_law(capsys):
+    # uneven settings widen the interval: pairs 14 and 23 carry p(ab) = 0.1
+    code, env, _ = run_json(
+        capsys,
+        "simulate", "--seed", "1", "--n", "100000", "--angles", LOWER,
+        "--setting-probs", "0.4,0.1,0.1,0.4", "--epsilon", "1e-4",
+    )
+    assert code == 0
+    assert env["result"]["test"]["lower"] == pytest.approx(-1.7276, abs=1e-12)
+    assert env["result"]["test"]["upper"] == pytest.approx(0.867, abs=1e-12)
 
 
 def test_simulate_cli_no_violation_exit_zero(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import aligned_cause_joint, build_product_model, uniform_settings
+from helpers import aligned_cause_joint, build_product_model, ch_from_weights, uniform_settings
 from weakch.common_cause import (
     BadModel,
     EprbModel,
@@ -276,6 +276,23 @@ def test_subset_sums_stay_below_half_eps():
         assert -1e-12 <= sub_b <= eps / 2 + 1e-9
 
 
+def test_cause_mass_check_runs_each_step_once(monkeypatch):
+    import weakch.common_cause as cc
+
+    m = random_screened_model(3, 7, 0.01)
+    calls = {"screening_residuals": 0, "prob": 0, "cell_stats": 0}
+    for name in calls:
+        original = getattr(cc, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cc, name, counted)
+    assert check_cause_mass_bounds(m).ok
+    assert calls == {"screening_residuals": 1, "prob": 2, "cell_stats": 1}
+
+
 def test_cause_mass_bounds_rejects_broken_screening():
     m = random_screened_model(2, 4, 0.01)
     w = m.space.weights.copy()
@@ -500,5 +517,5 @@ def test_weak_report_matches_components():
     m = random_eprb_model(9, (2, 2, 2, 2), 1e-3)
     rep = m.weak_report()
     assert rep.epsilon == m.profile().eps_global
-    assert rep.value == pytest.approx(m.ch_value(), abs=1e-15)
+    assert rep.value == pytest.approx(ch_from_weights(m.weights), abs=1e-15)
     assert not rep.violated

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from weakch.inequalities import (
     TSIRELSON_UPPER,
     BadEpsilon,
     BadSettingProbs,
-    MixedEpsilon,
     SettingProbs,
     UnnormalizedTable,
+    bound_coefficients,
     ch_expression,
     correction_terms,
     epsilon_thresholds,
     evaluate_weak_ch,
     no_signalling_residuals,
+    pair_settings,
     tsirelson_check,
     weak_ch_bounds,
 )
@@ -72,42 +74,53 @@ def test_setting_probs_validation():
         SettingProbs(1.5, 0.5, 0.25)
 
 
+def six_terms(*probs):
+    return dict(zip(("p13", "p14", "p24", "p23", "p1_plus", "p4_plus"), probs))
+
+
 def test_ch_expression_atom_cases():
     # all mass on the atom where all four events occur
-    assert ch_expression(1, 1, 1, 1, 1, 1) == 0
+    assert ch_expression(six_terms(1, 1, 1, 1, 1, 1)) == 0
     # all mass on the atom with A false and the rest true
-    assert ch_expression(0, 0, 1, 1, 0, 1) == -1
+    assert ch_expression(six_terms(0, 0, 1, 1, 0, 1)) == -1
     # independent fair coins
-    assert ch_expression(0.25, 0.25, 0.25, 0.25, 0.5, 0.5) == pytest.approx(-0.5, abs=1e-15)
+    assert ch_expression(six_terms(0.25, 0.25, 0.25, 0.25, 0.5, 0.5)) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_weak_bounds_reduce_to_strict_at_zero():
-    ct = correction_terms(0.0)
-    assert weak_ch_bounds(ct, ct, ct, ct) == (-1.0, 0.0)
+    assert weak_ch_bounds(0.0) == (-1.0, 0.0)
 
 
 @settings(deadline=None)
 @given(st.floats(1e-12, 1.0))
 def test_weak_bounds_symmetric_closed_forms(eps):
-    ct = correction_terms(eps, SYMMETRIC_SETTINGS)
-    lower, upper = weak_ch_bounds(ct, ct, ct, ct)
+    lower, upper = weak_ch_bounds(eps, SYMMETRIC_SETTINGS)
     root = math.sqrt(eps)
     assert lower == pytest.approx(-1.0 - (40.0 * root - 12.0 * eps), rel=1e-13, abs=1e-13)
     assert upper == pytest.approx(66.0 * root - 24.0 * eps, rel=1e-13, abs=1e-13)
 
 
-def test_weak_bounds_reject_mixed_deficits():
-    a = correction_terms(1e-4)
-    b = correction_terms(2e-4)
-    with pytest.raises(MixedEpsilon):
-        weak_ch_bounds(a, a, a, b)
+def test_weak_bounds_per_pair_settings():
+    # pairs 13 and 24 at ratio (p(a) + p(b))/p(ab) = 2.5, pairs 14 and 23 at 10
+    sps = pair_settings(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    assert sps == (
+        SettingProbs(0.5, 0.5, 0.4),
+        SettingProbs(0.5, 0.5, 0.1),
+        SettingProbs(0.5, 0.5, 0.4),
+        SettingProbs(0.5, 0.5, 0.1),
+    )
+    lower, upper = weak_ch_bounds(1e-4, sps)
+    assert lower == pytest.approx(-1.0 - 15.0 * 0.01 - 10.0 * 0.0498 - 2.0 * 0.0398, abs=1e-14)
+    assert upper == pytest.approx(15.0 * 0.0498 + 10.0 * 0.01 + 2.0 * 0.01, abs=1e-14)
+    assert weak_ch_bounds(1e-4, [SYMMETRIC_SETTINGS] * 4) == weak_ch_bounds(1e-4)
+    with pytest.raises(BadSettingProbs):
+        weak_ch_bounds(1e-4, sps[:3])
 
 
 @settings(deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_weak_bounds_bracket_strict_interval(eps):
-    ct = correction_terms(eps)
-    lower, upper = weak_ch_bounds(ct, ct, ct, ct)
+    lower, upper = weak_ch_bounds(eps)
     assert lower <= -1.0
     assert upper >= 0.0
     if eps == 0.0:
@@ -118,10 +131,8 @@ def test_weak_bounds_bracket_strict_interval(eps):
 @given(st.floats(1e-10, 1.0), st.floats(1.000001, 10.0))
 def test_weak_bounds_monotone_in_eps(eps, factor):
     eps2 = min(1.0, eps * factor)
-    c1 = correction_terms(eps)
-    c2 = correction_terms(eps2)
-    lo1, up1 = weak_ch_bounds(c1, c1, c1, c1)
-    lo2, up2 = weak_ch_bounds(c2, c2, c2, c2)
+    lo1, up1 = weak_ch_bounds(eps)
+    lo2, up2 = weak_ch_bounds(eps2)
     assert lo2 <= lo1 + 1e-12
     assert up2 >= up1 - 1e-12
 
@@ -133,8 +144,7 @@ def test_evaluate_quantum_value_against_strict_bounds():
 
 def test_evaluate_quantum_value_with_corrections():
     eps = 1e-4
-    ct = correction_terms(eps)
-    rep = evaluate_weak_ch(TSIRELSON_LOWER, weak_ch_bounds(ct, ct, ct, ct), eps)
+    rep = evaluate_weak_ch(TSIRELSON_LOWER, weak_ch_bounds(eps), eps)
     # the lower correction 40*sqrt(eps) - 12*eps ~ 0.3988 exceeds the quantum excess
     assert not rep.violated_lower and not rep.violated_upper
 
@@ -150,6 +160,19 @@ def test_thresholds_reference_values():
     assert f"{hi:.3e}" == "9.869e-06"
 
 
+def test_thresholds_match_decimal_reference():
+    # the smaller root of lin*x - quad*x^2 = excess, squared, in 60 digits
+    lo, hi = epsilon_thresholds()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        excess = Decimal(QUANTUM_EXCESS)
+        for got, (lin, quad) in zip((lo, hi), bound_coefficients()):
+            lin, quad = Decimal(lin), Decimal(quad)
+            x = (lin - (lin * lin - 4 * quad * excess).sqrt()) / (2 * quad)
+            ref = x * x
+            assert abs((Decimal(got) - ref) / ref) <= Decimal("1e-15")
+
+
 def test_thresholds_degenerate_excess():
     assert epsilon_thresholds(excess=0.0) == (0.0, 0.0)
 
@@ -161,8 +184,7 @@ def test_threshold_bracketing(side):
     value = TSIRELSON_LOWER if side == "lower" else TSIRELSON_UPPER
     for factor, expect in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
         eps = eps_max * factor
-        ct = correction_terms(eps)
-        rep = evaluate_weak_ch(value, weak_ch_bounds(ct, ct, ct, ct), eps)
+        rep = evaluate_weak_ch(value, weak_ch_bounds(eps), eps)
         flag = rep.violated_lower if side == "lower" else rep.violated_upper
         assert flag is expect
 
