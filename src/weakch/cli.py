@@ -334,7 +334,8 @@ def _cmd_check_model(args, fmt: str) -> int:
             result["status"] = "precondition_failed"
             _emit(_envelope("check-model", inputs, result), fmt)
             return EXIT_VALIDATION
-        joint = common_cause.joint_cause_bounds_check(model)
+        # the three preconditions of joint_cause_bounds_check passed just above
+        joint = common_cause._joint_cause_bounds(model, model.outcome_tables(), prof)
         weak = model.weak_report()
         result["joint_cause_bounds"] = joint
         result["weak_report"] = weak.as_dict()

@@ -864,7 +864,20 @@ def joint_cause_bounds_check(
     scr = validate_screening(model, prof)
     if scr.max_abs > tol:
         raise PreconditionViolated(f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}")
+    return _joint_cause_bounds(model, t, prof, eps_override=eps_override, tol=tol)
 
+
+def _joint_cause_bounds(
+    model: EprbModel,
+    t: np.ndarray,
+    prof: singlet.EpsilonProfile,
+    *,
+    eps_override: float | None = None,
+    tol: float = PRECONDITION_TOL,
+) -> JointCauseReport:
+    # The bounds part of joint_cause_bounds_check, for a caller that has
+    # already checked its three validator preconditions at tol; t and prof
+    # are the model's outcome tables and their deficit profile.
     eps = prof.eps_global if eps_override is None else float(eps_override)
     agg_a = [_aggregate(model, "alice", d, prof) for d in (0, 1)]
     agg_b = [_aggregate(model, "bob", d, prof) for d in (0, 1)]

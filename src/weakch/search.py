@@ -105,20 +105,27 @@ def optimize_angles(
     return tuple(singlet.canonical_angle(t) for t in theta), singlet.ch_value(theta)
 
 
+def _square_sum(rep) -> float:
+    return float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
+
+
+def _penalty_terms(model: EprbModel):
+    # The validators' squared-residual sums in the order the penalty adds
+    # them; each validator runs only when its term is asked for.
+    yield _square_sum(validate_loc(model))
+    yield _square_sum(validate_no_conspiracy(model))
+    yield _square_sum(validate_screening(model, model.profile()))
+
+
 def constraint_penalty(model: EprbModel) -> float:
     """Sum of squared residuals over all assumption validators.
 
     Zero exactly when locality, setting independence, and partner-direction
     screening all hold exactly; invariant under relabeling cause values.
     """
-    prof = model.profile()
     total = 0.0
-    for rep in (
-        validate_loc(model),
-        validate_no_conspiracy(model),
-        validate_screening(model, prof),
-    ):
-        total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
+    for term in _penalty_terms(model):
+        total += term
     return total
 
 
@@ -184,6 +191,14 @@ class SearchResult:
     feasible is claimed only after the assumption validators re-confirm the
     penalty and the inequality statuses recompute identically; an
     infeasible outcome is a valid result, never a nonexistence claim.
+
+    accepted and rejected count the proposals of this restart; rejected
+    maps each stage to the proposals it turned away, so accepted plus all
+    rejections equals max_iters. A proposal is rejected at "construct"
+    when its model or report cannot be built; at "locality",
+    "no_conspiracy" or "screening" when the penalty summed up to that
+    validator exceeds the current penalty; and at "objective" when its
+    full evaluation does not improve on the current state.
     """
 
     model: EprbModel
@@ -195,6 +210,11 @@ class SearchResult:
     weak_report: WeakChReport
     trace: tuple[tuple[float, float], ...]
     feasible: bool
+    accepted: int
+    rejected: dict[str, int]
+
+
+_VALIDATOR_STAGES = ("locality", "no_conspiracy", "screening")
 
 
 @dataclass(frozen=True)
@@ -207,9 +227,20 @@ class _Eval:
     objective: float
 
 
-def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval:
+def _evaluate(
+    w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig, cutoff: float = math.inf
+) -> _Eval | str:
+    # Full evaluation of a weight vector, or the name of the validator
+    # stage at which the penalty summed so far exceeds cutoff. Partial sums
+    # of nonnegative terms never decrease under rounding, so such a
+    # proposal would also fail `penalty <= cutoff` once fully evaluated;
+    # a tie or a NaN term goes on to the full evaluation.
     model = EprbModel(w.reshape(shape), cards)
-    pen = constraint_penalty(model)
+    pen = 0.0
+    for stage, term in zip(_VALIDATOR_STAGES, _penalty_terms(model)):
+        pen += term
+        if pen > cutoff:
+            return stage
     weak = model.weak_report()
     v = weak.value
     eps = weak.epsilon
@@ -234,6 +265,8 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     cur = _evaluate(w, shape, cards, cfg)
 
     trace = []
+    accepted = 0
+    rejected = dict.fromkeys(("construct", *_VALIDATOR_STAGES, "objective"), 0)
     step = cfg.step_init
     scale = 1.0 / w.size
     for _ in range(cfg.max_iters):
@@ -241,13 +274,18 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
         prop = _project_simplex(prop)
         prop = _repin_settings(prop, shape, sp)
         try:
-            nxt = _evaluate(prop, shape, cards, cfg)
+            nxt = _evaluate(prop, shape, cards, cfg, cutoff=cur.penalty)
         except WeakChError:
-            nxt = None
+            nxt = "construct"
         # Accept only steps that improve the objective without letting the
         # constraint penalty grow; this keeps the penalty trace monotone.
-        if nxt is not None and nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
+        if isinstance(nxt, str):
+            rejected[nxt] += 1
+        elif nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
             w, cur = prop, nxt
+            accepted += 1
+        else:
+            rejected["objective"] += 1
         trace.append((cur.penalty, cur.objective))
         step *= cfg.step_decay
 
@@ -279,6 +317,8 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
         weak_report=cur.weak,
         trace=tuple(trace),
         feasible=feasible,
+        accepted=accepted,
+        rejected=rejected,
     )
 
 

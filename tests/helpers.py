@@ -1,8 +1,18 @@
-"""Shared constructors for tests."""
+"""Shared constructors and reference implementations for tests."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from weakch.common_cause import EprbModel
+from weakch.common_cause import (
+    EprbModel,
+    random_eprb_model,
+    validate_loc,
+    validate_no_conspiracy,
+    validate_screening,
+)
+from weakch.search import _project_simplex, _repin_settings
+from weakch.spaces import WeakChError
 
 
 def _along(vec, axis, cards):
@@ -60,3 +70,90 @@ def ch_from_weights(weights) -> float:
     p1 = joint[0, :, 0, :].sum() / joint[0].sum()
     p4 = joint[:, 1, :, 0].sum() / joint[:, 1].sum()
     return float(pp[0, 0] + pp[0, 1] + pp[1, 1] - pp[1, 0] - p1 - p4)
+
+
+def ordered_penalty(model: EprbModel) -> float:
+    """The three validators' squared residuals summed in order: loc, no conspiracy, screening."""
+    total = 0.0
+    for rep in (
+        validate_loc(model),
+        validate_no_conspiracy(model),
+        validate_screening(model, model.profile()),
+    ):
+        total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
+    return total
+
+
+def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
+    model = EprbModel(w.reshape(shape), cards)
+    pen = ordered_penalty(model)
+    weak = model.weak_report()
+    v = weak.value
+    strict_excess = max(-1.0 - v, v)
+    weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
+    lo, hi = cfg.eps_band
+    band_dist = max(lo - weak.epsilon, weak.epsilon - hi, 0.0)
+    objective = strict_excess - cfg.penalty_weight * (
+        pen + band_dist * band_dist + weak_excess * weak_excess
+    )
+    return SimpleNamespace(
+        penalty=pen, epsilon=weak.epsilon, ch=v, weak=weak,
+        strict_excess=strict_excess, objective=objective,
+    )
+
+
+def _reference_restart(cfg, restart: int) -> SimpleNamespace:
+    rng = np.random.default_rng([cfg.seed, restart])
+    cards = tuple(cfg.cause_cards)
+    shape = (2, 2, 2, 2, *cards)
+    sp = np.full((2, 2), 0.25)
+    lo, hi = cfg.eps_band
+    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=sp)
+    w = start.weights.ravel().copy()
+    cur = _full_evaluation(w, shape, cards, cfg)
+    trace = []
+    accepted = 0
+    step = cfg.step_init
+    scale = 1.0 / w.size
+    for _ in range(cfg.max_iters):
+        prop = w + rng.standard_normal(w.size) * step * scale
+        prop = _repin_settings(_project_simplex(prop), shape, sp)
+        try:
+            nxt = _full_evaluation(prop, shape, cards, cfg)
+        except WeakChError:
+            nxt = None
+        if nxt is not None and nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
+            w, cur = prop, nxt
+            accepted += 1
+        trace.append((cur.penalty, cur.objective))
+        step *= cfg.step_decay
+    feasible = (
+        cur.penalty <= cfg.feas_tol
+        and lo - 1e-12 <= cur.epsilon <= hi + 1e-12
+        and cur.strict_excess > 1e-12
+        and not cur.weak.violated
+    )
+    return SimpleNamespace(
+        model=EprbModel(w.reshape(shape), cards),
+        restart_index=restart,
+        objective=cur.objective,
+        penalty=cur.penalty,
+        epsilon=cur.epsilon,
+        ch_value=cur.ch,
+        weak_report=cur.weak,
+        trace=tuple(trace),
+        feasible=feasible,
+        accepted=accepted,
+    )
+
+
+def reference_search(cfg) -> SimpleNamespace:
+    """The counterexample search with every proposal evaluated in full.
+
+    Each proposal runs all three validators and the weak report before the
+    acceptance test, so this is the reference that the search's early
+    rejection must match bit for bit. A feasible winner is returned
+    without the search's re-validation step.
+    """
+    results = [_reference_restart(cfg, r) for r in range(cfg.restarts)]
+    return max(results, key=lambda res: (res.objective, -res.restart_index))

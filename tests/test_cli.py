@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,25 @@ def test_check_model_eprb_ok(capsys, tmp_path):
     assert code == 0
     assert env["result"]["status"] == "ok"
     assert env["result"]["joint_cause_bounds"]["epsilon"] <= 1e-3 * (1 + 1e-9)
+
+
+def test_check_model_runs_each_validator_once(capsys, monkeypatch):
+    import weakch.common_cause as cc
+
+    calls = dict.fromkeys(("validate_loc", "validate_no_conspiracy", "validate_screening"), 0)
+    for name in calls:
+        original = getattr(cc, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cc, name, counted)
+    fixture = Path(__file__).resolve().parent / "golden" / "eprb_model.json"
+    code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
+    assert code == 0
+    assert env["result"]["status"] == "ok"
+    assert calls == {"validate_loc": 1, "validate_no_conspiracy": 1, "validate_screening": 1}
 
 
 def test_check_model_eprb_precondition_failure(capsys, tmp_path):

@@ -1,13 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import aligned_cause_joint, build_product_model, uniform_settings
+import weakch.search as search_mod
+from helpers import (
+    aligned_cause_joint,
+    build_product_model,
+    ordered_penalty,
+    reference_search,
+    uniform_settings,
+)
 from weakch.common_cause import EprbModel, random_eprb_model
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER, tsirelson_check
 from weakch.search import (
     SearchConfig,
+    _evaluate,
     constraint_penalty,
     optimize_angles,
     search_counterexample,
@@ -140,3 +149,115 @@ def test_search_feasible_claims_are_validated():
     else:
         # an infeasible outcome is a valid result and never a nonexistence claim
         assert res.model is not None
+
+
+CARDS = [(2, 2, 2, 2), (3, 2, 4, 2), (4, 4, 4, 4)]
+BANDS = [(1e-6, 1e-3), (1e-5, 3e-5), (0.0, 0.0)]
+
+
+def _assert_same_search(res, ref, cfg):
+    assert res.trace == ref.trace
+    assert res.objective == ref.objective
+    assert res.penalty == ref.penalty
+    assert res.epsilon == ref.epsilon
+    assert res.ch_value == ref.ch_value
+    assert res.restart_index == ref.restart_index
+    assert res.model.weights.tobytes() == ref.model.weights.tobytes()
+    assert res.weak_report == ref.weak_report
+    assert res.feasible == ref.feasible
+    assert res.accepted == ref.accepted
+    assert res.accepted + sum(res.rejected.values()) == cfg.max_iters
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("cards", CARDS)
+@pytest.mark.parametrize("step", [0.05, 1e-16])
+def test_lazy_search_matches_full_evaluation(cards, band, step):
+    # The tiny step keeps proposals within rounding of the start, so some
+    # pass locality and reach the later stages or the objective.
+    cfg = SearchConfig(
+        seed=2, restarts=2, max_iters=30, cause_cards=cards, eps_band=band, step_init=step
+    )
+    _assert_same_search(search_counterexample(cfg), reference_search(cfg), cfg)
+
+
+def test_lazy_search_matches_full_evaluation_across_accepted_steps():
+    cfg = SearchConfig(
+        seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0),
+        step_init=1e-16,
+    )
+    res = search_counterexample(cfg)
+    assert res.accepted > 0
+    _assert_same_search(res, reference_search(cfg), cfg)
+
+
+def _perturbed(seed, cards):
+    m = random_eprb_model(seed, cards, 1e-3)
+    w = m.weights.copy()
+    w[(0,) * w.ndim] += 1e-3
+    return EprbModel(w, m.cause_cards)
+
+
+@pytest.mark.parametrize("seed,cards", [(6, (2, 2, 2, 2)), (21, (3, 2, 4, 2)), (4, (4, 4, 4, 4))])
+def test_cutoff_sits_exactly_at_the_current_penalty(seed, cards):
+    m = _perturbed(seed, cards)
+    args = (m.weights.ravel(), m.weights.shape, m.cause_cards, SearchConfig())
+    full = _evaluate(*args)
+    p = full.penalty
+    assert p > 0.0
+    assert _evaluate(*args, cutoff=p) == full
+    partial = np.cumsum(list(search_mod._penalty_terms(m)))
+    below = float(np.nextafter(p, -np.inf))
+    first_over = ("locality", "no_conspiracy", "screening")[int(np.argmax(partial > below))]
+    assert _evaluate(*args, cutoff=below) == first_over
+    assert _evaluate(*args, cutoff=0.0) == "locality"
+
+
+def test_penalty_is_the_ordered_validator_sum():
+    plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    models = [
+        build_product_model(uniform_settings(), aligned_cause_joint(), plus),
+        random_eprb_model(3, (4, 4, 4, 4), 1e-3),
+        _perturbed(6, (2, 2, 2, 2)),
+        _perturbed(21, (3, 2, 4, 2)),
+    ]
+    for m in models:
+        assert constraint_penalty(m) == ordered_penalty(m)
+
+
+def test_rejected_proposals_skip_the_later_stages(monkeypatch):
+    calls = {"validate_no_conspiracy": 0, "validate_screening": 0, "weak_report": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("validate_no_conspiracy", "validate_screening"):
+        monkeypatch.setattr(search_mod, name, counting(name, getattr(search_mod, name)))
+    monkeypatch.setattr(EprbModel, "weak_report", counting("weak_report", EprbModel.weak_report))
+    cfg = SearchConfig(seed=13, restarts=2, max_iters=50)
+    res = search_counterexample(cfg)
+    assert res.feasible is False
+    # only the start of each restart is evaluated in full
+    assert calls == {"validate_no_conspiracy": 2, "validate_screening": 2, "weak_report": 2}
+
+
+def test_benchmark_style_searches_reject_every_proposal_at_locality():
+    shapes = itertools.product([(2, 2, 2, 2), (4, 4, 4, 4)], BANDS[:2])
+    jobs = [
+        SearchConfig(seed=100 + k, restarts=2, max_iters=150, cause_cards=cards, eps_band=band)
+        for k, (cards, band) in enumerate(shapes)
+    ]
+    jobs.append(SearchConfig(seed=7, restarts=1, max_iters=150, eps_band=(0.0, 0.0)))
+    for cfg in jobs:
+        res = search_counterexample(cfg)
+        assert res.accepted == 0
+        assert res.rejected == {
+            "construct": 0,
+            "locality": cfg.max_iters,
+            "no_conspiracy": 0,
+            "screening": 0,
+            "objective": 0,
+        }
