@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -485,8 +485,34 @@ def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> Oracle
 # Weight tensor axes: (a-setting, b-setting, A-outcome, B-outcome, c1..c4).
 # Settings index Alice directions 1, 2 and Bob directions 3, 4; outcome
 # index 0 is "+". Cause variable k belongs to direction k+1.
-_ALICE_LABELS = ("1", "2")
-_BOB_LABELS = ("3", "4")
+
+
+class _Wing(NamedTuple):
+    """One (wing, direction) row of the per-wing table.
+
+    wing is 0 for Alice and 1 for Bob, which is also the axis of the wing's
+    setting (and, plus 2, of its outcome) in the weights; cause is the
+    own-direction cause variable, weight axis 4 + cause. weights[index]
+    selects the own setting, so the far setting comes first, the outcome
+    sits at axis 1 + wing and the cause at axis 3 + cause.
+    """
+
+    side: str
+    wing: int
+    setting: int
+    cause: int
+    index: tuple
+    name: str  # own setting label
+    far: tuple[str, str]  # far setting labels
+    outcome: str
+
+
+_WINGS = (
+    _Wing("alice", 0, 0, 0, (0,), "a1", ("b3", "b4"), "A"),
+    _Wing("alice", 0, 1, 1, (1,), "a2", ("b3", "b4"), "A"),
+    _Wing("bob", 1, 0, 2, (slice(None), 0), "b3", ("a1", "a2"), "B"),
+    _Wing("bob", 1, 1, 3, (slice(None), 1), "b4", ("a1", "a2"), "B"),
+)
 
 
 def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -577,6 +603,8 @@ class EprbModel:
     @classmethod
     def from_dict(cls, data: dict) -> "EprbModel":
         cards = tuple(int(c) for c in data["cause_cards"])
+        if cards != tuple(data["cause_cards"]):  # 2.7 or "2" would pass int()
+            raise BadModel(f"cause cardinalities must be integers, got {data['cause_cards']!r}")
         flat = np.asarray(data["weights"], dtype=float)
         n = 16 * int(np.prod(cards))
         if flat.size != n:
@@ -596,51 +624,27 @@ def validate_loc(model: EprbModel) -> ResidualReport:
     residuals: list[float] = []
     skipped: list[str] = []
 
-    for ai in (0, 1):
-        arr = w[ai]  # (b, A, B, c1..c4)
-        ca = 3 + ai
-        s = _marginal(arr, (0, 1, ca))  # (b, A, cell)
-        denom_ab = s.sum(axis=1)
+    for row in _WINGS:
+        s = _marginal(w[row.index], (0, 1 + row.wing, 3 + row.cause))  # (far, out, cell)
+        denom_far = s.sum(axis=1)
         pooled = s.sum(axis=0)
-        denom_a = pooled.sum(axis=0)
-        for i in range(model.cause_cards[ai]):
-            cell = f"c{ai + 1}={i}"
-            if denom_a[i] <= 0.0:
-                skipped.append(f"alice a{_ALICE_LABELS[ai]} {cell}")
+        denom = pooled.sum(axis=0)
+        head = f"{row.side} {row.outcome}="
+        heads = (f"{head}+ {row.name}", f"{head}- {row.name}")
+        for i in range(model.cause_cards[row.cause]):
+            cell = f"c{row.cause + 1}={i}"
+            if denom[i] <= 0.0:
+                skipped.append(f"{row.side} {row.name} {cell}")
                 continue
-            base = pooled[:, i] / denom_a[i]
-            for bj in (0, 1):
-                if denom_ab[bj, i] <= 0.0:
-                    skipped.append(f"alice a{_ALICE_LABELS[ai]} b{_BOB_LABELS[bj]} {cell}")
+            base = pooled[:, i] / denom[i]
+            for f, far in enumerate(row.far):
+                d = denom_far[f, i]
+                if d <= 0.0:
+                    skipped.append(f"{row.side} {row.name} {far} {cell}")
                     continue
-                for o, sign in enumerate("+-"):
-                    labels.append(
-                        f"alice A={sign} a{_ALICE_LABELS[ai]} b{_BOB_LABELS[bj]} {cell}"
-                    )
-                    residuals.append(float(s[bj, o, i] / denom_ab[bj, i] - base[o]))
-
-    for bj in (0, 1):
-        arr = w[:, bj]  # (a, A, B, c1..c4)
-        cb = 5 + bj
-        s = _marginal(arr, (0, 2, cb))  # (a, B, cell)
-        denom_ab = s.sum(axis=1)
-        pooled = s.sum(axis=0)
-        denom_b = pooled.sum(axis=0)
-        for j in range(model.cause_cards[2 + bj]):
-            cell = f"c{bj + 3}={j}"
-            if denom_b[j] <= 0.0:
-                skipped.append(f"bob b{_BOB_LABELS[bj]} {cell}")
-                continue
-            base = pooled[:, j] / denom_b[j]
-            for ai in (0, 1):
-                if denom_ab[ai, j] <= 0.0:
-                    skipped.append(f"bob b{_BOB_LABELS[bj]} a{_ALICE_LABELS[ai]} {cell}")
-                    continue
-                for o, sign in enumerate("+-"):
-                    labels.append(
-                        f"bob B={sign} b{_BOB_LABELS[bj]} a{_ALICE_LABELS[ai]} {cell}"
-                    )
-                    residuals.append(float(s[ai, o, j] / denom_ab[ai, j] - base[o]))
+                for o, head in enumerate(heads):
+                    labels.append(f"{head} {far} {cell}")
+                    residuals.append(float(s[f, o, i] / d - base[o]))
 
     return ResidualReport(tuple(labels), tuple(residuals), tuple(skipped))
 
@@ -654,49 +658,35 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """
     w = model.weights
     sp = model.setting_probs()
-    p_a = sp.sum(axis=1)
-    p_b = sp.sum(axis=0)
+    p_setting = (sp.sum(axis=1), sp.sum(axis=0))
+    cause_marg = [_marginal(w, (4 + k,)) for k in range(4)]
     labels: list[str] = []
     residuals: list[float] = []
 
-    cause_marg = [
-        _marginal(w, (4,)),
-        _marginal(w, (5,)),
-        _marginal(w, (6,)),
-        _marginal(w, (7,)),
-    ]
+    def cause_rows(tag: str, cause: int, p_cell: np.ndarray, p_set: float) -> None:
+        marg = cause_marg[cause]
+        for i in range(model.cause_cards[cause]):
+            labels.append(f"p({tag}, c{cause + 1}={i})")
+            residuals.append(float(p_cell[i] - p_set * marg[i]))
 
-    for ai in (0, 1):
-        pac = _marginal(w[ai], (3 + ai,))
-        for i in range(model.cause_cards[ai]):
-            labels.append(f"p(a{_ALICE_LABELS[ai]}, c{ai + 1}={i})")
-            residuals.append(float(pac[i] - p_a[ai] * cause_marg[ai][i]))
-    for bj in (0, 1):
-        pbc = _marginal(w[:, bj], (5 + bj,))
-        for j in range(model.cause_cards[2 + bj]):
-            labels.append(f"p(b{_BOB_LABELS[bj]}, c{bj + 3}={j})")
-            residuals.append(float(pbc[j] - p_b[bj] * cause_marg[2 + bj][j]))
+    for row in _WINGS:
+        p_cell = _marginal(w[row.index], (3 + row.cause,))
+        cause_rows(row.name, row.cause, p_cell, p_setting[row.wing][row.setting])
 
-    for ai in (0, 1):
-        for bj in (0, 1):
-            block = w[ai, bj]  # (A, B, c1..c4)
-            pab = float(sp[ai, bj])
-            pabc_a = _marginal(block, (2 + ai,))
-            for i in range(model.cause_cards[ai]):
-                labels.append(f"p(a{_ALICE_LABELS[ai]}b{_BOB_LABELS[bj]}, c{ai + 1}={i})")
-                residuals.append(float(pabc_a[i] - pab * cause_marg[ai][i]))
-            pabc_b = _marginal(block, (4 + bj,))
-            for j in range(model.cause_cards[2 + bj]):
-                labels.append(f"p(a{_ALICE_LABELS[ai]}b{_BOB_LABELS[bj]}, c{bj + 3}={j})")
-                residuals.append(float(pabc_b[j] - pab * cause_marg[2 + bj][j]))
-            pab_cc = _marginal(block, (2 + ai, 4 + bj))
-            pcc = _marginal(w, (4 + ai, 6 + bj))
+    for ra in _WINGS[:2]:
+        for rb in _WINGS[2:]:
+            block = w[ra.setting, rb.setting]  # (A, B, c1..c4)
+            pab = float(sp[ra.setting, rb.setting])
+            tag = ra.name + rb.name
+            for k in (ra.cause, rb.cause):
+                cause_rows(tag, k, _marginal(block, (2 + k,)), pab)
+            pab_cc = _marginal(block, (2 + ra.cause, 2 + rb.cause))
+            pcc = _marginal(w, (4 + ra.cause, 4 + rb.cause))
             diff = pab_cc - pab * pcc
-            for i in range(model.cause_cards[ai]):
-                for j in range(model.cause_cards[2 + bj]):
-                    labels.append(
-                        f"p(a{_ALICE_LABELS[ai]}b{_BOB_LABELS[bj]}, c{ai + 1}={i}, c{bj + 3}={j})"
-                    )
+            for i in range(model.cause_cards[ra.cause]):
+                head = f"p({tag}, c{ra.cause + 1}={i}, c{rb.cause + 1}="
+                for j in range(model.cause_cards[rb.cause]):
+                    labels.append(f"{head}{j})")
                     residuals.append(float(diff[i, j]))
 
     return ResidualReport(tuple(labels), tuple(residuals), tuple())
@@ -707,10 +697,10 @@ def validate_screening(
 ) -> ResidualReport:
     """Screening residuals of the partner-direction cause partitions.
 
-    For Alice direction a with partner direction b, the cause cells of a
-    must factorize the events (+ on Alice, - on Bob) inside the setting
-    pair (a, b); mirrored for Bob. Partners come from the model's own
-    conditional tables, not from any quantum formula.
+    For each direction with its partner direction on the far wing, the
+    cause cells of the direction must factorize the events (+ on the near
+    wing, - on the far wing) inside their setting pair. Partners come from
+    the model's own conditional tables, not from any quantum formula.
     """
     prof = model.profile() if profile is None else profile
     w = model.weights
@@ -718,42 +708,23 @@ def validate_screening(
     residuals: list[float] = []
     skipped: list[str] = []
 
-    def one_side(block: np.ndarray, cause_axis: int, plus_first: bool, tag: str, card: int) -> None:
-        s = _marginal(block, (0, 1, cause_axis))  # (A, B, cell)
+    for row in _WINGS:
+        partner = int((prof.partner_a, prof.partner_b)[row.wing][row.setting])
+        pair = (partner, row.setting) if row.wing else (row.setting, partner)
+        s = _marginal(w[pair], (0, 1, 2 + row.cause))  # (A, B, cell)
         mass = s.sum(axis=(0, 1))
-        for i in range(card):
+        if row.wing:
+            s = s.transpose(1, 0, 2)  # near outcome first
+        tag = f"screen {row.name} partner {row.far[partner]} c{row.cause + 1}"
+        for i in range(model.cause_cards[row.cause]):
             if mass[i] <= 0.0:
                 skipped.append(f"{tag} cell={i}")
                 continue
-            if plus_first:  # events: A = "+", B = "-"
-                pj = s[0, 1, i] / mass[i]
-                pa = (s[0, 0, i] + s[0, 1, i]) / mass[i]
-                pb = (s[0, 1, i] + s[1, 1, i]) / mass[i]
-            else:  # events: A = "-", B = "+"
-                pj = s[1, 0, i] / mass[i]
-                pa = (s[1, 0, i] + s[1, 1, i]) / mass[i]
-                pb = (s[0, 0, i] + s[1, 0, i]) / mass[i]
+            pj = s[0, 1, i] / mass[i]
+            p_near = (s[0, 0, i] + s[0, 1, i]) / mass[i]
+            p_far = (s[0, 1, i] + s[1, 1, i]) / mass[i]
             labels.append(f"{tag} cell={i}")
-            residuals.append(float(pj - pa * pb))
-
-    for ai in (0, 1):
-        bj = int(prof.partner_a[ai])
-        one_side(
-            w[ai, bj],
-            2 + ai,
-            True,
-            f"screen a{_ALICE_LABELS[ai]} partner b{_BOB_LABELS[bj]} c{ai + 1}",
-            model.cause_cards[ai],
-        )
-    for bj in (0, 1):
-        ai = int(prof.partner_b[bj])
-        one_side(
-            w[ai, bj],
-            4 + bj,
-            False,
-            f"screen b{_BOB_LABELS[bj]} partner a{_ALICE_LABELS[ai]} c{bj + 3}",
-            model.cause_cards[2 + bj],
-        )
+            residuals.append(float(pj - p_near * p_far))
 
     return ResidualReport(tuple(labels), tuple(residuals), tuple(skipped))
 
@@ -770,22 +741,18 @@ class AggregateCause:
 
 
 def _aggregate(model: EprbModel, side: str, direction: int, prof: singlet.EpsilonProfile) -> AggregateCause:
-    w = model.weights
-    if side == "alice":
-        eps_dir = float(prof.eps_a[direction])
-        s = _marginal(w[direction], (1, 3 + direction))  # (A, cell)
-        card = model.cause_cards[direction]
-    elif side == "bob":
-        eps_dir = float(prof.eps_b[direction])
-        s = _marginal(w[:, direction], (2, 5 + direction))  # (B, cell)
-        card = model.cause_cards[2 + direction]
-    else:
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    if side not in ("alice", "bob") or direction not in (0, 1):
+        raise ValueError(
+            f"side must be 'alice' or 'bob' and direction 0 or 1, got {side!r}, {direction!r}"
+        )
+    row = _WINGS[2 * (side == "bob") + int(direction)]
+    eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
+    s = _marginal(model.weights[row.index], (1 + row.wing, 3 + row.cause))  # (out, cell)
     cutoff = 1.0 - math.sqrt(eps_dir)
     denom = s.sum(axis=0)
     cells = [
         i
-        for i in range(card)
+        for i in range(model.cause_cards[row.cause])
         if denom[i] > 0.0 and s[0, i] / denom[i] >= cutoff - 1e-12
     ]
     return AggregateCause(side, direction, tuple(cells), cutoff, eps_dir)
@@ -893,7 +860,7 @@ def _joint_cause_bounds(
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
                 JointCausePair(
-                    pair=f"{_ALICE_LABELS[ai]}{_BOB_LABELS[bj]}",
+                    pair=f"{ai + 1}{bj + 3}",
                     p_plus_plus=p_pp,
                     p_joint_cause=p_cc,
                     d_minus=ct.d_minus_ab,
@@ -990,21 +957,19 @@ def random_eprb_model(
                 per_var.append(full)
             group_vecs.append(per_var)
 
+        kernels = [np.stack([p, 1.0 - p]) for p in plus]  # (outcome, cell) per direction
         w = np.zeros((2, 2, 2, 2, *cards))
         for z in (0, 1):
-            c1, c2, c3, c4 = group_vecs[z]
             for a in (0, 1):
-                ka = np.stack([plus[a], 1.0 - plus[a]])
                 for b in (0, 1):
-                    kb = np.stack([plus[2 + b], 1.0 - plus[2 + b]])
-                    if a == 0 and b == 0:
-                        block = np.einsum("ai,j,bk,l->abijkl", ka * c1, c2, kb * c3, c4)
-                    elif a == 0 and b == 1:
-                        block = np.einsum("ai,j,k,bl->abijkl", ka * c1, c2, c3, kb * c4)
-                    elif a == 1 and b == 0:
-                        block = np.einsum("i,aj,bk,l->abijkl", c1, ka * c2, kb * c3, c4)
-                    else:
-                        block = np.einsum("i,aj,k,bl->abijkl", c1, ka * c2, c3, kb * c4)
+                    # outcome subscripts a (Alice) and b (Bob) ride on the
+                    # causes of directions a+1 and b+3
+                    subs = ["i", "j", "k", "l"]
+                    ops = list(group_vecs[z])
+                    for k, o in ((a, "a"), (2 + b, "b")):
+                        subs[k] = o + subs[k]
+                        ops[k] = kernels[k] * ops[k]
+                    block = np.einsum(",".join(subs) + "->abijkl", *ops)
                     w[a, b] += 0.5 * sp[a, b] * block
 
         model = EprbModel(w, cards)
@@ -1018,9 +983,17 @@ def random_eprb_model(
 
 
 def model_from_dict(data: dict):
+    """Model from its JSON form; any malformed input raises BadModel."""
+    if not isinstance(data, dict):
+        raise BadModel(f"a model must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    if kind == "eprb":
-        return EprbModel.from_dict(data)
-    if kind == "pairwise":
-        return pairwise_model_from_dict(data)
+    try:
+        if kind == "eprb":
+            return EprbModel.from_dict(data)
+        if kind == "pairwise":
+            return pairwise_model_from_dict(data)
+    except KeyError as exc:
+        raise BadModel(f"{kind} model lacks the field {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise BadModel(f"malformed {kind} model: {exc}") from exc
     raise BadModel(f"unknown model type {kind!r}")

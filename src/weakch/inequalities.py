@@ -273,20 +273,15 @@ def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[f
     if np.any(np.abs(sums - 1.0) > atol):
         worst = float(np.abs(sums - 1.0).max())
         raise UnnormalizedTable(f"table sums deviate from 1 by up to {worst}")
-    n_a, n_b = t.shape[:2]
     res: list[float] = []
-    alice_marg = t.sum(axis=3)  # (a, b, A)
-    bob_marg = t.sum(axis=2)    # (a, b, B)
-    for a in range(n_a):
-        for b1 in range(n_b):
-            for b2 in range(b1 + 1, n_b):
-                for o in range(2):
-                    res.append(float(alice_marg[a, b1, o] - alice_marg[a, b2, o]))
-    for b in range(n_b):
-        for a1 in range(n_a):
-            for a2 in range(a1 + 1, n_a):
-                for o in range(2):
-                    res.append(float(bob_marg[a1, b, o] - bob_marg[a2, b, o]))
+    # each wing's marginals as (own setting, far setting, own outcome)
+    for marg in (t.sum(axis=3), t.sum(axis=2).transpose(1, 0, 2)):
+        n_own, n_far = marg.shape[:2]
+        for own in range(n_own):
+            for f1 in range(n_far):
+                for f2 in range(f1 + 1, n_far):
+                    for o in range(2):
+                        res.append(float(marg[own, f1, o] - marg[own, f2, o]))
     return res
 
 

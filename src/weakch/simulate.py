@@ -81,15 +81,12 @@ class CountsTable:
     n: int
     setting_probs: np.ndarray
 
-    def pair_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=(2, 3))
-
 
 def load_model(path: str | Path) -> EprbModel:
     try:
         data = json.loads(Path(path).read_text())
         model = model_from_dict(data)
-    except (OSError, ValueError, KeyError, WeakChError) as exc:
+    except (OSError, ValueError, WeakChError) as exc:
         raise BadModelFile(f"cannot load model from {path}: {exc}") from exc
     if not isinstance(model, EprbModel):
         raise BadModelFile(f"{path} does not hold a full joint model")
@@ -176,29 +173,25 @@ def estimate(table: CountsTable) -> Estimates:
                     joint[a, b, oa, ob], joint_se[a, b, oa, ob] = _wald(
                         counts[a, b, oa, ob], n
                     )
-    alice_plus = np.full(2, np.nan)
-    alice_plus_se = np.full(2, np.nan)
-    bob_plus = np.full(2, np.nan)
-    bob_plus_se = np.full(2, np.nan)
-    for a in (0, 1):
-        n = counts[a].sum()
-        if n == 0:
-            undefined.append(f"alice setting {a + 1}")
-            continue
-        alice_plus[a], alice_plus_se[a] = _wald(counts[a, :, 0, :].sum(), n)
-    for b in (0, 1):
-        n = counts[:, b].sum()
-        if n == 0:
-            undefined.append(f"bob setting {b + 3}")
-            continue
-        bob_plus[b], bob_plus_se[b] = _wald(counts[:, b, :, 0].sum(), n)
+    plus = np.full((2, 2), np.nan)  # (wing, own setting)
+    plus_se = np.full((2, 2), np.nan)
+    # Bob's counts transposed to Alice's layout: own setting and outcome first
+    for wing, (side, first, own) in enumerate(
+        (("alice", 1, counts), ("bob", 3, counts.transpose(1, 0, 3, 2)))
+    ):
+        for s in (0, 1):
+            n = own[s].sum()
+            if n == 0:
+                undefined.append(f"{side} setting {s + first}")
+                continue
+            plus[wing, s], plus_se[wing, s] = _wald(own[s, :, 0, :].sum(), n)
     return Estimates(
         joint=joint,
         joint_se=joint_se,
-        alice_plus=alice_plus,
-        alice_plus_se=alice_plus_se,
-        bob_plus=bob_plus,
-        bob_plus_se=bob_plus_se,
+        alice_plus=plus[0],
+        alice_plus_se=plus_se[0],
+        bob_plus=plus[1],
+        bob_plus_se=plus_se[1],
         pair_counts=pair_n,
         undefined=tuple(undefined),
         setting_probs=table.setting_probs,

@@ -15,8 +15,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-ATOL = 1e-12
-
 
 class WeakChError(Exception):
     """Base class for domain errors raised by this package."""

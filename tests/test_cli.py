@@ -186,6 +186,47 @@ def test_check_model_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def _malformed_model(case):
+    pairwise = json.loads((Path(__file__).resolve().parent / "golden" / "pairwise_model.json").read_text())
+    if case == "pairwise_without_A":
+        del pairwise["A"]
+        return pairwise
+    if case == "list_atom_labels":
+        pairwise["space"]["atoms"] = [[a] for a in pairwise["space"]["atoms"]]
+        return pairwise
+    if case == "fractional_cause_cards":
+        joint = json.loads((Path(__file__).resolve().parent / "golden" / "eprb_model.json").read_text())
+        joint["cause_cards"] = [2.7, 2, 2, 2]  # int() would read 2 and accept the file
+        return joint
+    return {"eprb_without_fields": {"type": "eprb"}, "json_list": [1, 2], "json_string": "eprb"}[case]
+
+
+@pytest.mark.parametrize("command", ["check-model", "simulate"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "eprb_without_fields",
+        "json_list",
+        "json_string",
+        "pairwise_without_A",
+        "list_atom_labels",
+        "fractional_cause_cards",
+    ],
+)
+def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, case):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_malformed_model(case)))
+    if command == "check-model":
+        argv = ["check-model", "--file", str(path)]
+    else:
+        argv = ["simulate", "--seed", "1", "--n", "10", "--model", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    env = json.loads(out)
+    assert env["command"] == command and env["error"]
+    assert "Traceback" not in err
+
+
 def test_optimize_angles_cli(capsys):
     code, env, _ = run_json(capsys, "optimize-angles", "--mode", "min", "--grid", "16")
     assert code == 0

@@ -402,6 +402,18 @@ def test_loc_detects_far_setting_influence():
     assert validate_loc(broken).max_abs > 0.1
 
 
+def test_loc_detects_alice_setting_shifting_bob():
+    m = perfect_model()
+    w = m.weights.copy()
+    # under (a2, b3) Bob's outcome is flipped: Alice's setting reaches Bob
+    w[1, 0] = w[1, 0][:, ::-1]
+    rep = validate_loc(EprbModel(w, m.cause_cards))
+    res = dict(zip(rep.labels, rep.residuals))
+    assert res["bob B=+ b3 a2 c3=0"] == pytest.approx(0.5, abs=1e-12)
+    assert res["bob B=+ b3 a1 c3=0"] == pytest.approx(-0.5, abs=1e-12)
+    assert max(abs(r) for k, r in res.items() if k.startswith("alice")) <= 1e-12
+
+
 def test_loc_skips_zero_mass_cells():
     cause = np.zeros((3, 2, 2, 2))
     cause[(0,) * 4] = 0.5
@@ -419,6 +431,19 @@ def test_no_conspiracy_detects_setting_cause_coupling():
     w[0, :, :, :, 0] *= 1.5  # cause value 0 made more likely under setting a1
     broken = EprbModel(w, m.cause_cards)
     assert validate_no_conspiracy(broken).max_abs > 1e-3
+
+
+def test_no_conspiracy_detects_bob_setting_cause_coupling():
+    m = perfect_model()
+    w = m.weights.copy()
+    w[:, 0, :, :, :, :, 0] *= 1.5  # cause c3 value 0 made more likely under setting b3
+    rep = validate_no_conspiracy(EprbModel(w, m.cause_cards))
+    res = dict(zip(rep.labels, rep.residuals))
+    assert res["p(b3, c3=0)"] > 1e-3
+    assert res["p(b3, c3=1)"] < -1e-3
+    for d in (1, 2):  # Alice's single-cause rows stay exact
+        for i in (0, 1):
+            assert abs(res[f"p(a{d}, c{d}={i})"]) <= 1e-12
 
 
 def test_screening_holds_for_any_product_kernels():
@@ -440,6 +465,24 @@ def test_screening_detects_cross_cause_outcomes():
     plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     m = build_product_model(uniform_settings(), cause, plus, attach=(1, 1, 2, 3))
     assert validate_screening(m).max_abs > 0.2
+
+
+def test_screening_detects_bob_reading_a_foreign_cause():
+    # c1, c2 and c4 equal a fair pattern and c3 is a fair coin independent
+    # of it; direction 3 reads c4. Inside a c3 cell "A -" and "B +" both
+    # mean pattern 1, so the residual of those events is 1/2 - 1/4 > 0.
+    cause = np.zeros((2, 2, 2, 2))
+    for pattern in (0, 1):
+        for coin in (0, 1):
+            cause[pattern, pattern, coin, pattern] = 0.25
+    plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    m = build_product_model(uniform_settings(), cause, plus, attach=(0, 1, 3, 3))
+    rep = validate_screening(m)
+    c3 = [r for k, r in zip(rep.labels, rep.residuals) if k.startswith("screen b3 ")]
+    assert len(c3) == 2
+    assert all(r == pytest.approx(0.25, abs=1e-12) for r in c3)
+    others = [r for k, r in zip(rep.labels, rep.residuals) if not k.startswith("screen b3 ")]
+    assert max(abs(r) for r in others) <= 1e-12
 
 
 def test_aggregate_cause_includes_forcing_and_boundary_cells():
