@@ -22,7 +22,6 @@ if "numpy" not in sys.modules:
 from .common_cause import (
     EprbModel,
     PairwiseCcModel,
-    build_aggregate_cause,
     ch_atom_oracle,
     check_cause_mass_bounds,
     classify_cells,
@@ -65,8 +64,6 @@ from .singlet import (
 from .spaces import (
     FiniteProbSpace,
     WeakChError,
-    cond_prob,
-    complement,
     make_space,
     prob,
     screening_residuals,
@@ -75,7 +72,6 @@ from .spaces import (
 __all__ = [
     "EprbModel",
     "PairwiseCcModel",
-    "build_aggregate_cause",
     "ch_atom_oracle",
     "check_cause_mass_bounds",
     "classify_cells",
@@ -120,8 +116,6 @@ __all__ = [
     "outcome_tables",
     "FiniteProbSpace",
     "WeakChError",
-    "cond_prob",
-    "complement",
     "make_space",
     "prob",
     "screening_residuals",

@@ -119,19 +119,26 @@ def _flatten(prefix: str, obj, rows: list):
 
 def _emit(envelope: dict, fmt: str, csv_rows: list | None = None, csv_header: list | None = None):
     if fmt == "json":
-        print(_dump_json(envelope))
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if csv_rows is not None:
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        text = _dump_json(envelope) + "\n"
     else:
-        rows = []
-        _flatten("", envelope, rows)
-        writer.writerow(["key", "value"])
-        writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        if csv_rows is not None:
+            writer.writerow(csv_header)
+            writer.writerows(csv_rows)
+        else:
+            rows = []
+            _flatten("", envelope, rows)
+            writer.writerow(["key", "value"])
+            writer.writerows(rows)
+        text = buf.getvalue()
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`weakch ... | head`). Point stdout at devnull so
+        # the flush at exit stays quiet; the command keeps its exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _envelope(command: str, inputs: dict, result) -> dict:
@@ -346,7 +353,7 @@ def _cmd_check_model(args, fmt: str) -> int:
 
     scr = model.screening()
     result = {
-        "n_cells": len(model.cells),
+        "n_cells": model.n_cells,
         "screening": {
             "max_abs": scr.max_abs,
             "skipped_cells": list(scr.skipped_cells),

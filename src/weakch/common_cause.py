@@ -51,10 +51,10 @@ from .spaces import (
     ResidualReport,
     ScreeningReport,
     WeakChError,
-    check_partition,
-    cond_prob,
-    prob,
-    screening_residuals,
+    ZeroConditioner,
+    _cell_sums,
+    _screening,
+    _translate,
     space_from_dict,
     space_to_dict,
 )
@@ -85,26 +85,34 @@ class BadModel(WeakChError):
 
 @dataclass(frozen=True, eq=False)
 class PairwiseCcModel:
-    """A probability space, two events, and a partition meant to screen them."""
+    """A probability space, two events, and a partition meant to screen them.
+
+    Held as arrays in atom order: cell_of[k] is the cell of atom k, and
+    in_a[k], in_b[k] say whether it lies in A and in B; n_cells counts the
+    cells, empty ones included. Labels come in once, through
+    _labelled_model, and go out through pairwise_model_to_dict; the checks
+    read only the arrays.
+    """
 
     space: FiniteProbSpace
-    event_a: frozenset
-    event_b: frozenset
-    cells: tuple[frozenset, ...]
+    cell_of: np.ndarray
+    in_a: np.ndarray
+    in_b: np.ndarray
+    n_cells: int
 
-    def __post_init__(self):
-        cells = check_partition(self.space, self.cells)
-        a = frozenset(self.event_a)
-        b = frozenset(self.event_b)
-        for ev in (a, b):
-            if not ev <= set(self.space.atoms):
-                raise BadModel("events must be subsets of the atom set")
-        object.__setattr__(self, "event_a", a)
-        object.__setattr__(self, "event_b", b)
-        object.__setattr__(self, "cells", cells)
+    def _sums(self) -> np.ndarray:
+        return _cell_sums(self.space.weights, self.cell_of, self.in_a, self.in_b, self.n_cells)
 
     def screening(self) -> ScreeningReport:
-        return screening_residuals(self.space, self.event_a, self.event_b, self.cells)
+        return _screening(self._sums())
+
+
+def _labelled_model(space: FiniteProbSpace, event_a, event_b, cells) -> PairwiseCcModel:
+    # The model of labelled events and partition cells (any iterables of
+    # atom labels); an event atom outside the space raises BadModel.
+    return PairwiseCcModel(
+        space, *_translate(space, event_a, event_b, cells, BadModel("events must be subsets of the atom set"))
+    )
 
 
 @dataclass(frozen=True)
@@ -119,30 +127,19 @@ class CellStats:
 
 
 def cell_stats(model: PairwiseCcModel) -> CellStats:
-    space = model.space
-    w = space.weights
-    ix = space._index
-    a_idx = {ix[x] for x in model.event_a}
-    b_idx = {ix[x] for x in model.event_b}
-    index, mass, ca, cb, skipped = [], [], [], [], []
-    for i, cell in enumerate(model.cells):
-        cix = sorted(ix[x] for x in cell)
-        m = float(sum(w[k] for k in cix))
-        if m <= 0.0:
-            skipped.append(i)
-            continue
-        pa = float(sum(w[k] for k in cix if k in a_idx))
-        pb = float(sum(w[k] for k in cix if k in b_idx))
-        index.append(i)
-        mass.append(m)
-        ca.append(pa / m)
-        cb.append(pb / m)
+    return _stats(model._sums())
+
+
+def _stats(sums: np.ndarray) -> CellStats:
+    mass, p_a, p_b = sums[0], sums[1], sums[2]
+    pos = mass > 0.0
+    m = mass[pos]
     return CellStats(
-        index=tuple(index),
-        mass=np.asarray(mass),
-        cond_a=np.asarray(ca),
-        cond_b=np.asarray(cb),
-        skipped=tuple(skipped),
+        index=tuple(np.flatnonzero(pos).tolist()),
+        mass=m,
+        cond_a=p_a[pos] / m,
+        cond_b=p_b[pos] / m,
+        skipped=tuple(np.flatnonzero(~pos).tolist()),
     )
 
 
@@ -166,43 +163,51 @@ class CellClasses:
     border: float
 
 
+def _marginals(model: PairwiseCcModel) -> list[float]:
+    # [p(A), p(B)], correctly rounded
+    w = model.space.weights
+    return [math.fsum(w[mask].tolist()) for mask in (model.in_a, model.in_b)]
+
+
 def model_epsilon(model: PairwiseCcModel) -> float:
     """Correlation deficit 1 - p(A|B), clamped at zero against rounding."""
-    return max(0.0, 1.0 - cond_prob(model.space, model.event_a, model.event_b))
+    w = model.space.weights
+    p_b = math.fsum(w[model.in_b].tolist())
+    if p_b <= 0.0:
+        raise ZeroConditioner("cannot condition on an event of zero probability")
+    return max(0.0, 1.0 - math.fsum(w[model.in_a & model.in_b].tolist()) / p_b)
 
 
-def _require_screened_even_model(model: PairwiseCcModel, tol: float) -> list[float]:
-    # Returns the marginals [p(A), p(B)] it checked.
-    scr = model.screening()
+def _require_screened_even_model(model: PairwiseCcModel, sums: np.ndarray, tol: float) -> list[float]:
+    # Returns the marginals [p(A), p(B)] it checked; sums are the model's
+    # per-cell sums.
+    scr = _screening(sums)
     if scr.max_abs > tol:
         raise PreconditionViolated(
             f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}"
         )
-    marginals = []
-    for name, ev in (("p(A)", model.event_a), ("p(B)", model.event_b)):
-        v = prob(model.space, ev)
+    marginals = _marginals(model)
+    for name, v in zip(("p(A)", "p(B)"), marginals):
         if abs(v - 0.5) > tol:
             raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {tol:.1e}")
-        marginals.append(v)
     return marginals
 
 
-def _classify(stats: CellStats, eps: float, border: float) -> CellClasses:
-    high, mid, low = [], [], list(stats.skipped)
-    for i, q in zip(stats.index, stats.cond_a):
-        if q <= border:
-            low.append(i)
-        elif q >= 1.0 - border:
-            high.append(i)
-        else:
-            mid.append(i)
-    return CellClasses(
-        high=tuple(sorted(high)),
-        mid=tuple(sorted(mid)),
-        low=tuple(sorted(low)),
+def _classify(stats: CellStats, eps: float, border: float) -> tuple[CellClasses, np.ndarray, np.ndarray]:
+    # Also returns the high and mid masks over the positive-mass cells.
+    q = stats.cond_a
+    low = q <= border
+    high = ~low & (q >= 1.0 - border)
+    mid = ~(low | high)
+    index = np.asarray(stats.index, dtype=np.intp)
+    classes = CellClasses(
+        high=tuple(index[high].tolist()),
+        mid=tuple(index[mid].tolist()),
+        low=tuple(sorted(stats.skipped + tuple(index[low].tolist()))),
         epsilon=eps,
         border=border,
     )
+    return classes, high, mid
 
 
 def classify_cells(
@@ -216,9 +221,10 @@ def classify_cells(
     Requires an exactly screened model with even marginals, within
     precondition_tol.
     """
-    _require_screened_even_model(model, precondition_tol)
+    sums = model._sums()
+    _require_screened_even_model(model, sums, precondition_tol)
     eps = model_epsilon(model)
-    return _classify(cell_stats(model), eps, math.sqrt(eps) if border is None else float(border))
+    return _classify(_stats(sums), eps, math.sqrt(eps) if border is None else float(border))[0]
 
 
 @dataclass(frozen=True)
@@ -270,27 +276,26 @@ def check_cause_mass_bounds(
     half-marginal tolerance is an implementation choice; the bounds are
     derived for exactly even marginals.
     """
-    p_a, p_b = _require_screened_even_model(model, precondition_tol)
+    sums = model._sums()
+    p_a, p_b = _require_screened_even_model(model, sums, precondition_tol)
     eps = model_epsilon(model)
     root = math.sqrt(eps)
-    stats = cell_stats(model)
-    classes = _classify(stats, eps, root if border is None else float(border))
-    by_cell = {i: k for k, i in enumerate(stats.index)}
+    stats = _stats(sums)
+    classes, high, mid = _classify(stats, eps, root if border is None else float(border))
 
-    high_mass = float(sum(stats.mass[by_cell[i]] for i in classes.high))
+    # iterating the arrays keeps these sums sequential, in cell order
+    high_mass = float(sum(stats.mass[high]))
     lower_ok = high_mass - root <= p_a + 1e-12
     upper_ok = p_a <= high_mass + 4.0 * root - 2.0 * eps + upper_tol
 
     q, r, m = stats.cond_a, stats.cond_b, stats.mass
     gap_b = 0.5 * root if gap_border is None else float(gap_border)
-    mid_k = [by_cell[i] for i in classes.mid]
+    gap = np.abs(q - r)
     diagnostics = {
         "a_not_b_mass": float(np.sum(q * (1.0 - r) * m)),
         "b_not_a_mass": float(np.sum(r * (1.0 - q) * m)),
-        "mid_gap_sum": float(sum(abs(q[k] - r[k]) * m[k] for k in mid_k)),
-        "wide_mid_mass": float(
-            sum(m[k] for k in mid_k if abs(q[k] - r[k]) >= gap_b)
-        ),
+        "mid_gap_sum": float(sum(gap[mid] * m[mid])),
+        "wide_mid_mass": float(sum(m[mid & (gap >= gap_b)])),
         "gap_border": gap_b,
     }
     return CauseMassReport(
@@ -367,35 +372,34 @@ def random_screened_model(
 
     scale = _deficit_scale(m1, m2, mid_mass, epsilon_target)
 
-    atoms: list[str] = []
-    weights: list[float] = []
-    cells: list[frozenset] = []
+    # cell 2k is pair k and cell 2k+1 its mirror; an odd count ends with the
+    # mid cell. Each cell's four atoms follow _OUTCOME_SUFFIX. The labels go
+    # in as a list, not as a tuple built from a generator: such a tuple grows
+    # by resizing, which never takes one from CPython's tuple free lists,
+    # while its death puts it on one (under 20 items). A generate-and-check
+    # loop would then hold about 1 MB more allocator memory.
+    pairs = slice(0, 2 * n_pairs, 2)
+    mass = np.full(n_cells, mid_mass)
+    q = np.full(n_cells, 0.5)
+    r = np.full(n_cells, 0.5)
+    mass[: 2 * n_pairs] = np.repeat(cell_mass, 2)
+    q[pairs] = 1.0 - scale * x
+    r[pairs] = 1.0 - scale * y
+    q[1::2] = 1.0 - q[pairs]
+    r[1::2] = 1.0 - r[pairs]
+    weights = np.stack(
+        [mass * q * r, mass * q * (1.0 - r), mass * (1.0 - q) * r, mass * (1.0 - q) * (1.0 - r)], axis=1
+    )
+    atoms = [f"c{i}:{suf}" for i in range(n_cells) for suf in _OUTCOME_SUFFIX]
+    model = PairwiseCcModel(
+        FiniteProbSpace(atoms, weights),
+        np.repeat(np.arange(n_cells), 4),
+        np.tile([True, True, False, False], n_cells),
+        np.tile([True, False, True, False], n_cells),
+        n_cells,
+    )
 
-    def add_cell(i: int, mass: float, q: float, r: float) -> None:
-        labels = [f"c{i}:{suf}" for suf in _OUTCOME_SUFFIX]
-        atoms.extend(labels)
-        weights.extend(
-            [mass * q * r, mass * q * (1.0 - r), mass * (1.0 - q) * r, mass * (1.0 - q) * (1.0 - r)]
-        )
-        cells.append(frozenset(labels))
-
-    cell_no = 0
-    for k in range(n_pairs):
-        q = 1.0 - scale * x[k]
-        r = 1.0 - scale * y[k]
-        add_cell(cell_no, float(cell_mass[k]), q, r)
-        add_cell(cell_no + 1, float(cell_mass[k]), 1.0 - q, 1.0 - r)
-        cell_no += 2
-    if has_mid:
-        add_cell(cell_no, mid_mass, 0.5, 0.5)
-
-    space = FiniteProbSpace(tuple(atoms), np.asarray(weights))
-    event_a = frozenset(a for a in atoms if a.endswith("11") or a.endswith("10"))
-    event_b = frozenset(a for a in atoms if a.endswith("11") or a.endswith("01"))
-    model = PairwiseCcModel(space, event_a, event_b, tuple(cells))
-
-    p_a = prob(space, event_a)
-    p_b = prob(space, event_b)
+    p_a, p_b = _marginals(model)
     if abs(p_a - 0.5) > 1e-9 or abs(p_b - 0.5) > 1e-9:
         raise GenerationFailed(f"marginals drifted: p(A)={p_a!r}, p(B)={p_b!r}")
     achieved = model_epsilon(model)
@@ -407,23 +411,21 @@ def random_screened_model(
 
 
 def pairwise_model_to_dict(model: PairwiseCcModel) -> dict:
+    atoms = model.space.atoms
+    cells: list[list] = [[] for _ in range(model.n_cells)]
+    for label, i in zip(atoms, model.cell_of.tolist()):
+        cells[i].append(label)
     return {
         "type": "pairwise",
         "space": space_to_dict(model.space),
-        "A": sorted(model.event_a),
-        "B": sorted(model.event_b),
-        "partition": [sorted(c) for c in model.cells],
+        "A": sorted(a for a, keep in zip(atoms, model.in_a.tolist()) if keep),
+        "B": sorted(b for b, keep in zip(atoms, model.in_b.tolist()) if keep),
+        "partition": [sorted(c) for c in cells],
     }
 
 
 def pairwise_model_from_dict(data: dict) -> PairwiseCcModel:
-    space = space_from_dict(data["space"])
-    return PairwiseCcModel(
-        space,
-        frozenset(data["A"]),
-        frozenset(data["B"]),
-        tuple(frozenset(c) for c in data["partition"]),
-    )
+    return _labelled_model(space_from_dict(data["space"]), data["A"], data["B"], data["partition"])
 
 
 # ---------------------------------------------------------------------------
@@ -756,27 +758,6 @@ def _aggregate(model: EprbModel, side: str, direction: int, prof: singlet.Epsilo
         if denom[i] > 0.0 and s[0, i] / denom[i] >= cutoff - 1e-12
     ]
     return AggregateCause(side, direction, tuple(cells), cutoff, eps_dir)
-
-
-def build_aggregate_cause(
-    model: EprbModel,
-    side: str,
-    direction: int,
-    *,
-    profile: singlet.EpsilonProfile | None = None,
-    loc_tol: float = PRECONDITION_TOL,
-) -> AggregateCause:
-    """Cells whose pooled conditional for "+" reaches 1 - sqrt(eps_dir).
-
-    Pooling over the far setting is justified only when the locality
-    residuals vanish, so that is a precondition. Inclusion is inclusive at
-    the cutoff, with a 1e-12 floating-point guard.
-    """
-    loc = validate_loc(model)
-    if loc.max_abs > loc_tol:
-        raise PreconditionViolated(f"locality residual {loc.max_abs:.3e} exceeds {loc_tol:.1e}")
-    prof = model.profile() if profile is None else profile
-    return _aggregate(model, side, direction, prof)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Finite classical probability spaces: atoms, events, partitions, conditioning.
+"""Finite classical probability spaces: atoms, events, partitions, screening.
 
 The substrate for every model in this package. Atoms are hashable labels
 carrying nonnegative weights; construction normalizes the weights so the
 total mass is one. Events are sets of atom labels, partitions are disjoint
-covers. Everything is immutable after construction and every operation is
-a pure function, so values can be shared freely between threads.
+covers. Labelled events and partitions are translated once into arrays in
+atom order (a cell index per atom, a membership mask per event); the
+per-cell sums behind screening read only those arrays. Everything is
+immutable after construction and every operation is a pure function, so
+values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -79,9 +82,6 @@ class FiniteProbSpace:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def full_event(self) -> frozenset:
-        return frozenset(self.atoms)
-
 
 def make_space(weights: Sequence[float], atoms: Sequence[Hashable] | None = None) -> FiniteProbSpace:
     """Build a space from raw nonnegative weights, normalizing the total.
@@ -117,43 +117,55 @@ def prob(space: FiniteProbSpace, event: Iterable[Hashable]) -> float:
     return math.fsum(w[i] for i in idx)
 
 
-def complement(space: FiniteProbSpace, event: Iterable[Hashable]) -> frozenset:
-    ev = frozenset(event)
-    _event_indices(space, ev)
-    return frozenset(space.atoms) - ev
+def check_partition(space: FiniteProbSpace, cells: Sequence[Iterable[Hashable]]) -> tuple[np.ndarray, int]:
+    """Validate that cells are pairwise disjoint and cover the atom set.
 
-
-def cond_prob(space: FiniteProbSpace, event: Iterable[Hashable], given: Iterable[Hashable]) -> float:
-    """p(event | given) = p(event and given) / p(given).
-
-    Raises ZeroConditioner when the conditioning event has no mass. The
-    resulting map over events is itself a probability measure.
+    Returns the cell index of each atom, in atom order, and the number of
+    cells (an empty cell is allowed and owns no atom).
     """
-    ev = frozenset(event)
-    gv = frozenset(given)
-    _event_indices(space, ev)
-    pg = prob(space, gv)
-    if pg <= 0.0:
-        raise ZeroConditioner("cannot condition on an event of zero probability")
-    return prob(space, ev & gv) / pg
-
-
-def check_partition(space: FiniteProbSpace, cells: Sequence[Iterable[Hashable]]) -> tuple[frozenset, ...]:
-    """Validate that cells are pairwise disjoint and cover the atom set."""
-    out = []
-    seen: set = set()
-    count = 0
-    for cell in cells:
-        fs = frozenset(cell)
-        _event_indices(space, fs)
-        if seen & fs:
+    cells = [frozenset(c) for c in cells]
+    cell_of = np.full(len(space.atoms), -1, dtype=np.intp)
+    for i, cell in enumerate(cells):
+        idx = _event_indices(space, cell)
+        if (cell_of[idx] >= 0).any():
             raise BadPartition("partition cells overlap")
-        seen |= fs
-        count += len(fs)
-        out.append(fs)
-    if count != len(space.atoms) or seen != set(space.atoms):
+        cell_of[idx] = i
+    if (cell_of < 0).any():
         raise BadPartition("partition cells do not cover the atom set")
-    return tuple(out)
+    return cell_of, len(cells)
+
+
+def _translate(space: FiniteProbSpace, event_a, event_b, cells, foreign_event: WeakChError | None = None):
+    """(cell_of, in_a, in_b, n_cells) of labelled events and partition cells.
+
+    The one place labels become indices. The partition is checked first
+    (ForeignEvent, BadPartition); an event atom outside the space raises
+    ForeignEvent, or foreign_event when one is given.
+    """
+    events = (frozenset(event_a), frozenset(event_b))
+    cell_of, n_cells = check_partition(space, cells)
+    in_a, in_b = np.zeros((2, len(space.atoms)), dtype=bool)
+    try:
+        for mask, ev in zip((in_a, in_b), events):
+            mask[_event_indices(space, ev)] = True
+    except ForeignEvent:
+        if foreign_event is None:
+            raise
+        raise foreign_event from None
+    return cell_of, in_a, in_b, n_cells
+
+
+def _cell_sums(weights: np.ndarray, cell_of: np.ndarray, in_a: np.ndarray, in_b: np.ndarray, n_cells: int) -> np.ndarray:
+    """Rows p(C_i), p(A C_i), p(B C_i), p(AB C_i) over the cells.
+
+    Each entry adds its atoms' weights one by one in atom order.
+    """
+    return np.stack(
+        [
+            np.bincount(cell_of[sel], weights=weights[sel], minlength=n_cells)
+            for sel in (slice(None), in_a, in_b, in_a & in_b)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -204,25 +216,21 @@ def screening_residuals(
     p(AB|C_i) - p(A|C_i) p(B|C_i). A cell that makes A or B conditionally
     deterministic contributes an exact zero.
     """
-    part = check_partition(space, cells)
-    a = frozenset(event_a)
-    b = frozenset(event_b)
-    _event_indices(space, a)
-    _event_indices(space, b)
-    residuals = []
-    active = []
-    skipped = []
-    for i, cell in enumerate(part):
-        pc = prob(space, cell)
-        if pc <= 0.0:
-            skipped.append(i)
-            continue
-        pab = prob(space, a & b & cell) / pc
-        pa = prob(space, a & cell) / pc
-        pb = prob(space, b & cell) / pc
-        residuals.append(pab - pa * pb)
-        active.append(i)
-    return ScreeningReport(tuple(residuals), tuple(active), tuple(skipped))
+    cell_of, in_a, in_b, n_cells = _translate(space, event_a, event_b, cells)
+    return _screening(_cell_sums(space.weights, cell_of, in_a, in_b, n_cells))
+
+
+def _screening(sums: np.ndarray) -> ScreeningReport:
+    # the screening report of _cell_sums rows; zero-mass cells are skipped
+    mass, p_a, p_b, p_ab = sums
+    pos = mass > 0.0
+    m = mass[pos]
+    residuals = p_ab[pos] / m - (p_a[pos] / m) * (p_b[pos] / m)
+    return ScreeningReport(
+        tuple(residuals.tolist()),
+        tuple(np.flatnonzero(pos).tolist()),
+        tuple(np.flatnonzero(~pos).tolist()),
+    )
 
 
 def space_to_dict(space: FiniteProbSpace) -> dict:

@@ -16,6 +16,7 @@ from weakch.common_cause import (
     ch_atom_oracle,
     check_cause_mass_bounds,
     joint_cause_bounds_check,
+    pairwise_model_from_dict,
     random_eprb_model,
     random_screened_model,
 )
@@ -170,6 +171,35 @@ def test_c08_cause_mass_bounds_suite():
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     report(8, f"10000 screened models pass the mass bounds in {elapsed:.1f}s", ok)
+
+
+def test_c08_lower_bound_needs_its_sqrt_eps():
+    # One high cell with p(A|C) = p(B|C) = q = 1 - eps and mass 1/(2q), one
+    # low cell with all its mass outside A and B. Screening is exact, both
+    # marginals are 1/2 and the deficit is eps, so high_mass exceeds p(A) by
+    # eps / (2 (1 - eps)): inside the sqrt(eps) slack, far beyond rounding.
+    eps = 0.01
+    q = 1.0 - eps
+    hi = 0.5 / q
+    atoms = ["h11", "h10", "h01", "h00", "l00"]
+    weights = [hi * q * q, hi * q * eps, hi * eps * q, hi * eps * eps, 1.0 - hi]
+    data = {
+        "type": "pairwise",
+        "space": {"atoms": atoms, "weights": weights},
+        "A": ["h11", "h10"],
+        "B": ["h11", "h01"],
+        "partition": [atoms[:4], ["l00"]],
+    }
+    rep = check_cause_mass_bounds(pairwise_model_from_dict(data))
+    excess = rep.high_mass - rep.p_a
+    ok = (
+        rep.ok
+        and rep.high_cells == (0,)
+        and abs(rep.epsilon - eps) <= 1e-12
+        and abs(excess - eps / (2.0 * q)) <= 1e-12
+        and excess > 0.005
+    )
+    report(8, f"high mass exceeds p(A) by {excess:.5f} within sqrt(eps) = {math.sqrt(eps)}", ok)
 
 
 def test_c09_joint_cause_bounds_suite():

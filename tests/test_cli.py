@@ -335,6 +335,22 @@ def test_console_entry_point_runs():
     assert env["command"] == "thresholds"
 
 
+def test_closed_stdout_is_not_a_traceback():
+    # a reader that has already gone, as with `weakch ... | head -c 20`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weakch.cli", "thresholds"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
+
+
 def test_stdout_is_single_json_document(capsys):
     for argv in (
         ["predict", "--angles", LOWER],

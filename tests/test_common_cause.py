@@ -13,8 +13,9 @@ from weakch.common_cause import (
     PairwiseCcModel,
     PreconditionViolated,
     UnnormalizedInput,
+    _aggregate,
     _deficit_scale,
-    build_aggregate_cause,
+    _labelled_model,
     cell_stats,
     ch_atom_oracle,
     check_cause_mass_bounds,
@@ -30,7 +31,7 @@ from weakch.common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
-from weakch.spaces import FiniteProbSpace, make_space, prob
+from weakch.spaces import BadPartition, FiniteProbSpace, ForeignEvent, ZeroConditioner, make_space
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +130,18 @@ def test_generator_rejects_large_target():
 def test_generator_hits_target_and_revalidates():
     m = random_screened_model(7, 8, 0.01)
     assert abs(model_epsilon(m) - 0.01) <= 1e-6
-    assert prob(m.space, m.event_a) == pytest.approx(0.5, abs=1e-9)
-    assert prob(m.space, m.event_b) == pytest.approx(0.5, abs=1e-9)
+    rep = check_cause_mass_bounds(m)
+    assert rep.p_a == pytest.approx(0.5, abs=1e-9)
+    assert rep.p_b == pytest.approx(0.5, abs=1e-9)
     assert m.screening().max_abs <= 1e-12
-    assert check_cause_mass_bounds(m).ok
+    assert rep.ok
 
 
 def test_generator_is_deterministic():
     a = random_screened_model(123, 9, 0.07)
     b = random_screened_model(123, 9, 0.07)
     assert a.space.weights.tolist() == b.space.weights.tolist()
-    assert a.cells == b.cells
+    assert pairwise_model_to_dict(a) == pairwise_model_to_dict(b)
 
 
 def _generator_moments(seed, n_cells, mid_mass):
@@ -202,7 +204,7 @@ def test_classify_independent_halves_single_cell_goes_low():
     # deficit 1/2, border sqrt(1/2) ~ 0.707, and the 0.5 conditional falls
     # at or below it.
     sp = make_space([0.25] * 4, atoms=["ab", "aB", "Ab", "AB"])
-    m = PairwiseCcModel(sp, frozenset({"ab", "aB"}), frozenset({"ab", "Ab"}), (sp.full_event(),))
+    m = _labelled_model(sp, {"ab", "aB"}, {"ab", "Ab"}, [sp.atoms])
     classes = classify_cells(m)
     assert classes.epsilon == pytest.approx(0.5, abs=1e-12)
     assert classes.low == (0,)
@@ -213,7 +215,7 @@ def test_classify_trichotomy_is_exhaustive():
     m = random_screened_model(11, 10, 0.01)
     classes = classify_cells(m)
     seen = sorted(classes.high + classes.mid + classes.low)
-    assert seen == list(range(len(m.cells)))
+    assert seen == list(range(m.n_cells))
     assert not (set(classes.high) & set(classes.mid))
     assert not (set(classes.high) & set(classes.low))
     assert not (set(classes.mid) & set(classes.low))
@@ -231,7 +233,7 @@ def mid_cell_model(mid_mass=0.02):
     sp = FiniteProbSpace(tuple(atoms), np.asarray(weights))
     a = frozenset(x for x in atoms if x.endswith("11") or x.endswith("10"))
     b = frozenset(x for x in atoms if x.endswith("11") or x.endswith("01"))
-    return PairwiseCcModel(sp, a, b, tuple(cells))
+    return _labelled_model(sp, a, b, cells)
 
 
 def test_mid_cells_are_classified_and_bounded():
@@ -263,6 +265,33 @@ def test_cause_mass_bounds_random_sweep():
         assert rep.diagnostics["wide_mid_mass"] <= 2.0 * math.sqrt(rep.epsilon) + 1e-9
 
 
+def test_upper_bound_fails_between_its_two_terms():
+    # A sure pair of cells (mass h each) and a mid pair (mass k each, p(A|C)
+    # = p(B|C) = s and 1 - s): both marginals are h + k = 1/2 and the
+    # deficit is 4 k s (1 - s). With border 0 only the sure A cell is high,
+    # so p(A) - high_mass = k = 0.39 lies between 4 sqrt(eps) - 2 eps = 0.38
+    # and 4 sqrt(eps) = 0.40 at eps = 0.01: the upper bound must fail.
+    eps, k = 0.01, 0.39
+    h = 0.5 - k
+    s = 0.5 * (1.0 + math.sqrt(1.0 - eps / k))
+    m = _labelled_model(
+        FiniteProbSpace(
+            ("h11", "l00", "m11", "m10", "m01", "m00", "n11", "n10", "n01", "n00"),
+            np.array([h, h, k * s * s, k * s * (1 - s), k * (1 - s) * s, k * (1 - s) ** 2,
+                      k * (1 - s) ** 2, k * (1 - s) * s, k * s * (1 - s), k * s * s]),
+        ),
+        {"h11", "m11", "m10", "n11", "n10"},
+        {"h11", "m11", "m01", "n11", "n01"},
+        [{"h11"}, {"l00"}, {"m11", "m10", "m01", "m00"}, {"n11", "n10", "n01", "n00"}],
+    )
+    rep = check_cause_mass_bounds(m, border=0.0)
+    assert rep.epsilon == pytest.approx(eps, abs=1e-12)
+    assert rep.high_cells == (0,)
+    assert rep.p_a - rep.high_mass == pytest.approx(k, abs=1e-12)
+    assert rep.lower_ok and not rep.upper_ok
+    assert check_cause_mass_bounds(m).ok  # at the default border sqrt(eps) the bounds hold
+
+
 def test_subset_sums_stay_below_half_eps():
     m = random_screened_model(31, 12, 0.05)
     stats = cell_stats(m)
@@ -277,29 +306,33 @@ def test_subset_sums_stay_below_half_eps():
 
 
 def test_cause_mass_check_runs_each_step_once(monkeypatch):
+    # one pass of the per-cell kernel feeds screening, the cell conditionals
+    # and the class sums; the label-level functions are not called at all
     import weakch.common_cause as cc
+    import weakch.spaces as spaces
 
     m = random_screened_model(3, 7, 0.01)
-    calls = {"screening_residuals": 0, "prob": 0, "cell_stats": 0}
-    for name in calls:
-        original = getattr(cc, name)
+    modules = {"_cell_sums": cc, "screening_residuals": spaces, "prob": spaces, "cell_stats": cc}
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cc, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert check_cause_mass_bounds(m).ok
-    assert calls == {"screening_residuals": 1, "prob": 2, "cell_stats": 1}
+    assert calls == {"_cell_sums": 1, "screening_residuals": 0, "prob": 0, "cell_stats": 0}
+    classify_cells(m)
+    assert calls["_cell_sums"] == 2
 
 
 def test_cause_mass_bounds_rejects_broken_screening():
     m = random_screened_model(2, 4, 0.01)
     w = m.space.weights.copy()
     w[0] += 0.1
-    broken = PairwiseCcModel(
-        FiniteProbSpace(m.space.atoms, w), m.event_a, m.event_b, m.cells
-    )
+    broken = PairwiseCcModel(FiniteProbSpace(m.space.atoms, w), m.cell_of, m.in_a, m.in_b, m.n_cells)
     with pytest.raises(PreconditionViolated):
         check_cause_mass_bounds(broken)
 
@@ -307,7 +340,7 @@ def test_cause_mass_bounds_rejects_broken_screening():
 def test_cause_mass_bounds_rejects_uneven_marginals():
     # deterministic cells screen exactly, but the marginal is 0.6
     sp = make_space([0.6, 0.4], atoms=["ab", "none"])
-    m = PairwiseCcModel(sp, frozenset({"ab"}), frozenset({"ab"}), ({"ab"}, {"none"}))
+    m = _labelled_model(sp, {"ab"}, {"ab"}, [{"ab"}, {"none"}])
     with pytest.raises(PreconditionViolated):
         check_cause_mass_bounds(m)
     with pytest.raises(PreconditionViolated):
@@ -316,10 +349,28 @@ def test_cause_mass_bounds_rejects_uneven_marginals():
 
 def test_zero_mass_cells_go_low_and_are_skipped():
     sp = make_space([0.5, 0.5, 0.0, 0.0], atoms=["a1", "a2", "z1", "z2"])
-    m = PairwiseCcModel(sp, frozenset({"a1"}), frozenset({"a1"}), ({"a1"}, {"a2"}, {"z1", "z2"}))
+    m = _labelled_model(sp, {"a1"}, {"a1"}, [{"a1"}, {"a2"}, {"z1", "z2"}])
     classes = classify_cells(m)
     assert 2 in classes.low
     assert m.screening().skipped_cells == (2,)
+
+
+def test_model_epsilon_rejects_a_zero_mass_conditioner():
+    sp = make_space([0.5, 0.5], atoms=["x", "y"])
+    with pytest.raises(ZeroConditioner):
+        model_epsilon(_labelled_model(sp, {"x"}, set(), [{"x"}, {"y"}]))
+    with pytest.raises(ZeroConditioner):
+        model_epsilon(_labelled_model(make_space([1.0, 0.0]), {0}, {1}, [{0}, {1}]))
+
+
+def test_labelled_model_rejects_foreign_atoms():
+    sp = make_space([0.5, 0.5], atoms=["x", "y"])
+    with pytest.raises(BadModel):
+        _labelled_model(sp, {"x", "z"}, {"x"}, [{"x"}, {"y"}])
+    with pytest.raises(ForeignEvent):
+        _labelled_model(sp, {"x"}, {"x"}, [{"x"}, {"y", "z"}])
+    with pytest.raises(BadPartition):
+        _labelled_model(sp, {"x", "z"}, {"x"}, [{"x"}])  # the partition is checked first
 
 
 def test_pairwise_json_roundtrip():
@@ -327,7 +378,10 @@ def test_pairwise_json_roundtrip():
     back = pairwise_model_from_dict(pairwise_model_to_dict(m))
     assert back.space.atoms == m.space.atoms
     assert back.space.weights.tolist() == m.space.weights.tolist()
-    assert back.cells == m.cells
+    assert back.cell_of.tolist() == m.cell_of.tolist()
+    assert back.in_a.tolist() == m.in_a.tolist()
+    assert back.in_b.tolist() == m.in_b.tolist()
+    assert pairwise_model_to_dict(back) == pairwise_model_to_dict(m)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +554,7 @@ def test_aggregate_cause_includes_forcing_and_boundary_cells():
     m = build_product_model(uniform_settings(), cause, plus)
     prof = m.profile()
     assert prof.eps_a[0] == pytest.approx(t, rel=1e-9)
-    agg = build_aggregate_cause(m, "alice", 0, profile=prof)
+    agg = _aggregate(m, "alice", 0, prof)
     assert 0 in agg.cells  # conditional exactly 1
     assert 1 in agg.cells  # conditional exactly at the cutoff
     assert 2 not in agg.cells
@@ -518,9 +572,9 @@ def test_aggregate_cause_empty_when_cells_uninformative():
     m = build_product_model(uniform_settings(), cause, plus, attach=(1, 1, 2, 3))
     prof = m.profile()
     assert prof.eps_a[0] == 0.0
-    agg = build_aggregate_cause(m, "alice", 0, profile=prof)
+    agg = _aggregate(m, "alice", 0, prof)
     assert agg.cells == ()
-    agg2 = build_aggregate_cause(m, "alice", 1, profile=prof)
+    agg2 = _aggregate(m, "alice", 1, prof)
     assert agg2.cells == (0,)
 
 

@@ -9,7 +9,14 @@ sha256) of:
   random_eprb_model generates;
 - estimate() on seeded count tables, some with empty setting pairs;
 - no_signalling_residuals() on random outcome tables of 2 or 3 settings
-  per wing.
+  per wing;
+- for seeded random_screened_model draws and hand-built pairwise models
+  (zero-mass and empty cells, mid cells, broken screening, uneven
+  marginals, shuffled atom order), the generated weights and labels,
+  cell_stats, classify_cells, every CauseMassReport field, model_epsilon,
+  the marginals, the screening cell lists and the error each check
+  raises. Screening residuals are stored in full and compared to 1e-15
+  absolute; everything else must match exactly.
 The models are exact generated ones (residuals at the rounding level, so
 any change in summation order shows), perturbed weights, dense random
 weights with zero-mass cause cells, and outcome kernels that read a
@@ -35,13 +42,21 @@ from weakch.common_cause import (
     GenerationFailed,
     _aggregate,
     _joint_cause_bounds,
+    _labelled_model,
+    cell_stats,
+    check_cause_mass_bounds,
+    classify_cells,
+    model_epsilon,
+    pairwise_model_to_dict,
     random_eprb_model,
+    random_screened_model,
     validate_loc,
     validate_no_conspiracy,
     validate_screening,
 )
 from weakch.inequalities import no_signalling_residuals
 from weakch.simulate import CountsTable, estimate
+from weakch.spaces import FiniteProbSpace, WeakChError, make_space, prob
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "validators.json"
 CARDS = ((2, 2, 2, 2), (3, 2, 4, 2), (2, 3, 2, 3), (4, 4, 4, 4))
@@ -49,6 +64,7 @@ EPSILONS = (0.0, 1e-6, 1e-3, 0.1)
 SETTING_LAWS = (None, ((0.4, 0.1), (0.1, 0.4)), ((0.1, 0.2), (0.3, 0.4)))
 N_MODEL_SEEDS = 60
 N_FULL = 5
+N_PAIRWISE_DRAWS = 160
 
 
 def _zero_cells(w, rng):
@@ -177,6 +193,136 @@ def no_signalling_digests() -> list:
     return out
 
 
+def _four_atom_cells(cells):
+    # (mass, p(A|C), p(B|C)) per cell -> labelled product cells "c<i>:<AB>"
+    atoms, weights, groups = [], [], []
+    for i, (mass, q, r) in enumerate(cells):
+        labels = [f"c{i}:{s}" for s in ("11", "10", "01", "00")]
+        atoms += labels
+        weights += [mass * q * r, mass * q * (1 - r), mass * (1 - q) * r, mass * (1 - q) * (1 - r)]
+        groups.append(labels)
+    a = [x for x in atoms if x.endswith(("11", "10"))]
+    b = [x for x in atoms if x.endswith(("11", "01"))]
+    return atoms, weights, a, b, groups
+
+
+def _labelled(atoms, weights, a, b, cells):
+    return _labelled_model(FiniteProbSpace(tuple(atoms), np.asarray(weights, dtype=float)), a, b, cells)
+
+
+def _shuffled(model, rng):
+    # the same model with its atoms listed in a random order
+    d = pairwise_model_to_dict(model)
+    order = rng.permutation(len(d["space"]["atoms"]))
+    atoms = [d["space"]["atoms"][k] for k in order]
+    weights = [d["space"]["weights"][k] for k in order]
+    return _labelled(atoms, weights, d["A"], d["B"], d["partition"])
+
+
+def pairwise_models():
+    """(description, model) of every pairwise case, in order."""
+    out = []
+    rng = np.random.default_rng(17)
+    for k in range(N_PAIRWISE_DRAWS):
+        n_cells = 2 + k % 15
+        eps = 0.0 if k % 10 == 0 else float(rng.uniform(0.0, 0.25))
+        seed = int(rng.integers(2**31))
+        out.append((f"draw seed={seed} n_cells={n_cells} eps={eps!r}", random_screened_model(seed, n_cells, eps)))
+    for k in range(12):
+        base = random_screened_model(100 + k, 3 + k, 0.02 * (k % 5))
+        w = base.space.weights
+        d = pairwise_model_to_dict(base)
+        # relative noise 1e-13 keeps the preconditions, 0.3 breaks screening
+        for tag, scale in (("jitter", 1e-13), ("perturbed", 0.3)):
+            noisy = w * (1.0 + scale * rng.uniform(-1.0, 1.0, w.size))
+            out.append((f"{tag} k={k}", _labelled(d["space"]["atoms"], noisy, d["A"], d["B"], d["partition"])))
+        out.append((f"shuffled k={k}", _shuffled(base, rng)))
+    for mid in (0.02, 0.1, 0.3):
+        half = (1.0 - mid) / 2.0
+        out.append((f"mid cell mass={mid}", _labelled(*_four_atom_cells([(half, 1.0, 1.0), (half, 0.0, 0.0), (mid, 0.5, 0.5)]))))
+    for eps in (0.01, 0.1):
+        q = 1.0 - eps
+        out.append((f"lower edge eps={eps}", _labelled(*_four_atom_cells([(0.5 / q, q, q), (1.0 - 0.5 / q, 0.0, 0.0)]))))
+    zero = (["a1", "a2", "z1", "z2"], [0.5, 0.5, 0.0, 0.0], ["a1"], ["a1"])
+    out.append(("zero-mass cell", _labelled(*zero, [["a1"], ["a2"], ["z1", "z2"]])))
+    out.append(("zero-mass and empty cells", _labelled(*zero, [[], ["a1"], ["z1"], ["a2"], ["z2"], []])))
+    out.append(("uneven marginals", _labelled(["ab", "none"], [0.6, 0.4], ["ab"], ["ab"], [["ab"], ["none"]])))
+    halves = ["ab", "aB", "Ab", "AB"]
+    out.append(("independent halves", _labelled(halves, [0.25] * 4, ["ab", "aB"], ["ab", "Ab"], [halves])))
+    out.append(("B empty", _labelled(["x", "y"], [0.5, 0.5], ["x"], [], [["x"], ["y"]])))
+    space = make_space([0.1, 0.2, 0.3, 0.4])
+    out.append(("integer atoms", _labelled_model(space, [0, 1], [1, 2], [[0, 3], [1], [2]])))
+    for k in range(10):
+        n = int(rng.integers(2, 12))
+        atoms = [f"x{i}" for i in rng.permutation(3 * n)]
+        weights = rng.dirichlet(np.ones(3 * n)) * (rng.uniform(size=3 * n) > 0.2)
+        weights[0] += 0.01
+        cell = rng.integers(n, size=3 * n)
+        cells = [[a for a, c in zip(atoms, cell) if c == i] for i in range(n)]
+        a = [x for x in atoms if rng.uniform() < 0.5]
+        b = [x for x in atoms if rng.uniform() < 0.5]
+        out.append((f"dense k={k}", _labelled(atoms, weights, a, b, cells)))
+    return out
+
+
+def _attempt(f):
+    try:
+        return f()
+    except WeakChError as exc:
+        return type(exc).__name__
+
+
+def _report_record(rep):
+    fields = {}
+    for name, value in vars(rep).items():
+        if isinstance(value, float):
+            value = value.hex()
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = {k: v.hex() for k, v in value.items()}
+        fields[name] = value
+    return fields
+
+
+def pairwise_record(model) -> dict:
+    d = pairwise_model_to_dict(model)
+    weights = np.ascontiguousarray(model.space.weights)
+    stats = cell_stats(model)
+    scr = model.screening()
+    return {
+        "weights": _digest(weights.tobytes()),
+        "labels": {k: d[k] for k in ("A", "B", "partition")} | {"atoms": d["space"]["atoms"]},
+        "cell_stats": {
+            "index": list(stats.index),
+            "mass": [float(x).hex() for x in stats.mass],
+            "cond_a": [float(x).hex() for x in stats.cond_a],
+            "cond_b": [float(x).hex() for x in stats.cond_b],
+            "skipped": list(stats.skipped),
+        },
+        "classes": _attempt(lambda: _report_record(classify_cells(model))),
+        "report": _attempt(lambda: _report_record(check_cause_mass_bounds(model))),
+        "report_borders": _attempt(
+            lambda: _report_record(check_cause_mass_bounds(model, border=0.05, gap_border=0.01))
+        ),
+        "epsilon": _attempt(lambda: model_epsilon(model).hex()),
+        "marginals": [prob(model.space, d[k]).hex() for k in ("A", "B")],
+        "screening": {"cell_indices": list(scr.cell_indices), "skipped_cells": list(scr.skipped_cells)},
+    }
+
+
+def pairwise_cases() -> list:
+    cases = []
+    for k, (desc, model) in enumerate(pairwise_models()):
+        rec = pairwise_record(model)
+        entry = {"case": desc, **{part: _digest(v) for part, v in rec.items()}}
+        entry["residuals"] = [r.hex() for r in model.screening().residuals]
+        if k < N_FULL:
+            entry["full"] = rec
+        cases.append(entry)
+    return cases
+
+
 def record() -> dict:
     cases = []
     for k, (desc, weights, cards) in enumerate(validator_models()):
@@ -190,6 +336,7 @@ def record() -> dict:
         "generator": generator_digests(),
         "estimate": estimate_digests(),
         "no_signalling": no_signalling_digests(),
+        "pairwise": pairwise_cases(),
     }
 
 
@@ -231,6 +378,36 @@ def test_estimates_match_the_fixture(fixture):
 
 def test_no_signalling_residuals_match_the_fixture(fixture):
     assert no_signalling_digests() == fixture["no_signalling"]
+
+
+def test_pairwise_engine_matches_the_fixture(fixture):
+    expected = fixture["pairwise"]
+    models = pairwise_models()
+    assert len(models) == len(expected)
+    for (desc, model), want in zip(models, expected):
+        assert desc == want["case"]
+        rec = pairwise_record(model)
+        if "full" in want:
+            assert rec == want["full"], desc
+        for part, value in rec.items():
+            assert _digest(value) == want[part], f"{desc}: {part}"
+        got = model.screening().residuals
+        assert len(got) == len(want["residuals"]), desc
+        for r, w in zip(got, want["residuals"]):
+            assert abs(r - float.fromhex(w)) <= 1e-15, desc
+
+
+def test_pairwise_fixture_cases_exercise_every_branch():
+    # mid, skipped and empty cells, a failed precondition, a zero
+    # conditioner and passing reports must all occur
+    recs = {desc: pairwise_record(m) for desc, m in pairwise_models()}
+    reports = [r["report"] for r in recs.values()]
+    assert any(isinstance(r, dict) and r["mid_cells"] for r in reports)
+    assert any(isinstance(r, dict) and r["lower_ok"] and r["upper_ok"] for r in reports)
+    assert "PreconditionViolated" in reports
+    assert any(r["epsilon"] == "ZeroConditioner" for r in recs.values())
+    assert any(r["cell_stats"]["skipped"] for r in recs.values())
+    assert recs["zero-mass and empty cells"]["screening"]["skipped_cells"] == [0, 2, 4, 5]
 
 
 if __name__ == "__main__":
