@@ -4,10 +4,14 @@ Singlet predictions, correction-term bounds and thresholds, verification
 engines for separate-common-cause models, extremal-angle optimization,
 counterexample search, and seeded Monte Carlo sampling with finite-sample
 inequality tests.
+
+The names below are loaded from their submodule on first use, so importing
+the package (or the closed-form commands of ``weakch.cli``) loads no numpy.
 """
 
 __version__ = "0.1.0"
 
+import importlib
 import os
 import sys
 
@@ -15,109 +19,44 @@ import sys
 # pays for itself. OpenBLAS starts one thread per core as numpy loads, and each
 # spins for about 0.1 s: a one-shot `weakch` process burns that much CPU on
 # another core, and its CPU time swings with how busy that core is. Cap the
-# pool when weakch is the first to load numpy; a value already set is kept.
+# pool when numpy is not loaded yet (weakch may load it later); a value
+# already set is kept.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .common_cause import (
-    EprbModel,
-    PairwiseCcModel,
-    ch_atom_oracle,
-    check_cause_mass_bounds,
-    classify_cells,
-    joint_cause_bounds_check,
-    random_eprb_model,
-    random_screened_model,
-    validate_loc,
-    validate_no_conspiracy,
-    validate_screening,
-)
-from .inequalities import (
-    QUANTUM_EXCESS,
-    SYMMETRIC_SETTINGS,
-    TSIRELSON_LOWER,
-    TSIRELSON_UPPER,
-    CorrectionTerms,
-    SettingProbs,
-    WeakChReport,
-    ch_expression,
-    correction_terms,
-    epsilon_thresholds,
-    evaluate_weak_ch,
-    no_signalling_residuals,
-    tsirelson_check,
-    weak_ch_bounds,
-)
-from .search import SearchConfig, SearchResult, constraint_penalty, optimize_angles, search_counterexample
-from .simulate import CountsTable, SimConfig, estimate, sample_runs, test_inequality
-from .singlet import (
-    DirectionConfig,
-    EpsilonProfile,
-    canonical_angle,
-    ch_terms,
-    ch_value,
-    epsilon_profile,
-    joint_prob,
-    marginal_prob,
-    outcome_tables,
-)
-from .spaces import (
-    FiniteProbSpace,
-    WeakChError,
-    make_space,
-    prob,
-    screening_residuals,
-)
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "common_cause": (
+            "EprbModel PairwiseCcModel ch_atom_oracle check_cause_mass_bounds classify_cells"
+            " joint_cause_bounds_check random_eprb_model random_screened_model validate_loc"
+            " validate_no_conspiracy validate_screening"
+        ),
+        "inequalities": (
+            "QUANTUM_EXCESS SYMMETRIC_SETTINGS TSIRELSON_LOWER TSIRELSON_UPPER CorrectionTerms"
+            " SettingProbs WeakChReport ch_expression correction_terms epsilon_thresholds"
+            " evaluate_weak_ch no_signalling_residuals tsirelson_check weak_ch_bounds"
+        ),
+        "search": "SearchConfig SearchResult constraint_penalty optimize_angles search_counterexample",
+        "simulate": "CountsTable SimConfig estimate sample_runs test_inequality",
+        "singlet": (
+            "DirectionConfig EpsilonProfile canonical_angle ch_terms ch_value epsilon_profile"
+            " joint_prob marginal_prob outcome_tables"
+        ),
+        "spaces": "FiniteProbSpace WeakChError make_space prob screening_residuals",
+    }.items()
+    for name in names.split()
+}
 
-__all__ = [
-    "EprbModel",
-    "PairwiseCcModel",
-    "ch_atom_oracle",
-    "check_cause_mass_bounds",
-    "classify_cells",
-    "joint_cause_bounds_check",
-    "random_eprb_model",
-    "random_screened_model",
-    "validate_loc",
-    "validate_no_conspiracy",
-    "validate_screening",
-    "QUANTUM_EXCESS",
-    "SYMMETRIC_SETTINGS",
-    "TSIRELSON_LOWER",
-    "TSIRELSON_UPPER",
-    "CorrectionTerms",
-    "SettingProbs",
-    "WeakChReport",
-    "ch_expression",
-    "correction_terms",
-    "epsilon_thresholds",
-    "evaluate_weak_ch",
-    "no_signalling_residuals",
-    "tsirelson_check",
-    "weak_ch_bounds",
-    "SearchConfig",
-    "SearchResult",
-    "constraint_penalty",
-    "optimize_angles",
-    "search_counterexample",
-    "CountsTable",
-    "SimConfig",
-    "estimate",
-    "sample_runs",
-    "test_inequality",
-    "DirectionConfig",
-    "EpsilonProfile",
-    "canonical_angle",
-    "ch_terms",
-    "ch_value",
-    "epsilon_profile",
-    "joint_prob",
-    "marginal_prob",
-    "outcome_tables",
-    "FiniteProbSpace",
-    "WeakChError",
-    "make_space",
-    "prob",
-    "screening_residuals",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS.values():  # a submodule; importing it binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Looked up on every access and never stored in this module, so a name
+    # always resolves to its submodule's current binding.
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

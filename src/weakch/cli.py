@@ -18,11 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, common_cause, search, simulate, singlet
+# Only the closed forms are imported here; the handlers that need arrays
+# import common_cause, search or simulate (and with them numpy) themselves.
+from . import __version__, singlet
 from .inequalities import (
     SettingProbs,
+    WeakChError,
+    ch_atom_oracle,
     ch_expression,
     correction_terms,
     epsilon_thresholds,
@@ -30,7 +32,6 @@ from .inequalities import (
     tsirelson_check,
     weak_ch_bounds,
 )
-from .spaces import WeakChError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,14 +57,10 @@ def _jsonable(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
         return _jsonable(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -315,6 +312,8 @@ def _residual_summary(report) -> dict:
 
 
 def _cmd_check_model(args, fmt: str) -> int:
+    from . import common_cause
+
     try:
         data = json.loads(Path(args.file).read_text())
     except (OSError, ValueError) as exc:
@@ -382,12 +381,14 @@ def _cmd_oracle(args, fmt: str) -> int:
             raise WeakChError(f"cannot read {args.file}: {exc}") from exc
     else:
         raise _UsageError("oracle needs --atoms or --file")
-    res = common_cause.ch_atom_oracle(probs)
+    res = ch_atom_oracle(probs)
     _emit(_envelope("oracle", {"atoms": list(map(float, probs))}, res), fmt)
     return EXIT_OK if res.in_bounds else EXIT_VIOLATION
 
 
 def _cmd_optimize_angles(args, fmt: str) -> int:
+    from . import search
+
     theta, value = search.optimize_angles(
         mode=args.mode, seed=args.seed, grid_size=args.grid, refine_sweeps=args.refine
     )
@@ -398,6 +399,8 @@ def _cmd_optimize_angles(args, fmt: str) -> int:
 
 
 def _cmd_search(args, fmt: str) -> int:
+    from . import search
+
     band = _parse_numbers(args.eps_band, 2, "--eps-band")
     cards = _parse_numbers(args.cards, 4, "--cards", kind=int)
     cfg = search.SearchConfig(
@@ -428,11 +431,13 @@ def _cmd_search(args, fmt: str) -> int:
 
 
 def _cmd_simulate(args, fmt: str) -> int:
+    from . import simulate
+
     theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
     sp = None
     if args.setting_probs:
         vals = _parse_numbers(args.setting_probs, 4, "--setting-probs")
-        sp = np.asarray(vals).reshape(2, 2)
+        sp = [vals[:2], vals[2:]]
     cfg = simulate.SimConfig(
         seed=args.seed,
         n=args.n,

@@ -21,10 +21,8 @@ partner-direction partitions. The joint-cause checker verifies that the
 probability of both aggregate causes stays inside the correction-term
 interval around p(+,+|ab).
 
-The 16-atom enumeration oracle for the CH expression also lives here: it
-computes the six marginals from an explicit distribution over the four
-events and their complements, and cross-checks the expression against the
-complement-sum identity that proves the [-1, 0] range.
+The 16-atom enumeration oracle for the CH expression (ch_atom_oracle) is
+re-exported from inequalities, where it needs no numpy.
 """
 
 from __future__ import annotations
@@ -36,10 +34,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import singlet
-from .inequalities import (
+from .inequalities import (  # the oracle names are re-exported
+    _NEGATIVE_ATOMS,
     CH_PAIRS,
+    OracleResult,
+    UnnormalizedInput,
     WeakChReport,
     _smaller_root,
+    ch_atom_oracle,
     ch_expression,
     correction_terms,
     evaluate_weak_ch,
@@ -68,10 +70,6 @@ class PreconditionViolated(WeakChError):
 
 class GenerationFailed(WeakChError):
     """The random model generator could not satisfy its target."""
-
-
-class UnnormalizedInput(WeakChError):
-    """An explicit atom distribution is not normalized."""
 
 
 class BadModel(WeakChError):
@@ -426,58 +424,6 @@ def pairwise_model_to_dict(model: PairwiseCcModel) -> dict:
 
 def pairwise_model_from_dict(data: dict) -> PairwiseCcModel:
     return _labelled_model(space_from_dict(data["space"]), data["A"], data["B"], data["partition"])
-
-
-# ---------------------------------------------------------------------------
-# 16-atom CH oracle
-# ---------------------------------------------------------------------------
-
-
-# Atom index bits are (A, A', B, B'), most significant first; bit 1 means the
-# event occurs. These eight atoms are exactly the ones the CH combination
-# counts with weight -1.
-_NEGATIVE_ATOMS = (1, 3, 6, 7, 8, 9, 12, 14)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: float
-    identity_value: float
-    in_bounds: bool
-
-
-def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> OracleResult:
-    """Evaluate the CH combination on an explicit 16-atom distribution.
-
-    Computes the six marginals from the atoms, evaluates the combination,
-    and independently recomputes it as minus the mass of the eight
-    negatively-counted atoms. Because those eight atoms are distinct, the
-    combination of any normalized distribution lies in [-1, 0]; in_bounds
-    reports that check at 1e-12.
-    """
-    p = [float(v) for v in atom_probs]
-    if len(p) != 16:
-        raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
-    if not all(math.isfinite(v) for v in p):
-        raise UnnormalizedInput(f"non-finite atom probability in {p}")
-    if min(p) < -1e-12:
-        raise UnnormalizedInput(f"negative atom probability {min(p)}")
-    total = math.fsum(p)
-    if abs(total - 1.0) > atol:
-        raise UnnormalizedInput(f"atom probabilities sum to {total!r}, not 1")
-
-    # A, A', B, B' stand for directions 1, 2, 3, 4, so p13 = p(AB).
-    value = ch_expression({
-        "p13": p[10] + p[11] + p[14] + p[15],
-        "p14": p[9] + p[11] + p[13] + p[15],
-        "p24": p[5] + p[7] + p[13] + p[15],
-        "p23": p[6] + p[7] + p[14] + p[15],
-        "p1_plus": p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15],
-        "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
-    })
-    identity = -sum(p[i] for i in _NEGATIVE_ATOMS)
-    in_bounds = -1.0 - 1e-12 <= value <= 1e-12
-    return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,22 @@ The weakened bounds are
 which reduce to the strict CH interval [-1, 0] at eps = 0. This module
 also solves for the largest eps at which the extremal quantum value still
 violates each bound, checks the quantum (Tsirelson) interval
-[-(sqrt(2)+1)/2, (sqrt(2)-1)/2], and computes no-signalling residuals of
-per-setting-pair outcome tables.
+[-(sqrt(2)+1)/2, (sqrt(2)-1)/2], computes no-signalling residuals of
+per-setting-pair outcome tables, and evaluates the combination on an
+explicit distribution over the 16 atoms of the four events and their
+complements, cross-checked against the complement-sum identity that proves
+the [-1, 0] range. It needs only the standard library; numpy is imported
+by the one function that takes arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .spaces import WeakChError
+if TYPE_CHECKING:
+    import numpy as np
 
 TSIRELSON_LOWER = -(math.sqrt(2.0) + 1.0) / 2.0
 TSIRELSON_UPPER = (math.sqrt(2.0) - 1.0) / 2.0
@@ -48,6 +52,10 @@ QUANTUM_EXCESS = TSIRELSON_UPPER
 VIOLATION_ATOL = 1e-12
 
 
+class WeakChError(Exception):
+    """Base class for domain errors raised by this package."""
+
+
 class BadEpsilon(WeakChError):
     """Deficit outside [0, 1]."""
 
@@ -58,6 +66,10 @@ class BadSettingProbs(WeakChError):
 
 class UnnormalizedTable(WeakChError):
     """A per-setting-pair outcome table does not sum to one."""
+
+
+class UnnormalizedInput(WeakChError):
+    """An explicit atom distribution is not normalized."""
 
 
 @dataclass(frozen=True)
@@ -266,6 +278,8 @@ def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[f
     setting marginals. All residuals vanish exactly when the far setting
     cannot influence the near marginal.
     """
+    import numpy as np
+
     t = np.asarray(tables, dtype=float)
     if t.ndim != 4 or t.shape[2:] != (2, 2):
         raise UnnormalizedTable("tables must have shape (n_a, n_b, 2, 2)")
@@ -288,3 +302,50 @@ def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[f
 def tsirelson_check(value: float, *, atol: float = 1e-12) -> bool:
     """True iff value lies in the quantum interval, within tolerance."""
     return TSIRELSON_LOWER - atol <= float(value) <= TSIRELSON_UPPER + atol
+
+
+# Atom index bits are (A, A', B, B'), most significant first; bit 1 means the
+# event occurs. These eight atoms are exactly the ones the CH combination
+# counts with weight -1.
+_NEGATIVE_ATOMS = (1, 3, 6, 7, 8, 9, 12, 14)
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    value: float
+    identity_value: float
+    in_bounds: bool
+
+
+def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> OracleResult:
+    """Evaluate the CH combination on an explicit 16-atom distribution.
+
+    Computes the six marginals from the atoms, evaluates the combination,
+    and independently recomputes it as minus the mass of the eight
+    negatively-counted atoms. Because those eight atoms are distinct, the
+    combination of any normalized distribution lies in [-1, 0]; in_bounds
+    reports that check at 1e-12.
+    """
+    p = [float(v) for v in atom_probs]
+    if len(p) != 16:
+        raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
+    if not all(math.isfinite(v) for v in p):
+        raise UnnormalizedInput(f"non-finite atom probability in {p}")
+    if min(p) < -1e-12:
+        raise UnnormalizedInput(f"negative atom probability {min(p)}")
+    total = math.fsum(p)
+    if abs(total - 1.0) > atol:
+        raise UnnormalizedInput(f"atom probabilities sum to {total!r}, not 1")
+
+    # A, A', B, B' stand for directions 1, 2, 3, 4, so p13 = p(AB).
+    value = ch_expression({
+        "p13": p[10] + p[11] + p[14] + p[15],
+        "p14": p[9] + p[11] + p[13] + p[15],
+        "p24": p[5] + p[7] + p[13] + p[15],
+        "p23": p[6] + p[7] + p[14] + p[15],
+        "p1_plus": p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15],
+        "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
+    })
+    identity = -sum(p[i] for i in _NEGATIVE_ATOMS)
+    in_bounds = -1.0 - 1e-12 <= value <= 1e-12
+    return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)

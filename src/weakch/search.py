@@ -83,6 +83,8 @@ def optimize_angles(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
+    if refine_sweeps < 0:
+        raise ValueError(f"refine_sweeps must be nonnegative, got {refine_sweeps}")
     sign = 1.0 if mode == "min" else -1.0
 
     pts = TAU * np.arange(grid_size) / grid_size

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .inequalities import ch_expression
+
+if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -68,6 +69,8 @@ def marginal_prob(outcome: Sign) -> float:
 
 def outcome_table(phi: float) -> np.ndarray:
     """2x2 table of joint outcome probabilities, indexed [a_out, b_out] with 0='+'."""
+    import numpy as np
+
     half = 0.5 * canonical_angle(phi)
     s = 0.5 * math.sin(half) ** 2
     c = 0.5 * math.cos(half) ** 2
@@ -76,6 +79,8 @@ def outcome_table(phi: float) -> np.ndarray:
 
 def outcome_tables(alice: Sequence[float], bob: Sequence[float]) -> np.ndarray:
     """Per-setting-pair joint outcome tables, shape (n_alice, n_bob, 2, 2)."""
+    import numpy as np
+
     out = np.empty((len(alice), len(bob), 2, 2))
     for i, a in enumerate(alice):
         for j, b in enumerate(bob):
@@ -149,6 +154,8 @@ def epsilon_profile(
     tables directly (cond_ab[i, j] = p(+_a | -_b), cond_ba[i, j] =
     p(+_b | -_a)) so that perturbed, non-quantum worlds can be profiled.
     """
+    import numpy as np
+
     if cond_ab is None and cond_ba is None:
         if cfg is None:
             raise ValueError("need a DirectionConfig or conditional tables")

@@ -18,9 +18,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-
-class WeakChError(Exception):
-    """Base class for domain errors raised by this package."""
+from .inequalities import WeakChError  # re-exported: the package's base error
 
 
 class EmptySpace(WeakChError):

@@ -370,18 +370,67 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Commands that compute closed forms with math alone.
+_CLOSED_FORM_COMMANDS = [
+    ["thresholds"],
+    ["bounds", "--epsilon", "1e-4"],
+    ["check", "--value", "-0.5", "--epsilon", "1e-3"],
+    ["predict", "--angles", LOWER],
+    ["oracle", "--file", str(GOLDEN / "atoms.json")],
+]
+
+
+def _fresh_cli(argv, env=None):
+    """Run main(argv) in a fresh interpreter; the last stdout line is
+    'exit code, loaded numpy/scipy roots, OPENBLAS_NUM_THREADS, thread count'."""
+    code = (
+        "import json, os, sys, weakch.cli\n"
+        "code = weakch.cli.main(json.loads(sys.argv[1]))\n"
+        "heavy = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+        "print(json.dumps([code, heavy, os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", _CLOSED_FORM_COMMANDS, ids=lambda argv: argv[0])
+def test_closed_form_commands_load_no_numpy(argv):
+    code, heavy, _, _ = _fresh_cli(argv)
+    assert code == 0
+    assert heavy == []
+
+
+def test_array_commands_still_load_numpy():
+    # the check above can fail: a command that builds arrays loads numpy
+    code, heavy, _, _ = _fresh_cli(["check-model", "--file", str(GOLDEN / "eprb_model.json")])
+    assert code == 0
+    assert heavy == ["numpy"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads through /proc")
 def test_cli_process_starts_no_blas_threads():
-    # OpenBLAS threads spin as numpy loads; a one-shot process must not start them.
-    code = "import os, weakch.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    # OpenBLAS threads spin as numpy loads; a one-shot process must not start
+    # them, also when numpy loads only inside a handler.
+    argv = ["check-model", "--file", str(GOLDEN / "eprb_model.json")]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1"]
+    code, heavy, blas, tasks = _fresh_cli(argv, env)
+    assert (code, heavy, blas, tasks) == (0, ["numpy"], "1", 1)
     env["OPENBLAS_NUM_THREADS"] = "2"  # a caller's own setting is kept
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] == "2"
+    code, heavy, blas, _ = _fresh_cli(argv, env)
+    assert (code, heavy, blas) == (0, ["numpy"], "2")
+
+
+def test_optimize_angles_rejects_negative_refine(capsys):
+    code, env, err = run_json(capsys, "optimize-angles", "--grid", "8", "--refine", "-1")
+    assert code == 2
+    assert env["command"] == "optimize-angles"
+    assert "refine_sweeps" in env["error"] and "refine_sweeps" in err
 
 
 def test_check_rejects_nonfinite_value(capsys):

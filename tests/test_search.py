@@ -67,6 +67,14 @@ def test_optimizer_rejects_small_grid():
         optimize_angles(grid_size=4)
 
 
+def test_optimizer_rejects_negative_refine_sweeps():
+    # range(-1) would silently run no sweep
+    with pytest.raises(ValueError, match="refine_sweeps"):
+        optimize_angles(grid_size=8, refine_sweeps=-1)
+    _, value = optimize_angles(grid_size=8, refine_sweeps=0)  # grid points only
+    assert TSIRELSON_LOWER - 1e-12 <= value <= TSIRELSON_UPPER + 1e-12
+
+
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("grid,seed", [(8, 0), (12, 1), (16, 2)])
 def test_optimizer_value_stays_in_quantum_interval(mode, grid, seed):
