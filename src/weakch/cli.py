@@ -323,10 +323,9 @@ def _cmd_check_model(args, fmt: str) -> int:
     tol = common_cause.PRECONDITION_TOL
 
     if isinstance(model, common_cause.EprbModel):
-        prof = model.profile()
         loc = common_cause.validate_loc(model)
         nc = common_cause.validate_no_conspiracy(model)
-        scr = common_cause.validate_screening(model, prof)
+        scr = common_cause.validate_screening(model)
         result = {
             "cause_cards": list(model.cause_cards),
             "validators": {
@@ -334,14 +333,14 @@ def _cmd_check_model(args, fmt: str) -> int:
                 "no_conspiracy": _residual_summary(nc),
                 "screening": _residual_summary(scr),
             },
-            "epsilon_profile": prof.as_dict(),
+            "epsilon_profile": model.profile(),
         }
         if max(loc.max_abs, nc.max_abs, scr.max_abs) > tol:
             result["status"] = "precondition_failed"
             _emit(_envelope("check-model", inputs, result), fmt)
             return EXIT_VALIDATION
         # the three preconditions of joint_cause_bounds_check passed just above
-        joint = common_cause._joint_cause_bounds(model, model.outcome_tables(), prof)
+        joint = common_cause._joint_cause_bounds(model)
         weak = model.weak_report()
         result["joint_cause_bounds"] = joint
         result["weak_report"] = weak.as_dict()
@@ -443,7 +442,7 @@ def _cmd_simulate(args, fmt: str) -> int:
         n=args.n,
         theta=tuple(theta),
         setting_probs=sp,
-        source=args.model if args.model else "singlet",
+        source=simulate.load_model(args.model) if args.model else "singlet",
     )
     table = simulate.sample_runs(cfg)
     est = simulate.estimate(table)

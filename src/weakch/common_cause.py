@@ -27,6 +27,7 @@ re-exported from inequalities, where it needs no numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -468,19 +469,13 @@ def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return w.sum(axis=axes)
 
 
-def _tables_profile(t: np.ndarray) -> singlet.EpsilonProfile:
-    # Deficit profile of per-setting-pair outcome tables t[a, b, A, B].
-    denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
-    denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond_ab = np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
-        cond_ba = np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
-    return singlet.epsilon_profile(cond_ab=cond_ab, cond_ba=cond_ba)
-
-
 @dataclass(frozen=True, eq=False)
 class EprbModel:
-    """Joint distribution over settings, outcomes, and four cause variables."""
+    """Joint distribution over settings, outcomes, and four cause variables.
+
+    Its setting law, outcome tables and deficit profile are computed once
+    (the last two on first use) and are read-only.
+    """
 
     weights: np.ndarray
     cause_cards: tuple[int, int, int, int]
@@ -504,41 +499,51 @@ class EprbModel:
         if np.any(pair <= 0.0):
             raise BadModel("every setting pair needs positive probability")
         w.flags.writeable = False
+        pair.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cause_cards", cards)
+        object.__setattr__(self, "_setting_probs", pair)
 
-    # -- structural helpers -------------------------------------------------
+    @functools.cached_property
+    def _outcome_tables(self) -> np.ndarray:
+        joint = _marginal(self.weights, (0, 1, 2, 3))
+        t = joint / joint.sum(axis=(2, 3), keepdims=True)
+        t.flags.writeable = False
+        return t
+
+    @functools.cached_property
+    def _profile(self) -> singlet.EpsilonProfile:
+        t = self._outcome_tables
+        denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
+        denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond_ab = np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
+            cond_ba = np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
+        return singlet.epsilon_profile(cond_ab=cond_ab, cond_ba=cond_ba)
 
     def setting_probs(self) -> np.ndarray:
-        return _marginal(self.weights, (0, 1))
+        return self._setting_probs
 
     def outcome_tables(self) -> np.ndarray:
-        joint = _marginal(self.weights, (0, 1, 2, 3))
-        pair = joint.sum(axis=(2, 3), keepdims=True)
-        return joint / pair
+        return self._outcome_tables
 
     def profile(self) -> singlet.EpsilonProfile:
-        return _tables_profile(self.outcome_tables())
+        return self._profile
 
-    def alice_plus(self, a: int) -> float:
+    def plus_prob(self, wing: int, setting: int) -> float:
+        """p(+ | own setting) on one wing, 0 for Alice and 1 for Bob."""
         w = self.weights
-        num = float(_marginal(w, (0, 2))[a, 0])
-        den = float(_marginal(w, (0,))[a])
-        return num / den
-
-    def bob_plus(self, b: int) -> float:
-        w = self.weights
-        num = float(_marginal(w, (1, 3))[b, 0])
-        den = float(_marginal(w, (1,))[b])
+        num = float(_marginal(w, (wing, 2 + wing))[setting, 0])
+        den = float(_marginal(w, (wing,))[setting])
         return num / den
 
     def weak_report(self, *, eps_override: float | None = None) -> WeakChReport:
         t = self.outcome_tables()
-        eps = _tables_profile(t).eps_global if eps_override is None else float(eps_override)
+        eps = self.profile().eps_global if eps_override is None else float(eps_override)
         bounds = weak_ch_bounds(eps, pair_settings(self.setting_probs()))
         terms = {name: float(t[a, b, 0, 0]) for name, (a, b) in CH_PAIRS.items()}
-        terms["p1_plus"] = self.alice_plus(0)
-        terms["p4_plus"] = self.bob_plus(1)
+        terms["p1_plus"] = self.plus_prob(0, 0)
+        terms["p4_plus"] = self.plus_prob(1, 1)
         return evaluate_weak_ch(ch_expression(terms), bounds, eps, terms=terms)
 
     def to_dict(self) -> dict:
@@ -640,9 +645,7 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     return ResidualReport(tuple(labels), tuple(residuals), tuple())
 
 
-def validate_screening(
-    model: EprbModel, profile: singlet.EpsilonProfile | None = None
-) -> ResidualReport:
+def validate_screening(model: EprbModel) -> ResidualReport:
     """Screening residuals of the partner-direction cause partitions.
 
     For each direction with its partner direction on the far wing, the
@@ -650,7 +653,7 @@ def validate_screening(
     wing, - on the far wing) inside their setting pair. Partners come from
     the model's own conditional tables, not from any quantum formula.
     """
-    prof = model.profile() if profile is None else profile
+    prof = model.profile()
     w = model.weights
     labels: list[str] = []
     residuals: list[float] = []
@@ -688,12 +691,8 @@ class AggregateCause:
     epsilon_dir: float
 
 
-def _aggregate(model: EprbModel, side: str, direction: int, prof: singlet.EpsilonProfile) -> AggregateCause:
-    if side not in ("alice", "bob") or direction not in (0, 1):
-        raise ValueError(
-            f"side must be 'alice' or 'bob' and direction 0 or 1, got {side!r}, {direction!r}"
-        )
-    row = _WINGS[2 * (side == "bob") + int(direction)]
+def _aggregate(model: EprbModel, row: _Wing) -> AggregateCause:
+    prof = model.profile()
     eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
     s = _marginal(model.weights[row.index], (1 + row.wing, 3 + row.cause))  # (out, cell)
     cutoff = 1.0 - math.sqrt(eps_dir)
@@ -703,7 +702,7 @@ def _aggregate(model: EprbModel, side: str, direction: int, prof: singlet.Epsilo
         for i in range(model.cause_cards[row.cause])
         if denom[i] > 0.0 and s[0, i] / denom[i] >= cutoff - 1e-12
     ]
-    return AggregateCause(side, direction, tuple(cells), cutoff, eps_dir)
+    return AggregateCause(row.side, row.setting, tuple(cells), cutoff, eps_dir)
 
 
 @dataclass(frozen=True)
@@ -753,36 +752,31 @@ def joint_cause_bounds_check(
         raise PreconditionViolated(
             f"setting-independence residual {nc.max_abs:.3e} exceeds {tol:.1e}"
         )
-    t = model.outcome_tables()
-    prof = _tables_profile(t)
-    scr = validate_screening(model, prof)
+    scr = validate_screening(model)
     if scr.max_abs > tol:
         raise PreconditionViolated(f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}")
-    return _joint_cause_bounds(model, t, prof, eps_override=eps_override, tol=tol)
+    return _joint_cause_bounds(model, eps_override=eps_override, tol=tol)
 
 
 def _joint_cause_bounds(
     model: EprbModel,
-    t: np.ndarray,
-    prof: singlet.EpsilonProfile,
     *,
     eps_override: float | None = None,
     tol: float = PRECONDITION_TOL,
 ) -> JointCauseReport:
     # The bounds part of joint_cause_bounds_check, for a caller that has
-    # already checked its three validator preconditions at tol; t and prof
-    # are the model's outcome tables and their deficit profile.
-    eps = prof.eps_global if eps_override is None else float(eps_override)
-    agg_a = [_aggregate(model, "alice", d, prof) for d in (0, 1)]
-    agg_b = [_aggregate(model, "bob", d, prof) for d in (0, 1)]
+    # already checked its three validator preconditions at tol.
+    t = model.outcome_tables()
+    eps = model.profile().eps_global if eps_override is None else float(eps_override)
+    agg = [_aggregate(model, row) for row in _WINGS]
     settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
     pairs = []
     for ai in (0, 1):
         for bj in (0, 1):
             ct = correction_terms(eps, settings[ai, bj])
             cc = _marginal(model.weights, (4 + ai, 6 + bj))
-            sel_a = list(agg_a[ai].cells)
-            sel_b = list(agg_b[bj].cells)
+            sel_a = list(agg[ai].cells)
+            sel_b = list(agg[2 + bj].cells)
             p_cc = float(cc[np.ix_(sel_a, sel_b)].sum()) if sel_a and sel_b else 0.0
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
@@ -799,8 +793,8 @@ def _joint_cause_bounds(
     return JointCauseReport(
         epsilon=eps,
         pairs=tuple(pairs),
-        alice_cells=(agg_a[0].cells, agg_a[1].cells),
-        bob_cells=(agg_b[0].cells, agg_b[1].cells),
+        alice_cells=(agg[0].cells, agg[1].cells),
+        bob_cells=(agg[2].cells, agg[3].cells),
     )
 
 
@@ -839,7 +833,7 @@ def random_eprb_model(
             raise BadModel("setting_probs must be a strictly positive 2x2 table")
         sp = sp / sp.sum()
 
-    splits = []
+    splits = []  # per cause variable: the (cells, law) group of each hidden pattern
     for card in cards:
         g0_size = int(rng.integers(1, card))
         perm = rng.permutation(card)
@@ -847,18 +841,20 @@ def random_eprb_model(
         idx1 = np.sort(perm[g0_size:])
         w0 = rng.dirichlet(np.full(idx0.size, 2.0))
         w1 = rng.dirichlet(np.full(idx1.size, 2.0))
-        splits.append((idx0, w0, idx1, w1))
+        splits.append(((idx0, w0), (idx1, w1)))
+    group_vecs = [[np.zeros(card) for card in cards] for _ in (0, 1)]  # [pattern][cause]
+    for x, groups in enumerate(splits):
+        for z, (idx, law) in enumerate(groups):
+            group_vecs[z][x][idx] = law
 
     delta = 0.45 * epsilon_target
     for _ in range(6):
-        plus = []
-        for x in range(4):
-            idx0, w0, idx1, w1 = splits[x]
-            vec = np.zeros(cards[x])
-            if x < 2:
-                des_idx, des_w, oth_idx, oth_w = idx0, w0, idx1, w1
-            else:
-                des_idx, des_w, oth_idx, oth_w = idx1, w1, idx0, w0
+        kernels = []  # (outcome, cell) per direction
+        for row in _WINGS:
+            # Alice's directions favour pattern 0, Bob's pattern 1
+            des_idx, des_w = splits[row.cause][row.wing]
+            oth_idx, oth_w = splits[row.cause][1 - row.wing]
+            vec = np.zeros(cards[row.cause])
             if delta == 0.0:
                 vec[des_idx] = 1.0
             else:
@@ -869,22 +865,8 @@ def random_eprb_model(
                 e_raw = e_raw * (md / me)
                 vec[des_idx] = 1.0 - d_raw
                 vec[oth_idx] = e_raw
-            plus.append(vec)
+            kernels.append(np.stack([vec, 1.0 - vec]))
 
-        group_vecs = []
-        for z in (0, 1):
-            per_var = []
-            for x in range(4):
-                idx0, w0, idx1, w1 = splits[x]
-                full = np.zeros(cards[x])
-                if z == 0:
-                    full[idx0] = w0
-                else:
-                    full[idx1] = w1
-                per_var.append(full)
-            group_vecs.append(per_var)
-
-        kernels = [np.stack([p, 1.0 - p]) for p in plus]  # (outcome, cell) per direction
         w = np.zeros((2, 2, 2, 2, *cards))
         for z in (0, 1):
             for a in (0, 1):

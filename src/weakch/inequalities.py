@@ -69,7 +69,7 @@ class UnnormalizedTable(WeakChError):
 
 
 class UnnormalizedInput(WeakChError):
-    """An explicit atom distribution is not normalized."""
+    """An explicit atom distribution is malformed or not normalized."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,12 @@ def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> Oracle
     combination of any normalized distribution lies in [-1, 0]; in_bounds
     reports that check at 1e-12.
     """
-    p = [float(v) for v in atom_probs]
+    if isinstance(atom_probs, str):  # its characters would read as digits
+        raise UnnormalizedInput(f"need a sequence of 16 real numbers, got the string {atom_probs!r}")
+    try:
+        p = [float(v) for v in atom_probs]
+    except (TypeError, ValueError) as exc:  # a number, null, nested lists
+        raise UnnormalizedInput(f"need a sequence of 16 real numbers: {exc}") from exc
     if len(p) != 16:
         raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
     if not all(math.isfinite(v) for v in p):

@@ -116,7 +116,7 @@ def _penalty_terms(model: EprbModel):
     # them; each validator runs only when its term is asked for.
     yield _square_sum(validate_loc(model))
     yield _square_sum(validate_no_conspiracy(model))
-    yield _square_sum(validate_screening(model, model.profile()))
+    yield _square_sum(validate_screening(model))
 
 
 def constraint_penalty(model: EprbModel) -> float:

@@ -38,7 +38,7 @@ class UndefinedEstimate(WeakChError):
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Run count, directions, setting distribution, and outcome source."""
+    """Run count, directions, setting distribution, and outcome source ("singlet" or an EprbModel)."""
 
     seed: int
     n: int
@@ -51,6 +51,8 @@ class SimConfig:
             raise WeakChError(f"n must be at least 1, got {self.n}")
         if self.seed < 0:
             raise WeakChError("seed must be nonnegative")
+        if not (isinstance(self.source, EprbModel) or self.source == "singlet"):
+            raise WeakChError(f"source must be 'singlet' or an EprbModel, got {self.source!r}")
         theta = tuple(float(t) for t in self.theta)
         if len(theta) != 4:
             raise WeakChError("theta must hold exactly four angles")
@@ -93,15 +95,6 @@ def load_model(path: str | Path) -> EprbModel:
     return model
 
 
-def _outcome_tables(cfg: SimConfig) -> np.ndarray:
-    if isinstance(cfg.source, EprbModel):
-        return cfg.source.outcome_tables()
-    if cfg.source == "singlet":
-        t1, t2, t3, t4 = cfg.theta
-        return singlet.outcome_tables((t1, t2), (t3, t4))
-    return load_model(cfg.source).outcome_tables()
-
-
 def sample_runs(cfg: SimConfig) -> CountsTable:
     """Draw cfg.n independent runs; deterministic for a given seed.
 
@@ -110,7 +103,10 @@ def sample_runs(cfg: SimConfig) -> CountsTable:
     exact multinomials chunk by chunk, which realizes the same law as
     run-by-run sampling while keeping shard merges order-independent.
     """
-    tables = _outcome_tables(cfg)
+    if isinstance(cfg.source, EprbModel):
+        tables = cfg.source.outcome_tables()
+    else:
+        tables = singlet.outcome_tables(cfg.theta[:2], cfg.theta[2:])
     sp_flat = cfg.setting_probs.ravel()
     out = np.zeros((4, 4), dtype=np.int64)
     remaining = cfg.n
@@ -246,11 +242,12 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
     se = math.sqrt(sum(s * s for s in ses.values()))
     lower, upper = weak_ch_bounds(epsilon, pair_settings(est.setting_probs))
 
-    margin_lower = math.inf if se == 0.0 else (lower - value) / se
-    margin_upper = math.inf if se == 0.0 else (value - upper) / se
     if se == 0.0:
         margin_lower = math.copysign(math.inf, lower - value) if lower != value else 0.0
         margin_upper = math.copysign(math.inf, value - upper) if value != upper else 0.0
+    else:
+        margin_lower = (lower - value) / se
+        margin_upper = (value - upper) / se
     return SampleTest(
         value=value,
         se=se,

@@ -124,17 +124,6 @@ class EpsilonProfile:
     partner_b: np.ndarray
     eps_global: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps_ab": self.eps_ab.tolist(),
-            "eps_ba": self.eps_ba.tolist(),
-            "eps_a": self.eps_a.tolist(),
-            "partner_a": self.partner_a.tolist(),
-            "eps_b": self.eps_b.tolist(),
-            "partner_b": self.partner_b.tolist(),
-            "eps_global": float(self.eps_global),
-        }
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

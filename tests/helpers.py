@@ -78,7 +78,7 @@ def ordered_penalty(model: EprbModel) -> float:
     for rep in (
         validate_loc(model),
         validate_no_conspiracy(model),
-        validate_screening(model, model.profile()),
+        validate_screening(model),
     ):
         total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
     return total

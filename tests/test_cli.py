@@ -263,6 +263,20 @@ def test_simulate_cli_json(capsys):
     assert counts.sum() == 50000
 
 
+
+def test_simulate_samples_a_model_file_named_singlet(capsys, tmp_path, monkeypatch):
+    # "singlet" is also the name of the formula source; a file of that name
+    # must still be read as the model
+    from weakch import simulate
+
+    (tmp_path / "singlet").write_text((GOLDEN / "eprb_model.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--seed", "2", "--n", "20000", "--angles", LOWER, "--epsilon", "0", "--model", "singlet"]
+    code, env, _ = run_json(capsys, *argv)
+    cfg = simulate.SimConfig(seed=2, n=20000, theta=env["inputs"]["angles"], source=simulate.load_model("singlet"))
+    assert env["result"]["counts"] == simulate.sample_runs(cfg).counts.tolist()
+    assert code == 0
+
 def test_simulate_tests_against_the_sampled_setting_law(capsys):
     # uneven settings widen the interval: pairs 14 and 23 carry p(ab) = 0.1
     code, env, _ = run_json(
@@ -452,6 +466,22 @@ def test_oracle_rejects_nonfinite_atoms(capsys, tmp_path):
     assert code == 2
     assert "non-finite" in env["error"]
 
+
+
+@pytest.mark.parametrize(
+    "document",
+    ["3", "null", json.dumps([[0.0625]] * 16), '"1000000000000000"'],
+    ids=["number", "null", "nested_lists", "digit_string"],
+)
+def test_oracle_rejects_a_file_that_is_not_a_list_of_numbers(capsys, tmp_path, document):
+    # a bare string would be read character by character as sixteen digits
+    atoms_file = tmp_path / "atoms.json"
+    atoms_file.write_text(document)
+    code, out, err = run(capsys, "oracle", "--file", str(atoms_file))
+    assert code == 2
+    env = json.loads(out)
+    assert env["command"] == "oracle" and "16 real numbers" in env["error"]
+    assert "Traceback" not in err
 
 def test_check_model_rejects_nan_weight(capsys, tmp_path):
     joint = random_eprb_model(2, (2, 2, 2, 2), 1e-3).to_dict()

@@ -13,6 +13,7 @@ from weakch.common_cause import (
     PairwiseCcModel,
     PreconditionViolated,
     UnnormalizedInput,
+    _WINGS,
     _aggregate,
     _deficit_scale,
     _labelled_model,
@@ -31,6 +32,7 @@ from weakch.common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
+from weakch import singlet
 from weakch.spaces import BadPartition, FiniteProbSpace, ForeignEvent, ZeroConditioner, make_space
 
 
@@ -428,10 +430,9 @@ def test_generated_model_passes_all_validators():
         assert validate_screening(m).max_abs <= 1e-12
         prof = m.profile()
         assert 0.0 < prof.eps_global <= target * (1 + 1e-9)
-        for a in (0, 1):
-            assert m.alice_plus(a) == pytest.approx(0.5, abs=1e-12)
-        for b in (0, 1):
-            assert m.bob_plus(b) == pytest.approx(0.5, abs=1e-12)
+        for wing in (0, 1):
+            for setting in (0, 1):
+                assert m.plus_prob(wing, setting) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_generated_model_is_deterministic():
@@ -539,6 +540,28 @@ def test_screening_detects_bob_reading_a_foreign_cause():
     assert max(abs(r) for r in others) <= 1e-12
 
 
+
+def test_full_check_profiles_the_model_once(monkeypatch):
+    # generation, the three validators, the joint-cause check and the weak
+    # report all read the one deficit profile the model computes
+    calls = []
+    profile = singlet.epsilon_profile
+    monkeypatch.setattr(singlet, "epsilon_profile", lambda **kw: calls.append(1) or profile(**kw))
+    m = random_eprb_model(7, (2, 3, 2, 2), 1e-3)
+    for check in (validate_loc, validate_no_conspiracy, validate_screening, joint_cause_bounds_check):
+        check(m)
+    m.weak_report()
+    assert len(calls) == 1
+
+
+def test_memoised_model_tables_reject_writes():
+    m = random_eprb_model(8, (2, 2, 2, 2), 1e-3)
+    assert m.outcome_tables() is m.outcome_tables() and m.profile() is m.profile()
+    for table in (m.setting_probs(), m.outcome_tables(), m.profile().eps_ab):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+    assert np.array_equal(m.setting_probs(), m.weights.sum(axis=(2, 3, 4, 5, 6, 7)))
+
 def test_aggregate_cause_includes_forcing_and_boundary_cells():
     # first variable has a sure cell, a boundary cell with conditional
     # exactly 1 - sqrt(eps), and an opposite-group cell; the boundary cell
@@ -552,9 +575,8 @@ def test_aggregate_cause_includes_forcing_and_boundary_cells():
     cause[2, 1, 1, 1] = 0.5
     plus = [(1.0, 1.0 - root, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     m = build_product_model(uniform_settings(), cause, plus)
-    prof = m.profile()
-    assert prof.eps_a[0] == pytest.approx(t, rel=1e-9)
-    agg = _aggregate(m, "alice", 0, prof)
+    assert m.profile().eps_a[0] == pytest.approx(t, rel=1e-9)
+    agg = _aggregate(m, _WINGS[0])
     assert 0 in agg.cells  # conditional exactly 1
     assert 1 in agg.cells  # conditional exactly at the cutoff
     assert 2 not in agg.cells
@@ -570,11 +592,10 @@ def test_aggregate_cause_empty_when_cells_uninformative():
     cause[1, 1, 1, 1] = 0.25
     plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     m = build_product_model(uniform_settings(), cause, plus, attach=(1, 1, 2, 3))
-    prof = m.profile()
-    assert prof.eps_a[0] == 0.0
-    agg = _aggregate(m, "alice", 0, prof)
+    assert m.profile().eps_a[0] == 0.0
+    agg = _aggregate(m, _WINGS[0])
     assert agg.cells == ()
-    agg2 = _aggregate(m, "alice", 1, prof)
+    agg2 = _aggregate(m, _WINGS[1])
     assert agg2.cells == (0,)
 
 

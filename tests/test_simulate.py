@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
-from weakch.common_cause import random_eprb_model
+from weakch.common_cause import pairwise_model_to_dict, random_eprb_model, random_screened_model
 from weakch.inequalities import TSIRELSON_LOWER
 from weakch.spaces import WeakChError
 
@@ -123,7 +123,7 @@ def test_sampling_from_model_file(tmp_path):
     model = random_eprb_model(15, (2, 2, 2, 2), 0.0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model.to_dict()))
-    cfg = sim.SimConfig(seed=3, n=5000, source=str(path))
+    cfg = sim.SimConfig(seed=3, n=5000, source=sim.load_model(path))
     table = sim.sample_runs(cfg)
     # perfect anticorrelation: equal-sign outcomes never occur
     assert table.counts[:, :, 0, 0].sum() == 0
@@ -135,5 +135,45 @@ def test_bad_model_file(tmp_path):
     path.write_text("{\"type\": \"eprb\"}")
     with pytest.raises(sim.BadModelFile):
         sim.load_model(path)
+    pairwise = tmp_path / "pairwise.json"
+    pairwise.write_text(json.dumps(pairwise_model_to_dict(random_screened_model(2, 4, 0.01))))
     with pytest.raises(sim.BadModelFile):
-        sim.sample_runs(sim.SimConfig(seed=1, n=10, source=str(path)))
+        sim.load_model(pairwise)
+
+
+def test_source_is_the_singlet_or_a_model_never_a_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(random_eprb_model(15, (2, 2, 2, 2), 0.0).to_dict()))
+    for source in (str(path), "singlet.json", ""):
+        with pytest.raises(WeakChError):
+            sim.SimConfig(seed=1, n=10, source=source)
+
+
+def _exact_estimates(joint_pp, p1_plus, p4_plus) -> sim.Estimates:
+    # estimates without sampling error: every standard error is zero
+    joint = np.zeros((2, 2, 2, 2))
+    joint[:, :, 0, 0] = joint_pp
+    return sim.Estimates(
+        joint=joint, joint_se=np.zeros_like(joint),
+        alice_plus=np.array([p1_plus, 0.5]), alice_plus_se=np.zeros(2),
+        bob_plus=np.array([0.5, p4_plus]), bob_plus_se=np.zeros(2),
+        pair_counts=np.full((2, 2), 100), undefined=(), setting_probs=np.full((2, 2), 0.25),
+    )
+
+
+@pytest.mark.parametrize(
+    "joint_pp, p1, p4, margins",
+    [
+        (0.0, 0.25, 0.25, (-math.inf, -math.inf)),  # value -0.5, inside
+        (0.0, 0.5, 0.5, (0.0, -math.inf)),  # value -1, on the lower bound
+        (0.0, 1.0, 0.5, (math.inf, -math.inf)),  # value -1.5, below it
+        ([[1.0, 0.0], [0.0, 0.0]], 0.5, 0.5, (-math.inf, 0.0)),  # value 0, on the upper bound
+        ([[1.0, 1.0], [0.0, 0.0]], 0.5, 0.5, (-math.inf, math.inf)),  # value 1, above it
+    ],
+)
+def test_margins_without_sampling_error(joint_pp, p1, p4, margins):
+    rep = sim.test_inequality(_exact_estimates(joint_pp, p1, p4), 0.0, 3.0)
+    assert (rep.lower, rep.upper, rep.se) == (-1.0, 0.0, 0.0)
+    assert (rep.margin_lower, rep.margin_upper) == margins
+    assert rep.violated_lower == (margins[0] > 0.0)
+    assert rep.violated_upper == (margins[1] > 0.0)

@@ -40,6 +40,7 @@ from helpers import build_product_model
 from weakch.common_cause import (
     EprbModel,
     GenerationFailed,
+    _WINGS,
     _aggregate,
     _joint_cause_bounds,
     _labelled_model,
@@ -118,13 +119,11 @@ def _residual_record(rep):
 
 def validator_record(weights, cards) -> dict:
     model = EprbModel(weights, cards)
-    prof = model.profile()
     aggregates = []
-    for side in ("alice", "bob"):
-        for d in (0, 1):
-            agg = _aggregate(model, side, d, prof)
-            aggregates.append([side, d, list(agg.cells), agg.cutoff.hex(), agg.epsilon_dir.hex()])
-    joint = _joint_cause_bounds(model, model.outcome_tables(), prof)
+    for row in _WINGS:
+        agg = _aggregate(model, row)
+        aggregates.append([row.side, row.setting, list(agg.cells), agg.cutoff.hex(), agg.epsilon_dir.hex()])
+    joint = _joint_cause_bounds(model)
     return {
         "loc": _residual_record(validate_loc(model)),
         "no_conspiracy": _residual_record(validate_no_conspiracy(model)),
