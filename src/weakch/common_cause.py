@@ -44,9 +44,11 @@ from .inequalities import (  # the oracle names are re-exported
     _smaller_root,
     ch_atom_oracle,
     ch_expression,
+    ch_table_terms,
     correction_terms,
     evaluate_weak_ch,
     pair_settings,
+    real_numbers,
     weak_ch_bounds,
 )
 from .spaces import (
@@ -177,9 +179,10 @@ def model_epsilon(model: PairwiseCcModel) -> float:
     return max(0.0, 1.0 - math.fsum(w[model.in_a & model.in_b].tolist()) / p_b)
 
 
-def _require_screened_even_model(model: PairwiseCcModel, sums: np.ndarray, tol: float) -> list[float]:
+def _require_screened_even_model(model: PairwiseCcModel, sums: np.ndarray) -> list[float]:
     # Returns the marginals [p(A), p(B)] it checked; sums are the model's
     # per-cell sums.
+    tol = PRECONDITION_TOL
     scr = _screening(sums)
     if scr.max_abs > tol:
         raise PreconditionViolated(
@@ -209,19 +212,14 @@ def _classify(stats: CellStats, eps: float, border: float) -> tuple[CellClasses,
     return classes, high, mid
 
 
-def classify_cells(
-    model: PairwiseCcModel,
-    *,
-    border: float | None = None,
-    precondition_tol: float = PRECONDITION_TOL,
-) -> CellClasses:
+def classify_cells(model: PairwiseCcModel, *, border: float | None = None) -> CellClasses:
     """Trichotomy of partition cells by their conditional p(A|C_i).
 
     Requires an exactly screened model with even marginals, within
-    precondition_tol.
+    PRECONDITION_TOL.
     """
     sums = model._sums()
-    _require_screened_even_model(model, sums, precondition_tol)
+    _require_screened_even_model(model, sums)
     eps = model_epsilon(model)
     return _classify(_stats(sums), eps, math.sqrt(eps) if border is None else float(border))[0]
 
@@ -265,18 +263,17 @@ def check_cause_mass_bounds(
     *,
     border: float | None = None,
     gap_border: float | None = None,
-    precondition_tol: float = PRECONDITION_TOL,
-    upper_tol: float = PRECONDITION_TOL,
 ) -> CauseMassReport:
     """Verify the mass bounds and their proof diagnostics for one model.
 
-    Preconditions (each enforced within precondition_tol): the partition
+    Preconditions (each enforced within PRECONDITION_TOL): the partition
     screens the correlation off, and both marginals sit at one half. The
     half-marginal tolerance is an implementation choice; the bounds are
-    derived for exactly even marginals.
+    derived for exactly even marginals. The strict upper bound is checked
+    with the same tolerance.
     """
     sums = model._sums()
-    p_a, p_b = _require_screened_even_model(model, sums, precondition_tol)
+    p_a, p_b = _require_screened_even_model(model, sums)
     eps = model_epsilon(model)
     root = math.sqrt(eps)
     stats = _stats(sums)
@@ -285,7 +282,7 @@ def check_cause_mass_bounds(
     # iterating the arrays keeps these sums sequential, in cell order
     high_mass = float(sum(stats.mass[high]))
     lower_ok = high_mass - root <= p_a + 1e-12
-    upper_ok = p_a <= high_mass + 4.0 * root - 2.0 * eps + upper_tol
+    upper_ok = p_a <= high_mass + 4.0 * root - 2.0 * eps + PRECONDITION_TOL
 
     q, r, m = stats.cond_a, stats.cond_b, stats.mass
     gap_b = 0.5 * root if gap_border is None else float(gap_border)
@@ -530,20 +527,15 @@ class EprbModel:
     def profile(self) -> singlet.EpsilonProfile:
         return self._profile
 
-    def plus_prob(self, wing: int, setting: int) -> float:
-        """p(+ | own setting) on one wing, 0 for Alice and 1 for Bob."""
+    def plus_probs(self) -> np.ndarray:
+        """p(+ | own setting) as a (wing, setting) table, wing 0 for Alice and 1 for Bob."""
         w = self.weights
-        num = float(_marginal(w, (wing, 2 + wing))[setting, 0])
-        den = float(_marginal(w, (wing,))[setting])
-        return num / den
+        return np.array([_marginal(w, (wing, 2 + wing))[:, 0] / _marginal(w, (wing,)) for wing in (0, 1)])
 
-    def weak_report(self, *, eps_override: float | None = None) -> WeakChReport:
-        t = self.outcome_tables()
-        eps = self.profile().eps_global if eps_override is None else float(eps_override)
+    def weak_report(self) -> WeakChReport:
+        eps = self.profile().eps_global
         bounds = weak_ch_bounds(eps, pair_settings(self.setting_probs()))
-        terms = {name: float(t[a, b, 0, 0]) for name, (a, b) in CH_PAIRS.items()}
-        terms["p1_plus"] = self.plus_prob(0, 0)
-        terms["p4_plus"] = self.plus_prob(1, 1)
+        terms = ch_table_terms(self.outcome_tables(), self.plus_probs())
         return evaluate_weak_ch(ch_expression(terms), bounds, eps, terms=terms)
 
     def to_dict(self) -> dict:
@@ -555,10 +547,10 @@ class EprbModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EprbModel":
-        cards = tuple(int(c) for c in data["cause_cards"])
-        if cards != tuple(data["cause_cards"]):  # 2.7 or "2" would pass int()
+        cards = tuple(int(c) for c in real_numbers(data["cause_cards"]))
+        if cards != tuple(data["cause_cards"]):  # 2.7 would pass int()
             raise BadModel(f"cause cardinalities must be integers, got {data['cause_cards']!r}")
-        flat = np.asarray(data["weights"], dtype=float)
+        flat = np.asarray(real_numbers(data["weights"]))
         n = 16 * int(np.prod(cards))
         if flat.size != n:
             raise BadModel(f"expected {n} weights for cards {cards}, got {flat.size}")
@@ -728,12 +720,7 @@ class JointCauseReport:
         return all(p.lower_ok and p.upper_ok for p in self.pairs)
 
 
-def joint_cause_bounds_check(
-    model: EprbModel,
-    *,
-    eps_override: float | None = None,
-    tol: float = PRECONDITION_TOL,
-) -> JointCauseReport:
+def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     """Check the correction-term interval around p(+,+|ab) for each pair.
 
     For every setting pair, the probability that both aggregate causes
@@ -741,9 +728,11 @@ def joint_cause_bounds_check(
 
         p(+,+|ab) - d_plus_ab <= p(C^a C^b) <= p(+,+|ab) + d_minus_ab
 
-    with the correction terms computed at the model's own global deficit
-    (or at eps_override). The strict side carries the tolerance.
+    with the correction terms computed at the model's own global deficit.
+    The three validators must hold within PRECONDITION_TOL, and the strict
+    side carries the same tolerance.
     """
+    tol = PRECONDITION_TOL
     loc = validate_loc(model)
     if loc.max_abs > tol:
         raise PreconditionViolated(f"locality residual {loc.max_abs:.3e} exceeds {tol:.1e}")
@@ -755,19 +744,14 @@ def joint_cause_bounds_check(
     scr = validate_screening(model)
     if scr.max_abs > tol:
         raise PreconditionViolated(f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}")
-    return _joint_cause_bounds(model, eps_override=eps_override, tol=tol)
+    return _joint_cause_bounds(model)
 
 
-def _joint_cause_bounds(
-    model: EprbModel,
-    *,
-    eps_override: float | None = None,
-    tol: float = PRECONDITION_TOL,
-) -> JointCauseReport:
+def _joint_cause_bounds(model: EprbModel) -> JointCauseReport:
     # The bounds part of joint_cause_bounds_check, for a caller that has
-    # already checked its three validator preconditions at tol.
+    # already checked its three validator preconditions.
     t = model.outcome_tables()
-    eps = model.profile().eps_global if eps_override is None else float(eps_override)
+    eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]
     settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
     pairs = []
@@ -786,7 +770,7 @@ def _joint_cause_bounds(
                     p_joint_cause=p_cc,
                     d_minus=ct.d_minus_ab,
                     d_plus=ct.d_plus_ab,
-                    lower_ok=p_pp - ct.d_plus_ab <= p_cc + tol,
+                    lower_ok=p_pp - ct.d_plus_ab <= p_cc + PRECONDITION_TOL,
                     upper_ok=p_cc <= p_pp + ct.d_minus_ab + 1e-12,
                 )
             )

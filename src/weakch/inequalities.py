@@ -99,6 +99,36 @@ SYMMETRIC_SETTINGS = SettingProbs(0.5, 0.5, 0.25)
 CH_PAIRS = {"p13": (0, 0), "p14": (0, 1), "p24": (1, 1), "p23": (1, 0)}
 
 
+def ch_table_terms(joint, plus) -> dict[str, float]:
+    """The six CH terms, in the order ch_expression names them, read from tables.
+
+    joint[a, b, 0, 0] is p(+,+ | a, b), taken for each pair in CH_PAIRS;
+    plus[wing][setting] is p(+ | own setting), wing 0 for Alice and 1 for
+    Bob, taken at direction 1 (plus[0][0]) and direction 4 (plus[1][1]).
+    """
+    terms = {name: float(joint[a, b, 0, 0]) for name, (a, b) in CH_PAIRS.items()}
+    terms["p1_plus"] = float(plus[0][0])
+    terms["p4_plus"] = float(plus[1][1])
+    return terms
+
+
+def real_numbers(values) -> list[float]:
+    """The items of values as floats; each must be a real number.
+
+    A real number is a value whose type converts itself to float (int,
+    float, numpy scalars), other than a boolean. Meant for lists parsed
+    from JSON, where a boolean is an int to Python and a numeric string
+    would pass float(): both raise TypeError, as does a value that is not
+    iterable. An int beyond the float range raises OverflowError.
+    """
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not hasattr(type(v), "__float__"):
+            raise TypeError(f"expected a real number, got {v!r}")
+        out.append(float(v))
+    return out
+
+
 def pair_settings(table) -> tuple[SettingProbs, ...]:
     """Per-pair SettingProbs of a 2x2 setting table, in CH_PAIRS order.
 
@@ -269,14 +299,14 @@ def epsilon_thresholds(
     return x_lo * x_lo, x_up * x_up
 
 
-def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[float]:
+def no_signalling_residuals(tables: np.ndarray) -> list[float]:
     """Marginal-consistency residuals of per-setting-pair outcome tables.
 
     tables[a, b] is the 2x2 joint outcome distribution given settings
-    (a, b), each normalized to one. For each wing, outcome, own setting,
-    and pair of far settings, returns the difference between the two far-
-    setting marginals. All residuals vanish exactly when the far setting
-    cannot influence the near marginal.
+    (a, b), each normalized to one within 1e-9. For each wing, outcome,
+    own setting, and pair of far settings, returns the difference between
+    the two far-setting marginals. All residuals vanish exactly when the
+    far setting cannot influence the near marginal.
     """
     import numpy as np
 
@@ -284,7 +314,7 @@ def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[f
     if t.ndim != 4 or t.shape[2:] != (2, 2):
         raise UnnormalizedTable("tables must have shape (n_a, n_b, 2, 2)")
     sums = t.sum(axis=(2, 3))
-    if np.any(np.abs(sums - 1.0) > atol):
+    if np.any(np.abs(sums - 1.0) > 1e-9):
         worst = float(np.abs(sums - 1.0).max())
         raise UnnormalizedTable(f"table sums deviate from 1 by up to {worst}")
     res: list[float] = []
@@ -299,9 +329,9 @@ def no_signalling_residuals(tables: np.ndarray, *, atol: float = 1e-9) -> list[f
     return res
 
 
-def tsirelson_check(value: float, *, atol: float = 1e-12) -> bool:
-    """True iff value lies in the quantum interval, within tolerance."""
-    return TSIRELSON_LOWER - atol <= float(value) <= TSIRELSON_UPPER + atol
+def tsirelson_check(value: float) -> bool:
+    """True iff value lies in the quantum interval, within 1e-12."""
+    return TSIRELSON_LOWER - 1e-12 <= float(value) <= TSIRELSON_UPPER + 1e-12
 
 
 # Atom index bits are (A, A', B, B'), most significant first; bit 1 means the
@@ -317,20 +347,19 @@ class OracleResult:
     in_bounds: bool
 
 
-def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> OracleResult:
+def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
     """Evaluate the CH combination on an explicit 16-atom distribution.
 
     Computes the six marginals from the atoms, evaluates the combination,
     and independently recomputes it as minus the mass of the eight
     negatively-counted atoms. Because those eight atoms are distinct, the
     combination of any normalized distribution lies in [-1, 0]; in_bounds
-    reports that check at 1e-12.
+    reports that check at 1e-12. The atoms must be real numbers summing to
+    one within 1e-9.
     """
-    if isinstance(atom_probs, str):  # its characters would read as digits
-        raise UnnormalizedInput(f"need a sequence of 16 real numbers, got the string {atom_probs!r}")
     try:
-        p = [float(v) for v in atom_probs]
-    except (TypeError, ValueError) as exc:  # a number, null, nested lists
+        p = real_numbers(atom_probs)
+    except (TypeError, OverflowError) as exc:  # e.g. null, strings, booleans, nested lists
         raise UnnormalizedInput(f"need a sequence of 16 real numbers: {exc}") from exc
     if len(p) != 16:
         raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
@@ -339,7 +368,7 @@ def ch_atom_oracle(atom_probs: Sequence[float], *, atol: float = 1e-9) -> Oracle
     if min(p) < -1e-12:
         raise UnnormalizedInput(f"negative atom probability {min(p)}")
     total = math.fsum(p)
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > 1e-9:
         raise UnnormalizedInput(f"atom probabilities sum to {total!r}, not 1")
 
     # A, A', B, B' stand for directions 1, 2, 3, 4, so p13 = p(AB).

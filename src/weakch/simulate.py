@@ -22,7 +22,7 @@ import numpy as np
 
 from . import singlet
 from .common_cause import EprbModel, model_from_dict
-from .inequalities import CH_PAIRS, ch_expression, pair_settings, weak_ch_bounds
+from .inequalities import ch_expression, ch_table_terms, pair_settings, weak_ch_bounds
 from .spaces import WeakChError
 
 _CHUNK = 1 << 16
@@ -126,22 +126,20 @@ def sample_runs(cfg: SimConfig) -> CountsTable:
 
 @dataclass(frozen=True, eq=False)
 class Estimates:
-    """Relative frequencies with Wald standard errors; NaN marks no data."""
+    """Relative frequencies with Wald standard errors; NaN marks no data.
+
+    joint[a, b] is the outcome table given settings (a, b); plus[wing, s]
+    is p(+ | own setting s) on wing 0 (Alice) or 1 (Bob), pooled over the
+    far setting.
+    """
 
     joint: np.ndarray
     joint_se: np.ndarray
-    alice_plus: np.ndarray
-    alice_plus_se: np.ndarray
-    bob_plus: np.ndarray
-    bob_plus_se: np.ndarray
+    plus: np.ndarray
+    plus_se: np.ndarray
     pair_counts: np.ndarray
     undefined: tuple[str, ...]
     setting_probs: np.ndarray
-
-
-def _wald(k: float, n: float) -> tuple[float, float]:
-    p = k / n
-    return p, math.sqrt(p * (1.0 - p) / n)
 
 
 def estimate(table: CountsTable) -> Estimates:
@@ -155,39 +153,24 @@ def estimate(table: CountsTable) -> Estimates:
     """
     counts = table.counts
     pair_n = counts.sum(axis=(2, 3))
-    joint = np.full((2, 2, 2, 2), np.nan)
-    joint_se = np.full((2, 2, 2, 2), np.nan)
-    undefined = []
-    for a in (0, 1):
-        for b in (0, 1):
-            n = pair_n[a, b]
-            if n == 0:
-                undefined.append(f"pair {a + 1}{b + 3}")
-                continue
-            for oa in (0, 1):
-                for ob in (0, 1):
-                    joint[a, b, oa, ob], joint_se[a, b, oa, ob] = _wald(
-                        counts[a, b, oa, ob], n
-                    )
-    plus = np.full((2, 2), np.nan)  # (wing, own setting)
-    plus_se = np.full((2, 2), np.nan)
-    # Bob's counts transposed to Alice's layout: own setting and outcome first
-    for wing, (side, first, own) in enumerate(
-        (("alice", 1, counts), ("bob", 3, counts.transpose(1, 0, 3, 2)))
-    ):
-        for s in (0, 1):
-            n = own[s].sum()
-            if n == 0:
-                undefined.append(f"{side} setting {s + first}")
-                continue
-            plus[wing, s], plus_se[wing, s] = _wald(own[s, :, 0, :].sum(), n)
+    # (wing, own setting, own outcome), Bob's counts transposed to Alice's layout
+    own = np.stack([counts, counts.transpose(1, 0, 3, 2)]).sum(axis=(2, 4))
+    own_n = own.sum(axis=2)
+    n = pair_n[:, :, None, None]
+    with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty conditioner
+        joint = counts / n
+        plus = own[:, :, 0] / own_n
+    joint_se = np.sqrt(joint * (1.0 - joint) / n)
+    plus_se = np.sqrt(plus * (1.0 - plus) / own_n)
+    undefined = [f"pair {a + 1}{b + 3}" for a, b in np.argwhere(pair_n == 0).tolist()]
+    undefined += [
+        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w, s in np.argwhere(own_n == 0).tolist()
+    ]
     return Estimates(
         joint=joint,
         joint_se=joint_se,
-        alice_plus=plus[0],
-        alice_plus_se=plus_se[0],
-        bob_plus=plus[1],
-        bob_plus_se=plus_se[1],
+        plus=plus,
+        plus_se=plus_se,
         pair_counts=pair_n,
         undefined=tuple(undefined),
         setting_probs=table.setting_probs,
@@ -225,15 +208,8 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
     k_sigma propagated standard errors. Margins report the signed distance
     past each bound in sigma units.
     """
-    terms: dict[str, float] = {}
-    ses: dict[str, float] = {}
-    for name, (a, b) in CH_PAIRS.items():
-        terms[name] = float(est.joint[a, b, 0, 0])
-        ses[name] = float(est.joint_se[a, b, 0, 0])
-    terms["p1_plus"] = float(est.alice_plus[0])
-    ses["p1_plus"] = float(est.alice_plus_se[0])
-    terms["p4_plus"] = float(est.bob_plus[1])
-    ses["p4_plus"] = float(est.bob_plus_se[1])
+    terms = ch_table_terms(est.joint, est.plus)
+    ses = ch_table_terms(est.joint_se, est.plus_se)
     bad = [k for k, v in terms.items() if math.isnan(v)]
     if bad:
         raise UndefinedEstimate(f"missing observations for {', '.join(bad)}")

@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .inequalities import WeakChError  # re-exported: the package's base error
+from .inequalities import WeakChError, real_numbers  # WeakChError: the re-exported base error
 
 
 class EmptySpace(WeakChError):
@@ -237,4 +237,4 @@ def space_to_dict(space: FiniteProbSpace) -> dict:
 
 def space_from_dict(data: dict) -> FiniteProbSpace:
     atoms = data["atoms"]
-    return FiniteProbSpace(tuple(atoms), np.asarray(data["weights"], dtype=float))
+    return FiniteProbSpace(tuple(atoms), np.asarray(real_numbers(data["weights"])))

@@ -194,10 +194,21 @@ def _malformed_model(case):
     if case == "list_atom_labels":
         pairwise["space"]["atoms"] = [[a] for a in pairwise["space"]["atoms"]]
         return pairwise
+    if case == "string_space_weights":
+        pairwise["space"]["weights"] = [repr(w) for w in pairwise["space"]["weights"]]
+        return pairwise
+    joint = json.loads((Path(__file__).resolve().parent / "golden" / "eprb_model.json").read_text())
     if case == "fractional_cause_cards":
-        joint = json.loads((Path(__file__).resolve().parent / "golden" / "eprb_model.json").read_text())
         joint["cause_cards"] = [2.7, 2, 2, 2]  # int() would read 2 and accept the file
         return joint
+    if case == "string_weights":
+        joint["weights"] = [repr(w) for w in joint["weights"]]
+        return joint
+    if case == "boolean_weights":  # float() would read a uniform model
+        joint["weights"] = [True] * len(joint["weights"])
+        return joint
+    if case == "boolean_cause_cards":  # int() would read cards 1, 2, 2, 2
+        return {"type": "eprb", "cause_cards": [True, 2, 2, 2], "weights": [1.0] * 128}
     return {"eprb_without_fields": {"type": "eprb"}, "json_list": [1, 2], "json_string": "eprb"}[case]
 
 
@@ -211,6 +222,10 @@ def _malformed_model(case):
         "pairwise_without_A",
         "list_atom_labels",
         "fractional_cause_cards",
+        "string_space_weights",
+        "string_weights",
+        "boolean_weights",
+        "boolean_cause_cards",
     ],
 )
 def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, case):
@@ -470,8 +485,16 @@ def test_oracle_rejects_nonfinite_atoms(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "document",
-    ["3", "null", json.dumps([[0.0625]] * 16), '"1000000000000000"'],
-    ids=["number", "null", "nested_lists", "digit_string"],
+    [
+        "3",
+        "null",
+        json.dumps([[0.0625]] * 16),
+        '"1000000000000000"',
+        json.dumps(["0.0625"] * 16),
+        json.dumps([True] + [False] * 15),
+        json.dumps([10**400] + [0] * 15),
+    ],
+    ids=["number", "null", "nested_lists", "digit_string", "numeric_strings", "booleans", "huge_integer"],
 )
 def test_oracle_rejects_a_file_that_is_not_a_list_of_numbers(capsys, tmp_path, document):
     # a bare string would be read character by character as sixteen digits

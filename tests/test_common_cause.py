@@ -430,9 +430,7 @@ def test_generated_model_passes_all_validators():
         assert validate_screening(m).max_abs <= 1e-12
         prof = m.profile()
         assert 0.0 < prof.eps_global <= target * (1 + 1e-9)
-        for wing in (0, 1):
-            for setting in (0, 1):
-                assert m.plus_prob(wing, setting) == pytest.approx(0.5, abs=1e-12)
+        assert m.plus_probs() == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
 
 
 def test_generated_model_is_deterministic():
@@ -622,13 +620,6 @@ def test_joint_cause_bounds_rejects_conspiracy():
     w[0, :, :, :, 0] *= 1.5
     with pytest.raises(PreconditionViolated):
         joint_cause_bounds_check(EprbModel(w, m.cause_cards))
-
-
-def test_joint_cause_bounds_accepts_eps_override():
-    m = random_eprb_model(12, (2, 2, 2, 2), 5e-4)
-    rep = joint_cause_bounds_check(m, eps_override=1e-3)
-    assert rep.epsilon == 1e-3
-    assert rep.ok
 
 
 def test_weak_report_matches_components():

@@ -22,6 +22,7 @@ from weakch.inequalities import (
     evaluate_weak_ch,
     no_signalling_residuals,
     pair_settings,
+    real_numbers,
     tsirelson_check,
     weak_ch_bounds,
 )
@@ -236,3 +237,12 @@ def test_tsirelson_check(value, expected):
 def test_quantum_excess_is_interval_overshoot():
     assert QUANTUM_EXCESS == pytest.approx(abs(TSIRELSON_LOWER) - 1.0, abs=1e-15)
     assert QUANTUM_EXCESS == TSIRELSON_UPPER
+
+
+def test_real_numbers_takes_numbers_only():
+    assert real_numbers([0, 1, 0.5, np.float64(0.25), np.int64(2)]) == [0.0, 1.0, 0.5, 0.25, 2.0]
+    for bad in ([True], [0.5, False], ["0.5"], "05", [None], [[0.5]], [1j], 3, None):
+        with pytest.raises(TypeError):
+            real_numbers(bad)
+    with pytest.raises(OverflowError):
+        real_numbers([10**400])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
-from weakch.common_cause import pairwise_model_to_dict, random_eprb_model, random_screened_model
+from weakch.common_cause import EprbModel, pairwise_model_to_dict, random_eprb_model, random_screened_model
 from weakch.inequalities import TSIRELSON_LOWER
 from weakch.spaces import WeakChError
 
@@ -58,10 +58,15 @@ def test_config_validation():
 
 
 def test_wald_reference_case():
-    # 3 of 12: estimate 0.25, standard error 0.125
-    p, se = sim._wald(3, 12)
-    assert p == 0.25
-    assert se == 0.125
+    # 3 of 12: estimate 0.25, standard error 0.125, for a joint cell (3 of
+    # the 12 runs of pair 13 at ++) and a marginal (Bob + in 3 of the 12
+    # runs at setting 4, all of them in pair 24)
+    counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    counts[0, 0] = [[3, 3], [3, 3]]
+    counts[1, 1] = [[1, 2], [2, 7]]
+    est = sim.estimate(sim.CountsTable(counts, int(counts.sum()), np.full((2, 2), 0.25)))
+    assert (est.joint[0, 0, 0, 0], est.joint_se[0, 0, 0, 0]) == (0.25, 0.125)
+    assert (est.plus[1, 1], est.plus_se[1, 1]) == (0.25, 0.125)
 
 
 def test_degenerate_estimate_has_zero_se():
@@ -155,10 +160,30 @@ def _exact_estimates(joint_pp, p1_plus, p4_plus) -> sim.Estimates:
     joint[:, :, 0, 0] = joint_pp
     return sim.Estimates(
         joint=joint, joint_se=np.zeros_like(joint),
-        alice_plus=np.array([p1_plus, 0.5]), alice_plus_se=np.zeros(2),
-        bob_plus=np.array([0.5, p4_plus]), bob_plus_se=np.zeros(2),
+        plus=np.array([[p1_plus, 0.5], [0.5, p4_plus]]), plus_se=np.zeros((2, 2)),
         pair_counts=np.full((2, 2), 100), undefined=(), setting_probs=np.full((2, 2), 0.25),
     )
+
+
+@pytest.mark.parametrize("kind", ["generated", "dirichlet"])
+def test_exact_estimates_give_the_weak_report(kind):
+    # a model's own tables as estimates without sampling error: the sample
+    # test and the exact report read the same six terms. The Dirichlet
+    # model has uneven settings and single-wing probabilities.
+    if kind == "generated":
+        model = random_eprb_model(21, (3, 2, 4, 2), 5e-4, setting_probs=[[0.1, 0.2], [0.3, 0.4]])
+    else:
+        w = np.random.default_rng(22).dirichlet(np.ones(16 * 12)).reshape(2, 2, 2, 2, 3, 1, 2, 2)
+        model = EprbModel(w, (3, 1, 2, 2))
+    t = model.outcome_tables()
+    est = sim.Estimates(
+        joint=t, joint_se=np.zeros_like(t), plus=model.plus_probs(), plus_se=np.zeros((2, 2)),
+        pair_counts=np.full((2, 2), 100), undefined=(), setting_probs=model.setting_probs(),
+    )
+    weak = model.weak_report()
+    rep = sim.test_inequality(est, weak.epsilon)
+    assert list(rep.terms.items()) == list(weak.terms.items())
+    assert (rep.value, rep.lower, rep.upper, rep.se) == (weak.value, weak.lower, weak.upper, 0.0)
 
 
 @pytest.mark.parametrize(

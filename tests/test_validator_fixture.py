@@ -175,8 +175,8 @@ def estimate_digests() -> list:
         est = estimate(CountsTable(counts, int(counts.sum()), np.full((2, 2), 0.25)))
         record = [
             [float(v).hex() for v in np.ravel(arr)]
-            for arr in (est.joint, est.joint_se, est.alice_plus, est.alice_plus_se,
-                        est.bob_plus, est.bob_plus_se, est.pair_counts)
+            for arr in (est.joint, est.joint_se, est.plus[0], est.plus_se[0],
+                        est.plus[1], est.plus_se[1], est.pair_counts)
         ]
         out.append(_digest([record, list(est.undefined)]))
     return out
