@@ -41,7 +41,7 @@ _EXPORTS = {
         "search": "SearchConfig SearchResult constraint_penalty optimize_angles search_counterexample",
         "simulate": "CountsTable SimConfig estimate sample_runs test_inequality",
         "singlet": (
-            "DirectionConfig EpsilonProfile canonical_angle ch_terms ch_value epsilon_profile"
+            "EpsilonProfile canonical_angle ch_terms ch_value epsilon_profile"
             " joint_prob marginal_prob outcome_tables"
         ),
         "spaces": "FiniteProbSpace WeakChError make_space prob screening_residuals",

@@ -349,12 +349,12 @@ def _cmd_check_model(args, fmt: str) -> int:
         _emit(_envelope("check-model", inputs, result), fmt)
         return EXIT_VIOLATION if violated else EXIT_OK
 
-    scr = model.screening()
+    stats = common_cause.cell_stats(model)
     result = {
         "n_cells": model.n_cells,
         "screening": {
-            "max_abs": scr.max_abs,
-            "skipped_cells": list(scr.skipped_cells),
+            "max_abs": stats.max_abs,
+            "skipped_cells": list(stats.skipped),
         },
     }
     try:

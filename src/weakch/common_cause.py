@@ -52,13 +52,14 @@ from .inequalities import (  # the oracle names are re-exported
     weak_ch_bounds,
 )
 from .spaces import (
+    CellStats,
     FiniteProbSpace,
     ResidualReport,
-    ScreeningReport,
     WeakChError,
     ZeroConditioner,
+    _cell_stats,
     _cell_sums,
-    _screening,
+    _label_list,
     _translate,
     space_from_dict,
     space_to_dict,
@@ -104,9 +105,6 @@ class PairwiseCcModel:
     def _sums(self) -> np.ndarray:
         return _cell_sums(self.space.weights, self.cell_of, self.in_a, self.in_b, self.n_cells)
 
-    def screening(self) -> ScreeningReport:
-        return _screening(self._sums())
-
 
 def _labelled_model(space: FiniteProbSpace, event_a, event_b, cells) -> PairwiseCcModel:
     # The model of labelled events and partition cells (any iterables of
@@ -116,32 +114,9 @@ def _labelled_model(space: FiniteProbSpace, event_a, event_b, cells) -> Pairwise
     )
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Per-cell mass and conditionals, for the positive-mass cells."""
-
-    index: tuple[int, ...]
-    mass: np.ndarray
-    cond_a: np.ndarray
-    cond_b: np.ndarray
-    skipped: tuple[int, ...]
-
-
 def cell_stats(model: PairwiseCcModel) -> CellStats:
-    return _stats(model._sums())
-
-
-def _stats(sums: np.ndarray) -> CellStats:
-    mass, p_a, p_b = sums[0], sums[1], sums[2]
-    pos = mass > 0.0
-    m = mass[pos]
-    return CellStats(
-        index=tuple(np.flatnonzero(pos).tolist()),
-        mass=m,
-        cond_a=p_a[pos] / m,
-        cond_b=p_b[pos] / m,
-        skipped=tuple(np.flatnonzero(~pos).tolist()),
-    )
+    """Mass, conditionals and screening residual of each positive-mass cell."""
+    return _cell_stats(model._sums())
 
 
 @dataclass(frozen=True)
@@ -164,31 +139,28 @@ class CellClasses:
     border: float
 
 
-def _marginals(model: PairwiseCcModel) -> list[float]:
-    # [p(A), p(B)], correctly rounded
+def _masses(model: PairwiseCcModel, *masks: np.ndarray) -> list[float]:
+    # the correctly rounded mass of each masked atom set
     w = model.space.weights
-    return [math.fsum(w[mask].tolist()) for mask in (model.in_a, model.in_b)]
+    return [math.fsum(w[mask].tolist()) for mask in masks]
 
 
 def model_epsilon(model: PairwiseCcModel) -> float:
     """Correlation deficit 1 - p(A|B), clamped at zero against rounding."""
-    w = model.space.weights
-    p_b = math.fsum(w[model.in_b].tolist())
+    p_b, p_ab = _masses(model, model.in_b, model.in_a & model.in_b)
     if p_b <= 0.0:
         raise ZeroConditioner("cannot condition on an event of zero probability")
-    return max(0.0, 1.0 - math.fsum(w[model.in_a & model.in_b].tolist()) / p_b)
+    return max(0.0, 1.0 - p_ab / p_b)
 
 
-def _require_screened_even_model(model: PairwiseCcModel, sums: np.ndarray) -> list[float]:
-    # Returns the marginals [p(A), p(B)] it checked; sums are the model's
-    # per-cell sums.
+def _require_screened_even_model(model: PairwiseCcModel, stats: CellStats) -> list[float]:
+    # Returns the marginals [p(A), p(B)] it checked.
     tol = PRECONDITION_TOL
-    scr = _screening(sums)
-    if scr.max_abs > tol:
+    if stats.max_abs > tol:
         raise PreconditionViolated(
-            f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}"
+            f"screening residual {stats.max_abs:.3e} exceeds {tol:.1e}"
         )
-    marginals = _marginals(model)
+    marginals = _masses(model, model.in_a, model.in_b)
     for name, v in zip(("p(A)", "p(B)"), marginals):
         if abs(v - 0.5) > tol:
             raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {tol:.1e}")
@@ -218,10 +190,10 @@ def classify_cells(model: PairwiseCcModel, *, border: float | None = None) -> Ce
     Requires an exactly screened model with even marginals, within
     PRECONDITION_TOL.
     """
-    sums = model._sums()
-    _require_screened_even_model(model, sums)
+    stats = _cell_stats(model._sums())
+    _require_screened_even_model(model, stats)
     eps = model_epsilon(model)
-    return _classify(_stats(sums), eps, math.sqrt(eps) if border is None else float(border))[0]
+    return _classify(stats, eps, math.sqrt(eps) if border is None else float(border))[0]
 
 
 @dataclass(frozen=True)
@@ -272,11 +244,10 @@ def check_cause_mass_bounds(
     derived for exactly even marginals. The strict upper bound is checked
     with the same tolerance.
     """
-    sums = model._sums()
-    p_a, p_b = _require_screened_even_model(model, sums)
+    stats = _cell_stats(model._sums())
+    p_a, p_b = _require_screened_even_model(model, stats)
     eps = model_epsilon(model)
     root = math.sqrt(eps)
-    stats = _stats(sums)
     classes, high, mid = _classify(stats, eps, root if border is None else float(border))
 
     # iterating the arrays keeps these sums sequential, in cell order
@@ -395,7 +366,7 @@ def random_screened_model(
         n_cells,
     )
 
-    p_a, p_b = _marginals(model)
+    p_a, p_b = _masses(model, model.in_a, model.in_b)
     if abs(p_a - 0.5) > 1e-9 or abs(p_b - 0.5) > 1e-9:
         raise GenerationFailed(f"marginals drifted: p(A)={p_a!r}, p(B)={p_b!r}")
     achieved = model_epsilon(model)
@@ -421,7 +392,9 @@ def pairwise_model_to_dict(model: PairwiseCcModel) -> dict:
 
 
 def pairwise_model_from_dict(data: dict) -> PairwiseCcModel:
-    return _labelled_model(space_from_dict(data["space"]), data["A"], data["B"], data["partition"])
+    space = space_from_dict(data["space"])
+    cells = [_label_list(c, "a partition cell") for c in _label_list(data["partition"], "partition")]
+    return _labelled_model(space, _label_list(data["A"], "A"), _label_list(data["B"], "B"), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +483,7 @@ class EprbModel:
 
     @functools.cached_property
     def _profile(self) -> singlet.EpsilonProfile:
-        t = self._outcome_tables
-        denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
-        denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond_ab = np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
-            cond_ba = np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
-        return singlet.epsilon_profile(cond_ab=cond_ab, cond_ba=cond_ba)
+        return singlet.epsilon_profile(self._outcome_tables)
 
     def setting_probs(self) -> np.ndarray:
         return self._setting_probs
@@ -733,17 +700,15 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     side carries the same tolerance.
     """
     tol = PRECONDITION_TOL
-    loc = validate_loc(model)
-    if loc.max_abs > tol:
-        raise PreconditionViolated(f"locality residual {loc.max_abs:.3e} exceeds {tol:.1e}")
-    nc = validate_no_conspiracy(model)
-    if nc.max_abs > tol:
-        raise PreconditionViolated(
-            f"setting-independence residual {nc.max_abs:.3e} exceeds {tol:.1e}"
-        )
-    scr = validate_screening(model)
-    if scr.max_abs > tol:
-        raise PreconditionViolated(f"screening residual {scr.max_abs:.3e} exceeds {tol:.1e}")
+    # listed in the call, so each validator is looked up when it runs
+    for what, validate in (
+        ("locality", validate_loc),
+        ("setting-independence", validate_no_conspiracy),
+        ("screening", validate_screening),
+    ):
+        worst = validate(model).max_abs
+        if worst > tol:
+            raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")
     return _joint_cause_bounds(model)
 
 
@@ -876,7 +841,13 @@ def random_eprb_model(
 
 
 def model_from_dict(data: dict):
-    """Model from its JSON form; any malformed input raises BadModel."""
+    """Model from its JSON form.
+
+    Malformed input (a missing field, a label list that is not a JSON
+    array, a number that is not real, a full model of the wrong shape)
+    raises BadModel, as does an event atom outside the space. Labels that
+    form no valid space or partition raise the label errors of spaces.
+    """
     if not isinstance(data, dict):
         raise BadModel(f"a model must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")

@@ -8,9 +8,9 @@ separated by an angle phi, the joint outcome probabilities are
 
 and each single-wing outcome is unbiased, p(+) = p(-) = 1/2, independent of
 either direction. This module evaluates those predictions, builds the
-anticorrelation-deficit profile of a direction configuration (how far the
-best available correlations are from perfect), and computes the six-term
-CH combination on four directions.
+anticorrelation-deficit profile of outcome tables (how far the best
+available correlations are from perfect), and computes the six-term CH
+combination on four directions.
 
 Angle convention: radians, canonicalized to [0, 2*pi). All formulas are
 2*pi-periodic and even in the angle, so canonicalization preserves values
@@ -71,9 +71,8 @@ def outcome_table(phi: float) -> np.ndarray:
     """2x2 table of joint outcome probabilities, indexed [a_out, b_out] with 0='+'."""
     import numpy as np
 
-    half = 0.5 * canonical_angle(phi)
-    s = 0.5 * math.sin(half) ** 2
-    c = 0.5 * math.cos(half) ** 2
+    s = joint_prob(phi, "+", "+")
+    c = joint_prob(phi, "+", "-")
     return np.array([[s, c], [c, s]])
 
 
@@ -89,24 +88,8 @@ def outcome_tables(alice: Sequence[float], bob: Sequence[float]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DirectionConfig:
-    """Measurement direction sets for the two wings, canonicalized radians."""
-
-    alice: tuple[float, ...]
-    bob: tuple[float, ...]
-
-    def __post_init__(self):
-        a = tuple(canonical_angle(x) for x in self.alice)
-        b = tuple(canonical_angle(x) for x in self.bob)
-        if not a or not b:
-            raise ValueError("both direction lists must be non-empty")
-        object.__setattr__(self, "alice", a)
-        object.__setattr__(self, "bob", b)
-
-
-@dataclass(frozen=True, eq=False)
 class EpsilonProfile:
-    """Anticorrelation deficits of a direction configuration.
+    """Anticorrelation deficits of per-setting-pair outcome tables.
 
     eps_ab[i, j] is the deficit 1 - p(+_a | -_b) for Alice direction i and
     Bob direction j; eps_ba[i, j] the mirrored deficit 1 - p(+_b | -_a).
@@ -130,42 +113,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def epsilon_profile(
-    cfg: DirectionConfig | None = None,
-    *,
-    cond_ab: np.ndarray | None = None,
-    cond_ba: np.ndarray | None = None,
-) -> EpsilonProfile:
-    """Deficit profile of a configuration, or of supplied conditional tables.
+def epsilon_profile(tables: np.ndarray) -> EpsilonProfile:
+    """Deficit profile of outcome tables, shape (n_alice, n_bob, 2, 2).
 
-    With only a DirectionConfig the deficits come from the singlet formulas,
-    eps = sin^2(phi/2). Alternatively pass the conditional-probability
-    tables directly (cond_ab[i, j] = p(+_a | -_b), cond_ba[i, j] =
-    p(+_b | -_a)) so that perturbed, non-quantum worlds can be profiled.
+    tables[i, j] is p(A, B | a_i, b_j) indexed [A, B] with 0 = '+', as
+    outcome_tables and EprbModel.outcome_tables give it. eps_ab is
+    1 - p(+_a | -_b) and eps_ba is 1 - p(+_b | -_a), a conditioner of zero
+    mass counting as conditional 0; for the singlet, epsilon_profile(
+    outcome_tables(alice, bob)) gives sin^2(phi/2). Raises ValueError on
+    another shape, an empty axis, or a negative or non-finite entry.
     """
     import numpy as np
 
-    if cond_ab is None and cond_ba is None:
-        if cfg is None:
-            raise ValueError("need a DirectionConfig or conditional tables")
-        na, nb = len(cfg.alice), len(cfg.bob)
-        eps_ab = np.empty((na, nb))
-        for i, a in enumerate(cfg.alice):
-            for j, b in enumerate(cfg.bob):
-                eps_ab[i, j] = math.sin(0.5 * canonical_angle(a - b)) ** 2
-        eps_ba = eps_ab.copy()
-    else:
-        if cond_ab is None or cond_ba is None:
-            raise ValueError("supply both conditional tables or neither")
-        eps_ab = 1.0 - np.asarray(cond_ab, dtype=float)
-        eps_ba = 1.0 - np.asarray(cond_ba, dtype=float)
-        if eps_ab.shape != eps_ba.shape or eps_ab.ndim != 2:
-            raise ValueError("conditional tables must be 2-d with equal shapes")
-        for name, t in (("cond_ab", eps_ab), ("cond_ba", eps_ba)):
-            if np.any(t < -1e-9) or np.any(t > 1.0 + 1e-9):
-                raise ValueError(f"{name} has entries outside [0, 1]")
-        eps_ab = np.clip(eps_ab, 0.0, 1.0)
-        eps_ba = np.clip(eps_ba, 0.0, 1.0)
+    t = np.asarray(tables, dtype=float)
+    if t.ndim != 4 or t.shape[2:] != (2, 2) or t.size == 0:
+        raise ValueError(f"outcome tables need shape (n_alice, n_bob, 2, 2), both counts >= 1, got {t.shape}")
+    if not (np.isfinite(t).all() and t.min() >= 0.0):
+        raise ValueError("outcome tables must be finite and nonnegative")
+    # on nonnegative entries each conditional lies in [0, 1]
+    denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
+    denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps_ab = 1.0 - np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
+        eps_ba = 1.0 - np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
 
     eps_a = eps_ab.min(axis=1)
     partner_a = eps_ab.argmin(axis=1)

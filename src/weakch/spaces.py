@@ -167,16 +167,22 @@ def _cell_sums(weights: np.ndarray, cell_of: np.ndarray, in_a: np.ndarray, in_b:
 
 
 @dataclass(frozen=True)
-class ScreeningReport:
-    """Per-cell factorization residuals p(AB|C_i) - p(A|C_i) p(B|C_i).
+class CellStats:
+    """Per-cell statistics of a partition, for its positive-mass cells.
 
-    Cells of zero mass cannot be conditioned on; they are skipped and listed
-    rather than raised, since a vanishing cell makes the condition vacuous.
+    index lists those cells, and mass, cond_a, cond_b and residuals hold
+    p(C_i), p(A|C_i), p(B|C_i) and the screening residual
+    p(AB|C_i) - p(A|C_i) p(B|C_i) of each, in index order. Cells of zero mass cannot be conditioned
+    on; they are listed in skipped rather than raised, since a vanishing
+    cell makes the condition vacuous.
     """
 
+    index: tuple[int, ...]
+    mass: np.ndarray
+    cond_a: np.ndarray
+    cond_b: np.ndarray
     residuals: tuple[float, ...]
-    cell_indices: tuple[int, ...]
-    skipped_cells: tuple[int, ...]
+    skipped: tuple[int, ...]
 
     @property
     def max_abs(self) -> float:
@@ -207,28 +213,40 @@ def screening_residuals(
     event_a: Iterable[Hashable],
     event_b: Iterable[Hashable],
     cells: Sequence[Iterable[Hashable]],
-) -> ScreeningReport:
-    """Factorization residuals of A and B inside each cell of a partition.
+) -> CellStats:
+    """Per-cell statistics, screening residuals included, of labelled events.
 
-    For each positive-mass cell C_i returns
+    For each positive-mass cell C_i the residual is
     p(AB|C_i) - p(A|C_i) p(B|C_i). A cell that makes A or B conditionally
     deterministic contributes an exact zero.
     """
     cell_of, in_a, in_b, n_cells = _translate(space, event_a, event_b, cells)
-    return _screening(_cell_sums(space.weights, cell_of, in_a, in_b, n_cells))
+    return _cell_stats(_cell_sums(space.weights, cell_of, in_a, in_b, n_cells))
 
 
-def _screening(sums: np.ndarray) -> ScreeningReport:
-    # the screening report of _cell_sums rows; zero-mass cells are skipped
+def _cell_stats(sums: np.ndarray) -> CellStats:
+    # the statistics of _cell_sums rows; zero-mass cells are skipped
     mass, p_a, p_b, p_ab = sums
     pos = mass > 0.0
     m = mass[pos]
-    residuals = p_ab[pos] / m - (p_a[pos] / m) * (p_b[pos] / m)
-    return ScreeningReport(
-        tuple(residuals.tolist()),
-        tuple(np.flatnonzero(pos).tolist()),
-        tuple(np.flatnonzero(~pos).tolist()),
+    cond_a = p_a[pos] / m
+    cond_b = p_b[pos] / m
+    return CellStats(
+        index=tuple(np.flatnonzero(pos).tolist()),
+        mass=m,
+        cond_a=cond_a,
+        cond_b=cond_b,
+        residuals=tuple((p_ab[pos] / m - cond_a * cond_b).tolist()),
+        skipped=tuple(np.flatnonzero(~pos).tolist()),
     )
+
+
+def _label_list(value, name: str) -> list:
+    # value, which must be a list (a JSON array): a string or a dict would be
+    # read by its characters or keys. TypeError otherwise, as in real_numbers.
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def space_to_dict(space: FiniteProbSpace) -> dict:
@@ -236,5 +254,5 @@ def space_to_dict(space: FiniteProbSpace) -> dict:
 
 
 def space_from_dict(data: dict) -> FiniteProbSpace:
-    atoms = data["atoms"]
+    atoms = _label_list(data["atoms"], "atoms")
     return FiniteProbSpace(tuple(atoms), np.asarray(real_numbers(data["weights"])))

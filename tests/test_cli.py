@@ -187,6 +187,13 @@ def test_check_model_missing_file(capsys, tmp_path):
 
 
 def _malformed_model(case):
+    if case in ("string_labels", "object_labels"):  # read by characters or keys, these would pass
+        atoms, a, b, cells = "wxyz", "wx", "wy", ["wx", "yz"]
+        if case == "object_labels":
+            atoms, a, b = (dict.fromkeys(x) for x in (atoms, a, b))
+            cells = [dict.fromkeys(c) for c in cells]
+        space = {"atoms": atoms, "weights": [0.25] * 4}
+        return {"type": "pairwise", "space": space, "A": a, "B": b, "partition": cells}
     pairwise = json.loads((Path(__file__).resolve().parent / "golden" / "pairwise_model.json").read_text())
     if case == "pairwise_without_A":
         del pairwise["A"]
@@ -226,6 +233,8 @@ def _malformed_model(case):
         "string_weights",
         "boolean_weights",
         "boolean_cause_cards",
+        "string_labels",
+        "object_labels",
     ],
 )
 def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, case):
@@ -239,6 +248,7 @@ def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, c
     assert code == 2
     env = json.loads(out)
     assert env["command"] == command and env["error"]
+    assert "does not hold a full joint model" not in env["error"]  # rejected as malformed, not as pairwise
     assert "Traceback" not in err
 
 

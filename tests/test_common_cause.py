@@ -135,7 +135,7 @@ def test_generator_hits_target_and_revalidates():
     rep = check_cause_mass_bounds(m)
     assert rep.p_a == pytest.approx(0.5, abs=1e-9)
     assert rep.p_b == pytest.approx(0.5, abs=1e-9)
-    assert m.screening().max_abs <= 1e-12
+    assert cell_stats(m).max_abs <= 1e-12
     assert rep.ok
 
 
@@ -354,7 +354,7 @@ def test_zero_mass_cells_go_low_and_are_skipped():
     m = _labelled_model(sp, {"a1"}, {"a1"}, [{"a1"}, {"a2"}, {"z1", "z2"}])
     classes = classify_cells(m)
     assert 2 in classes.low
-    assert m.screening().skipped_cells == (2,)
+    assert cell_stats(m).skipped == (2,)
 
 
 def test_model_epsilon_rejects_a_zero_mass_conditioner():
@@ -384,6 +384,30 @@ def test_pairwise_json_roundtrip():
     assert back.in_a.tolist() == m.in_a.tolist()
     assert back.in_b.tolist() == m.in_b.tolist()
     assert pairwise_model_to_dict(back) == pairwise_model_to_dict(m)
+
+
+def test_pairwise_label_fields_must_be_json_arrays():
+    # a string or an object would be read by its characters or keys
+    good = {
+        "type": "pairwise",
+        "space": {"atoms": ["w", "x", "y", "z"], "weights": [0.25, 0.25, 0.25, 0.25]},
+        "A": ["w", "x"],
+        "B": ["w", "y"],
+        "partition": [["w", "x"], ["y", "z"]],
+    }
+    assert model_from_dict(good).n_cells == 2
+    bad_values = ("wxyz", dict.fromkeys("wxyz"))
+    for field in ("atoms", "A", "B", "partition", "cell"):
+        for bad in bad_values:
+            data = {**good, "space": dict(good["space"]), "partition": list(good["partition"])}
+            if field == "atoms":
+                data["space"]["atoms"] = bad
+            elif field == "cell":
+                data["partition"][1] = bad
+            else:
+                data[field] = bad
+            with pytest.raises(BadModel, match="JSON array"):
+                model_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +568,37 @@ def test_full_check_profiles_the_model_once(monkeypatch):
     # report all read the one deficit profile the model computes
     calls = []
     profile = singlet.epsilon_profile
-    monkeypatch.setattr(singlet, "epsilon_profile", lambda **kw: calls.append(1) or profile(**kw))
+    monkeypatch.setattr(singlet, "epsilon_profile", lambda tables: calls.append(1) or profile(tables))
     m = random_eprb_model(7, (2, 3, 2, 2), 1e-3)
     for check in (validate_loc, validate_no_conspiracy, validate_screening, joint_cause_bounds_check):
         check(m)
     m.weak_report()
     assert len(calls) == 1
+
+
+def _profile_bits(prof):
+    return {
+        k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v.hex()
+        for k, v in vars(prof).items()
+    }
+
+
+def test_model_profile_is_the_profile_of_its_tables():
+    rng = np.random.default_rng(4)
+    w = rng.dirichlet(np.ones(256)).reshape(2, 2, 2, 2, 2, 2, 2, 2)
+    w[0, 1, :, 1] = 0.0  # pair (a1, b4): no B=- mass to condition p(+_a | -_b) on
+    w[1, 0, 1] = 0.0  # pair (a2, b3): no A=- mass to condition p(+_b | -_a) on
+    dirichlet = EprbModel(w, (2, 2, 2, 2))
+    models = [random_eprb_model(seed, (2, 3, 2, 2), 1e-3) for seed in range(3)] + [dirichlet]
+    for m in models:
+        prof = m.profile()
+        assert _profile_bits(prof) == _profile_bits(singlet.epsilon_profile(m.outcome_tables()))
+        t = m.outcome_tables().tolist()
+        for i, j in np.ndindex(2, 2):  # the reference: one float division per deficit
+            (_, pm), (mp, mm) = t[i][j]
+            assert prof.eps_ab[i, j] == (1.0 - pm / (pm + mm) if pm + mm > 0.0 else 1.0)
+            assert prof.eps_ba[i, j] == (1.0 - mp / (mp + mm) if mp + mm > 0.0 else 1.0)
+    assert dirichlet.profile().eps_ab[0, 1] == 1.0 and dirichlet.profile().eps_ba[1, 0] == 1.0
 
 
 def test_memoised_model_tables_reject_writes():

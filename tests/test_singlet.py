@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER
 from weakch.singlet import (
-    DirectionConfig,
     canonical_angle,
     ch_terms,
     ch_value,
@@ -66,7 +65,7 @@ def test_joint_prob_sign_flip_symmetry(phi):
 
 
 def test_profile_parallel_directions():
-    prof = epsilon_profile(DirectionConfig(alice=(0.0,), bob=(0.0,)))
+    prof = epsilon_profile(outcome_tables((0.0,), (0.0,)))
     assert prof.eps_a[0] == 0.0
     assert prof.partner_a[0] == 0
     assert prof.eps_global == 0.0
@@ -74,7 +73,7 @@ def test_profile_parallel_directions():
 
 def test_profile_two_bob_choices():
     # evaluate the anticorrelation conditional by hand: deficit sin^2(phi/2)
-    prof = epsilon_profile(DirectionConfig(alice=(0.0,), bob=(PI / 4, PI / 2)))
+    prof = epsilon_profile(outcome_tables((0.0,), (PI / 4, PI / 2)))
     assert prof.eps_a[0] == pytest.approx(math.sin(PI / 8) ** 2, abs=1e-12)
     assert prof.eps_a[0] == pytest.approx(0.14644660940672624, abs=1e-12)
     assert prof.partner_a[0] == 0
@@ -82,27 +81,27 @@ def test_profile_two_bob_choices():
 
 def test_profile_grid_has_zero_deficit():
     # every direction has a parallel partner on the far wing
-    prof = epsilon_profile(DirectionConfig(alice=(0.0, PI / 2), bob=(0.0, PI / 2)))
+    prof = epsilon_profile(outcome_tables((0.0, PI / 2), (0.0, PI / 2)))
     assert prof.eps_global == 0.0
 
 
 def test_profile_opposite_directions_have_maximal_deficit():
     # at angle pi the outcomes correlate instead of anticorrelating, so the
     # anticorrelation deficit is maximal, not zero
-    prof = epsilon_profile(DirectionConfig(alice=(0.0,), bob=(PI,)))
+    prof = epsilon_profile(outcome_tables((0.0,), (PI,)))
     assert prof.eps_ab[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_tie_breaks_to_lowest_index():
     # duplicate Bob directions give an exact tie in the deficits
-    prof = epsilon_profile(DirectionConfig(alice=(0.0,), bob=(PI / 4, PI / 4)))
+    prof = epsilon_profile(outcome_tables((0.0,), (PI / 4, PI / 4)))
     assert prof.eps_ab[0, 0] == prof.eps_ab[0, 1]
     assert prof.partner_a[0] == 0
     assert prof.partner_b[0] == 0 and prof.partner_b[1] == 0
 
 
 def test_profile_row_minimum_invariant():
-    prof = epsilon_profile(DirectionConfig(alice=(0.1, 1.3, 2.9), bob=(0.7, 2.0)))
+    prof = epsilon_profile(outcome_tables((0.1, 1.3, 2.9), (0.7, 2.0)))
     assert np.all(prof.eps_a[:, None] <= prof.eps_ab + 1e-15)
     assert np.all(prof.eps_b[None, :] <= prof.eps_ba + 1e-15)
     assert prof.eps_global >= prof.eps_a.max()
@@ -112,7 +111,15 @@ def test_profile_row_minimum_invariant():
 def test_profile_from_external_tables():
     cond_ab = [[0.99, 0.4], [0.7, 0.95]]
     cond_ba = [[0.98, 0.5], [0.6, 0.97]]
-    prof = epsilon_profile(cond_ab=np.array(cond_ab), cond_ba=np.array(cond_ba))
+
+    def table(p_ab, p_ba, both_minus=1e-3):
+        # p(+_a|-_b) = p_ab and p(+_b|-_a) = p_ba, the rest on (+, +)
+        x = p_ab * both_minus / (1.0 - p_ab)
+        y = p_ba * both_minus / (1.0 - p_ba)
+        return [[1.0 - x - y - both_minus, x], [y, both_minus]]
+
+    tables = np.array([[table(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(cond_ab, cond_ba)])
+    prof = epsilon_profile(tables)
     assert prof.eps_ab[0, 0] == pytest.approx(0.01, abs=1e-12)
     assert prof.partner_a[0] == 0
     assert prof.partner_a[1] == 1
@@ -120,14 +127,31 @@ def test_profile_from_external_tables():
     assert prof.eps_global == pytest.approx(max(0.01, 0.05, 0.02, 0.03), abs=1e-12)
 
 
-def test_profile_requires_both_tables():
+@pytest.mark.parametrize(
+    "tables",
+    [
+        np.full((2, 2, 2), 0.25),
+        np.full((2, 2, 2, 3), 0.25),
+        outcome_tables((), (0.0,)),
+        outcome_tables((0.0,), ()),
+        np.array([[[[0.5, 0.6], [0.0, -0.1]]]]),
+        np.array([[[[0.5, np.nan], [0.5, 0.0]]]]),
+        np.array([[[[0.5, np.inf], [0.5, 0.0]]]]),
+    ],
+    ids=["three_axes", "not_2x2", "no_alice_direction", "no_bob_direction", "negative", "nan", "inf"],
+)
+def test_profile_rejects_malformed_tables(tables):
     with pytest.raises(ValueError):
-        epsilon_profile(cond_ab=np.eye(2))
+        epsilon_profile(tables)
 
 
-def test_direction_config_validation():
-    with pytest.raises(ValueError):
-        DirectionConfig(alice=(), bob=(0.0,))
+def test_singlet_profile_is_sin_squared_of_half_angle():
+    # the deficit of every direction pair is sin^2(phi/2), to the last bits
+    angles = np.linspace(-2 * PI, 2 * PI, 41)
+    prof = epsilon_profile(outcome_tables(angles, angles[::3]))
+    expected = np.sin(0.5 * (angles[:, None] - angles[None, ::3])) ** 2
+    assert np.abs(prof.eps_ab - expected).max() <= 1e-15
+    assert np.abs(prof.eps_ba - expected).max() <= 1e-15
 
 
 def test_ch_value_lower_extremum():

@@ -83,8 +83,8 @@ def test_screening_product_model_near_zero():
 def test_screening_zero_mass_cells_flagged():
     sp = make_space([0.5, 0.5, 0.0], atoms=["x", "y", "z"])
     rep = screening_residuals(sp, {"x"}, {"y"}, [{"x"}, {"y"}, {"z"}])
-    assert rep.skipped_cells == (2,)
-    assert rep.cell_indices == (0, 1)
+    assert rep.skipped == (2,)
+    assert rep.index == (0, 1)
 
 
 def test_partition_validation():

@@ -288,7 +288,6 @@ def pairwise_record(model) -> dict:
     d = pairwise_model_to_dict(model)
     weights = np.ascontiguousarray(model.space.weights)
     stats = cell_stats(model)
-    scr = model.screening()
     return {
         "weights": _digest(weights.tobytes()),
         "labels": {k: d[k] for k in ("A", "B", "partition")} | {"atoms": d["space"]["atoms"]},
@@ -306,7 +305,7 @@ def pairwise_record(model) -> dict:
         ),
         "epsilon": _attempt(lambda: model_epsilon(model).hex()),
         "marginals": [prob(model.space, d[k]).hex() for k in ("A", "B")],
-        "screening": {"cell_indices": list(scr.cell_indices), "skipped_cells": list(scr.skipped_cells)},
+        "screening": {"cell_indices": list(stats.index), "skipped_cells": list(stats.skipped)},
     }
 
 
@@ -315,7 +314,7 @@ def pairwise_cases() -> list:
     for k, (desc, model) in enumerate(pairwise_models()):
         rec = pairwise_record(model)
         entry = {"case": desc, **{part: _digest(v) for part, v in rec.items()}}
-        entry["residuals"] = [r.hex() for r in model.screening().residuals]
+        entry["residuals"] = [r.hex() for r in cell_stats(model).residuals]
         if k < N_FULL:
             entry["full"] = rec
         cases.append(entry)
@@ -390,7 +389,7 @@ def test_pairwise_engine_matches_the_fixture(fixture):
             assert rec == want["full"], desc
         for part, value in rec.items():
             assert _digest(value) == want[part], f"{desc}: {part}"
-        got = model.screening().residuals
+        got = cell_stats(model).residuals
         assert len(got) == len(want["residuals"]), desc
         for r, w in zip(got, want["residuals"]):
             assert abs(r - float.fromhex(w)) <= 1e-15, desc
