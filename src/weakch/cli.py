@@ -320,27 +320,23 @@ def _cmd_check_model(args, fmt: str) -> int:
         raise WeakChError(f"cannot read {args.file}: {exc}") from exc
     model = common_cause.model_from_dict(data)
     inputs = {"file": str(args.file), "type": data.get("type")}
-    tol = common_cause.PRECONDITION_TOL
 
     if isinstance(model, common_cause.EprbModel):
-        loc = common_cause.validate_loc(model)
-        nc = common_cause.validate_no_conspiracy(model)
-        scr = common_cause.validate_screening(model)
         result = {
             "cause_cards": list(model.cause_cards),
             "validators": {
-                "locality": _residual_summary(loc),
-                "no_conspiracy": _residual_summary(nc),
-                "screening": _residual_summary(scr),
+                "locality": _residual_summary(common_cause.validate_loc(model)),
+                "no_conspiracy": _residual_summary(common_cause.validate_no_conspiracy(model)),
+                "screening": _residual_summary(common_cause.validate_screening(model)),
             },
             "epsilon_profile": model.profile(),
         }
-        if max(loc.max_abs, nc.max_abs, scr.max_abs) > tol:
+        try:  # re-reads the three reports kept on the model
+            joint = common_cause.joint_cause_bounds_check(model)
+        except common_cause.PreconditionViolated:
             result["status"] = "precondition_failed"
             _emit(_envelope("check-model", inputs, result), fmt)
             return EXIT_VALIDATION
-        # the three preconditions of joint_cause_bounds_check passed just above
-        joint = common_cause._joint_cause_bounds(model)
         weak = model.weak_report()
         result["joint_cause_bounds"] = joint
         result["weak_report"] = weak.as_dict()

@@ -59,6 +59,7 @@ from .spaces import (
     ZeroConditioner,
     _cell_stats,
     _cell_sums,
+    _json_array,
     _label_list,
     _translate,
     space_from_dict,
@@ -393,7 +394,7 @@ def pairwise_model_to_dict(model: PairwiseCcModel) -> dict:
 
 def pairwise_model_from_dict(data: dict) -> PairwiseCcModel:
     space = space_from_dict(data["space"])
-    cells = [_label_list(c, "a partition cell") for c in _label_list(data["partition"], "partition")]
+    cells = [_label_list(c, "a partition cell") for c in _json_array(data["partition"], "partition")]
     return _labelled_model(space, _label_list(data["A"], "A"), _label_list(data["B"], "B"), cells)
 
 
@@ -439,12 +440,27 @@ def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return w.sum(axis=axes)
 
 
+def _kept(derive):
+    # derive(model), computed on first use and kept in the model's __dict__
+    # under derive itself, as functools.cached_property keeps a value under
+    # its name. A model is immutable, so a kept value never goes stale.
+    @functools.wraps(derive)
+    def kept(model):
+        value = model.__dict__.get(derive)
+        if value is None:
+            value = model.__dict__[derive] = derive(model)
+        return value
+
+    return kept
+
+
 @dataclass(frozen=True, eq=False)
 class EprbModel:
     """Joint distribution over settings, outcomes, and four cause variables.
 
-    Its setting law, outcome tables and deficit profile are computed once
-    (the last two on first use) and are read-only.
+    Its setting law is computed at construction. Its outcome tables, deficit
+    profile and validator reports are computed on first use and kept (see
+    _kept). All of them are read-only.
     """
 
     weights: np.ndarray
@@ -474,25 +490,19 @@ class EprbModel:
         object.__setattr__(self, "cause_cards", cards)
         object.__setattr__(self, "_setting_probs", pair)
 
-    @functools.cached_property
-    def _outcome_tables(self) -> np.ndarray:
+    def setting_probs(self) -> np.ndarray:
+        return self._setting_probs
+
+    @_kept
+    def outcome_tables(self) -> np.ndarray:
         joint = _marginal(self.weights, (0, 1, 2, 3))
         t = joint / joint.sum(axis=(2, 3), keepdims=True)
         t.flags.writeable = False
         return t
 
-    @functools.cached_property
-    def _profile(self) -> singlet.EpsilonProfile:
-        return singlet.epsilon_profile(self._outcome_tables)
-
-    def setting_probs(self) -> np.ndarray:
-        return self._setting_probs
-
-    def outcome_tables(self) -> np.ndarray:
-        return self._outcome_tables
-
+    @_kept
     def profile(self) -> singlet.EpsilonProfile:
-        return self._profile
+        return singlet.epsilon_profile(self.outcome_tables())
 
     def plus_probs(self) -> np.ndarray:
         """p(+ | own setting) as a (wing, setting) table, wing 0 for Alice and 1 for Bob."""
@@ -524,6 +534,7 @@ class EprbModel:
         return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
+@_kept
 def validate_loc(model: EprbModel) -> ResidualReport:
     """Locality residuals: far setting vs pooled conditionals of near outcomes.
 
@@ -561,6 +572,7 @@ def validate_loc(model: EprbModel) -> ResidualReport:
     return ResidualReport(tuple(labels), tuple(residuals), tuple(skipped))
 
 
+@_kept
 def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """Setting-independence residuals of the five product conditions.
 
@@ -604,6 +616,7 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     return ResidualReport(tuple(labels), tuple(residuals), tuple())
 
 
+@_kept
 def validate_screening(model: EprbModel) -> ResidualReport:
     """Screening residuals of the partner-direction cause partitions.
 
@@ -697,7 +710,8 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
 
     with the correction terms computed at the model's own global deficit.
     The three validators must hold within PRECONDITION_TOL, and the strict
-    side carries the same tolerance.
+    side carries the same tolerance. Their reports are kept on the model,
+    so a caller that has run them pays nothing to run them again here.
     """
     tol = PRECONDITION_TOL
     # listed in the call, so each validator is looked up when it runs
@@ -709,12 +723,6 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
         worst = validate(model).max_abs
         if worst > tol:
             raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")
-    return _joint_cause_bounds(model)
-
-
-def _joint_cause_bounds(model: EprbModel) -> JointCauseReport:
-    # The bounds part of joint_cause_bounds_check, for a caller that has
-    # already checked its three validator preconditions.
     t = model.outcome_tables()
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]

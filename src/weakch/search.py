@@ -19,6 +19,7 @@ from .inequalities import WeakChReport
 from .spaces import WeakChError
 
 TAU = 2.0 * math.pi
+_GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
 
 
 def _ch_offsets(x, y, z):
@@ -70,7 +71,6 @@ def optimize_angles(
     seed: int = 0,
     grid_size: int = 16,
     refine_sweeps: int = 60,
-    starts: int = 6,
 ) -> tuple[tuple[float, float, float, float], float]:
     """Extremize the singlet CH combination over measurement directions.
 
@@ -94,7 +94,7 @@ def optimize_angles(
     order = np.argsort(vals.ravel(), kind="stable")
 
     rng = np.random.default_rng(seed)
-    candidates = [flat[i] for i in order[:starts]]
+    candidates = [flat[i] for i in order[:_GRID_STARTS]]
     candidates.extend(rng.uniform(0.0, TAU, size=(2, 3)))
 
     best_point, best_val = None, math.inf

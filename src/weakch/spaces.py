@@ -241,11 +241,20 @@ def _cell_stats(sums: np.ndarray) -> CellStats:
     )
 
 
-def _label_list(value, name: str) -> list:
+def _json_array(value, name: str) -> list:
     # value, which must be a list (a JSON array): a string or a dict would be
     # read by its characters or keys. TypeError otherwise, as in real_numbers.
     if not isinstance(value, list):
         raise TypeError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _label_list(value, name: str) -> list:
+    # value, a JSON array of atom labels: JSON strings and integers only, as
+    # true, 1.0 and 1 are equal in Python and would name one atom
+    for v in _json_array(value, name):
+        if type(v) not in (str, int):
+            raise TypeError(f"{name} labels must be JSON strings or integers, got {v!r}")
     return value
 
 

@@ -128,17 +128,20 @@ def test_check_model_eprb_ok(capsys, tmp_path):
 
 
 def test_check_model_runs_each_validator_once(capsys, monkeypatch):
+    # The envelope's reports and the joint-cause check's gate both call each
+    # validator; this counts the computations behind the calls, which the
+    # model keeps.
     import weakch.common_cause as cc
 
     calls = dict.fromkeys(("validate_loc", "validate_no_conspiracy", "validate_screening"), 0)
     for name in calls:
-        original = getattr(cc, name)
+        derive = getattr(cc, name).__wrapped__
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(model, _name=name, _derive=derive):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            return _derive(model)
 
-        monkeypatch.setattr(cc, name, counted)
+        monkeypatch.setattr(cc, name, cc._kept(counted))
     fixture = Path(__file__).resolve().parent / "golden" / "eprb_model.json"
     code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
     assert code == 0
@@ -186,6 +189,17 @@ def test_check_model_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+# Label fields that replace those of a screened pairwise model with even
+# marginals, atoms [1, 0, 2, 3], A [1, 0], B [1, 2], cells [1, 0] and [2, 3]
+_TYPED_LABELS = {
+    "boolean_event_labels": {"A": [True, 0]},
+    "float_event_labels": {"B": [1.0, 2]},
+    "boolean_cell_labels": {"partition": [[True, False], [2, 3]]},
+    "float_atom_labels": {"atoms": [1.0, 0, 2, 3]},
+    "null_labels": {"atoms": [1, 0, 2, None], "partition": [[1, 0], [2, None]]},
+}
+
+
 def _malformed_model(case):
     if case in ("string_labels", "object_labels"):  # read by characters or keys, these would pass
         atoms, a, b, cells = "wxyz", "wx", "wy", ["wx", "yz"]
@@ -194,6 +208,11 @@ def _malformed_model(case):
             cells = [dict.fromkeys(c) for c in cells]
         space = {"atoms": atoms, "weights": [0.25] * 4}
         return {"type": "pairwise", "space": space, "A": a, "B": b, "partition": cells}
+    if case in _TYPED_LABELS:  # matched by Python equality, true, 1.0 and 1 name one atom
+        fields = {"atoms": [1, 0, 2, 3], "A": [1, 0], "B": [1, 2], "partition": [[1, 0], [2, 3]]}
+        fields.update(_TYPED_LABELS[case])
+        space = {"atoms": fields.pop("atoms"), "weights": [0.25] * 4}
+        return {"type": "pairwise", "space": space, **fields}
     pairwise = json.loads((Path(__file__).resolve().parent / "golden" / "pairwise_model.json").read_text())
     if case == "pairwise_without_A":
         del pairwise["A"]
@@ -235,6 +254,7 @@ def _malformed_model(case):
         "boolean_cause_cards",
         "string_labels",
         "object_labels",
+        *_TYPED_LABELS,
     ],
 )
 def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, case):

@@ -10,6 +10,7 @@ from weakch.common_cause import (
     BadModel,
     EprbModel,
     GenerationFailed,
+    PRECONDITION_TOL,
     PairwiseCcModel,
     PreconditionViolated,
     UnnormalizedInput,
@@ -32,8 +33,16 @@ from weakch.common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
+from weakch import common_cause as cc
 from weakch import singlet
-from weakch.spaces import BadPartition, FiniteProbSpace, ForeignEvent, ZeroConditioner, make_space
+from weakch.spaces import (
+    BadPartition,
+    FiniteProbSpace,
+    ForeignEvent,
+    ResidualReport,
+    ZeroConditioner,
+    make_space,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +417,12 @@ def test_pairwise_label_fields_must_be_json_arrays():
                 data[field] = bad
             with pytest.raises(BadModel, match="JSON array"):
                 model_from_dict(data)
+    # a file names atoms by JSON strings and integers only, since true, 1.0
+    # and 1 would name one atom; library callers keep any hashable label
+    with pytest.raises(BadModel, match="strings or integers"):
+        model_from_dict({**good, "A": ["w", True]})
+    space = make_space([0.5, 0.5], atoms=[(0, 1), 2.5])
+    assert _labelled_model(space, [(0, 1)], [(0, 1)], [[(0, 1)], [2.5]]).n_cells == 2
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +578,52 @@ def test_screening_detects_bob_reading_a_foreign_cause():
 
 
 
+def _count_computations(monkeypatch) -> dict:
+    # Counts the computations behind each value a full-joint model keeps:
+    # each derivation is wrapped in a counter, kept again and put back
+    # where it was found.
+    owners = {
+        "outcome_tables": EprbModel,
+        "profile": EprbModel,
+        "validate_loc": cc,
+        "validate_no_conspiracy": cc,
+        "validate_screening": cc,
+    }
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        derive = getattr(owner, name).__wrapped__
+
+        def counted(model, _name=name, _derive=derive):
+            calls[_name] += 1
+            return _derive(model)
+
+        monkeypatch.setattr(owner, name, cc._kept(counted))
+    return calls
+
+
+def test_verify_sequence_computes_each_kept_value_once(monkeypatch):
+    # the validators, then the joint-cause check that gates on them, then
+    # the weak report, called as the benchmark's verify_joint calls them
+    calls = _count_computations(monkeypatch)
+    m = cc.random_eprb_model(7, (2, 3, 2, 2), 1e-3)
+    reports = (cc.validate_loc(m), cc.validate_no_conspiracy(m), cc.validate_screening(m))
+    assert cc.joint_cause_bounds_check(m).ok
+    assert not m.weak_report().violated
+    assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_kept_values_belong_to_their_model():
+    m = random_eprb_model(8, (2, 2, 2, 2), 1e-3)
+    twin = EprbModel(m.weights, m.cause_cards)
+    for derive in (EprbModel.outcome_tables, EprbModel.profile, validate_loc, validate_no_conspiracy, validate_screening):
+        value = derive(m)
+        assert derive(m) is value
+        assert derive(twin) is not value
+    assert np.array_equal(twin.outcome_tables(), m.outcome_tables())
+    assert validate_screening(twin) == validate_screening(m)
+
+
 def test_full_check_profiles_the_model_once(monkeypatch):
     # generation, the three validators, the joint-cause check and the weak
     # report all read the one deficit profile the model computes
@@ -669,6 +730,99 @@ def test_joint_cause_bounds_rejects_conspiracy():
     w[0, :, :, :, 0] *= 1.5
     with pytest.raises(PreconditionViolated):
         joint_cause_bounds_check(EprbModel(w, m.cause_cards))
+
+
+@pytest.fixture
+def clean_gate(monkeypatch):
+    # joint_cause_bounds_check looks its three validators up in common_cause
+    for name in ("validate_loc", "validate_no_conspiracy", "validate_screening"):
+        monkeypatch.setattr(cc, name, lambda model: ResidualReport((), (), ()))
+
+
+def _joint_border_model(f: float, x: float = 2.0**-18) -> EprbModel:
+    """A model whose pair 13 has p(C^a C^b) = (3/8 + f/4) / (1 + x), and nothing else moves with f.
+
+    The four causes equal a fair hidden bit z. A is + when c1 = 0 at a1 and
+    when c2 = 1 at a2; B is + when c3 = 0 at b3 and when c4 = 1 at b4. So
+    p(+,+|a1 b3) = 1/2 and the aggregate causes are c1 = 0 and c3 = 0. An
+    extra (-, -) mass x at pair (a1, b4) sets the deficit to x / (1/8 + x).
+    In pair (a2, b4), whose outcomes read only c2 and c4, c1 and c3 are both
+    0 with probability f apart from z, so f moves p(C^a C^b) and no table.
+    That breaks setting independence: a check needs its gate patched clean.
+    """
+    w = np.zeros((2,) * 8)
+    for z in (0, 1):
+        for a, b in ((0, 0), (0, 1), (1, 0)):
+            w[a, b, (z, 1 - z)[a], (z, 1 - z)[b], z, z, z, z] = 1 / 8
+        for k, p in ((0, f), (1, 1.0 - f)):
+            w[1, 1, 1 - z, 1 - z, k, z, k, z] = p / 8
+    w[0, 1, 1, 1, 1, 1, 1, 1] = x
+    return EprbModel(w, (2, 2, 2, 2))
+
+
+def _pair_13_at(p_joint_cause: float):
+    x = 2.0**-18
+    pair = joint_cause_bounds_check(_joint_border_model(4.0 * (p_joint_cause * (1.0 + x) - 0.375), x)).pairs[0]
+    assert pair.p_joint_cause == pytest.approx(p_joint_cause, abs=1e-15)
+    return pair
+
+
+def test_joint_cause_lower_border(clean_gate):
+    # p(+,+|ab) - d_plus_ab <= p(C^a C^b) within PRECONDITION_TOL. No model
+    # that passes the validators is known to reach this border, so these
+    # run with the gate patched clean.
+    ref = _pair_13_at(0.5)
+    assert ref.d_minus < ref.d_plus
+    border = ref.p_plus_plus - ref.d_plus
+    for p_cc, ok in (
+        (border - 2.0 * PRECONDITION_TOL, False),  # beyond the tolerance
+        (border - 0.5 * PRECONDITION_TOL, True),  # inside it
+        (border + 0.5 * (ref.d_plus - ref.d_minus), True),  # yet below p(+,+|ab) - d_minus_ab
+    ):
+        pair = _pair_13_at(p_cc)
+        assert (pair.lower_ok, pair.upper_ok) == (ok, True), p_cc - border
+
+
+def test_joint_cause_upper_border(clean_gate):
+    # p(C^a C^b) <= p(+,+|ab) + d_minus_ab within 1e-12. The paper proves
+    # this side for every model that meets the assumptions, so only a model
+    # that fails them can cross it: the gate is patched clean.
+    ref = _pair_13_at(0.5)
+    border = ref.p_plus_plus + ref.d_minus
+    for p_cc, ok in (
+        (border + 0.5e-12, True),  # inside the tolerance
+        (border + 2e-12, False),  # beyond it
+        (border + 0.5 * (ref.d_plus - ref.d_minus), False),  # yet below p(+,+|ab) + d_plus_ab
+    ):
+        pair = _pair_13_at(p_cc)
+        assert (pair.lower_ok, pair.upper_ok) == (True, ok), p_cc - border
+
+
+def _aggregate_border_model(w_plus: float) -> EprbModel:
+    # Cause c1 has two cells. At a1, cell 0 carries only (+, -) and cell 1
+    # carries (+, +) with mass w_plus and (-, +) with 0.6875 - w_plus, so
+    # p(+_a1 | -_b3) = 1 and the a1 deficit is exactly 0: the cutoff is 1.
+    w = np.zeros((2, 2, 2, 2, 2, 1, 1, 1))
+    w[0, 0, 0, 1, 0] = 1 / 8
+    w[0, 0, 0, 0, 1] = w_plus
+    w[0, 0, 1, 0, 1] = 0.6875 - w_plus
+    w[0, 1, 0, 1, 0] = w[1, 0, 0, 1, 0] = w[1, 1, 0, 1, 0] = 1 / 16
+    return EprbModel(w, (2, 1, 1, 1))
+
+
+def test_aggregate_cause_cutoff_tolerance():
+    # a cell joins the aggregate when p(+|a1, cell) >= cutoff - 1e-12
+    edge = 1.0 - 1e-12
+    w_edge = edge * 0.6875
+    assert w_edge / 0.6875 == edge
+    m = _aggregate_border_model(w_edge)
+    # All weights are multiples of 2^-53 that sum to 1, so normalising and
+    # summing are exact and the cell's conditional is edge itself.
+    assert (m.weights[0, 0, 0, 0, 1, 0, 0, 0], m.weights[0, 0, 1, 0, 1, 0, 0, 0]) == (w_edge, 0.6875 - w_edge)
+    agg = _aggregate(m, _WINGS[0])
+    assert (agg.epsilon_dir, agg.cutoff, agg.cells) == (0.0, 1.0, (0, 1))
+    for q, cells in ((1.0 - 0.5e-12, (0, 1)), (1.0 - 2e-12, (0,))):  # inside the tolerance, beyond it
+        assert _aggregate(_aggregate_border_model(q * 0.6875), _WINGS[0]).cells == cells, q
 
 
 def test_weak_report_matches_components():

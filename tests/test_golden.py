@@ -34,6 +34,7 @@ CASES = {
     "oracle_file": (["oracle", "--file", "atoms.json"], 0),
     "check_model_eprb": (["check-model", "--file", "eprb_model.json"], 0),
     "check_model_pairwise": (["check-model", "--file", "pairwise_model.json"], 0),
+    "check_model_eprb_precondition_failed": (["check-model", "--file", "eprb_precondition_failed.json"], 2),
     "search": (["search", "--seed", "6", "--restarts", "1", "--iters", "10"], 0),
     "optimize_angles": (["optimize-angles"], 0),
     "simulate": (["simulate", "--seed", "1", "--n", "100000", "--angles", LOWER], 3),
