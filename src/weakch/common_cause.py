@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -435,9 +436,14 @@ _WINGS = (
 )
 
 
+@functools.cache
+def _summed_axes(ndim: int, keep: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k for k in range(ndim) if k not in keep)
+
+
 def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    axes = tuple(k for k in range(w.ndim) if k not in keep)
-    return w.sum(axis=axes)
+    # np.add.reduce is what w.sum calls, without the wrapper
+    return np.add.reduce(w, axis=_summed_axes(w.ndim, keep))
 
 
 def _kept(derive):
@@ -534,6 +540,17 @@ class EprbModel:
         return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
+def _loc_label(key: tuple) -> str:
+    # (row, cell, far, outcome) of a residual; (row, cell) or (row, cell, far) of a skip
+    row, i, *rest = key
+    r = _WINGS[row]
+    cell = f"c{r.cause + 1}={i}"
+    if len(rest) == 2:
+        f, o = rest
+        return f"{r.side} {r.outcome}={'+-'[o]} {r.name} {r.far[f]} {cell}"
+    return " ".join((r.side, r.name, *(r.far[f] for f in rest), cell))
+
+
 @_kept
 def validate_loc(model: EprbModel) -> ResidualReport:
     """Locality residuals: far setting vs pooled conditionals of near outcomes.
@@ -543,33 +560,43 @@ def validate_loc(model: EprbModel) -> ResidualReport:
     setting pairs of zero conditioning mass are skipped and listed.
     """
     w = model.weights
-    labels: list[str] = []
+    keys: list[tuple] = []
     residuals: list[float] = []
-    skipped: list[str] = []
+    skipped: list[tuple] = []
 
-    for row in _WINGS:
+    for r, row in enumerate(_WINGS):
         s = _marginal(w[row.index], (0, 1 + row.wing, 3 + row.cause))  # (far, out, cell)
-        denom_far = s.sum(axis=1)
-        pooled = s.sum(axis=0)
-        denom = pooled.sum(axis=0)
-        head = f"{row.side} {row.outcome}="
-        heads = (f"{head}+ {row.name}", f"{head}- {row.name}")
-        for i in range(model.cause_cards[row.cause]):
-            cell = f"c{row.cause + 1}={i}"
-            if denom[i] <= 0.0:
-                skipped.append(f"{row.side} {row.name} {cell}")
+        for i, by_far in enumerate(s.transpose(2, 0, 1).tolist()):  # [p(+), p(-)] per far setting
+            (p0, m0), (p1, m1) = by_far
+            plus, minus = p0 + p1, m0 + m1
+            denom = plus + minus
+            if denom <= 0.0:
+                skipped.append((r, i))
                 continue
-            base = pooled[:, i] / denom[i]
-            for f, far in enumerate(row.far):
-                d = denom_far[f, i]
+            plus, minus = plus / denom, minus / denom
+            for f, (p, m) in enumerate(by_far):
+                d = p + m
                 if d <= 0.0:
-                    skipped.append(f"{row.side} {row.name} {far} {cell}")
+                    skipped.append((r, i, f))
                     continue
-                for o, head in enumerate(heads):
-                    labels.append(f"{head} {far} {cell}")
-                    residuals.append(float(s[f, o, i] / d - base[o]))
+                keys += ((r, i, f, 0), (r, i, f, 1))
+                residuals += (p / d - plus, m / d - minus)
 
-    return ResidualReport(tuple(labels), tuple(residuals), tuple(skipped))
+    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _loc_label)
+
+
+def _no_conspiracy_label(key: tuple) -> str:
+    # (tag, cause, cell) or (tag, cause, cell, cause, cell)
+    tag, *cells = key
+    return "p(" + ", ".join((tag, *(f"c{k + 1}={i}" for k, i in zip(cells[::2], cells[1::2])))) + ")"
+
+
+@_kept
+def _cause_pairs(model: EprbModel) -> tuple[np.ndarray, ...]:
+    # p(c_a, c_b) of each cross-wing cause pair, Alice's cause a1 + ai and
+    # Bob's b3 + bj at index 2 * ai + bj
+    w = model.weights
+    return tuple(_marginal(w, (4 + ai, 6 + bj)) for ai in (0, 1) for bj in (0, 1))
 
 
 @_kept
@@ -582,16 +609,15 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """
     w = model.weights
     sp = model.setting_probs()
-    p_setting = (sp.sum(axis=1), sp.sum(axis=0))
-    cause_marg = [_marginal(w, (4 + k,)) for k in range(4)]
-    labels: list[str] = []
+    p_setting = (sp.sum(axis=1).tolist(), sp.sum(axis=0).tolist())
+    cause_marg = [_marginal(w, (4 + k,)).tolist() for k in range(4)]
+    cause_pairs = _cause_pairs(model)
+    keys: list[tuple] = []
     residuals: list[float] = []
 
     def cause_rows(tag: str, cause: int, p_cell: np.ndarray, p_set: float) -> None:
-        marg = cause_marg[cause]
-        for i in range(model.cause_cards[cause]):
-            labels.append(f"p({tag}, c{cause + 1}={i})")
-            residuals.append(float(p_cell[i] - p_set * marg[i]))
+        keys.extend(product((tag,), (cause,), range(model.cause_cards[cause])))
+        residuals.extend(p - p_set * m for p, m in zip(p_cell.tolist(), cause_marg[cause]))
 
     for row in _WINGS:
         p_cell = _marginal(w[row.index], (3 + row.cause,))
@@ -605,15 +631,19 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
             for k in (ra.cause, rb.cause):
                 cause_rows(tag, k, _marginal(block, (2 + k,)), pab)
             pab_cc = _marginal(block, (2 + ra.cause, 2 + rb.cause))
-            pcc = _marginal(w, (4 + ra.cause, 4 + rb.cause))
-            diff = pab_cc - pab * pcc
-            for i in range(model.cause_cards[ra.cause]):
-                head = f"p({tag}, c{ra.cause + 1}={i}, c{rb.cause + 1}="
-                for j in range(model.cause_cards[rb.cause]):
-                    labels.append(f"{head}{j})")
-                    residuals.append(float(diff[i, j]))
+            pcc = cause_pairs[2 * ra.setting + rb.setting]
+            cells_a, cells_b = (range(model.cause_cards[k]) for k in (ra.cause, rb.cause))
+            keys.extend(product((tag,), (ra.cause,), cells_a, (rb.cause,), cells_b))
+            residuals.extend((pab_cc - pab * pcc).ravel().tolist())
 
-    return ResidualReport(tuple(labels), tuple(residuals), tuple())
+    return ResidualReport(tuple(residuals), tuple(keys), (), _no_conspiracy_label)
+
+
+def _screening_label(key: tuple) -> str:
+    # (row, partner, cell), of a residual or a skip
+    row, partner, i = key
+    r = _WINGS[row]
+    return f"screen {r.name} partner {r.far[partner]} c{r.cause + 1} cell={i}"
 
 
 @_kept
@@ -627,29 +657,25 @@ def validate_screening(model: EprbModel) -> ResidualReport:
     """
     prof = model.profile()
     w = model.weights
-    labels: list[str] = []
+    keys: list[tuple] = []
     residuals: list[float] = []
-    skipped: list[str] = []
+    skipped: list[tuple] = []
 
-    for row in _WINGS:
+    for r, row in enumerate(_WINGS):
         partner = int((prof.partner_a, prof.partner_b)[row.wing][row.setting])
         pair = (partner, row.setting) if row.wing else (row.setting, partner)
         s = _marginal(w[pair], (0, 1, 2 + row.cause))  # (A, B, cell)
-        mass = s.sum(axis=(0, 1))
-        if row.wing:
-            s = s.transpose(1, 0, 2)  # near outcome first
-        tag = f"screen {row.name} partner {row.far[partner]} c{row.cause + 1}"
-        for i in range(model.cause_cards[row.cause]):
-            if mass[i] <= 0.0:
-                skipped.append(f"{tag} cell={i}")
+        for i, ((pp, pm), (mp, mm)) in enumerate(s.transpose(2, 0, 1).tolist()):
+            mass = pp + pm + mp + mm
+            if mass <= 0.0:
+                skipped.append((r, partner, i))
                 continue
-            pj = s[0, 1, i] / mass[i]
-            p_near = (s[0, 0, i] + s[0, 1, i]) / mass[i]
-            p_far = (s[0, 1, i] + s[1, 1, i]) / mass[i]
-            labels.append(f"{tag} cell={i}")
-            residuals.append(float(pj - p_near * p_far))
+            if row.wing:
+                pm, mp = mp, pm  # near outcome first
+            keys.append((r, partner, i))
+            residuals.append(pm / mass - (pp + pm) / mass * ((pm + mm) / mass))
 
-    return ResidualReport(tuple(labels), tuple(residuals), tuple(skipped))
+    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _screening_label)
 
 
 @dataclass(frozen=True)
@@ -727,14 +753,14 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]
     settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
+    cause_pairs = _cause_pairs(model)
     pairs = []
     for ai in (0, 1):
         for bj in (0, 1):
             ct = correction_terms(eps, settings[ai, bj])
-            cc = _marginal(model.weights, (4 + ai, 6 + bj))
             sel_a = list(agg[ai].cells)
             sel_b = list(agg[2 + bj].cells)
-            p_cc = float(cc[np.ix_(sel_a, sel_b)].sum()) if sel_a and sel_b else 0.0
+            p_cc = float(cause_pairs[2 * ai + bj][:, sel_b][sel_a].sum()) if sel_a and sel_b else 0.0
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
                 JointCausePair(

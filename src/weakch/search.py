@@ -177,10 +177,13 @@ class SearchConfig:
             raise WeakChError("max_iters must be at least 1")
         if any(c < 2 for c in self.cause_cards) or len(self.cause_cards) != 4:
             raise WeakChError("cause_cards must be four integers >= 2")
-        if not (self.step_init > 0.0 and 0.0 < self.step_decay <= 1.0):
-            raise WeakChError("step schedule must have step_init > 0 and decay in (0, 1]")
-        if self.penalty_weight < 0.0:
-            raise WeakChError("penalty_weight must be nonnegative")
+        if not (0.0 < self.step_init < math.inf and 0.0 < self.step_decay <= 1.0):
+            raise WeakChError("step schedule must have a finite step_init > 0 and decay in (0, 1]")
+        # NaN fails every comparison, so these reject it too
+        if not 0.0 <= self.penalty_weight < math.inf:
+            raise WeakChError("penalty_weight must be finite and nonnegative")
+        if not 0.0 <= self.feas_tol < math.inf:
+            raise WeakChError("feas_tol must be finite and nonnegative")
         lo, hi = self.eps_band
         if not (0.0 <= lo <= hi <= 1.0):
             raise WeakChError("eps_band must satisfy 0 <= lo <= hi <= 1")

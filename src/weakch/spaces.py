@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -189,23 +190,53 @@ class CellStats:
         return max((abs(r) for r in self.residuals), default=0.0)
 
 
-@dataclass(frozen=True)
 class ResidualReport:
-    """Labeled residuals from an assumption validator, plus skipped entries."""
+    """Labeled residuals from an assumption validator, plus skipped entries.
 
-    labels: tuple[str, ...]
-    residuals: tuple[float, ...]
-    skipped: tuple[str, ...]
+    A validator hands over a key per residual and per skipped entry, and
+    label, which formats a key as its text. labels and skipped are
+    formatted when first read and worst() formats one label, so a caller
+    that reads only the numbers formats no string. Reports are kept on
+    their model, so label must not refer to it.
+    """
+
+    def __init__(self, residuals: tuple[float, ...], keys: tuple = (), skipped: tuple = (), label: Callable = str):
+        self.residuals = residuals
+        self._keys = keys
+        self._skipped = skipped
+        self._label = label
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(self._label, self._keys))
+
+    @cached_property
+    def skipped(self) -> tuple[str, ...]:
+        return tuple(map(self._label, self._skipped))
+
+    def _fields(self) -> tuple:
+        return self.labels, self.residuals, self.skipped
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "ResidualReport(labels={!r}, residuals={!r}, skipped={!r})".format(*self._fields())
 
     @property
     def max_abs(self) -> float:
-        return max((abs(r) for r in self.residuals), default=0.0)
+        return max(map(abs, self.residuals), default=0.0)
 
     def worst(self) -> tuple[str, float] | None:
         if not self.residuals:
             return None
         k = max(range(len(self.residuals)), key=lambda i: abs(self.residuals[i]))
-        return self.labels[k], self.residuals[k]
+        return self._label(self._keys[k]), self.residuals[k]
 
 
 def screening_residuals(

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from weakch import common_cause
 from weakch.common_cause import (
     EprbModel,
     random_eprb_model,
@@ -157,3 +158,16 @@ def reference_search(cfg) -> SimpleNamespace:
     """
     results = [_reference_restart(cfg, r) for r in range(cfg.restarts)]
     return max(results, key=lambda res: (res.objective, -res.restart_index))
+
+
+def count_labels(monkeypatch) -> list:
+    """The keys of every validator label formatted from now on, in order.
+
+    The validators look their formatters up in common_cause when they run,
+    so a report made after this call formats through a counter.
+    """
+    formatted = []
+    for name in ("_loc_label", "_no_conspiracy_label", "_screening_label"):
+        label = getattr(common_cause, name)
+        monkeypatch.setattr(common_cause, name, lambda key, _label=label: formatted.append(key) or _label(key))
+    return formatted

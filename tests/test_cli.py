@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_labels
 from weakch.cli import main
 from weakch.common_cause import pairwise_model_to_dict, random_eprb_model, random_screened_model
 
@@ -147,6 +148,16 @@ def test_check_model_runs_each_validator_once(capsys, monkeypatch):
     assert code == 0
     assert env["result"]["status"] == "ok"
     assert calls == {"validate_loc": 1, "validate_no_conspiracy": 1, "validate_screening": 1}
+
+
+def test_check_model_formats_only_the_labels_it_prints(capsys, monkeypatch):
+    formatted = count_labels(monkeypatch)
+    fixture = Path(__file__).resolve().parent / "golden" / "eprb_model.json"
+    code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
+    assert code == 0
+    reports = env["result"]["validators"].values()
+    assert all(r["skipped"] == [] for r in reports)
+    assert len(formatted) == 3  # the worst entry of each validator
 
 
 def test_check_model_eprb_precondition_failure(capsys, tmp_path):

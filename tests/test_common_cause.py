@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import aligned_cause_joint, build_product_model, ch_from_weights, uniform_settings
+from helpers import aligned_cause_joint, build_product_model, ch_from_weights, count_labels, uniform_settings
 from weakch.common_cause import (
     BadModel,
     EprbModel,
@@ -35,6 +37,7 @@ from weakch.common_cause import (
 )
 from weakch import common_cause as cc
 from weakch import singlet
+from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
     BadPartition,
     FiniteProbSpace,
@@ -622,6 +625,53 @@ def test_kept_values_belong_to_their_model():
         assert derive(twin) is not value
     assert np.array_equal(twin.outcome_tables(), m.outcome_tables())
     assert validate_screening(twin) == validate_screening(m)
+
+
+def test_kept_reports_do_not_keep_their_model_alive():
+    # The reports are kept in the model's __dict__. One that referred back
+    # to its model would make a cycle that only the cyclic collector frees,
+    # so every discarded search proposal would linger until a collection.
+    m = random_eprb_model(8, (2, 2, 2, 2), 1e-3)
+    model = weakref.ref(m)
+    gc.disable()
+    try:
+        reports = [check(m) for check in (validate_loc, validate_no_conspiracy, validate_screening)]
+        assert joint_cause_bounds_check(m).ok
+        del m
+        assert model() is None
+        assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
+    finally:
+        gc.enable()
+
+
+def test_measuring_a_model_formats_no_label(monkeypatch):
+    formatted = count_labels(monkeypatch)
+    # the walk as the benchmark runs it (locality rejects every proposal),
+    # then one whose tiny steps pass every validator and get accepted
+    walks = [
+        search_counterexample(cfg)
+        for cfg in (
+            SearchConfig(seed=1, restarts=2, max_iters=30),
+            SearchConfig(
+                seed=2, restarts=1, max_iters=30, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0), step_init=1e-16
+            ),
+        )
+    ]
+    assert walks[0].rejected["locality"] == 30
+    assert walks[1].accepted > 0
+    # the validators, the joint-cause check and the weak report, called as
+    # the benchmark's verify_joint calls them
+    m = random_eprb_model(7, (2, 3, 2, 2), 1e-3)
+    reports = (validate_loc(m), validate_no_conspiracy(m), validate_screening(m))
+    assert joint_cause_bounds_check(m).ok
+    assert not m.weak_report().violated
+    assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
+    assert formatted == []
+    # worst() formats its one label, and labels format each once
+    for rep in reports:
+        k = max(range(len(rep.residuals)), key=lambda i: abs(rep.residuals[i]))
+        assert rep.worst() == (rep.labels[k], rep.residuals[k])
+    assert len(formatted) == 3 + sum(len(r.labels) for r in reports)
 
 
 def test_full_check_profiles_the_model_once(monkeypatch):

@@ -51,6 +51,16 @@ def test_correction_terms_small_eps_reference():
     assert ct.d_plus_ab == pytest.approx(0.1992, abs=1e-15)
 
 
+def test_correction_terms_uneven_closed_forms():
+    # p(a) != p(b) and neither is 1/2, so (p(a) + p(b))/p(ab) = 7 tells
+    # p(a) + p(b) from 1, 2 p(a) or 2 p(b); the figures are exact in binary
+    sp = SettingProbs(0.25, 0.625, 0.125)
+    ct = correction_terms(1 / 64, sp)  # sqrt(eps) = 1/8
+    assert (ct.d_minus_ab, ct.d_plus_ab, ct.d_minus, ct.d_plus) == (0.875, 4.15625, 0.125, 0.46875)
+    # the terms read p(a) and p(b) only through their sum
+    assert correction_terms(1 / 64, SettingProbs(0.625, 0.25, 0.125)) == ct
+
+
 @settings(deadline=None)
 @given(st.floats(1e-12, 1.0))
 def test_correction_term_ordering(eps):

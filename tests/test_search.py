@@ -119,6 +119,31 @@ def test_config_validation():
         SearchConfig(eps_band=(0.5, 0.1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step_init", math.inf),
+        ("step_init", math.nan),
+        ("penalty_weight", math.nan),
+        ("penalty_weight", math.inf),
+        ("penalty_weight", -1.0),
+        ("feas_tol", math.nan),
+        ("feas_tol", math.inf),
+        ("feas_tol", -1e-12),
+    ],
+)
+def test_config_rejects_non_finite_and_negative_knobs(field, value):
+    # a NaN penalty weight makes every objective NaN, so the walk could
+    # never accept a step and would still return normally
+    with pytest.raises(WeakChError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_config_accepts_zero_penalty_weight_and_feas_tol():
+    cfg = SearchConfig(penalty_weight=0.0, feas_tol=0.0)
+    assert (cfg.penalty_weight, cfg.feas_tol) == (0.0, 0.0)
+
+
 def test_search_replay_is_bit_identical():
     cfg = SearchConfig(seed=13, restarts=2, max_iters=50)
     r1 = search_counterexample(cfg)

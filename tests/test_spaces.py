@@ -7,6 +7,7 @@ from weakch.spaces import (
     ForeignEvent,
     BadPartition,
     NegativeWeight,
+    ResidualReport,
     make_space,
     prob,
     screening_residuals,
@@ -104,3 +105,21 @@ def test_space_json_roundtrip():
     back = space_from_dict(space_to_dict(sp))
     assert back.atoms == sp.atoms
     assert back.weights.tolist() == sp.weights.tolist()
+
+
+def test_residual_report_is_its_text_and_numbers():
+    # keys and a formatter are how a report gets its labels, not what it is
+    lazy = ResidualReport((0.5, -0.75), (1, 2), (3,), lambda k: f"entry {k}")
+    eager = ResidualReport((0.5, -0.75), ("entry 1", "entry 2"), ("entry 3",))
+    assert lazy == eager
+    assert hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    assert lazy.labels == ("entry 1", "entry 2")
+    assert lazy.skipped == ("entry 3",)
+    assert lazy.worst() == ("entry 2", -0.75)
+    assert lazy.max_abs == 0.75
+    assert lazy != ResidualReport((0.5, -0.75), ("entry 1", "other"), ("entry 3",))
+    assert lazy != ResidualReport((0.5, -0.5), ("entry 1", "entry 2"), ("entry 3",))
+    empty = ResidualReport(())
+    assert empty.worst() is None
+    assert empty.max_abs == 0.0
