@@ -114,20 +114,31 @@ def _flatten(prefix: str, obj, rows: list):
         rows.append((prefix, obj))
 
 
-def _emit(envelope: dict, fmt: str, csv_rows: list | None = None, csv_header: list | None = None):
+def _csv_rows(envelope: dict) -> list:
+    """simulate's counts table from its own result, else key/value rows."""
+    if envelope["command"] != "simulate" or "result" not in envelope:
+        rows = [("key", "value")]
+        _flatten("", envelope, rows)
+        return rows
+    result = envelope["result"]
+    rows = [["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count", "frequency"]]
+    for a in (0, 1):
+        for b in (0, 1):
+            n_pair = result["pair_counts"][a][b]
+            for oa, sa in enumerate("+-"):
+                for ob, sb in enumerate("+-"):
+                    cnt = result["counts"][a][b][oa][ob]
+                    freq = "" if n_pair == 0 else format(cnt / n_pair, ".17g")
+                    rows.append([a + 1, b + 3, sa, sb, cnt, freq])
+    return rows
+
+
+def _emit(envelope: dict, fmt: str):
     if fmt == "json":
         text = _dump_json(envelope) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        if csv_rows is not None:
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-        else:
-            rows = []
-            _flatten("", envelope, rows)
-            writer.writerow(["key", "value"])
-            writer.writerows(rows)
+        csv.writer(buf).writerows(_csv_rows(envelope))
         text = buf.getvalue()
     try:
         sys.stdout.write(text)
@@ -181,6 +192,13 @@ def _maybe_radians(values: list[float], degrees: bool) -> list[float]:
     return values
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise WeakChError(f"cannot read {path}: {exc}") from exc
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weakch", description=__doc__)
     parser.add_argument(
@@ -190,6 +208,9 @@ def _build_parser() -> _Parser:
         help="output format (env WEAKCH_FORMAT sets the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    setting_probs = argparse.ArgumentParser(add_help=False)
+    for flag, default in (("--pa", 0.5), ("--pb", 0.5), ("--pab", 0.25)):
+        setting_probs.add_argument(flag, type=_finite_float, default=default)
 
     p = sub.add_parser("predict", help="singlet predictions")
     p.add_argument("--angles", help="four directions t1,t2,t3,t4")
@@ -197,20 +218,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--outcomes", help="outcome pair for --phi, e.g. ++ or +-")
     p.add_argument("--degrees", action="store_true")
 
-    p = sub.add_parser("bounds", help="correction terms and corrected interval")
+    p = sub.add_parser(
+        "bounds", help="correction terms and corrected interval", parents=[setting_probs]
+    )
     p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--pa", type=_finite_float, default=0.5)
-    p.add_argument("--pb", type=_finite_float, default=0.5)
-    p.add_argument("--pab", type=_finite_float, default=0.25)
 
     sub.add_parser("thresholds", help="largest deficits still violated by quantum values")
 
-    p = sub.add_parser("check", help="check one combination value against the interval")
+    p = sub.add_parser(
+        "check", help="check one combination value against the interval", parents=[setting_probs]
+    )
     p.add_argument("--value", type=_finite_float, required=True)
     p.add_argument("--epsilon", type=_finite_float, required=True)
-    p.add_argument("--pa", type=_finite_float, default=0.5)
-    p.add_argument("--pb", type=_finite_float, default=0.5)
-    p.add_argument("--pab", type=_finite_float, default=0.25)
 
     p = sub.add_parser("check-model", help="validate a model file")
     p.add_argument("--file", required=True)
@@ -248,7 +267,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_predict(args, fmt: str) -> int:
+def _cmd_predict(args) -> tuple[dict, object, int]:
     if args.angles is not None:
         theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
         terms = singlet.ch_terms(theta)
@@ -263,11 +282,10 @@ def _cmd_predict(args, fmt: str) -> int:
         inputs = {"phi": phi, "outcomes": args.outcomes, "degrees": bool(args.degrees)}
     else:
         raise _UsageError("predict needs --angles or --phi with --outcomes")
-    _emit(_envelope("predict", inputs, result), fmt)
-    return EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_bounds(args, fmt: str) -> int:
+def _cmd_bounds(args) -> tuple[dict, object, int]:
     sp = SettingProbs(args.pa, args.pb, args.pab)
     lower, upper = weak_ch_bounds(args.epsilon, sp)
     result = {
@@ -276,29 +294,19 @@ def _cmd_bounds(args, fmt: str) -> int:
         "upper": upper,
     }
     inputs = {"epsilon": args.epsilon, "pa": args.pa, "pb": args.pb, "pab": args.pab}
-    _emit(_envelope("bounds", inputs, result), fmt)
-    return EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_thresholds(args, fmt: str) -> int:
+def _cmd_thresholds(args) -> tuple[dict, object, int]:
     lo, hi = epsilon_thresholds()
-    result = {"eps_lower_max": lo, "eps_upper_max": hi}
-    _emit(_envelope("thresholds", {}, result), fmt)
-    return EXIT_OK
+    return {}, {"eps_lower_max": lo, "eps_upper_max": hi}, EXIT_OK
 
 
-def _cmd_check(args, fmt: str) -> int:
+def _cmd_check(args) -> tuple[dict, object, int]:
     sp = SettingProbs(args.pa, args.pb, args.pab)
     report = evaluate_weak_ch(args.value, weak_ch_bounds(args.epsilon, sp), args.epsilon)
-    inputs = {
-        "value": args.value,
-        "epsilon": args.epsilon,
-        "pa": args.pa,
-        "pb": args.pb,
-        "pab": args.pab,
-    }
-    _emit(_envelope("check", inputs, report.as_dict()), fmt)
-    return EXIT_VIOLATION if report.violated else EXIT_OK
+    inputs = {"value": args.value, "epsilon": args.epsilon, "pa": args.pa, "pb": args.pb, "pab": args.pab}
+    return inputs, report.as_dict(), EXIT_VIOLATION if report.violated else EXIT_OK
 
 
 def _residual_summary(report) -> dict:
@@ -311,13 +319,10 @@ def _residual_summary(report) -> dict:
     }
 
 
-def _cmd_check_model(args, fmt: str) -> int:
+def _cmd_check_model(args) -> tuple[dict, object, int]:
     from . import common_cause
 
-    try:
-        data = json.loads(Path(args.file).read_text())
-    except (OSError, ValueError) as exc:
-        raise WeakChError(f"cannot read {args.file}: {exc}") from exc
+    data = _read_json(args.file)
     model = common_cause.model_from_dict(data)
     inputs = {"file": str(args.file), "type": data.get("type")}
 
@@ -335,15 +340,13 @@ def _cmd_check_model(args, fmt: str) -> int:
             joint = common_cause.joint_cause_bounds_check(model)
         except common_cause.PreconditionViolated:
             result["status"] = "precondition_failed"
-            _emit(_envelope("check-model", inputs, result), fmt)
-            return EXIT_VALIDATION
+            return inputs, result, EXIT_VALIDATION
         weak = model.weak_report()
         result["joint_cause_bounds"] = joint
         result["weak_report"] = weak.as_dict()
         violated = (not joint.ok) or weak.violated
         result["status"] = "violation" if violated else "ok"
-        _emit(_envelope("check-model", inputs, result), fmt)
-        return EXIT_VIOLATION if violated else EXIT_OK
+        return inputs, result, EXIT_VIOLATION if violated else EXIT_OK
 
     stats = common_cause.cell_stats(model)
     result = {
@@ -358,30 +361,24 @@ def _cmd_check_model(args, fmt: str) -> int:
     except common_cause.PreconditionViolated as exc:
         result["status"] = "precondition_failed"
         result["reason"] = str(exc)
-        _emit(_envelope("check-model", inputs, result), fmt)
-        return EXIT_VALIDATION
+        return inputs, result, EXIT_VALIDATION
     result["cause_mass"] = report
     result["status"] = "ok" if report.ok else "violation"
-    _emit(_envelope("check-model", inputs, result), fmt)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return inputs, result, EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _cmd_oracle(args, fmt: str) -> int:
+def _cmd_oracle(args) -> tuple[dict, object, int]:
     if args.atoms:
         probs = _parse_numbers(args.atoms, 16, "--atoms")
     elif args.file:
-        try:
-            probs = json.loads(Path(args.file).read_text())
-        except (OSError, ValueError) as exc:
-            raise WeakChError(f"cannot read {args.file}: {exc}") from exc
+        probs = _read_json(args.file)
     else:
         raise _UsageError("oracle needs --atoms or --file")
     res = ch_atom_oracle(probs)
-    _emit(_envelope("oracle", {"atoms": list(map(float, probs))}, res), fmt)
-    return EXIT_OK if res.in_bounds else EXIT_VIOLATION
+    return {"atoms": list(map(float, probs))}, res, EXIT_OK if res.in_bounds else EXIT_VIOLATION
 
 
-def _cmd_optimize_angles(args, fmt: str) -> int:
+def _cmd_optimize_angles(args) -> tuple[dict, object, int]:
     from . import search
 
     theta, value = search.optimize_angles(
@@ -389,11 +386,10 @@ def _cmd_optimize_angles(args, fmt: str) -> int:
     )
     inputs = {"mode": args.mode, "grid": args.grid, "refine": args.refine, "seed": args.seed}
     result = {"theta": list(theta), "ch_value": value, "tsirelson_ok": tsirelson_check(value)}
-    _emit(_envelope("optimize-angles", inputs, result), fmt)
-    return EXIT_OK
+    return inputs, result, EXIT_OK
 
 
-def _cmd_search(args, fmt: str) -> int:
+def _cmd_search(args) -> tuple[dict, object, int]:
     from . import search
 
     band = _parse_numbers(args.eps_band, 2, "--eps-band")
@@ -421,11 +417,10 @@ def _cmd_search(args, fmt: str) -> int:
         "trace": [list(t) for t in res.trace],
         "model": res.model.to_dict(),
     }
-    _emit(_envelope("search", inputs, result), fmt)
-    return EXIT_VIOLATION if res.feasible else EXIT_OK
+    return inputs, result, EXIT_VIOLATION if res.feasible else EXIT_OK
 
 
-def _cmd_simulate(args, fmt: str) -> int:
+def _cmd_simulate(args) -> tuple[dict, object, int]:
     from . import simulate
 
     theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
@@ -458,24 +453,12 @@ def _cmd_simulate(args, fmt: str) -> int:
         "test": report,
         "undefined": list(est.undefined),
     }
-    if fmt == "csv":
-        header = ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count", "frequency"]
-        rows = []
-        for a in (0, 1):
-            for b in (0, 1):
-                n_pair = int(est.pair_counts[a, b])
-                for oa, sa in enumerate("+-"):
-                    for ob, sb in enumerate("+-"):
-                        cnt = int(table.counts[a, b, oa, ob])
-                        freq = "" if n_pair == 0 else format(cnt / n_pair, ".17g")
-                        rows.append([a + 1, b + 3, sa, sb, cnt, freq])
-        _emit(_envelope("simulate", inputs, result), fmt, csv_rows=rows, csv_header=header)
-    else:
-        _emit(_envelope("simulate", inputs, result), fmt)
     violated = report.violated_lower or report.violated_upper
-    return EXIT_VIOLATION if violated else EXIT_OK
+    return inputs, result, EXIT_VIOLATION if violated else EXIT_OK
 
 
+# A handler takes the parsed args and returns (inputs, result, exit code);
+# main alone writes stdout, so each call prints exactly one envelope.
 _HANDLERS = {
     "predict": _cmd_predict,
     "bounds": _cmd_bounds,
@@ -494,7 +477,8 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args, args.format)
+        inputs, result, code = _HANDLERS[args.command](args)
+        envelope = _envelope(args.command, inputs, result)
     except _UsageError as exc:
         if args is not None:  # raised by a handler; the parser prints its own
             print(f"weakch: error: {exc}", file=sys.stderr)
@@ -507,8 +491,9 @@ def main(argv=None) -> int:
             "error": str(exc),
             "version": __version__,
         }
-        _emit(envelope, getattr(args, "format", "json"))
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
+    _emit(envelope, getattr(args, "format", "json"))
+    return code
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from .inequalities import (  # the oracle names are re-exported
     _NEGATIVE_ATOMS,
     CH_PAIRS,
     OracleResult,
+    SettingProbs,
     UnnormalizedInput,
     WeakChReport,
     _smaller_root,
@@ -82,6 +83,20 @@ class BadModel(WeakChError):
     """A model's structural invariants are violated."""
 
 
+def _kept(derive):
+    # derive(model), computed on first use and kept in the model's __dict__
+    # under derive itself, as functools.cached_property keeps a value under
+    # its name. A model is immutable, so a kept value never goes stale.
+    @functools.wraps(derive)
+    def kept(model):
+        value = model.__dict__.get(derive)
+        if value is None:
+            value = model.__dict__[derive] = derive(model)
+        return value
+
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Pairwise models: one correlation, one screening partition
 # ---------------------------------------------------------------------------
@@ -95,7 +110,8 @@ class PairwiseCcModel:
     in_a[k], in_b[k] say whether it lies in A and in B; n_cells counts the
     cells, empty ones included. Labels come in once, through
     _labelled_model, and go out through pairwise_model_to_dict; the checks
-    read only the arrays.
+    read only the arrays. Its cell statistics and event masses are computed
+    on first use and kept (see _kept).
     """
 
     space: FiniteProbSpace
@@ -103,9 +119,6 @@ class PairwiseCcModel:
     in_a: np.ndarray
     in_b: np.ndarray
     n_cells: int
-
-    def _sums(self) -> np.ndarray:
-        return _cell_sums(self.space.weights, self.cell_of, self.in_a, self.in_b, self.n_cells)
 
 
 def _labelled_model(space: FiniteProbSpace, event_a, event_b, cells) -> PairwiseCcModel:
@@ -116,9 +129,13 @@ def _labelled_model(space: FiniteProbSpace, event_a, event_b, cells) -> Pairwise
     )
 
 
+@_kept
 def cell_stats(model: PairwiseCcModel) -> CellStats:
-    """Mass, conditionals and screening residual of each positive-mass cell."""
-    return _cell_stats(model._sums())
+    """Mass, conditionals and screening residual of each positive-mass cell; kept, read-only."""
+    stats = _cell_stats(_cell_sums(model.space.weights, model.cell_of, model.in_a, model.in_b, model.n_cells))
+    for a in (stats.mass, stats.cond_a, stats.cond_b):
+        a.flags.writeable = False
+    return stats
 
 
 @dataclass(frozen=True)
@@ -141,32 +158,33 @@ class CellClasses:
     border: float
 
 
-def _masses(model: PairwiseCcModel, *masks: np.ndarray) -> list[float]:
-    # the correctly rounded mass of each masked atom set
+@_kept
+def _event_masses(model: PairwiseCcModel) -> tuple[float, float, float]:
+    # the correctly rounded p(A), p(B) and p(AB)
     w = model.space.weights
-    return [math.fsum(w[mask].tolist()) for mask in masks]
+    return tuple(math.fsum(w[mask].tolist()) for mask in (model.in_a, model.in_b, model.in_a & model.in_b))
 
 
 def model_epsilon(model: PairwiseCcModel) -> float:
     """Correlation deficit 1 - p(A|B), clamped at zero against rounding."""
-    p_b, p_ab = _masses(model, model.in_b, model.in_a & model.in_b)
+    _, p_b, p_ab = _event_masses(model)
     if p_b <= 0.0:
         raise ZeroConditioner("cannot condition on an event of zero probability")
     return max(0.0, 1.0 - p_ab / p_b)
 
 
-def _require_screened_even_model(model: PairwiseCcModel, stats: CellStats) -> list[float]:
-    # Returns the marginals [p(A), p(B)] it checked.
+def _require_screened_even_model(model: PairwiseCcModel) -> CellStats:
+    # Returns the cell statistics it checked.
     tol = PRECONDITION_TOL
+    stats = cell_stats(model)
     if stats.max_abs > tol:
         raise PreconditionViolated(
             f"screening residual {stats.max_abs:.3e} exceeds {tol:.1e}"
         )
-    marginals = _masses(model, model.in_a, model.in_b)
-    for name, v in zip(("p(A)", "p(B)"), marginals):
+    for name, v in zip(("p(A)", "p(B)"), _event_masses(model)[:2]):
         if abs(v - 0.5) > tol:
             raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {tol:.1e}")
-    return marginals
+    return stats
 
 
 def _classify(stats: CellStats, eps: float, border: float) -> tuple[CellClasses, np.ndarray, np.ndarray]:
@@ -192,8 +210,7 @@ def classify_cells(model: PairwiseCcModel, *, border: float | None = None) -> Ce
     Requires an exactly screened model with even marginals, within
     PRECONDITION_TOL.
     """
-    stats = _cell_stats(model._sums())
-    _require_screened_even_model(model, stats)
+    stats = _require_screened_even_model(model)
     eps = model_epsilon(model)
     return _classify(stats, eps, math.sqrt(eps) if border is None else float(border))[0]
 
@@ -246,8 +263,8 @@ def check_cause_mass_bounds(
     derived for exactly even marginals. The strict upper bound is checked
     with the same tolerance.
     """
-    stats = _cell_stats(model._sums())
-    p_a, p_b = _require_screened_even_model(model, stats)
+    stats = _require_screened_even_model(model)
+    p_a, p_b, _ = _event_masses(model)
     eps = model_epsilon(model)
     root = math.sqrt(eps)
     classes, high, mid = _classify(stats, eps, root if border is None else float(border))
@@ -368,7 +385,7 @@ def random_screened_model(
         n_cells,
     )
 
-    p_a, p_b = _masses(model, model.in_a, model.in_b)
+    p_a, p_b, _ = _event_masses(model)  # kept: the deficit below and the checker read them
     if abs(p_a - 0.5) > 1e-9 or abs(p_b - 0.5) > 1e-9:
         raise GenerationFailed(f"marginals drifted: p(A)={p_a!r}, p(B)={p_b!r}")
     achieved = model_epsilon(model)
@@ -446,27 +463,13 @@ def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return np.add.reduce(w, axis=_summed_axes(w.ndim, keep))
 
 
-def _kept(derive):
-    # derive(model), computed on first use and kept in the model's __dict__
-    # under derive itself, as functools.cached_property keeps a value under
-    # its name. A model is immutable, so a kept value never goes stale.
-    @functools.wraps(derive)
-    def kept(model):
-        value = model.__dict__.get(derive)
-        if value is None:
-            value = model.__dict__[derive] = derive(model)
-        return value
-
-    return kept
-
-
 @dataclass(frozen=True, eq=False)
 class EprbModel:
     """Joint distribution over settings, outcomes, and four cause variables.
 
-    Its setting law is computed at construction. Its outcome tables, deficit
-    profile and validator reports are computed on first use and kept (see
-    _kept). All of them are read-only.
+    Its setting law is computed at construction. Its per-pair setting law,
+    outcome tables, deficit profile and validator reports are computed on
+    first use and kept (see _kept). All of them are read-only.
     """
 
     weights: np.ndarray
@@ -500,6 +503,11 @@ class EprbModel:
         return self._setting_probs
 
     @_kept
+    def pair_setting_probs(self) -> tuple[SettingProbs, ...]:
+        """The setting law as one SettingProbs per pair, in CH_PAIRS order."""
+        return pair_settings(self._setting_probs)
+
+    @_kept
     def outcome_tables(self) -> np.ndarray:
         joint = _marginal(self.weights, (0, 1, 2, 3))
         t = joint / joint.sum(axis=(2, 3), keepdims=True)
@@ -517,7 +525,7 @@ class EprbModel:
 
     def weak_report(self) -> WeakChReport:
         eps = self.profile().eps_global
-        bounds = weak_ch_bounds(eps, pair_settings(self.setting_probs()))
+        bounds = weak_ch_bounds(eps, self.pair_setting_probs())
         terms = ch_table_terms(self.outcome_tables(), self.plus_probs())
         return evaluate_weak_ch(ch_expression(terms), bounds, eps, terms=terms)
 
@@ -534,10 +542,13 @@ class EprbModel:
         if cards != tuple(data["cause_cards"]):  # 2.7 would pass int()
             raise BadModel(f"cause cardinalities must be integers, got {data['cause_cards']!r}")
         flat = np.asarray(real_numbers(data["weights"]))
-        n = 16 * int(np.prod(cards))
+        n = 16 * math.prod(cards)  # exact, where np.prod wraps in int64
         if flat.size != n:
             raise BadModel(f"expected {n} weights for cards {cards}, got {flat.size}")
-        return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
+        # finite weights from a file may sum past the float range, which the
+        # total check rejects; numpy's overflow warning would only repeat it
+        with np.errstate(over="ignore"):
+            return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
 def _loc_label(key: tuple) -> str:
@@ -694,12 +705,7 @@ def _aggregate(model: EprbModel, row: _Wing) -> AggregateCause:
     eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
     s = _marginal(model.weights[row.index], (1 + row.wing, 3 + row.cause))  # (out, cell)
     cutoff = 1.0 - math.sqrt(eps_dir)
-    denom = s.sum(axis=0)
-    cells = [
-        i
-        for i in range(model.cause_cards[row.cause])
-        if denom[i] > 0.0 and s[0, i] / denom[i] >= cutoff - 1e-12
-    ]
+    cells = [i for i, (p, m) in enumerate(zip(*s.tolist())) if p + m > 0.0 and p / (p + m) >= cutoff - 1e-12]
     return AggregateCause(row.side, row.setting, tuple(cells), cutoff, eps_dir)
 
 
@@ -752,7 +758,7 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     t = model.outcome_tables()
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]
-    settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
+    settings = dict(zip(CH_PAIRS.values(), model.pair_setting_probs()))
     cause_pairs = _cause_pairs(model)
     pairs = []
     for ai in (0, 1):

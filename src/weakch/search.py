@@ -20,6 +20,8 @@ from .spaces import WeakChError
 
 TAU = 2.0 * math.pi
 _GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
+MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
+MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
 
 
 def _ch_offsets(x, y, z):
@@ -81,8 +83,8 @@ def optimize_angles(
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
+    if not 8 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be between 8 and {MAX_GRID_SIZE}, got {grid_size}")
     if refine_sweeps < 0:
         raise ValueError(f"refine_sweeps must be nonnegative, got {refine_sweeps}")
     sign = 1.0 if mode == "min" else -1.0
@@ -177,6 +179,8 @@ class SearchConfig:
             raise WeakChError("max_iters must be at least 1")
         if any(c < 2 for c in self.cause_cards) or len(self.cause_cards) != 4:
             raise WeakChError("cause_cards must be four integers >= 2")
+        if 16 * math.prod(self.cause_cards) > MAX_SEARCH_WEIGHTS:
+            raise WeakChError(f"cause_cards give more than {MAX_SEARCH_WEIGHTS} weights")
         if not (0.0 < self.step_init < math.inf and 0.0 < self.step_decay <= 1.0):
             raise WeakChError("step schedule must have a finite step_init > 0 and decay in (0, 1]")
         # NaN fails every comparison, so these reject it too

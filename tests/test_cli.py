@@ -150,6 +150,21 @@ def test_check_model_runs_each_validator_once(capsys, monkeypatch):
     assert calls == {"validate_loc": 1, "validate_no_conspiracy": 1, "validate_screening": 1}
 
 
+def test_pairwise_check_model_runs_the_cell_kernel_once(capsys, monkeypatch):
+    # the screening summary and the cause-mass check read the cell
+    # statistics the model keeps
+    import weakch.common_cause as cc
+
+    calls = []
+    kernel = cc._cell_sums
+    monkeypatch.setattr(cc, "_cell_sums", lambda *args: calls.append(1) or kernel(*args))
+    fixture = Path(__file__).resolve().parent / "golden" / "pairwise_model.json"
+    code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
+    assert code == 0
+    assert env["result"]["status"] == "ok"
+    assert len(calls) == 1
+
+
 def test_check_model_formats_only_the_labels_it_prints(capsys, monkeypatch):
     formatted = count_labels(monkeypatch)
     fixture = Path(__file__).resolve().parent / "golden" / "eprb_model.json"
@@ -431,6 +446,92 @@ def test_stdout_is_single_json_document(capsys):
         code, out, _ = run(capsys, *argv)
         json.loads(out)  # parses as exactly one document
         assert out.count('"command"') == 1
+
+
+_SIMULATE_HEADER = ["alice_setting", "bob_setting", "alice_outcome", "bob_outcome", "count", "frequency"]
+_OUT_OF_RANGE_ATOMS = ",".join(["0"] * 12 + ["1.0000000005"] + ["0"] * 3)
+
+# Every exit path of every command that writes to stdout: (argv, exit code,
+# kind), kind "ok" for a result, "precondition_failed" for a result with
+# that status, and "error" for an error envelope.
+_EMITTING_PATHS = [
+    (["predict", "--angles", LOWER], 0, "ok"),
+    (["bounds", "--epsilon", "1e-4"], 0, "ok"),
+    (["bounds", "--epsilon", "2"], 2, "error"),
+    (["thresholds"], 0, "ok"),
+    (["check", "--value", "-0.5", "--epsilon", "0"], 0, "ok"),
+    (["check", "--value", "-1.2", "--epsilon", "0"], 3, "ok"),
+    (["check", "--value", "0", "--epsilon", "2"], 2, "error"),
+    (["check-model", "--file", "eprb_model.json"], 0, "ok"),
+    (["check-model", "--file", "pairwise_model.json"], 0, "ok"),
+    (["check-model", "--file", "eprb_precondition_failed.json"], 2, "precondition_failed"),
+    (["check-model", "--file", "missing.json"], 2, "error"),
+    (["oracle", "--file", "atoms.json"], 0, "ok"),
+    (["oracle", "--atoms", _OUT_OF_RANGE_ATOMS], 3, "ok"),
+    (["oracle", "--file", "eprb_model.json"], 2, "error"),
+    (["optimize-angles", "--grid", "8", "--refine", "1"], 0, "ok"),
+    (["optimize-angles", "--grid", "8", "--refine", "-1"], 2, "error"),
+    (["search", "--restarts", "1", "--iters", "2"], 0, "ok"),
+    (["search", "--restarts", "1", "--iters", "2", "--eps-band", "1e-3,1e-6"], 2, "error"),
+    (["simulate", "--seed", "1", "--n", "100"], 0, "ok"),
+    (["simulate", "--seed", "2", "--n", "2000", "--angles", LOWER, "--epsilon", "0"], 3, "ok"),
+    (["simulate", "--seed", "1", "--n", "3", "--angles", "0,1,2,3"], 2, "error"),
+]
+
+
+def test_emitting_paths_cover_every_command():
+    from weakch.cli import _HANDLERS
+
+    assert {argv[0] for argv, _, _ in _EMITTING_PATHS} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv,expected_code,kind", _EMITTING_PATHS, ids=lambda v: "-".join(v) if isinstance(v, list) else str(v)
+)
+def test_every_exit_path_writes_exactly_one_envelope(capsys, monkeypatch, fmt, argv, expected_code, kind):
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "--format", fmt, *argv)
+    assert code == expected_code
+    if fmt == "json":
+        lines = out.splitlines()
+        assert len(lines) == 1 and out == lines[0] + "\n"
+        env = json.loads(lines[0])
+        assert env["command"] == argv[0]
+        fields = ["command", "error", "version"] if kind == "error" else ["command", "inputs", "result", "version"]
+        assert sorted(env) == fields
+        status = None if kind == "error" else env["result"].get("status")
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        if argv[0] == "simulate" and kind != "error":  # the counts table
+            assert rows[0] == _SIMULATE_HEADER and len(rows) == 17
+            assert _SIMULATE_HEADER not in rows[1:]
+            return
+        assert rows[0] == ["key", "value"] and all(len(r) == 2 for r in rows)
+        keys = [k for k, _ in rows[1:]]
+        assert len(keys) == len(set(keys))
+        fields = dict(rows[1:])
+        assert fields["command"] == argv[0] and "version" in fields
+        assert ("error" in fields) == (kind == "error")
+        status = fields.get("result.status")
+    if kind == "precondition_failed":
+        assert status == "precondition_failed"
+    elif argv[0] == "check-model" and kind == "ok":
+        assert status == ("violation" if expected_code == 3 else "ok")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize-angles", "--grid", "129"], ["search", "--cards", "9,8,8,8", "--restarts", "1", "--iters", "1"]],
+    ids=["grid", "cards"],
+)
+def test_oversized_request_ends_in_an_error_envelope(capsys, argv):
+    # just above each cap; the cap stops the request before any allocation
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    env = json.loads(out)
+    assert env["command"] == argv[0] and ("grid_size" in env["error"] or "weights" in env["error"])
+    assert "Traceback" not in err
 
 
 def test_import_does_not_load_scipy():

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -37,6 +38,7 @@ from weakch.common_cause import (
 )
 from weakch import common_cause as cc
 from weakch import singlet
+from weakch.inequalities import pair_settings
 from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
     BadPartition,
@@ -321,13 +323,14 @@ def test_subset_sums_stay_below_half_eps():
 
 def test_cause_mass_check_runs_each_step_once(monkeypatch):
     # one pass of the per-cell kernel feeds screening, the cell conditionals
-    # and the class sums; the label-level functions are not called at all
-    import weakch.common_cause as cc
+    # and the class sums, and the model keeps it for the next check; the
+    # label-level functions are not called at all. cell_stats is counted by
+    # the computations behind its calls, as the validators are.
     import weakch.spaces as spaces
 
     m = random_screened_model(3, 7, 0.01)
-    modules = {"_cell_sums": cc, "screening_residuals": spaces, "prob": spaces, "cell_stats": cc}
-    calls = dict.fromkeys(modules, 0)
+    modules = {"_cell_sums": cc, "screening_residuals": spaces, "prob": spaces}
+    calls = dict.fromkeys([*modules, "cell_stats"], 0)
     for name, module in modules.items():
         original = getattr(module, name)
 
@@ -336,10 +339,33 @@ def test_cause_mass_check_runs_each_step_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    derive = cc.cell_stats.__wrapped__
+
+    def computed(model):
+        calls["cell_stats"] += 1
+        return derive(model)
+
+    monkeypatch.setattr(cc, "cell_stats", cc._kept(computed))
     assert check_cause_mass_bounds(m).ok
-    assert calls == {"_cell_sums": 1, "screening_residuals": 0, "prob": 0, "cell_stats": 0}
+    assert calls == {"_cell_sums": 1, "screening_residuals": 0, "prob": 0, "cell_stats": 1}
     classify_cells(m)
-    assert calls["_cell_sums"] == 2
+    assert calls == {"_cell_sums": 1, "screening_residuals": 0, "prob": 0, "cell_stats": 1}
+
+
+def test_pairwise_model_keeps_read_only_cell_stats_and_masses():
+    m = random_screened_model(3, 7, 0.01)
+    stats = cc.cell_stats(m)
+    assert cc.cell_stats(m) is stats
+    for a in (stats.mass, stats.cond_a, stats.cond_b):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    # the generator's own checks computed the masses the checker reads
+    w = m.space.weights.tolist()
+    expected = tuple(math.fsum(x for x, k in zip(w, mask.tolist()) if k) for mask in (m.in_a, m.in_b, m.in_a & m.in_b))
+    assert m.__dict__[cc._event_masses.__wrapped__] == expected
+    rep = check_cause_mass_bounds(m)
+    assert (rep.p_a, rep.p_b) == expected[:2]
+    assert rep.epsilon == max(0.0, 1.0 - expected[2] / expected[1])
 
 
 def test_cause_mass_bounds_rejects_broken_screening():
@@ -451,6 +477,22 @@ def test_eprb_model_validation():
         w[0, 1, 0, 0, 1, 0, 1, 0] = bad
         with pytest.raises(BadModel):
             EprbModel(w, (2, 2, 2, 2))
+
+
+def test_eprb_file_with_an_overflowing_total_is_rejected_without_a_warning():
+    # each weight is finite, their sum is not; the rejection is the whole report
+    data = {"type": "eprb", "cause_cards": [1, 1, 1, 1], "weights": [1.7e308] * 16}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadModel, match="finite"):
+            model_from_dict(data)
+
+
+def test_eprb_weight_count_does_not_wrap():
+    # 16 * 2**64 wraps to 0 in int64, which would match an empty weight list
+    data = {"type": "eprb", "cause_cards": [2**32, 2**32, 1, 1], "weights": []}
+    with pytest.raises(BadModel, match=f"expected {16 * 2**64} weights"):
+        model_from_dict(data)
 
 
 def test_eprb_json_roundtrip():
@@ -614,6 +656,17 @@ def test_verify_sequence_computes_each_kept_value_once(monkeypatch):
     assert not m.weak_report().violated
     assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_verify_sequence_pairs_the_setting_law_once(monkeypatch):
+    # the joint-cause check and the weak report read one kept per-pair law
+    calls = []
+    monkeypatch.setattr(cc, "pair_settings", lambda table: calls.append(1) or pair_settings(table))
+    m = cc.random_eprb_model(7, (2, 3, 2, 2), 1e-3)
+    assert cc.joint_cause_bounds_check(m).ok
+    assert not m.weak_report().violated
+    assert m.pair_setting_probs() == pair_settings(m.setting_probs())
+    assert len(calls) == 1
 
 
 def test_kept_values_belong_to_their_model():

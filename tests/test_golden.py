@@ -2,8 +2,10 @@
 
 Each case runs the CLI in-process from tests/golden (so file arguments and
 the echoed inputs are the bare fixture names) and compares stdout with the
-recorded file byte for byte, together with the exit code. After a change
-that is meant to alter an output, re-record with
+recorded file byte for byte, together with the exit code. The ``csv_*``
+cases pin ``--format csv``, whose rows end in ``\r\n``, so every file is
+read as bytes. After a change that is meant to alter an output, re-record
+with
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 
@@ -43,6 +45,9 @@ CASES = {
          "--setting-probs", "0.4,0.1,0.1,0.4", "--epsilon", "1e-4"],
         0,
     ),
+    "csv_simulate": (["--format", "csv", "simulate", "--seed", "1", "--n", "100"], 0),
+    "csv_thresholds": (["--format", "csv", "thresholds"], 0),
+    "csv_simulate_error": (["--format", "csv", "simulate", "--seed", "1", "--n", "3", "--angles", "0,1,2,3"], 2),
 }
 
 
@@ -52,7 +57,7 @@ def test_golden_envelope(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code = main(list(argv))
     assert code == expected_code
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_bytes().decode()
 
 
 def _record(names):

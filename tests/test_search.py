@@ -15,6 +15,8 @@ from helpers import (
 from weakch.common_cause import EprbModel, random_eprb_model
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER, tsirelson_check
 from weakch.search import (
+    MAX_GRID_SIZE,
+    MAX_SEARCH_WEIGHTS,
     SearchConfig,
     _evaluate,
     constraint_penalty,
@@ -65,6 +67,21 @@ def test_optimizer_agrees_with_small_dense_grid():
 def test_optimizer_rejects_small_grid():
     with pytest.raises(ValueError):
         optimize_angles(grid_size=4)
+
+
+def test_optimizer_rejects_a_grid_above_its_cap():
+    # the grid holds grid_size**3 points; one above the cap is refused
+    # before anything is allocated
+    with pytest.raises(ValueError, match="grid_size"):
+        optimize_angles(grid_size=MAX_GRID_SIZE + 1)
+
+
+def test_search_config_caps_the_weight_tensor():
+    assert 16 * 8**4 == MAX_SEARCH_WEIGHTS
+    SearchConfig(cause_cards=(8, 8, 8, 8))  # exactly at the cap
+    for cards in ((9, 8, 8, 8), (1000, 1000, 1000, 1000)):
+        with pytest.raises(WeakChError, match="weights"):
+            SearchConfig(cause_cards=cards)
 
 
 def test_optimizer_rejects_negative_refine_sweeps():
