@@ -421,19 +421,24 @@ def _cmd_search(args) -> tuple[dict, object, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, object, int]:
-    from . import simulate
+    from . import common_cause, simulate
 
     theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
     sp = None
     if args.setting_probs:
         vals = _parse_numbers(args.setting_probs, 4, "--setting-probs")
         sp = [vals[:2], vals[2:]]
+    source = "singlet"
+    if args.model:
+        source = common_cause.model_from_dict(_read_json(args.model))
+        if not isinstance(source, common_cause.EprbModel):
+            raise WeakChError(f"{args.model} does not hold a full joint model")
     cfg = simulate.SimConfig(
         seed=args.seed,
         n=args.n,
         theta=tuple(theta),
         setting_probs=sp,
-        source=simulate.load_model(args.model) if args.model else "singlet",
+        source=source,
     )
     table = simulate.sample_runs(cfg)
     est = simulate.estimate(table)

@@ -266,16 +266,16 @@ def check_cause_mass_bounds(
     stats = _require_screened_even_model(model)
     p_a, p_b, _ = _event_masses(model)
     eps = model_epsilon(model)
-    root = math.sqrt(eps)
-    classes, high, mid = _classify(stats, eps, root if border is None else float(border))
+    ct = correction_terms(eps)
+    classes, high, mid = _classify(stats, eps, ct.d_minus if border is None else float(border))
 
     # iterating the arrays keeps these sums sequential, in cell order
     high_mass = float(sum(stats.mass[high]))
-    lower_ok = high_mass - root <= p_a + 1e-12
-    upper_ok = p_a <= high_mass + 4.0 * root - 2.0 * eps + PRECONDITION_TOL
+    lower_ok = high_mass - ct.d_minus <= p_a + 1e-12
+    upper_ok = p_a <= high_mass + ct.d_plus + PRECONDITION_TOL
 
     q, r, m = stats.cond_a, stats.cond_b, stats.mass
-    gap_b = 0.5 * root if gap_border is None else float(gap_border)
+    gap_b = 0.5 * ct.d_minus if gap_border is None else float(gap_border)
     gap = np.abs(q - r)
     diagnostics = {
         "a_not_b_mass": float(np.sum(q * (1.0 - r) * m)),

@@ -263,13 +263,16 @@ def bound_coefficients(sp: SettingProbs = SYMMETRIC_SETTINGS) -> tuple[tuple[flo
     """Coefficients (lin, quad) so each total correction is lin*x - quad*x^2, x = sqrt(eps).
 
     Assumes all four direction pairs share the same setting probabilities.
-    For the even symmetric choice this gives (40, 12) for the lower side and
-    (66, 24) for the upper side.
+    Read off weak_ch_bounds at eps = 1 and eps = 1/4: a widening w(x)
+    gives lin = 4*w(1/2) - w(1) and quad = 4*w(1/2) - 2*w(1). For the even
+    symmetric choice this gives (40, 12) for the lower side and (66, 24)
+    for the upper side.
     """
-    r = (sp.p_a + sp.p_b) / sp.p_ab
-    lower = (8.0 * r + 8.0, 2.0 * r + 4.0)
-    upper = (16.0 * r + 2.0, 6.0 * r)
-    return lower, upper
+    (lo_1, up_1), (lo_h, up_h) = weak_ch_bounds(1.0, sp), weak_ch_bounds(0.25, sp)
+    return tuple(
+        (4.0 * w_h - w_1, 4.0 * w_h - 2.0 * w_1)
+        for w_1, w_h in ((-1.0 - lo_1, -1.0 - lo_h), (up_1, up_h))
+    )
 
 
 def _smaller_root(lin: float, quad: float, rhs: float) -> float:

@@ -15,7 +15,7 @@ from .common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
-from .inequalities import WeakChReport
+from .inequalities import WeakChReport, ch_expression
 from .spaces import WeakChError
 
 TAU = 2.0 * math.pi
@@ -27,10 +27,13 @@ MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_ca
 def _ch_offsets(x, y, z):
     # CH combination with theta1 pinned at 0 and offsets (x, y, z) for
     # theta2..theta4; works on scalars and arrays alike.
-    def s(t):
-        return np.sin(0.5 * t) ** 2
+    def pp(t):
+        return 0.5 * np.sin(0.5 * t) ** 2
 
-    return 0.5 * (s(y) + s(z) + s(x - z) - s(x - y)) - 1.0
+    return ch_expression({
+        "p13": pp(y), "p14": pp(z), "p24": pp(x - z), "p23": pp(x - y),
+        "p1_plus": 0.5, "p4_plus": 0.5,
+    })
 
 
 def _refine(point: np.ndarray, sign: float, sweeps: int) -> tuple[np.ndarray, float]:
@@ -87,6 +90,8 @@ def optimize_angles(
         raise ValueError(f"grid_size must be between 8 and {MAX_GRID_SIZE}, got {grid_size}")
     if refine_sweeps < 0:
         raise ValueError(f"refine_sweeps must be nonnegative, got {refine_sweeps}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     sign = 1.0 if mode == "min" else -1.0
 
     pts = TAU * np.arange(grid_size) / grid_size

@@ -13,23 +13,17 @@ and serial execution agree exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import singlet
-from .common_cause import EprbModel, model_from_dict
+from .common_cause import EprbModel
 from .inequalities import ch_expression, ch_table_terms, pair_settings, weak_ch_bounds
 from .spaces import WeakChError
 
 _CHUNK = 1 << 16
-
-
-class BadModelFile(WeakChError):
-    """A model file could not be read or does not describe a usable model."""
 
 
 class UndefinedEstimate(WeakChError):
@@ -82,17 +76,6 @@ class CountsTable:
     counts: np.ndarray
     n: int
     setting_probs: np.ndarray
-
-
-def load_model(path: str | Path) -> EprbModel:
-    try:
-        data = json.loads(Path(path).read_text())
-        model = model_from_dict(data)
-    except (OSError, ValueError, WeakChError) as exc:
-        raise BadModelFile(f"cannot load model from {path}: {exc}") from exc
-    if not isinstance(model, EprbModel):
-        raise BadModelFile(f"{path} does not hold a full joint model")
-    return model
 
 
 def sample_runs(cfg: SimConfig) -> CountsTable:

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from helpers import count_labels
 from weakch.cli import main
-from weakch.common_cause import pairwise_model_to_dict, random_eprb_model, random_screened_model
+from weakch.common_cause import (
+    model_from_dict,
+    pairwise_model_to_dict,
+    random_eprb_model,
+    random_screened_model,
+)
 
 PI = math.pi
 LOWER = f"0,{-PI / 2},{PI / 4},{-PI / 4}"
@@ -344,9 +349,30 @@ def test_simulate_samples_a_model_file_named_singlet(capsys, tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     argv = ["simulate", "--seed", "2", "--n", "20000", "--angles", LOWER, "--epsilon", "0", "--model", "singlet"]
     code, env, _ = run_json(capsys, *argv)
-    cfg = simulate.SimConfig(seed=2, n=20000, theta=env["inputs"]["angles"], source=simulate.load_model("singlet"))
+    model = model_from_dict(json.loads(Path("singlet").read_text()))
+    cfg = simulate.SimConfig(seed=2, n=20000, theta=env["inputs"]["angles"], source=model)
     assert env["result"]["counts"] == simulate.sample_runs(cfg).counts.tolist()
     assert code == 0
+
+
+@pytest.mark.parametrize("content", [None, '{"type": "eprb"}'], ids=["missing", "eprb_without_fields"])
+def test_model_file_errors_read_the_same_under_check_model_and_simulate(capsys, tmp_path, content):
+    # one reader: a file check-model cannot load is refused by simulate
+    # --model with the same error text
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(content)
+    errors = []
+    for argv in (
+        ["check-model", "--file", str(path)],
+        ["simulate", "--seed", "1", "--n", "10", "--model", str(path)],
+    ):
+        code, env, _ = run_json(capsys, *argv)
+        assert code == 2 and env["command"] == argv[0]
+        errors.append(env["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"cannot read {path}:") == (content is None)
+
 
 def test_simulate_tests_against_the_sampled_setting_law(capsys):
     # uneven settings widen the interval: pairs 14 and 23 carry p(ab) = 0.1
@@ -602,6 +628,14 @@ def test_optimize_angles_rejects_negative_refine(capsys):
     assert code == 2
     assert env["command"] == "optimize-angles"
     assert "refine_sweeps" in env["error"] and "refine_sweeps" in err
+
+
+def test_optimize_angles_rejects_negative_seed(capsys):
+    code, env, err = run_json(capsys, "optimize-angles", "--grid", "8", "--seed", "-1")
+    assert code == 2
+    assert env["command"] == "optimize-angles"
+    assert env["error"] == "seed must be nonnegative, got -1"
+    assert "Traceback" not in err
 
 
 def test_check_rejects_nonfinite_value(capsys):

@@ -281,16 +281,14 @@ def test_cause_mass_bounds_random_sweep():
         assert rep.diagnostics["wide_mid_mass"] <= 2.0 * math.sqrt(rep.epsilon) + 1e-9
 
 
-def test_upper_bound_fails_between_its_two_terms():
+def _sure_and_mid_pairs_model(eps: float, k: float) -> PairwiseCcModel:
     # A sure pair of cells (mass h each) and a mid pair (mass k each, p(A|C)
     # = p(B|C) = s and 1 - s): both marginals are h + k = 1/2 and the
     # deficit is 4 k s (1 - s). With border 0 only the sure A cell is high,
-    # so p(A) - high_mass = k = 0.39 lies between 4 sqrt(eps) - 2 eps = 0.38
-    # and 4 sqrt(eps) = 0.40 at eps = 0.01: the upper bound must fail.
-    eps, k = 0.01, 0.39
+    # so p(A) - high_mass = k.
     h = 0.5 - k
     s = 0.5 * (1.0 + math.sqrt(1.0 - eps / k))
-    m = _labelled_model(
+    return _labelled_model(
         FiniteProbSpace(
             ("h11", "l00", "m11", "m10", "m01", "m00", "n11", "n10", "n01", "n00"),
             np.array([h, h, k * s * s, k * s * (1 - s), k * (1 - s) * s, k * (1 - s) ** 2,
@@ -300,12 +298,58 @@ def test_upper_bound_fails_between_its_two_terms():
         {"h11", "m11", "m01", "n11", "n01"},
         [{"h11"}, {"l00"}, {"m11", "m10", "m01", "m00"}, {"n11", "n10", "n01", "n00"}],
     )
+
+
+def test_upper_bound_fails_between_its_two_terms():
+    # p(A) - high_mass = k = 0.39 lies between 4 sqrt(eps) - 2 eps = 0.38
+    # and 4 sqrt(eps) = 0.40 at eps = 0.01: the upper bound must fail.
+    eps, k = 0.01, 0.39
+    m = _sure_and_mid_pairs_model(eps, k)
     rep = check_cause_mass_bounds(m, border=0.0)
     assert rep.epsilon == pytest.approx(eps, abs=1e-12)
     assert rep.high_cells == (0,)
     assert rep.p_a - rep.high_mass == pytest.approx(k, abs=1e-12)
     assert rep.lower_ok and not rep.upper_ok
     assert check_cause_mass_bounds(m).ok  # at the default border sqrt(eps) the bounds hold
+
+
+@pytest.mark.parametrize("offset,ok", [(-1e-3, True), (0.5 * PRECONDITION_TOL, True), (2.0 * PRECONDITION_TOL, False)])
+def test_cause_mass_upper_border(offset, ok):
+    # p(A) <= high_mass + 4 sqrt(eps) - 2 eps within PRECONDITION_TOL, with
+    # p(A) - high_mass placed offset past that border
+    eps = 0.01
+    border = 4.0 * math.sqrt(eps) - 2.0 * eps  # d_plus, written out as an independent reference
+    rep = check_cause_mass_bounds(_sure_and_mid_pairs_model(eps, border + offset), border=0.0)
+    assert rep.epsilon == pytest.approx(eps, abs=1e-15)
+    assert rep.p_a - rep.high_mass == pytest.approx(border + offset, abs=1e-15)
+    assert (rep.lower_ok, rep.upper_ok) == (True, ok)
+
+
+@pytest.mark.parametrize("offset,ok", [(-1e-3, True), (0.5e-12, True), (2e-12, False)])
+def test_cause_mass_lower_border(monkeypatch, offset, ok):
+    # high_mass - sqrt(eps) <= p(A) within 1e-12. A model past the gate
+    # (screened, even marginals) keeps high_mass - p(A) within eps, so the
+    # evenness gate is patched open. Cells: a sure one (mass h), one of A
+    # without B with p(A|C) = 1 - t (mass k), made high by the wider border
+    # 0.45, and one of B without A (mass u): high_mass - p(A) = k t and the
+    # deficit is u / (h + u).
+    monkeypatch.setattr(cc, "_require_screened_even_model", cell_stats)
+    eps, k = 0.01, 0.25
+    border = math.sqrt(eps)  # d_minus, written out as an independent reference
+    t = (border + offset) / k
+    u = (1.0 - k) * eps
+    h = 1.0 - k - u
+    m = _labelled_model(
+        FiniteProbSpace(("h11", "k10", "k00", "u01"), np.array([h, k * (1.0 - t), k * t, u])),
+        {"h11", "k10"},
+        {"h11", "u01"},
+        [{"h11"}, {"k10", "k00"}, {"u01"}],
+    )
+    rep = check_cause_mass_bounds(m, border=0.45)
+    assert rep.epsilon == pytest.approx(eps, abs=1e-15)
+    assert rep.high_cells == (0, 1)
+    assert rep.high_mass - rep.p_a == pytest.approx(border + offset, abs=1e-15)
+    assert (rep.lower_ok, rep.upper_ok) == (ok, True)
 
 
 def test_subset_sums_stay_below_half_eps():

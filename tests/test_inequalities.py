@@ -184,6 +184,25 @@ def test_thresholds_match_decimal_reference():
             assert abs((Decimal(got) - ref) / ref) <= Decimal("1e-15")
 
 
+def test_bound_coefficients_at_even_settings_are_exact():
+    assert bound_coefficients() == ((40.0, 12.0), (66.0, 24.0))
+
+
+def test_bound_coefficients_match_the_hand_derivation_at_uneven_settings():
+    # summing the correction terms by hand: lower side (8r + 8, 2r + 4),
+    # upper side (16r + 2, 6r), with r = (p_a + p_b) / p_ab
+    rng = np.random.default_rng(1414)
+    for _ in range(500):
+        p_a, p_b = rng.uniform(0.05, 1.0, size=2)
+        sp = SettingProbs(float(p_a), float(p_b), float(rng.uniform(0.01, min(p_a, p_b))))
+        r = (sp.p_a + sp.p_b) / sp.p_ab
+        (lin_lo, quad_lo), (lin_up, quad_up) = bound_coefficients(sp)
+        assert lin_lo == pytest.approx(8.0 * r + 8.0, rel=1e-12)
+        assert quad_lo == pytest.approx(2.0 * r + 4.0, rel=1e-12)
+        assert lin_up == pytest.approx(16.0 * r + 2.0, rel=1e-12)
+        assert quad_up == pytest.approx(6.0 * r, rel=1e-12)
+
+
 def test_thresholds_degenerate_excess():
     assert epsilon_thresholds(excess=0.0) == (0.0, 0.0)
 

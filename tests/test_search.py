@@ -92,6 +92,12 @@ def test_optimizer_rejects_negative_refine_sweeps():
     assert TSIRELSON_LOWER - 1e-12 <= value <= TSIRELSON_UPPER + 1e-12
 
 
+def test_optimizer_rejects_a_negative_seed():
+    # numpy's own refusal would not say which input was negative
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        optimize_angles(grid_size=8, seed=-1)
+
+
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("grid,seed", [(8, 0), (12, 1), (16, 2)])
 def test_optimizer_value_stays_in_quantum_interval(mode, grid, seed):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
-from weakch.common_cause import EprbModel, pairwise_model_to_dict, random_eprb_model, random_screened_model
+from weakch.cli import main
+from weakch.common_cause import (
+    EprbModel,
+    model_from_dict,
+    pairwise_model_to_dict,
+    random_eprb_model,
+    random_screened_model,
+)
 from weakch.inequalities import TSIRELSON_LOWER
 from weakch.spaces import WeakChError
 
@@ -128,22 +135,22 @@ def test_sampling_from_model_file(tmp_path):
     model = random_eprb_model(15, (2, 2, 2, 2), 0.0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model.to_dict()))
-    cfg = sim.SimConfig(seed=3, n=5000, source=sim.load_model(path))
+    cfg = sim.SimConfig(seed=3, n=5000, source=model_from_dict(json.loads(path.read_text())))
     table = sim.sample_runs(cfg)
     # perfect anticorrelation: equal-sign outcomes never occur
     assert table.counts[:, :, 0, 0].sum() == 0
     assert table.counts[:, :, 1, 1].sum() == 0
 
 
-def test_bad_model_file(tmp_path):
+def test_bad_model_file(tmp_path, capsys):
+    # simulate --model refuses a broken file and a pairwise model, exit 2
     path = tmp_path / "broken.json"
     path.write_text("{\"type\": \"eprb\"}")
-    with pytest.raises(sim.BadModelFile):
-        sim.load_model(path)
     pairwise = tmp_path / "pairwise.json"
     pairwise.write_text(json.dumps(pairwise_model_to_dict(random_screened_model(2, 4, 0.01))))
-    with pytest.raises(sim.BadModelFile):
-        sim.load_model(pairwise)
+    for bad, reason in ((path, "lacks the field"), (pairwise, "does not hold a full joint model")):
+        assert main(["simulate", "--seed", "1", "--n", "10", "--model", str(bad)]) == 2
+        assert reason in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_source_is_the_singlet_or_a_model_never_a_path(tmp_path):
