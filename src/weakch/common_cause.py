@@ -262,6 +262,10 @@ def check_cause_mass_bounds(
     half-marginal tolerance is an implementation choice; the bounds are
     derived for exactly even marginals. The strict upper bound is checked
     with the same tolerance.
+
+    At the default border the lower bound cannot fail: a high cell has
+    p(A|C) >= 1 - sqrt(eps), so p(A) >= (1 - sqrt(eps)) * high_mass >=
+    high_mass - d_minus. It can fail only at a border above sqrt(eps).
     """
     stats = _require_screened_even_model(model)
     p_a, p_b, _ = _event_masses(model)
@@ -486,7 +490,11 @@ class EprbModel:
         lowest = float(w.min())  # NaN propagates through min
         if not lowest >= 0.0:
             raise BadModel(f"negative or NaN weight {lowest}")
-        total = float(w.sum())  # +inf survives min but not a finite total
+        # +inf survives min but not a finite total; finite weights may also
+        # sum past the float range, which numpy would warn of before the
+        # check below rejects it
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if not 0.0 < total < math.inf:
             raise BadModel(f"total mass must be positive and finite, got {total}")
         w = w / total
@@ -545,10 +553,7 @@ class EprbModel:
         n = 16 * math.prod(cards)  # exact, where np.prod wraps in int64
         if flat.size != n:
             raise BadModel(f"expected {n} weights for cards {cards}, got {flat.size}")
-        # finite weights from a file may sum past the float range, which the
-        # total check rejects; numpy's overflow warning would only repeat it
-        with np.errstate(over="ignore"):
-            return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
+        return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
 def _loc_label(key: tuple) -> str:

@@ -9,7 +9,9 @@ import numpy as np
 
 from . import singlet
 from .common_cause import (
+    _WINGS,
     EprbModel,
+    _marginal,
     random_eprb_model,
     validate_loc,
     validate_no_conspiracy,
@@ -22,6 +24,7 @@ TAU = 2.0 * math.pi
 _GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
+_BLOCK_WEIGHTS = 2**14  # weights per block of search proposals drawn and screened at once
 
 
 def _ch_offsets(x, y, z):
@@ -139,26 +142,63 @@ def constraint_penalty(model: EprbModel) -> float:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto the probability simplex.
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    # Euclidean projection of each row (the last axis) onto the probability simplex.
+    out = np.sort(v, axis=-1)
+    u = out[..., ::-1]  # descending
+    css = np.cumsum(u, axis=-1)
+    css -= 1.0
+    u *= np.arange(1.0, v.shape[-1] + 1)
+    rho = v.shape[-1] - 1 - np.argmax((u > css)[..., ::-1], axis=-1, keepdims=True)  # last index above
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
+    np.subtract(v, theta, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _repin_settings(w: np.ndarray, shape: tuple, sp: np.ndarray) -> np.ndarray:
-    # Rescale each setting block to the target setting probabilities; keeps
-    # the setting-independence part of the penalty pinned by construction.
-    out = w.reshape(shape).copy()
-    for a in (0, 1):
-        for b in (0, 1):
-            s = out[a, b].sum()
-            if s <= 0.0:
-                out[a, b] = sp[a, b] / out[a, b].size
-            else:
-                out[a, b] *= sp[a, b] / s
-    return out.ravel()
+def _repin_settings(w: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    # Rescale each setting block of each row to the target setting
+    # probabilities; keeps the setting-independence part of the penalty
+    # pinned by construction. A block of no mass is spread evenly.
+    blocks = w.reshape(*w.shape[:-1], 4, -1)  # (setting pair, rest) per row
+    s = blocks.sum(axis=-1, keepdims=True)
+    target = sp.reshape(4, 1)
+    empty = s <= 0.0
+    out = blocks * (target / np.where(empty, 1.0, s))
+    np.copyto(out, target / blocks.shape[-1], where=empty)
+    return out.reshape(w.shape)
+
+
+def _locality_residuals(w: np.ndarray):
+    # validate_loc's arithmetic over a batch of normalised weight tensors
+    # (leading axis), one _WINGS row at a time: the same _marginal sums
+    # and per-cell operations, so each residual equals the validator's bit
+    # for bit. Yields the residuals (batch, far, outcome, cell). An entry
+    # the validator skips has no conditioning mass: it is 0/0, NaN, here.
+    for row in _WINGS:
+        s = _marginal(w[(slice(None), *row.index)], (0, 1, 2 + row.wing, 4 + row.cause))
+        pooled = s[:, 0] + s[:, 1]  # (batch, outcome, cell): far settings pooled
+        pooled /= pooled[:, :1] + pooled[:, 1:]
+        yield s / (s[:, :, :1] + s[:, :, 1:]) - pooled[:, None]
+
+
+def _locality_rejects(props: np.ndarray, shape: tuple, cutoff: float) -> np.ndarray:
+    # Which proposals (rows) _evaluate would turn away at "locality". A
+    # proposal is marked when EprbModel accepts it (the same checks on the
+    # same sums) and one locality residual has r * r > cutoff: the
+    # validator's squared sum of nonnegative terms is at least that square
+    # under rounding, so the running penalty exceeds cutoff at locality.
+    # A skipped residual is NaN and never exceeds it; every proposal not
+    # marked is left to _evaluate.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = props.sum(axis=1)
+        valid = (props.min(axis=1) >= 0.0) & (0.0 < total) & (total < math.inf)
+        w = props / total[:, None]
+        valid &= (w.reshape(len(w), 4, -1).max(axis=2) > 0.0).all(axis=1)
+        marked = ~valid  # done with, whether rejected or left to _evaluate
+        for res in _locality_residuals(w.reshape(len(w), *shape)):
+            marked |= (res * res > cutoff).reshape(len(w), -1).any(axis=1)
+            if marked.all():
+                break
+    return marked & valid
 
 
 @dataclass(frozen=True)
@@ -213,6 +253,10 @@ class SearchResult:
     "no_conspiracy" or "screening" when the penalty summed up to that
     validator exceeds the current penalty; and at "objective" when its
     full evaluation does not improve on the current state.
+
+    Proposals are drawn, projected and screened for locality in blocks
+    of up to 2**14 weights; the walk, its trace and these counts are
+    those of proposing and judging one step at a time, bit for bit.
     """
 
     model: EprbModel
@@ -268,6 +312,19 @@ def _evaluate(
     return _Eval(pen, eps, v, weak, strict_excess, objective)
 
 
+def _next_state(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval | str:
+    # The evaluation a proposal moves the walk to, or the stage that turned
+    # it away. Accept only steps that improve the objective without letting
+    # the constraint penalty grow; this keeps the penalty trace monotone.
+    try:
+        nxt = _evaluate(prop, shape, cards, cfg, cutoff=cur.penalty)
+    except WeakChError:
+        return "construct"
+    if isinstance(nxt, str) or (nxt.objective > cur.objective and nxt.penalty <= cur.penalty):
+        return nxt
+    return "objective"
+
+
 def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = tuple(cfg.cause_cards)
@@ -283,25 +340,34 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rejected = dict.fromkeys(("construct", *_VALIDATOR_STAGES, "objective"), 0)
     step = cfg.step_init
     scale = 1.0 / w.size
-    for _ in range(cfg.max_iters):
-        prop = w + rng.standard_normal(w.size) * step * scale
-        prop = _project_simplex(prop)
-        prop = _repin_settings(prop, shape, sp)
-        try:
-            nxt = _evaluate(prop, shape, cards, cfg, cutoff=cur.penalty)
-        except WeakChError:
-            nxt = "construct"
-        # Accept only steps that improve the objective without letting the
-        # constraint penalty grow; this keeps the penalty trace monotone.
-        if isinstance(nxt, str):
-            rejected[nxt] += 1
-        elif nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
-            w, cur = prop, nxt
-            accepted += 1
-        else:
-            rejected["objective"] += 1
-        trace.append((cur.penalty, cur.objective))
-        step *= cfg.step_decay
+    block = max(1, _BLOCK_WEIGHTS // w.size)
+    for first in range(0, cfg.max_iters, block):
+        # A proposal's noise does not depend on which earlier proposals were
+        # accepted, so a block of them draws it at once: the same stream as
+        # one draw of w.size per proposal.
+        steps = []
+        for _ in range(min(block, cfg.max_iters - first)):
+            steps.append(step)
+            step *= cfg.step_decay
+        delta = rng.standard_normal((len(steps), w.size))
+        delta *= np.array(steps)[:, None]
+        delta *= scale
+        while len(delta):
+            # After an acceptance the rest of the block is proposed again
+            # from the new state, with the noise already drawn.
+            props = _repin_settings(_project_simplex(w + delta), sp)
+            marked = _locality_rejects(props, shape, cur.penalty)
+            for t, prop in enumerate(props):
+                nxt = "locality" if marked[t] else _next_state(prop, cur, shape, cards, cfg)
+                if isinstance(nxt, str):
+                    rejected[nxt] += 1
+                else:
+                    w, cur = prop, nxt
+                    accepted += 1
+                trace.append((cur.penalty, cur.objective))
+                if cur is nxt:
+                    break
+            delta = delta[t + 1:]
 
     model = EprbModel(w.reshape(shape), cards)
     feasible = (

@@ -73,21 +73,28 @@ def ch_from_weights(weights) -> float:
     return float(pp[0, 0] + pp[0, 1] + pp[1, 1] - pp[1, 0] - p1 - p4)
 
 
-def ordered_penalty(model: EprbModel) -> float:
-    """The three validators' squared residuals summed in order: loc, no conspiracy, screening."""
-    total = 0.0
+def _running_penalties(model: EprbModel) -> list[float]:
+    # the penalty summed after each validator: loc, no conspiracy, screening
+    total, out = 0.0, []
     for rep in (
         validate_loc(model),
         validate_no_conspiracy(model),
         validate_screening(model),
     ):
         total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
-    return total
+        out.append(total)
+    return out
+
+
+def ordered_penalty(model: EprbModel) -> float:
+    """The three validators' squared residuals summed in order: loc, no conspiracy, screening."""
+    return _running_penalties(model)[-1]
 
 
 def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
     model = EprbModel(w.reshape(shape), cards)
-    pen = ordered_penalty(model)
+    running = _running_penalties(model)
+    pen = running[-1]
     weak = model.weak_report()
     v = weak.value
     strict_excess = max(-1.0 - v, v)
@@ -99,8 +106,22 @@ def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
     )
     return SimpleNamespace(
         penalty=pen, epsilon=weak.epsilon, ch=v, weak=weak,
-        strict_excess=strict_excess, objective=objective,
+        strict_excess=strict_excess, objective=objective, running=running,
     )
+
+
+def _rejecting_stage(nxt, cur) -> str | None:
+    # Where the search's early rejection turns a fully evaluated proposal
+    # away: the first validator whose running penalty exceeds the current
+    # penalty, else "objective" unless the proposal is accepted.
+    if nxt is None:
+        return "construct"
+    for stage, pen in zip(("locality", "no_conspiracy", "screening"), nxt.running):
+        if pen > cur.penalty:
+            return stage
+    if nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
+        return None
+    return "objective"
 
 
 def _reference_restart(cfg, restart: int) -> SimpleNamespace:
@@ -114,18 +135,22 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     cur = _full_evaluation(w, shape, cards, cfg)
     trace = []
     accepted = 0
+    rejected = dict.fromkeys(("construct", "locality", "no_conspiracy", "screening", "objective"), 0)
     step = cfg.step_init
     scale = 1.0 / w.size
     for _ in range(cfg.max_iters):
         prop = w + rng.standard_normal(w.size) * step * scale
-        prop = _repin_settings(_project_simplex(prop), shape, sp)
+        prop = _repin_settings(_project_simplex(prop), sp)
         try:
             nxt = _full_evaluation(prop, shape, cards, cfg)
         except WeakChError:
             nxt = None
-        if nxt is not None and nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
+        stage = _rejecting_stage(nxt, cur)
+        if stage is None:
             w, cur = prop, nxt
             accepted += 1
+        else:
+            rejected[stage] += 1
         trace.append((cur.penalty, cur.objective))
         step *= cfg.step_decay
     feasible = (
@@ -145,16 +170,19 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
         trace=tuple(trace),
         feasible=feasible,
         accepted=accepted,
+        rejected=rejected,
     )
 
 
 def reference_search(cfg) -> SimpleNamespace:
     """The counterexample search with every proposal evaluated in full.
 
-    Each proposal runs all three validators and the weak report before the
-    acceptance test, so this is the reference that the search's early
-    rejection must match bit for bit. A feasible winner is returned
-    without the search's re-validation step.
+    Each proposal is drawn, projected and re-pinned on its own, then runs
+    all three validators and the weak report before the acceptance test,
+    so this is the reference that the search's block screening and early
+    rejection must match bit for bit. rejected names the stage at which
+    the early rejection would turn each proposal away. A feasible winner
+    is returned without the search's re-validation step.
     """
     results = [_reference_restart(cfg, r) for r in range(cfg.restarts)]
     return max(results, key=lambda res: (res.objective, -res.restart_index))

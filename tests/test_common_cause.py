@@ -532,6 +532,13 @@ def test_eprb_file_with_an_overflowing_total_is_rejected_without_a_warning():
             model_from_dict(data)
 
 
+def test_eprb_model_with_an_overflowing_total_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadModel, match="finite"):
+            EprbModel(np.full((2, 2, 2, 2, 1, 1, 1, 1), 1.7e308), (1, 1, 1, 1))
+
+
 def test_eprb_weight_count_does_not_wrap():
     # 16 * 2**64 wraps to 0 in int64, which would match an empty weight list
     data = {"type": "eprb", "cause_cards": [2**32, 2**32, 1, 1], "weights": []}

@@ -12,7 +12,9 @@ from helpers import (
     reference_search,
     uniform_settings,
 )
-from weakch.common_cause import EprbModel, random_eprb_model
+from test_validator_fixture import CARDS as FIXTURE_CARDS
+from test_validator_fixture import validator_models
+from weakch.common_cause import EprbModel, _loc_label, random_eprb_model, validate_loc
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER, tsirelson_check
 from weakch.search import (
     MAX_GRID_SIZE,
@@ -24,7 +26,7 @@ from weakch.search import (
     search_counterexample,
 )
 from weakch.singlet import ch_terms
-from weakch.spaces import WeakChError
+from weakch.spaces import ResidualReport, WeakChError
 
 
 def test_optimizer_finds_lower_extremum():
@@ -222,6 +224,7 @@ def _assert_same_search(res, ref, cfg):
     assert res.weak_report == ref.weak_report
     assert res.feasible == ref.feasible
     assert res.accepted == ref.accepted
+    assert res.rejected == ref.rejected
     assert res.accepted + sum(res.rejected.values()) == cfg.max_iters
 
 
@@ -317,3 +320,158 @@ def test_benchmark_style_searches_reject_every_proposal_at_locality():
             "screening": 0,
             "objective": 0,
         }
+
+
+BLOCK_EDGES = [
+    ((2, 2, 2, 2), 1), ((2, 2, 2, 2), 70),  # blocks of 64 proposals
+    ((3, 2, 4, 2), 1), ((3, 2, 4, 2), 23),  # blocks of 21
+    ((4, 4, 4, 4), 1), ((4, 4, 4, 4), 10),  # blocks of 4
+]
+
+
+@pytest.mark.parametrize("cards,iters", BLOCK_EDGES)
+def test_lazy_search_matches_full_evaluation_at_block_edges(cards, iters):
+    cfg = SearchConfig(seed=3, restarts=2, max_iters=iters, cause_cards=cards)
+    _assert_same_search(search_counterexample(cfg), reference_search(cfg), cfg)
+
+
+@pytest.mark.parametrize("cards,band,seed,iters", [
+    ((4, 4, 4, 4), (0.0, 0.0), 7, 12),  # accepts proposals 0 and 1 of the first block of 4
+    ((2, 2, 2, 2), (1e-6, 1e-3), 11, 70),  # accepts proposal 16 of the first block of 64
+])
+def test_lazy_search_matches_full_evaluation_across_mid_block_acceptances(cards, band, seed, iters):
+    cfg = SearchConfig(
+        seed=seed, restarts=1, max_iters=iters, cause_cards=cards, eps_band=band, step_init=1e-15
+    )
+    res = search_counterexample(cfg)
+    block = search_mod._BLOCK_WEIGHTS // (16 * math.prod(cards))
+    moves = [t for t in range(1, iters) if res.trace[t] != res.trace[t - 1]]
+    assert res.accepted > 0
+    assert any(0 < t % block < block - 1 for t in moves)
+    _assert_same_search(res, reference_search(cfg), cfg)
+
+
+def _loop_project_simplex(v):
+    # the one-vector projection the batched one replaced
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+def _loop_repin_settings(w, shape, sp):
+    # the one-vector re-pinning the batched one replaced
+    out = w.reshape(shape).copy()
+    for a in (0, 1):
+        for b in (0, 1):
+            s = out[a, b].sum()
+            if s <= 0.0:
+                out[a, b] = sp[a, b] / out[a, b].size
+            else:
+                out[a, b] *= sp[a, b] / s
+    return out.ravel()
+
+
+@pytest.mark.parametrize("cards", CARDS)
+def test_batched_projection_and_repinning_match_row_by_row(cards):
+    shape = (2, 2, 2, 2, *cards)
+    n = math.prod(shape)
+    sp = np.array([[0.4, 0.1], [0.2, 0.3]])
+    rng = np.random.default_rng(5)
+    v = rng.dirichlet(np.ones(n), size=6) + rng.standard_normal((6, n)) * [[0.0], [1e-16], [1e-3], [0.05], [1.0], [3.0]]
+    projected = search_mod._project_simplex(v)
+    w = rng.uniform(0.0, 1.0, (6, n))
+    w[2].reshape(shape)[1, 0] = 0.0  # a setting block with no mass
+    repinned = search_mod._repin_settings(w, sp)
+    for row in range(6):
+        assert projected[row].tobytes() == search_mod._project_simplex(v[row]).tobytes()
+        assert projected[row].tobytes() == _loop_project_simplex(v[row]).tobytes()
+        assert repinned[row].tobytes() == search_mod._repin_settings(w[row], sp).tobytes()
+        assert repinned[row].tobytes() == _loop_repin_settings(w[row], shape, sp).tobytes()
+    assert np.all(repinned[2].reshape(shape)[1, 0] == 0.2 / (n // 4))
+
+
+def _screen_report(rows, b):
+    # The screen's residuals of batch member b as a locality report, in
+    # validate_loc's order. A NaN is skipped: a cell whose far settings
+    # are both NaN as a whole, otherwise each far setting on its own.
+    keys, residuals, skipped = [], [], []
+    for r, res in enumerate(rows):
+        for i in range(res.shape[-1]):
+            by_far = res[b, :, :, i]
+            if np.isnan(by_far).all():
+                skipped.append((r, i))
+                continue
+            for f, (plus, minus) in enumerate(by_far.tolist()):
+                if math.isnan(plus):
+                    skipped.append((r, i, f))
+                else:
+                    keys += [(r, i, f, 0), (r, i, f, 1)]
+                    residuals += [plus, minus]
+    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _loc_label)
+
+
+@pytest.mark.parametrize("cards", FIXTURE_CARDS)
+def test_locality_screen_residuals_match_the_validator(cards):
+    # the validator fixture's models: generated, perturbed, foreign-cause,
+    # Dirichlet, and with zero-mass cells and far settings (both skip kinds)
+    models = [EprbModel(w, c) for _, w, c in validator_models() if c == cards]
+    with np.errstate(divide="ignore", invalid="ignore"):  # skipped entries divide by zero
+        rows = list(search_mod._locality_residuals(np.stack([m.weights for m in models])))
+    kinds = set()
+    for b, m in enumerate(models):
+        screen, rep = _screen_report(rows, b), validate_loc(m)
+        assert screen.labels == rep.labels
+        assert [r.hex() for r in screen.residuals] == [r.hex() for r in rep.residuals]
+        assert screen.skipped == rep.skipped
+        kinds.update(len(key) for key in screen._skipped)
+    assert kinds == {2, 3}
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2, 2), (3, 2, 4, 2), (4, 4, 8, 8)])
+def test_locality_screen_marks_only_proposals_rejected_at_locality(cards):
+    shape = (2, 2, 2, 2, *cards)
+    cfg = SearchConfig(cause_cards=cards)
+    rng = np.random.default_rng(9)
+    base = random_eprb_model(rng, cards, 1e-3).weights.ravel()
+    scales = [0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]
+    props = np.abs(base + rng.standard_normal((len(scales), base.size)) * np.array(scales)[:, None] / base.size)
+    props[1] *= 7.0  # unnormalised
+    bad = np.stack([props[3], props[4], np.zeros(base.size), props[5]])
+    bad[0, 5] = -1e-300  # a negative weight
+    bad[1, 7] = math.nan
+    bad[3].reshape(shape)[0, 1] = 0.0  # a setting pair with no mass
+    props = np.concatenate([props, bad])
+    valid = len(scales)
+    models = [EprbModel(p.reshape(shape), cards) for p in props[:valid]]
+    # the screen normalises as the constructor does
+    normalised = props[:valid] / props[:valid].sum(axis=1)[:, None]
+    assert all(normalised[b].tobytes() == m.weights.tobytes() for b, m in enumerate(models))
+    largest = [max(np.square(validate_loc(m).residuals)) for m in models]
+    marked_any = False
+    for cutoff in [0.0, 1e-40, 1e-30, 1e-20, 1e-12, *largest, *(np.nextafter(x, -1.0) for x in largest)]:
+        marked = search_mod._locality_rejects(props, shape, cutoff)
+        assert not marked[valid:].any()
+        assert list(marked[:valid]) == [x > cutoff for x in largest]
+        for p in props[marked]:
+            assert _evaluate(p, shape, cards, cfg, cutoff=cutoff) == "locality"
+        marked_any |= marked.any()
+    assert marked_any
+
+
+@pytest.mark.parametrize("block_weights", [1, 3 * 768 + 5, 2**20])
+def test_search_does_not_depend_on_the_block_length(monkeypatch, block_weights):
+    # blocks of 1, 3 and all 60 proposals at 768 weights, across 2 acceptances
+    cfg = SearchConfig(
+        seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0),
+        step_init=1e-16,
+    )
+    res = search_counterexample(cfg)
+    monkeypatch.setattr(search_mod, "_BLOCK_WEIGHTS", block_weights)
+    other = search_counterexample(cfg)
+    assert res.accepted == 2
+    assert other.trace == res.trace
+    assert other.model.weights.tobytes() == res.model.weights.tobytes()
+    assert (other.objective, other.penalty, other.accepted, other.rejected) == (
+        res.objective, res.penalty, res.accepted, res.rejected
+    )
