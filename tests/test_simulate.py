@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
+from helpers import reference_sample_runs
 from weakch.cli import main
 from weakch.common_cause import (
     EprbModel,
@@ -62,6 +63,97 @@ def test_config_validation():
         sim.SimConfig(seed=1, n=10, theta=(0.0, 0.0, 0.0))
     with pytest.raises(WeakChError):
         sim.SimConfig(seed=1, n=10, setting_probs=np.full((2, 2), 0.3))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.5), ("n", 3.0), ("n", True), ("n", "10"), ("n", np.float64(5.0)), ("n", np.True_),
+     ("seed", 1.5), ("seed", False), ("seed", None)],
+)
+def test_config_rejects_non_integers(field, value):
+    kwargs = {"seed": 1, "n": 10, field: value}
+    with pytest.raises(WeakChError, match=f"{field} must be an integer"):
+        sim.SimConfig(**kwargs)
+
+
+def test_config_stores_python_ints():
+    cfg = sim.SimConfig(seed=np.uint32(3), n=np.int64(70000))
+    assert type(cfg.seed) is int and type(cfg.n) is int
+    table = sim.sample_runs(cfg)
+    assert type(table.n) is int
+    assert int(table.counts.sum()) == table.n == 70000
+
+
+# seeds of one to four 32-bit words (with the chunk index, up to five entropy words for
+# a pool of four); chunk indices on both sides of a block edge
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7, 2**96 + 5])
+@pytest.mark.parametrize("first", [0, 1 << 16, sim._STATE_BLOCK - 2])
+def test_chunk_states_are_numpys(seed, first):
+    states = list(sim._chunk_states(seed, first + 4))
+    assert len(states) == first + 4
+    for k in (0, 1, first, first + 1, first + 2, first + 3):
+        expected = np.random.default_rng([seed, k]).bit_generator.state["state"]
+        assert states[k] == (expected["state"], expected["inc"])
+
+
+@pytest.mark.parametrize("seed", [5, 2**32, 2**64 + 7])
+def test_chunk_states_at_two_word_chunk_indices(seed):
+    # chunk indices from 2^32 on are two entropy words. A zero word padding the entropy to
+    # at most four words hashes like the pool's own padding, so only the three-word seed
+    # tells a spurious high word at 2^32 - 1 apart.
+    for k in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1):
+        expected = np.random.default_rng([seed, k]).bit_generator.state["state"]
+        assert list(sim._block_states(seed, k, k + 1)) == [(expected["state"], expected["inc"])]
+
+
+def test_chunk_states_come_in_bounded_blocks(monkeypatch):
+    blocks = []
+    block_states = sim._block_states
+    def recording(seed, start, stop):
+        blocks.append((start, stop))
+        return block_states(seed, start, stop)
+    monkeypatch.setattr(sim, "_block_states", recording)
+    monkeypatch.setattr(sim, "_STATE_BLOCK", 3)
+    assert len(list(sim._chunk_states(4, 8))) == 8
+    assert blocks == [(0, 3), (3, 6), (6, 8)]
+    # a block stops at chunk 2^32, where chunk indices become two words
+    blocks.clear()
+    monkeypatch.setattr(sim, "_block_states", lambda seed, start, stop: blocks.append((start, stop)) or ())
+    monkeypatch.setattr(sim, "_STATE_BLOCK", 2**31 + 1)
+    list(sim._chunk_states(4, 2**32 + 5))
+    assert blocks == [(0, 2**31 + 1), (2**31 + 1, 2**32), (2**32, 2**32 + 5)]
+
+
+def _assert_reference_counts(cfg):
+    table = sim.sample_runs(cfg)
+    expected = reference_sample_runs(cfg)
+    assert table.counts.dtype == expected.counts.dtype
+    assert np.array_equal(table.counts, expected.counts)
+    assert table.n == expected.n == cfg.n
+
+
+@pytest.mark.parametrize("n", [1, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 3])
+def test_counts_match_a_per_chunk_default_rng(n):
+    _assert_reference_counts(sim.SimConfig(seed=8, n=n, theta=LOWER_ANGLES))
+
+
+def test_counts_match_across_state_blocks(monkeypatch):
+    monkeypatch.setattr(sim, "_STATE_BLOCK", 2)
+    # chunks 0-1, 2-3 and 4: two block edges, the last chunk partial
+    _assert_reference_counts(sim.SimConfig(seed=2**40 + 1, n=4 * sim._CHUNK + 17, theta=LOWER_ANGLES))
+
+
+@pytest.mark.parametrize(
+    "setting_probs",
+    [None, [[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.0], [0.25, 0.25]]],
+    ids=["uniform", "uneven", "zero pair"],
+)
+def test_counts_match_for_each_source_and_setting_law(setting_probs):
+    model = random_eprb_model(15, (2, 2, 2, 2), 0.0)
+    for source in ("singlet", model):
+        _assert_reference_counts(sim.SimConfig(
+            seed=11, n=3 * sim._CHUNK + 5, theta=LOWER_ANGLES, setting_probs=setting_probs, source=source
+        ))
 
 
 def test_wald_reference_case():
