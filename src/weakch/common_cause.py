@@ -39,6 +39,7 @@ from . import singlet
 from .inequalities import (  # the oracle names are re-exported
     _NEGATIVE_ATOMS,
     CH_PAIRS,
+    BadSettingProbs,
     OracleResult,
     SettingProbs,
     UnnormalizedInput,
@@ -49,6 +50,7 @@ from .inequalities import (  # the oracle names are re-exported
     ch_table_terms,
     correction_terms,
     evaluate_weak_ch,
+    integer,
     pair_settings,
     real_numbers,
     weak_ch_bounds,
@@ -81,6 +83,32 @@ class GenerationFailed(WeakChError):
 
 class BadModel(WeakChError):
     """A model's structural invariants are violated."""
+
+
+def cause_cardinalities(values, floor: int) -> tuple[int, int, int, int]:
+    """Four cause cardinalities as Python ints, each at least floor; BadModel otherwise, for 2.0 too."""
+    try:
+        cards = tuple(integer("a cause cardinality", c, floor) for c in values)
+    except (TypeError, WeakChError):  # not iterable, or an entry that is no such integer
+        cards = ()
+    if len(cards) != 4:
+        raise BadModel(f"need four integer cause cardinalities >= {floor}, got {values!r}")
+    return cards
+
+
+def setting_law(table) -> np.ndarray:
+    """The 2x2 setting law p(a, b), read-only; None gives the even law.
+
+    A given table must be 2x2, finite and nonnegative and sum to 1 within
+    1e-9, or BadSettingProbs is raised; it is returned divided by its sum.
+    """
+    if table is None:
+        return singlet._freeze(np.full((2, 2), 0.25))
+    sp = np.asarray(table, dtype=float)
+    # NaN and -inf fail the first comparison, +inf the sum's
+    if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= 1e-9:
+        raise BadSettingProbs(f"setting law must be a finite, nonnegative 2x2 table summing to 1, got {sp.tolist()}")
+    return singlet._freeze(sp / sp.sum())
 
 
 def _kept(derive):
@@ -339,7 +367,8 @@ def random_screened_model(
     closed-form smaller root (see _deficit_scale). Deterministic for a
     given seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    n_cells = integer("n_cells", n_cells)
     if n_cells < 2:
         raise GenerationFailed(
             "a single screened cell forces independence, which is incompatible "
@@ -480,9 +509,7 @@ class EprbModel:
     cause_cards: tuple[int, int, int, int]
 
     def __post_init__(self):
-        cards = tuple(int(c) for c in self.cause_cards)
-        if len(cards) != 4 or any(c < 1 for c in cards):
-            raise BadModel(f"need four cause cardinalities >= 1, got {cards}")
+        cards = cause_cardinalities(self.cause_cards, 1)
         w = np.asarray(self.weights, dtype=float)
         expected = (2, 2, 2, 2, *cards)
         if w.shape != expected:
@@ -546,9 +573,7 @@ class EprbModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EprbModel":
-        cards = tuple(int(c) for c in real_numbers(data["cause_cards"]))
-        if cards != tuple(data["cause_cards"]):  # 2.7 would pass int()
-            raise BadModel(f"cause cardinalities must be integers, got {data['cause_cards']!r}")
+        cards = cause_cardinalities(data["cause_cards"], 1)
         flat = np.asarray(real_numbers(data["weights"]))
         n = 16 * math.prod(cards)  # exact, where np.prod wraps in int64
         if flat.size != n:
@@ -811,21 +836,13 @@ def random_eprb_model(
     chosen so the global deficit lands at or below epsilon_target.
     Deterministic for a given seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cards = tuple(int(c) for c in cause_cards)
-    if len(cards) != 4 or any(c < 2 for c in cards):
-        raise BadModel(f"need four cause cardinalities >= 2, got {cards}")
+    rng = np.random.default_rng(seed)
+    cards = cause_cardinalities(cause_cards, 2)
     if not (0.0 <= epsilon_target <= 0.1):
         raise GenerationFailed(
             f"epsilon_target must be in [0, 0.1] for this generator, got {epsilon_target}"
         )
-    if setting_probs is None:
-        sp = np.full((2, 2), 0.25)
-    else:
-        sp = np.asarray(setting_probs, dtype=float)
-        if sp.shape != (2, 2) or np.any(sp <= 0.0):
-            raise BadModel("setting_probs must be a strictly positive 2x2 table")
-        sp = sp / sp.sum()
+    sp = setting_law(setting_probs)  # a zero entry leaves a setting pair empty: EprbModel rejects it
 
     splits = []  # per cause variable: the (cells, law) group of each hidden pattern
     for card in cards:

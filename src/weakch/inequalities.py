@@ -33,6 +33,7 @@ by the one function that takes arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -127,6 +128,19 @@ def real_numbers(values) -> list[float]:
             raise TypeError(f"expected a real number, got {v!r}")
         out.append(float(v))
     return out
+
+
+def integer(name: str, value, lower: int | None = None) -> int:
+    """value as a Python int, at least lower if given; a bool, float or other non-index value is a WeakChError."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise WeakChError(f"{name} must be an integer, got {value!r}")
+    if lower is not None and n < lower:
+        raise WeakChError(f"{name} must be at least {lower}, got {n}")
+    return n
 
 
 def pair_settings(table) -> tuple[SettingProbs, ...]:

@@ -12,13 +12,13 @@ from .common_cause import (
     _WINGS,
     EprbModel,
     _marginal,
+    cause_cardinalities,
     random_eprb_model,
     validate_loc,
     validate_no_conspiracy,
     validate_screening,
 )
-from .inequalities import WeakChReport, ch_expression
-from .spaces import WeakChError
+from .inequalities import WeakChError, WeakChReport, ch_expression, integer
 
 TAU = 2.0 * math.pi
 _GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
@@ -216,18 +216,14 @@ class SearchConfig:
     feas_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise WeakChError("seed must be nonnegative")
-        if self.restarts < 1:
-            raise WeakChError("restarts must be at least 1")
-        if self.max_iters < 1:
-            raise WeakChError("max_iters must be at least 1")
-        if any(c < 2 for c in self.cause_cards) or len(self.cause_cards) != 4:
-            raise WeakChError("cause_cards must be four integers >= 2")
+        for name, lower in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), lower))
+        object.__setattr__(self, "cause_cards", cause_cardinalities(self.cause_cards, 2))
         if 16 * math.prod(self.cause_cards) > MAX_SEARCH_WEIGHTS:
             raise WeakChError(f"cause_cards give more than {MAX_SEARCH_WEIGHTS} weights")
-        if not (0.0 < self.step_init < math.inf and 0.0 < self.step_decay <= 1.0):
-            raise WeakChError("step schedule must have a finite step_init > 0 and decay in (0, 1]")
+        # a step of 1 already moves each weight (noise step_init / n) by about its own size (1 / n)
+        if not (0.0 < self.step_init <= 1.0 and 0.0 < self.step_decay <= 1.0):
+            raise WeakChError("step schedule must have step_init and step_decay in (0, 1]")
         # NaN fails every comparison, so these reject it too
         if not 0.0 <= self.penalty_weight < math.inf:
             raise WeakChError("penalty_weight must be finite and nonnegative")
@@ -327,7 +323,7 @@ def _next_state(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: S
 
 def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
-    cards = tuple(cfg.cause_cards)
+    cards = cfg.cause_cards
     shape = (2, 2, 2, 2, *cards)
     sp = np.full((2, 2), 0.25)
     lo, hi = cfg.eps_band

@@ -16,15 +16,13 @@ bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import singlet
-from .common_cause import EprbModel
-from .inequalities import ch_expression, ch_table_terms, pair_settings, weak_ch_bounds
-from .spaces import WeakChError
+from .common_cause import EprbModel, setting_law
+from .inequalities import WeakChError, ch_expression, ch_table_terms, integer, pair_settings, weak_ch_bounds
 
 _CHUNK = 1 << 16
 # chunk states are derived this many chunks (2^28 runs) at a time
@@ -46,16 +44,6 @@ class UndefinedEstimate(WeakChError):
     """A required estimate has no observations behind it."""
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int; a bool, a float or another non-integral value is an error."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise WeakChError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Run count, directions, setting distribution, and outcome source ("singlet" or an EprbModel)."""
@@ -67,33 +55,15 @@ class SimConfig:
     source: str | EprbModel = "singlet"
 
     def __post_init__(self):
-        n = _integer("n", self.n)
-        seed = _integer("seed", self.seed)
-        if n < 1:
-            raise WeakChError(f"n must be at least 1, got {n}")
-        if seed < 0:
-            raise WeakChError("seed must be nonnegative")
+        object.__setattr__(self, "n", integer("n", self.n, 1))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if not (isinstance(self.source, EprbModel) or self.source == "singlet"):
             raise WeakChError(f"source must be 'singlet' or an EprbModel, got {self.source!r}")
         theta = tuple(float(t) for t in self.theta)
-        if len(theta) != 4:
-            raise WeakChError("theta must hold exactly four angles")
-        sp = self.setting_probs
-        if sp is None:
-            sp = np.full((2, 2), 0.25)
-        else:
-            sp = np.asarray(sp, dtype=float)
-            if sp.shape != (2, 2) or np.any(sp < 0.0):
-                raise WeakChError("setting_probs must be a nonnegative 2x2 table")
-            total = float(sp.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise WeakChError(f"setting probabilities sum to {total}, not 1")
-            sp = sp / total
-        sp.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
+        if len(theta) != 4 or not all(map(math.isfinite, theta)):
+            raise WeakChError(f"theta must hold exactly four finite angles, got {theta}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "setting_probs", sp)
+        object.__setattr__(self, "setting_probs", setting_law(self.setting_probs))
 
 
 @dataclass(frozen=True, eq=False)

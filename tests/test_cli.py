@@ -258,6 +258,9 @@ def _malformed_model(case):
     if case == "fractional_cause_cards":
         joint["cause_cards"] = [2.7, 2, 2, 2]  # int() would read 2 and accept the file
         return joint
+    if case == "integral_float_cause_cards":  # a cardinality is a JSON integer, not 2.0
+        joint["cause_cards"] = [2.0, 2, 2, 2]
+        return joint
     if case == "string_weights":
         joint["weights"] = [repr(w) for w in joint["weights"]]
         return joint
@@ -279,6 +282,7 @@ def _malformed_model(case):
         "pairwise_without_A",
         "list_atom_labels",
         "fractional_cause_cards",
+        "integral_float_cause_cards",
         "string_space_weights",
         "string_weights",
         "boolean_weights",
@@ -499,6 +503,7 @@ _EMITTING_PATHS = [
     (["optimize-angles", "--grid", "8", "--refine", "-1"], 2, "error"),
     (["search", "--restarts", "1", "--iters", "2"], 0, "ok"),
     (["search", "--restarts", "1", "--iters", "2", "--eps-band", "1e-3,1e-6"], 2, "error"),
+    (["search", "--restarts", "1", "--iters", "2", "--step", "1e300"], 2, "error"),
     (["simulate", "--seed", "1", "--n", "100"], 0, "ok"),
     (["simulate", "--seed", "2", "--n", "2000", "--angles", LOWER, "--epsilon", "0"], 3, "ok"),
     (["simulate", "--seed", "1", "--n", "3", "--angles", "0,1,2,3"], 2, "error"),

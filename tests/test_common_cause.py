@@ -38,13 +38,14 @@ from weakch.common_cause import (
 )
 from weakch import common_cause as cc
 from weakch import singlet
-from weakch.inequalities import pair_settings
+from weakch.inequalities import BadSettingProbs, pair_settings
 from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
     BadPartition,
     FiniteProbSpace,
     ForeignEvent,
     ResidualReport,
+    WeakChError,
     ZeroConditioner,
     make_space,
 )
@@ -136,6 +137,13 @@ def test_generator_deterministic_two_cell():
 def test_generator_single_cell_fails():
     with pytest.raises(GenerationFailed):
         random_screened_model(3, 1, 0.1)
+
+
+def test_generator_rejects_a_non_integral_cell_count():
+    with pytest.raises(WeakChError, match="n_cells must be an integer"):
+        random_screened_model(1, 2.5, 0.01)
+    # an integral cell count of another integer type is read as a Python int
+    assert random_screened_model(1, np.int64(3), 0.01).n_cells == 3
 
 
 def test_generator_rejects_large_target():
@@ -516,6 +524,11 @@ def test_eprb_model_validation():
     with pytest.raises(BadModel):
         EprbModel(w, (2, 2, 2, 2))
     good = random_eprb_model(5, (2, 2, 2, 2), 1e-3).weights
+    for cards in ((2.7, 2, 2, 2), (2.0, 2, 2, 2), (True, 2, 2, 2), (2, 2, 2), (0, 2, 2, 2), 2, None):
+        with pytest.raises(BadModel, match="cause cardinalities"):
+            EprbModel(good, cards)
+    assert EprbModel(good, np.array([2, 2, 2, 2])).cause_cards == (2, 2, 2, 2)
+    assert all(type(c) is int for c in EprbModel(good, np.array([2, 2, 2, 2])).cause_cards)
     for bad in (math.nan, math.inf, -math.inf, -1e-3):
         w = good.copy()
         w[0, 1, 0, 0, 1, 0, 1, 0] = bad
@@ -577,8 +590,37 @@ def test_generated_model_is_deterministic():
 def test_generator_rejects_bad_arguments():
     with pytest.raises(BadModel):
         random_eprb_model(1, (1, 2, 2, 2), 1e-3)
+    with pytest.raises(BadModel, match="cause cardinalities"):
+        random_eprb_model(1, (2.5, 2, 2, 2), 1e-3)
     with pytest.raises(GenerationFailed):
         random_eprb_model(1, (2, 2, 2, 2), 0.5)
+    # a setting law is read as given: it must sum to 1, and a zero pair leaves the model empty there
+    for law in ([[0.3, 0.3], [0.3, 0.3]], [[math.nan, 0.25], [0.25, 0.5]], [[0.5, 0.5], [0.5, -0.5]]):
+        with pytest.raises(BadSettingProbs):
+            random_eprb_model(1, (2, 2, 2, 2), 1e-3, setting_probs=law)
+    with pytest.raises(BadModel, match="every setting pair"):
+        random_eprb_model(1, (2, 2, 2, 2), 1e-3, setting_probs=[[0.5, 0.0], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0.3, 0.3], [0.3, 0.3]], [0.25, 0.25, 0.25, 0.25], [[math.nan, 0.25], [0.25, 0.5]],
+     [[math.inf, 0.25], [0.25, 0.25]], [[-math.inf, 0.25], [0.25, 0.25]], [[1.5, -0.5], [0.0, 0.0]]],
+    ids=["sum", "flat", "nan", "inf", "minus_inf", "negative"],
+)
+def test_setting_law_rejects_malformed_tables(table):
+    with pytest.raises(BadSettingProbs):
+        cc.setting_law(table)
+
+
+def test_setting_law_reads_tables_read_only():
+    even = cc.setting_law(None)
+    assert even.tolist() == [[0.25, 0.25], [0.25, 0.25]] and not even.flags.writeable
+    given = np.array([[0.1, 0.2], [0.3, 0.4]])
+    sp = cc.setting_law(given)
+    assert np.array_equal(sp, given / given.sum()) and not sp.flags.writeable
+    assert given.flags.writeable  # the caller's table is not frozen
+    assert cc.setting_law([[0.5, 0.0], [0.0, 0.5]]).tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
 
 def test_loc_detects_far_setting_influence():

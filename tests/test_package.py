@@ -1,8 +1,10 @@
 """The package's lazy exports: each public name is its submodule's binding."""
 
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +62,16 @@ def test_bare_import_loads_no_numpy_and_reaches_submodules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False (-1.0, 0.0) False", "True True"]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the section's one python block: an API change that breaks it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    checks, validators = capsys.readouterr().out.splitlines()
+    assert checks == "True"
+    max_abs, joint_ok = validators.split()
+    assert float(max_abs) <= 1e-9 and joint_ok == "True"

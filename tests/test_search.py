@@ -138,6 +138,8 @@ def test_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(WeakChError):
         SearchConfig(cause_cards=(1, 2, 2, 2))
+    with pytest.raises(WeakChError, match="cause cardinalities"):
+        SearchConfig(cause_cards=(2.5, 2, 2, 2))
     with pytest.raises(WeakChError):
         SearchConfig(step_init=0.0)
     with pytest.raises(WeakChError):
@@ -149,12 +151,22 @@ def test_config_validation():
     [
         ("step_init", math.inf),
         ("step_init", math.nan),
+        ("step_init", 2.0),
+        ("step_init", 1e300),
         ("penalty_weight", math.nan),
         ("penalty_weight", math.inf),
         ("penalty_weight", -1.0),
         ("feas_tol", math.nan),
         ("feas_tol", math.inf),
         ("feas_tol", -1e-12),
+        ("seed", 1.5),
+        ("seed", None),
+        ("seed", True),
+        ("restarts", 1.5),
+        ("restarts", None),
+        ("max_iters", 2.0),
+        ("max_iters", None),
+        ("max_iters", "3"),
     ],
 )
 def test_config_rejects_non_finite_and_negative_knobs(field, value):
@@ -162,6 +174,12 @@ def test_config_rejects_non_finite_and_negative_knobs(field, value):
     # never accept a step and would still return normally
     with pytest.raises(WeakChError, match=field):
         SearchConfig(**{field: value})
+
+
+def test_config_stores_python_ints():
+    cfg = SearchConfig(seed=np.uint32(3), restarts=np.int64(2), max_iters=np.int8(5), cause_cards=np.array([2, 3, 2, 2]))
+    assert (cfg.seed, cfg.restarts, cfg.max_iters, cfg.cause_cards) == (3, 2, 5, (2, 3, 2, 2))
+    assert all(type(v) is int for v in (cfg.seed, cfg.restarts, cfg.max_iters, *cfg.cause_cards))
 
 
 def test_config_accepts_zero_penalty_weight_and_feas_tol():

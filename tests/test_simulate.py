@@ -76,6 +76,17 @@ def test_config_rejects_non_integers(field, value):
         sim.SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("setting_probs", [[math.nan, 0.25], [0.25, 0.5]]), ("setting_probs", [[math.inf, 0.25], [0.25, 0.25]]),
+     ("theta", (math.nan, 0.0, 0.0, 0.0)), ("theta", (0.0, 0.0, math.inf, 0.0))],
+)
+def test_config_rejects_non_finite_inputs(field, value):
+    # a NaN would otherwise reach the sampler's multinomial draws
+    with pytest.raises(WeakChError, match="finite"):
+        sim.SimConfig(seed=1, n=10, **{field: value})
+
+
 def test_config_stores_python_ints():
     cfg = sim.SimConfig(seed=np.uint32(3), n=np.int64(70000))
     assert type(cfg.seed) is int and type(cfg.n) is int

@@ -15,8 +15,8 @@ sha256) of:
   marginals, shuffled atom order), the generated weights and labels,
   cell_stats, classify_cells, every CauseMassReport field, model_epsilon,
   the marginals, the screening cell lists and the error each check
-  raises. Screening residuals are stored in full and compared to 1e-15
-  absolute; everything else must match exactly.
+  raises. Screening residuals are stored in full as float.hex strings.
+Everything must match exactly.
 The models are exact generated ones (residuals at the rounding level, so
 any change in summation order shows), perturbed weights, dense random
 weights with zero-mass cause cells, and outcome kernels that read a
@@ -407,10 +407,7 @@ def test_pairwise_engine_matches_the_fixture(fixture):
             assert rec == want["full"], desc
         for part, value in rec.items():
             assert _digest(value) == want[part], f"{desc}: {part}"
-        got = cell_stats(model).residuals
-        assert len(got) == len(want["residuals"]), desc
-        for r, w in zip(got, want["residuals"]):
-            assert abs(r - float.fromhex(w)) <= 1e-15, desc
+        assert [r.hex() for r in cell_stats(model).residuals] == want["residuals"], desc
 
 
 def test_pairwise_fixture_cases_exercise_every_branch():
