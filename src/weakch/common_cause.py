@@ -301,7 +301,10 @@ def check_cause_mass_bounds(
     ct = correction_terms(eps)
     classes, high, mid = _classify(stats, eps, ct.d_minus if border is None else float(border))
 
-    # iterating the arrays keeps these sums sequential, in cell order
+    # iterating the arrays keeps these sums sequential, in cell order: sum()
+    # adds numpy scalars one by one on every Python, while from Python 3.12
+    # on it compensates a sum of Python floats, so sum(a.tolist()) would
+    # round differently there
     high_mass = float(sum(stats.mass[high]))
     lower_ok = high_mass - ct.d_minus <= p_a + 1e-12
     upper_ok = p_a <= high_mass + ct.d_plus + PRECONDITION_TOL
@@ -310,8 +313,8 @@ def check_cause_mass_bounds(
     gap_b = 0.5 * ct.d_minus if gap_border is None else float(gap_border)
     gap = np.abs(q - r)
     diagnostics = {
-        "a_not_b_mass": float(np.sum(q * (1.0 - r) * m)),
-        "b_not_a_mass": float(np.sum(r * (1.0 - q) * m)),
+        "a_not_b_mass": float((q * (1.0 - r) * m).sum()),
+        "b_not_a_mass": float((r * (1.0 - q) * m).sum()),
         "mid_gap_sum": float(sum(gap[mid] * m[mid])),
         "wide_mid_mass": float(sum(m[mid & (gap >= gap_b)])),
         "gap_border": gap_b,
@@ -351,6 +354,24 @@ def _deficit_scale(m1: float, m2: float, mid_mass: float, target: float) -> floa
     return _smaller_root(2.0 * m1, 4.0 * m2, target - 0.5 * mid_mass)
 
 
+@functools.lru_cache(maxsize=64)
+def _pairwise_layout(n_cells: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    # The atom labels, cell_of, in_a and in_b of a generated model, which
+    # depend only on its cell count; the arrays are read-only, so every
+    # model of that count shares them. Cell 2k is pair k and cell 2k+1 its
+    # mirror; an odd count ends with the mid cell. Each cell's four atoms
+    # follow _OUTCOME_SUFFIX.
+    atoms = tuple(f"c{i}:{suf}" for i in range(n_cells) for suf in _OUTCOME_SUFFIX)
+    layout = (
+        np.repeat(np.arange(n_cells), 4),
+        np.tile([True, True, False, False], n_cells),
+        np.tile([True, False, True, False], n_cells),
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return (atoms, *layout)
+
+
 def random_screened_model(
     seed: int | np.random.Generator,
     n_cells: int,
@@ -386,17 +407,11 @@ def random_screened_model(
     cell_mass = pair_mass / 2.0
     x = rng.uniform(0.6, 1.0, n_pairs)
     y = rng.uniform(0.6, 1.0, n_pairs)
-    m1 = float(np.sum(cell_mass * (x + y)))
-    m2 = float(np.sum(cell_mass * x * y))
+    m1 = float((cell_mass * (x + y)).sum())
+    m2 = float((cell_mass * x * y).sum())
 
     scale = _deficit_scale(m1, m2, mid_mass, epsilon_target)
 
-    # cell 2k is pair k and cell 2k+1 its mirror; an odd count ends with the
-    # mid cell. Each cell's four atoms follow _OUTCOME_SUFFIX. The labels go
-    # in as a list, not as a tuple built from a generator: such a tuple grows
-    # by resizing, which never takes one from CPython's tuple free lists,
-    # while its death puts it on one (under 20 items). A generate-and-check
-    # loop would then hold about 1 MB more allocator memory.
     pairs = slice(0, 2 * n_pairs, 2)
     mass = np.full(n_cells, mid_mass)
     q = np.full(n_cells, 0.5)
@@ -406,17 +421,11 @@ def random_screened_model(
     r[pairs] = 1.0 - scale * y
     q[1::2] = 1.0 - q[pairs]
     r[1::2] = 1.0 - r[pairs]
-    weights = np.stack(
-        [mass * q * r, mass * q * (1.0 - r), mass * (1.0 - q) * r, mass * (1.0 - q) * (1.0 - r)], axis=1
-    )
-    atoms = [f"c{i}:{suf}" for i in range(n_cells) for suf in _OUTCOME_SUFFIX]
-    model = PairwiseCcModel(
-        FiniteProbSpace(atoms, weights),
-        np.repeat(np.arange(n_cells), 4),
-        np.tile([True, True, False, False], n_cells),
-        np.tile([True, False, True, False], n_cells),
-        n_cells,
-    )
+    # each weight is a product like (mass * q) * r, multiplied in that order
+    plus, minus, r_minus = mass * q, mass * (1.0 - q), 1.0 - r
+    weights = np.stack([plus * r, plus * r_minus, minus * r, minus * r_minus], axis=1)
+    atoms, *layout = _pairwise_layout(n_cells)  # shared by every model of this cell count
+    model = PairwiseCcModel(FiniteProbSpace(atoms, weights), *layout, n_cells)
 
     p_a, p_b, _ = _event_masses(model)  # kept: the deficit below and the checker read them
     if abs(p_a - 0.5) > 1e-9 or abs(p_b - 0.5) > 1e-9:
@@ -526,7 +535,7 @@ class EprbModel:
             raise BadModel(f"total mass must be positive and finite, got {total}")
         w = w / total
         pair = w.sum(axis=tuple(range(2, w.ndim)))
-        if np.any(pair <= 0.0):
+        if (pair <= 0.0).any():
             raise BadModel("every setting pair needs positive probability")
         w.flags.writeable = False
         pair.flags.writeable = False
@@ -640,6 +649,17 @@ def _cause_pairs(model: EprbModel) -> tuple[np.ndarray, ...]:
     return tuple(_marginal(w, (4 + ai, 6 + bj)) for ai in (0, 1) for bj in (0, 1))
 
 
+@functools.lru_cache(maxsize=256)
+def _no_conspiracy_keys(tag: str, cause: int, card: int, *other: int) -> tuple[tuple, ...]:
+    # The keys (tag, cause, cell) of one row of residuals, or, given the
+    # (cause, card) of another cause, (tag, cause, cell, cause, cell). They
+    # depend only on the cards, so reports share them.
+    if other:
+        other_cause, other_card = other
+        return tuple(product((tag,), (cause,), range(card), (other_cause,), range(other_card)))
+    return tuple((tag, cause, i) for i in range(card))
+
+
 @_kept
 def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """Setting-independence residuals of the five product conditions.
@@ -650,6 +670,7 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """
     w = model.weights
     sp = model.setting_probs()
+    cards = model.cause_cards
     p_setting = (sp.sum(axis=1).tolist(), sp.sum(axis=0).tolist())
     cause_marg = [_marginal(w, (4 + k,)).tolist() for k in range(4)]
     cause_pairs = _cause_pairs(model)
@@ -657,7 +678,7 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     residuals: list[float] = []
 
     def cause_rows(tag: str, cause: int, p_cell: np.ndarray, p_set: float) -> None:
-        keys.extend(product((tag,), (cause,), range(model.cause_cards[cause])))
+        keys.extend(_no_conspiracy_keys(tag, cause, cards[cause]))
         residuals.extend(p - p_set * m for p, m in zip(p_cell.tolist(), cause_marg[cause]))
 
     for row in _WINGS:
@@ -673,8 +694,7 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
                 cause_rows(tag, k, _marginal(block, (2 + k,)), pab)
             pab_cc = _marginal(block, (2 + ra.cause, 2 + rb.cause))
             pcc = cause_pairs[2 * ra.setting + rb.setting]
-            cells_a, cells_b = (range(model.cause_cards[k]) for k in (ra.cause, rb.cause))
-            keys.extend(product((tag,), (ra.cause,), cells_a, (rb.cause,), cells_b))
+            keys.extend(_no_conspiracy_keys(tag, ra.cause, cards[ra.cause], rb.cause, cards[rb.cause]))
             residuals.extend((pab_cc - pab * pcc).ravel().tolist())
 
     return ResidualReport(tuple(residuals), tuple(keys), (), _no_conspiracy_label)
@@ -845,52 +865,58 @@ def random_eprb_model(
     sp = setting_law(setting_probs)  # a zero entry leaves a setting pair empty: EprbModel rejects it
 
     splits = []  # per cause variable: the (cells, law) group of each hidden pattern
+    laws = []  # per cause variable: its cell law under each pattern, (pattern, cell)
     for card in cards:
         g0_size = int(rng.integers(1, card))
         perm = rng.permutation(card)
-        idx0 = np.sort(perm[:g0_size])
-        idx1 = np.sort(perm[g0_size:])
+        idx0, idx1 = perm[:g0_size], perm[g0_size:]
+        idx0.sort()
+        idx1.sort()
         w0 = rng.dirichlet(np.full(idx0.size, 2.0))
         w1 = rng.dirichlet(np.full(idx1.size, 2.0))
         splits.append(((idx0, w0), (idx1, w1)))
-    group_vecs = [[np.zeros(card) for card in cards] for _ in (0, 1)]  # [pattern][cause]
-    for x, groups in enumerate(splits):
-        for z, (idx, law) in enumerate(groups):
-            group_vecs[z][x][idx] = law
+        law = np.zeros((2, card))
+        law[0, idx0] = w0
+        law[1, idx1] = w1
+        laws.append(law)
+    scale = (0.5 * sp).reshape(1, 2, 2, 1, 1, 1, 1, 1, 1)
 
     delta = 0.45 * epsilon_target
     for _ in range(6):
-        kernels = []  # (outcome, cell) per direction
+        # each direction's deviations, own group then other group, in row order
+        draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
+        start = 0
+        w = None
         for row in _WINGS:
+            card = cards[row.cause]
             # Alice's directions favour pattern 0, Bob's pattern 1
             des_idx, des_w = splits[row.cause][row.wing]
             oth_idx, oth_w = splits[row.cause][1 - row.wing]
-            vec = np.zeros(cards[row.cause])
-            if delta == 0.0:
+            vec = np.zeros(card)
+            if draws is None:
                 vec[des_idx] = 1.0
             else:
-                d_raw = rng.uniform(0.5, 1.0, des_idx.size) * delta
-                e_raw = rng.uniform(0.5, 1.0, oth_idx.size) * delta
+                d_raw = draws[start : start + des_idx.size]
+                e_raw = draws[start + des_idx.size : start + card]
+                start += card
                 md = float(np.dot(des_w, d_raw))
                 me = float(np.dot(oth_w, e_raw))
-                e_raw = e_raw * (md / me)
                 vec[des_idx] = 1.0 - d_raw
-                vec[oth_idx] = e_raw
-            kernels.append(np.stack([vec, 1.0 - vec]))
-
-        w = np.zeros((2, 2, 2, 2, *cards))
-        for z in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    # outcome subscripts a (Alice) and b (Bob) ride on the
-                    # causes of directions a+1 and b+3
-                    subs = ["i", "j", "k", "l"]
-                    ops = list(group_vecs[z])
-                    for k, o in ((a, "a"), (2 + b, "b")):
-                        subs[k] = o + subs[k]
-                        ops[k] = kernels[k] * ops[k]
-                    block = np.einsum(",".join(subs) + "->abijkl", *ops)
-                    w[a, b] += 0.5 * sp[a, b] * block
+                vec[oth_idx] = e_raw * (md / me)
+            # (setting, outcome, cell): the outcome kernel at the own
+            # setting, 1 at the other, where the outcome reads another cause
+            kernel = np.ones((2, 2, card))
+            kernel[row.setting] = vec, 1.0 - vec
+            # on the axes (pattern, a, b, A, B, c1..c4)
+            shape = [2, 2 - row.wing, 1 + row.wing, 2 - row.wing, 1 + row.wing, 1, 1, 1, 1]
+            shape[5 + row.cause] = card
+            factor = (laws[row.cause][:, None, None, :] * kernel).reshape(shape)
+            # The factors are multiplied in cause order and then scaled, the
+            # rounding of the recorded weights (tests/golden); see
+            # reference_eprb_weights in tests/helpers.py.
+            w = factor if w is None else w * factor
+        w = w * scale
+        w = w[0] + w[1]  # sum over the hidden pattern
 
         model = EprbModel(w, cards)
         achieved = model.profile().eps_global

@@ -148,8 +148,11 @@ def pair_settings(table) -> tuple[SettingProbs, ...]:
 
     table[a, b] is the probability of Alice setting a with Bob setting b.
     """
+    # Read once as Python floats. (0.0 + x) + y is what ndarray.sum gives
+    # for two entries, bit for bit, signed zeros included.
+    t = table.tolist()
     return tuple(
-        SettingProbs(float(table[a].sum()), float(table[:, b].sum()), float(table[a, b]))
+        SettingProbs(0.0 + t[a][0] + t[a][1], 0.0 + t[0][b] + t[1][b], float(t[a][b]))
         for a, b in CH_PAIRS.values()
     )
 

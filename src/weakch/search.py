@@ -89,6 +89,9 @@ def optimize_angles(
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    grid_size = integer("grid_size", grid_size)
+    refine_sweeps = integer("refine_sweeps", refine_sweeps)
+    seed = integer("seed", seed)
     if not 8 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be between 8 and {MAX_GRID_SIZE}, got {grid_size}")
     if refine_sweeps < 0:

@@ -64,7 +64,8 @@ class FiniteProbSpace:
             raise EmptySpace(
                 f"{len(atoms)} atoms but {w.size} weights were supplied"
             )
-        if len(set(atoms)) != len(atoms):
+        index = {a: i for i, a in enumerate(atoms)}
+        if len(index) != len(atoms):
             raise WeakChError("atom labels must be unique")
         lowest = float(w.min())  # NaN propagates through min
         if not lowest >= 0.0:
@@ -76,7 +77,7 @@ class FiniteProbSpace:
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -157,12 +158,15 @@ def _translate(space: FiniteProbSpace, event_a, event_b, cells, foreign_event: W
 def _cell_sums(weights: np.ndarray, cell_of: np.ndarray, in_a: np.ndarray, in_b: np.ndarray, n_cells: int) -> np.ndarray:
     """Rows p(C_i), p(A C_i), p(B C_i), p(AB C_i) over the cells.
 
-    Each entry adds its atoms' weights one by one in atom order.
+    Each entry adds its atoms' weights one by one in atom order. An atom
+    outside the event adds its weight times 0, a zero that leaves a sum of
+    finite nonnegative weights as it was, so the event's atoms need not be
+    picked out first.
     """
     return np.stack(
         [
-            np.bincount(cell_of[sel], weights=weights[sel], minlength=n_cells)
-            for sel in (slice(None), in_a, in_b, in_a & in_b)
+            np.bincount(cell_of, weights=w, minlength=n_cells)
+            for w in (weights, weights * in_a, weights * in_b, weights * (in_a & in_b))
         ]
     )
 

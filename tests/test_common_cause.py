@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import aligned_cause_joint, build_product_model, ch_from_weights, count_labels, uniform_settings
+from helpers import (
+    aligned_cause_joint,
+    build_product_model,
+    ch_from_weights,
+    count_labels,
+    reference_eprb_weights,
+    uniform_settings,
+)
+from test_validator_fixture import SETTING_LAWS
 from weakch.common_cause import (
     BadModel,
     EprbModel,
@@ -476,6 +484,32 @@ def test_pairwise_json_roundtrip():
     assert pairwise_model_to_dict(back) == pairwise_model_to_dict(m)
 
 
+def test_generated_models_share_a_read_only_layout():
+    a, b = random_screened_model(1, 9, 0.01), random_screened_model(2, 9, 0.2)
+    for name in ("cell_of", "in_a", "in_b"):
+        shared = getattr(a, name)
+        assert getattr(b, name) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = shared[1]
+    assert b.space.atoms is a.space.atoms
+    assert random_screened_model(1, 8, 0.01).cell_of.size == 32
+    # the labels written to a file translate back to the same arrays, held
+    # on their own, and the model they give checks the same
+    for n_cells in range(2, 17):
+        m = random_screened_model(n_cells, n_cells, 0.05)
+        data = pairwise_model_to_dict(m)
+        read = pairwise_model_from_dict(data)
+        assert read.cell_of is not m.cell_of and read.cell_of.flags.writeable
+        for name in ("cell_of", "in_a", "in_b"):
+            assert getattr(read, name).tolist() == getattr(m, name).tolist()
+        back = _labelled_model(m.space, data["A"], data["B"], data["partition"])
+        s, t = cell_stats(m), cell_stats(back)
+        assert (s.index, s.residuals, s.skipped) == (t.index, t.residuals, t.skipped)
+        for name in ("mass", "cond_a", "cond_b"):
+            assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
+        assert check_cause_mass_bounds(back) == check_cause_mass_bounds(m)
+
+
 def test_pairwise_label_fields_must_be_json_arrays():
     # a string or an object would be read by its characters or keys
     good = {
@@ -585,6 +619,17 @@ def test_generated_model_is_deterministic():
     a = random_eprb_model(77, (2, 2, 3, 2), 5e-4)
     b = random_eprb_model(77, (2, 2, 3, 2), 5e-4)
     assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("law", SETTING_LAWS, ids=["even", "diagonal", "uneven"])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-7, 1e-3, 0.1])
+def test_generator_matches_the_einsum_reference(law, epsilon):
+    # one broadcast product of the per-cause factors, in cause order, gives
+    # the weights of one einsum per (pattern, a, b) block bit for bit
+    cards_list = ((2, 2, 2, 2), (5, 5, 5, 5), (2, 3, 4, 5), (5, 4, 3, 2), (3, 2, 5, 2), (4, 4, 2, 3), (2, 5, 2, 5))
+    for seed, cards in enumerate(cards_list):
+        got = random_eprb_model(seed, cards, epsilon, setting_probs=law).weights
+        assert got.tobytes() == reference_eprb_weights(seed, cards, epsilon, setting_probs=law).tobytes()
 
 
 def test_generator_rejects_bad_arguments():

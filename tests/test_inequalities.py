@@ -111,6 +111,30 @@ def test_weak_bounds_symmetric_closed_forms(eps):
     assert upper == pytest.approx(66.0 * root - 24.0 * eps, rel=1e-13, abs=1e-13)
 
 
+def _numpy_pair_settings(table):
+    # pair_settings as it summed with ndarray.sum
+    return tuple(
+        SettingProbs(float(table[a].sum()), float(table[:, b].sum()), float(table[a, b]))
+        for a, b in ((0, 0), (0, 1), (1, 1), (1, 0))
+    )
+
+
+def test_pair_settings_adds_as_numpy_does():
+    rng = np.random.default_rng(19)
+    tables = [rng.dirichlet(np.full(4, alpha)).reshape(2, 2) for alpha in (0.3, 1.0, 5.0) for _ in range(300)]
+    tables += [rng.random((2, 2)) / 2.0 for _ in range(300)]  # unnormalized, as pair_settings accepts
+    for t in tables:
+        got, want = pair_settings(t), _numpy_pair_settings(t)
+        assert [float.hex(v) for sp in got for v in (sp.p_a, sp.p_b, sp.p_ab)] == [
+            float.hex(v) for sp in want for v in (sp.p_a, sp.p_b, sp.p_ab)
+        ]
+    # ndarray.sum adds two negative zeros to +0.0, and the error says so
+    signed = np.array([[-0.0, -0.0], [0.5, 0.5]])
+    for build in (pair_settings, _numpy_pair_settings):
+        with pytest.raises(BadSettingProbs, match=r"p_a must be in \(0, 1\], got 0\.0$"):
+            build(signed)
+
+
 def test_weak_bounds_per_pair_settings():
     # pairs 13 and 24 at ratio (p(a) + p(b))/p(ab) = 2.5, pairs 14 and 23 at 10
     sps = pair_settings(np.array([[0.4, 0.1], [0.1, 0.4]]))

@@ -100,6 +100,20 @@ def test_optimizer_rejects_a_negative_seed():
         optimize_angles(grid_size=8, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"grid_size": 8.5}, "grid_size"),  # would run a nine-point uneven grid
+        ({"refine_sweeps": 2.5}, "refine_sweeps"),
+        ({"seed": None}, "seed"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_optimizer_reads_its_counts_as_integers(kwargs, name):
+    with pytest.raises(WeakChError, match=f"{name} must be an integer"):
+        optimize_angles(**{"grid_size": 8, **kwargs})
+
+
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("grid,seed", [(8, 0), (12, 1), (16, 2)])
 def test_optimizer_value_stays_in_quantum_interval(mode, grid, seed):

@@ -6,8 +6,10 @@ from weakch.spaces import (
     EmptySpace,
     ForeignEvent,
     BadPartition,
+    FiniteProbSpace,
     NegativeWeight,
     ResidualReport,
+    WeakChError,
     make_space,
     prob,
     screening_residuals,
@@ -45,6 +47,13 @@ def test_empty_and_negative_inputs():
         make_space([0.5, math.nan])
     with pytest.raises(EmptySpace):
         make_space([0.5, math.inf])
+
+
+def test_atom_labels_must_be_unique():
+    with pytest.raises(WeakChError, match="^atom labels must be unique$"):
+        FiniteProbSpace(("x", "y", "x"), [0.2, 0.3, 0.5])
+    sp = FiniteProbSpace(("x", "y", 0), [0.2, 0.3, 0.5])
+    assert sp._index == {"x": 0, "y": 1, 0: 2}
 
 
 def test_prob_extremes():
