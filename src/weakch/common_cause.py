@@ -424,6 +424,8 @@ def random_screened_model(
     # each weight is a product like (mass * q) * r, multiplied in that order
     plus, minus, r_minus = mass * q, mass * (1.0 - q), 1.0 - r
     weights = np.stack([plus * r, plus * r_minus, minus * r, minus * r_minus], axis=1)
+    # divided by their exact total even when it is within spaces._NORMALIZED_TOL of one, which a space keeps
+    weights /= math.fsum(weights.ravel().tolist())
     atoms, *layout = _pairwise_layout(n_cells)  # shared by every model of this cell count
     model = PairwiseCcModel(FiniteProbSpace(atoms, weights), *layout, n_cells)
 

@@ -120,18 +120,6 @@ def optimize_angles(
     return tuple(singlet.canonical_angle(t) for t in theta), singlet.ch_value(theta)
 
 
-def _square_sum(rep) -> float:
-    return float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
-
-
-def _penalty_terms(model: EprbModel):
-    # The validators' squared-residual sums in the order the penalty adds
-    # them; each validator runs only when its term is asked for.
-    yield _square_sum(validate_loc(model))
-    yield _square_sum(validate_no_conspiracy(model))
-    yield _square_sum(validate_screening(model))
-
-
 def constraint_penalty(model: EprbModel) -> float:
     """Sum of squared residuals over all assumption validators.
 
@@ -139,8 +127,9 @@ def constraint_penalty(model: EprbModel) -> float:
     screening all hold exactly; invariant under relabeling cause values.
     """
     total = 0.0
-    for term in _penalty_terms(model):
-        total += term
+    for validate in (validate_loc, validate_no_conspiracy, validate_screening):
+        rep = validate(model)
+        total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
     return total
 
 
@@ -184,19 +173,19 @@ def _locality_residuals(w: np.ndarray):
 
 
 def _locality_rejects(props: np.ndarray, shape: tuple, cutoff: float) -> np.ndarray:
-    # Which proposals (rows) _evaluate would turn away at "locality". A
+    # Which proposals (rows) would fail `penalty <= cutoff` in full. A
     # proposal is marked when EprbModel accepts it (the same checks on the
     # same sums) and one locality residual has r * r > cutoff: the
-    # validator's squared sum of nonnegative terms is at least that square
-    # under rounding, so the running penalty exceeds cutoff at locality.
-    # A skipped residual is NaN and never exceeds it; every proposal not
-    # marked is left to _evaluate.
+    # penalty adds nonnegative terms to the locality validator's squared
+    # sum, so under rounding it is at least that square. A skipped
+    # residual is NaN and never exceeds it; every proposal not marked is
+    # left to _evaluate.
     with np.errstate(divide="ignore", invalid="ignore"):
         total = props.sum(axis=1)
         valid = (props.min(axis=1) >= 0.0) & (0.0 < total) & (total < math.inf)
         w = props / total[:, None]
         valid &= (w.reshape(len(w), 4, -1).max(axis=2) > 0.0).all(axis=1)
-        marked = ~valid  # done with, whether rejected or left to _evaluate
+        marked = ~valid  # no scan for an invalid row: _evaluate turns it away
         for res in _locality_residuals(w.reshape(len(w), *shape)):
             marked |= (res * res > cutoff).reshape(len(w), -1).any(axis=1)
             if marked.all():
@@ -245,17 +234,16 @@ class SearchResult:
     penalty and the inequality statuses recompute identically; an
     infeasible outcome is a valid result, never a nonexistence claim.
 
-    accepted and rejected count the proposals of this restart; rejected
-    maps each stage to the proposals it turned away, so accepted plus all
-    rejections equals max_iters. A proposal is rejected at "construct"
-    when its model or report cannot be built; at "locality",
-    "no_conspiracy" or "screening" when the penalty summed up to that
-    validator exceeds the current penalty; and at "objective" when its
-    full evaluation does not improve on the current state.
+    accepted counts the proposals of this restart that moved the walk.
+    A proposal moves it when its full evaluation improves the objective
+    without raising the constraint penalty; one whose model or report
+    cannot be built never does.
 
     Proposals are drawn, projected and screened for locality in blocks
-    of up to 2**14 weights; the walk, its trace and these counts are
-    those of proposing and judging one step at a time, bit for bit.
+    of up to 2**14 weights. The screen turns away a proposal whose
+    locality residuals alone already exceed the current penalty; every
+    other proposal is evaluated in full. The walk, its trace and accepted
+    are those of proposing and judging one step at a time, bit for bit.
     """
 
     model: EprbModel
@@ -268,10 +256,6 @@ class SearchResult:
     trace: tuple[tuple[float, float], ...]
     feasible: bool
     accepted: int
-    rejected: dict[str, int]
-
-
-_VALIDATOR_STAGES = ("locality", "no_conspiracy", "screening")
 
 
 @dataclass(frozen=True)
@@ -284,20 +268,9 @@ class _Eval:
     objective: float
 
 
-def _evaluate(
-    w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig, cutoff: float = math.inf
-) -> _Eval | str:
-    # Full evaluation of a weight vector, or the name of the validator
-    # stage at which the penalty summed so far exceeds cutoff. Partial sums
-    # of nonnegative terms never decrease under rounding, so such a
-    # proposal would also fail `penalty <= cutoff` once fully evaluated;
-    # a tie or a NaN term goes on to the full evaluation.
+def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval:
     model = EprbModel(w.reshape(shape), cards)
-    pen = 0.0
-    for stage, term in zip(_VALIDATOR_STAGES, _penalty_terms(model)):
-        pen += term
-        if pen > cutoff:
-            return stage
+    pen = constraint_penalty(model)
     weak = model.weak_report()
     v = weak.value
     eps = weak.epsilon
@@ -311,17 +284,25 @@ def _evaluate(
     return _Eval(pen, eps, v, weak, strict_excess, objective)
 
 
-def _next_state(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval | str:
-    # The evaluation a proposal moves the walk to, or the stage that turned
-    # it away. Accept only steps that improve the objective without letting
-    # the constraint penalty grow; this keeps the penalty trace monotone.
+def _move(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval | None:
+    # The evaluation a proposal moves the walk to, if any. Accept only steps
+    # that improve the objective without letting the constraint penalty
+    # grow; this keeps the penalty trace monotone.
     try:
-        nxt = _evaluate(prop, shape, cards, cfg, cutoff=cur.penalty)
+        nxt = _evaluate(prop, shape, cards, cfg)
     except WeakChError:
-        return "construct"
-    if isinstance(nxt, str) or (nxt.objective > cur.objective and nxt.penalty <= cur.penalty):
-        return nxt
-    return "objective"
+        return None
+    return nxt if nxt.objective > cur.objective and nxt.penalty <= cur.penalty else None
+
+
+def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
+    lo, hi = cfg.eps_band
+    return (
+        ev.penalty <= cfg.feas_tol
+        and lo - 1e-12 <= ev.epsilon <= hi + 1e-12
+        and ev.strict_excess > 1e-12
+        and not ev.weak.violated
+    )
 
 
 def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
@@ -336,7 +317,6 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
 
     trace = []
     accepted = 0
-    rejected = dict.fromkeys(("construct", *_VALIDATOR_STAGES, "objective"), 0)
     step = cfg.step_init
     scale = 1.0 / w.size
     block = max(1, _BLOCK_WEIGHTS // w.size)
@@ -357,10 +337,8 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
             props = _repin_settings(_project_simplex(w + delta), sp)
             marked = _locality_rejects(props, shape, cur.penalty)
             for t, prop in enumerate(props):
-                nxt = "locality" if marked[t] else _next_state(prop, cur, shape, cards, cfg)
-                if isinstance(nxt, str):
-                    rejected[nxt] += 1
-                else:
+                nxt = None if marked[t] else _move(prop, cur, shape, cards, cfg)
+                if nxt is not None:
                     w, cur = prop, nxt
                     accepted += 1
                 trace.append((cur.penalty, cur.objective))
@@ -369,20 +347,12 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
             delta = delta[t + 1:]
 
     model = EprbModel(w.reshape(shape), cards)
-    feasible = (
-        cur.penalty <= cfg.feas_tol
-        and lo - 1e-12 <= cur.epsilon <= hi + 1e-12
-        and cur.strict_excess > 1e-12
-        and not cur.weak.violated
-    )
+    feasible = _feasible(cur, cfg)
     if feasible:
         # Independent re-validation before any feasibility claim.
         check = _evaluate(model.weights.ravel(), shape, cards, cfg)
         feasible = (
-            check.penalty <= cfg.feas_tol
-            and lo - 1e-12 <= check.epsilon <= hi + 1e-12
-            and check.strict_excess > 1e-12
-            and not check.weak.violated
+            _feasible(check, cfg)
             and check.weak.violated_lower == cur.weak.violated_lower
             and check.weak.violated_upper == cur.weak.violated_upper
         )
@@ -397,7 +367,6 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
         trace=tuple(trace),
         feasible=feasible,
         accepted=accepted,
-        rejected=rejected,
     )
 
 

@@ -42,14 +42,24 @@ class BadPartition(WeakChError):
     """Partition cells overlap or fail to cover the atom set."""
 
 
+# Dividing weights by their exact total leaves a total within an ulp or so
+# of one, not always one itself (0.9999999999999999 is common). Dividing
+# by that again moves some weights by an ulp, so a space written to a file
+# would not read back bit for bit; a total this close to one is taken as
+# already normalized.
+_NORMALIZED_TOL = 1e-15
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProbSpace:
     """Ordered atom labels with normalized nonnegative weights.
 
     Construction normalizes the weights (divides by the total) rather than
-    rejecting inputs that do not sum to one; downstream searches perturb
-    weights and need cheap re-projection. Individual weights may be zero,
-    but the total mass must be positive.
+    rejecting inputs that do not sum to one. Normalizing is idempotent:
+    weights whose exact total is within _NORMALIZED_TOL of one are kept
+    as they are, so a space built from another space's weights has the
+    same weights bit for bit. Individual weights may be zero, but the
+    total mass must be positive.
     """
 
     atoms: tuple
@@ -73,7 +83,7 @@ class FiniteProbSpace:
         total = math.fsum(w.tolist())  # +inf survives min but not a finite total
         if not 0.0 < total < math.inf:
             raise EmptySpace(f"total mass must be positive and finite, got {total}")
-        w = w / total
+        w = w / total if abs(total - 1.0) > _NORMALIZED_TOL else w.copy()  # never the caller's array
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)

@@ -159,28 +159,21 @@ def ch_from_weights(weights) -> float:
     return float(pp[0, 0] + pp[0, 1] + pp[1, 1] - pp[1, 0] - p1 - p4)
 
 
-def _running_penalties(model: EprbModel) -> list[float]:
-    # the penalty summed after each validator: loc, no conspiracy, screening
-    total, out = 0.0, []
+def ordered_penalty(model: EprbModel) -> float:
+    """The three validators' squared residuals summed in order: loc, no conspiracy, screening."""
+    total = 0.0
     for rep in (
         validate_loc(model),
         validate_no_conspiracy(model),
         validate_screening(model),
     ):
         total += float(np.sum(np.square(rep.residuals))) if rep.residuals else 0.0
-        out.append(total)
-    return out
-
-
-def ordered_penalty(model: EprbModel) -> float:
-    """The three validators' squared residuals summed in order: loc, no conspiracy, screening."""
-    return _running_penalties(model)[-1]
+    return total
 
 
 def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
     model = EprbModel(w.reshape(shape), cards)
-    running = _running_penalties(model)
-    pen = running[-1]
+    pen = ordered_penalty(model)
     weak = model.weak_report()
     v = weak.value
     strict_excess = max(-1.0 - v, v)
@@ -192,22 +185,8 @@ def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
     )
     return SimpleNamespace(
         penalty=pen, epsilon=weak.epsilon, ch=v, weak=weak,
-        strict_excess=strict_excess, objective=objective, running=running,
+        strict_excess=strict_excess, objective=objective,
     )
-
-
-def _rejecting_stage(nxt, cur) -> str | None:
-    # Where the search's early rejection turns a fully evaluated proposal
-    # away: the first validator whose running penalty exceeds the current
-    # penalty, else "objective" unless the proposal is accepted.
-    if nxt is None:
-        return "construct"
-    for stage, pen in zip(("locality", "no_conspiracy", "screening"), nxt.running):
-        if pen > cur.penalty:
-            return stage
-    if nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
-        return None
-    return "objective"
 
 
 def _reference_restart(cfg, restart: int) -> SimpleNamespace:
@@ -221,7 +200,6 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     cur = _full_evaluation(w, shape, cards, cfg)
     trace = []
     accepted = 0
-    rejected = dict.fromkeys(("construct", "locality", "no_conspiracy", "screening", "objective"), 0)
     step = cfg.step_init
     scale = 1.0 / w.size
     for _ in range(cfg.max_iters):
@@ -231,12 +209,9 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
             nxt = _full_evaluation(prop, shape, cards, cfg)
         except WeakChError:
             nxt = None
-        stage = _rejecting_stage(nxt, cur)
-        if stage is None:
+        if nxt is not None and nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
             w, cur = prop, nxt
             accepted += 1
-        else:
-            rejected[stage] += 1
         trace.append((cur.penalty, cur.objective))
         step *= cfg.step_decay
     feasible = (
@@ -256,7 +231,6 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
         trace=tuple(trace),
         feasible=feasible,
         accepted=accepted,
-        rejected=rejected,
     )
 
 
@@ -265,10 +239,9 @@ def reference_search(cfg) -> SimpleNamespace:
 
     Each proposal is drawn, projected and re-pinned on its own, then runs
     all three validators and the weak report before the acceptance test,
-    so this is the reference that the search's block screening and early
-    rejection must match bit for bit. rejected names the stage at which
-    the early rejection would turn each proposal away. A feasible winner
-    is returned without the search's re-validation step.
+    so this is the reference that the search's block screening must
+    match bit for bit. A feasible winner is returned without the search's
+    re-validation step.
     """
     results = [_reference_restart(cfg, r) for r in range(cfg.restarts)]
     return max(results, key=lambda res: (res.objective, -res.restart_index))

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import warnings
 import weakref
@@ -484,6 +485,19 @@ def test_pairwise_json_roundtrip():
     assert pairwise_model_to_dict(back) == pairwise_model_to_dict(m)
 
 
+def test_saved_pairwise_models_read_back_bit_for_bit():
+    # a generated total such as 0.9999999999999999 must not be divided again when read
+    for n_cells in range(2, 17):
+        for seed in range(40):
+            m = random_screened_model(seed, n_cells, 0.05)
+            back = pairwise_model_from_dict(json.loads(json.dumps(pairwise_model_to_dict(m))))
+            assert back.space.weights.tobytes() == m.space.weights.tobytes(), (n_cells, seed)
+    m = random_screened_model(14, 14, 0.05)
+    assert math.fsum(m.space.weights.tolist()) != 1.0
+    back = pairwise_model_from_dict(pairwise_model_to_dict(m))
+    assert check_cause_mass_bounds(back) == check_cause_mass_bounds(m)
+
+
 def test_generated_models_share_a_read_only_layout():
     a, b = random_screened_model(1, 9, 0.01), random_screened_model(2, 9, 0.2)
     for name in ("cell_of", "in_a", "in_b"):
@@ -848,7 +862,7 @@ def test_measuring_a_model_formats_no_label(monkeypatch):
             ),
         )
     ]
-    assert walks[0].rejected["locality"] == 30
+    assert walks[0].accepted == 0
     assert walks[1].accepted > 0
     # the validators, the joint-cause check and the weak report, called as
     # the benchmark's verify_joint calls them

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from weakch.spaces import (
@@ -34,6 +35,26 @@ def test_construction_normalizes():
     sp = make_space([2.0, 2.0])
     assert sp.weights.tolist() == [0.5, 0.5]
     assert abs(math.fsum(sp.weights.tolist()) - 1.0) <= 1e-12
+
+
+def test_normalizing_is_idempotent():
+    # a divided total is often an ulp off one; dividing by it again would move weights
+    off_one = 0
+    for seed in range(20):
+        sp = make_space(np.random.default_rng(seed).uniform(0.0, 1.0, 50))
+        again = FiniteProbSpace(sp.atoms, sp.weights)
+        assert again.weights.tobytes() == sp.weights.tobytes()
+        off_one += math.fsum(sp.weights.tolist()) != 1.0
+    assert off_one > 0
+
+
+def test_space_keeps_its_own_copy_of_the_weights():
+    for raw in (np.array([1.0, 3.0]), np.array([0.25, 0.75])):  # divided, and kept as it is
+        sp = FiniteProbSpace((0, 1), raw)
+        expected = sp.weights.tolist()
+        raw[0] = 5.0
+        assert sp.weights.tolist() == expected == [0.25, 0.75]
+        assert not sp.weights.flags.writeable and raw.flags.writeable
 
 
 def test_empty_and_negative_inputs():
