@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from weakch import common_cause, singlet
+from weakch import common_cause
 from weakch.common_cause import (
     EprbModel,
     random_eprb_model,
@@ -13,7 +13,6 @@ from weakch.common_cause import (
     validate_screening,
 )
 from weakch.search import _project_simplex, _repin_settings
-from weakch.simulate import _CHUNK, CountsTable
 from weakch.spaces import WeakChError
 
 
@@ -46,29 +45,6 @@ def build_product_model(sp, cause_joint, plus, attach=(0, 1, 2, 3)) -> EprbModel
                     fb = _along(kb[ob], attach[2 + b], cards)
                     w[a, b, oa, ob] = sp[a, b] * cause_joint * fa * fb
     return EprbModel(w, cards)
-
-
-def reference_sample_runs(cfg) -> CountsTable:
-    """simulate.sample_runs as a loop that seeds np.random.default_rng([seed, chunk]) per chunk."""
-    if isinstance(cfg.source, EprbModel):
-        tables = cfg.source.outcome_tables()
-    else:
-        tables = singlet.outcome_tables(cfg.theta[:2], cfg.theta[2:])
-    sp_flat = cfg.setting_probs.ravel()
-    out = np.zeros((4, 4), dtype=np.int64)
-    remaining = cfg.n
-    chunk_idx = 0
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        rng = np.random.default_rng([cfg.seed, chunk_idx])
-        pair_counts = rng.multinomial(take, sp_flat)
-        for pair, cnt in enumerate(pair_counts):
-            if cnt:
-                a, b = divmod(pair, 2)
-                out[pair] += rng.multinomial(cnt, tables[a, b].ravel())
-        remaining -= take
-        chunk_idx += 1
-    return CountsTable(counts=out.reshape(2, 2, 2, 2), n=cfg.n, setting_probs=cfg.setting_probs)
 
 
 def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, setting_probs=None) -> np.ndarray:

@@ -390,6 +390,17 @@ def test_simulate_tests_against_the_sampled_setting_law(capsys):
     assert env["result"]["test"]["upper"] == pytest.approx(0.867, abs=1e-12)
 
 
+def test_simulate_takes_up_to_two_to_the_63_runs(capsys):
+    # the largest count numpy's multinomial takes, drawn in one pass
+    code, env, _ = run_json(capsys, "simulate", "--seed", "1", "--n", str(2**63 - 1), "--angles", LOWER)
+    assert code == 3
+    assert sum(np.ravel(env["result"]["counts"]).tolist()) == env["inputs"]["n"] == 2**63 - 1
+    # one run more is an input error, not a traceback
+    code, env, err = run_json(capsys, "simulate", "--seed", "1", "--n", str(2**63), "--angles", LOWER)
+    assert code == 2 and "Traceback" not in err
+    assert env["error"] == "n must be at most 2^63 - 1, got 9223372036854775808"
+
+
 def test_simulate_cli_no_violation_exit_zero(capsys):
     code, env, _ = run_json(
         capsys,

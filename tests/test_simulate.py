@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
-from helpers import reference_sample_runs
+from weakch import singlet
 from weakch.cli import main
 from weakch.common_cause import (
     EprbModel,
@@ -19,6 +19,7 @@ from weakch.inequalities import TSIRELSON_LOWER
 from weakch.spaces import WeakChError
 
 LOWER_ANGLES = (0.0, -math.pi / 2, math.pi / 4, -math.pi / 4)
+UNEVEN = [[0.1, 0.2], [0.3, 0.4]]
 
 
 def test_single_run_counts():
@@ -39,12 +40,96 @@ def test_sampling_is_deterministic():
     a = sim.sample_runs(cfg)
     b = sim.sample_runs(cfg)
     assert np.array_equal(a.counts, b.counts)
+    # and the seed is what fixes them
+    other = sim.sample_runs(sim.SimConfig(seed=10, n=123457, theta=LOWER_ANGLES))
+    assert not np.array_equal(a.counts, other.counts)
 
 
-@pytest.mark.parametrize("n", [sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 3])
-def test_sampling_across_chunk_boundaries(n):
-    table = sim.sample_runs(sim.SimConfig(seed=8, n=n, theta=LOWER_ANGLES))
-    assert int(table.counts.sum()) == n
+@pytest.mark.parametrize("n", [1, 2**63 - 1])
+def test_counts_sum_to_n(n):
+    table = sim.sample_runs(sim.SimConfig(seed=8, n=n, theta=LOWER_ANGLES, setting_probs=UNEVEN))
+    assert int(table.counts.sum()) == table.n == n
+    assert table.counts.dtype == np.int64 and table.counts.min() >= 0
+
+
+def test_n_is_below_two_to_the_63():
+    # numpy's multinomial takes int64 counts: one run more would overflow it
+    assert sim.SimConfig(seed=1, n=2**63 - 1).n == 2**63 - 1
+    with pytest.raises(WeakChError, match="n must be at most 2\\^63 - 1"):
+        sim.SimConfig(seed=1, n=2**63)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 7])
+def test_seed_stream_is_a_seed_and_zero_stream(seed):
+    # SeedSequence pads its entropy with zero words, so default_rng(seed) is
+    # default_rng([seed, 0]): records drawn from the latter keep their counts
+    state = np.random.default_rng(seed).bit_generator.state
+    assert state == np.random.default_rng([seed, 0]).bit_generator.state
+
+
+# The sampler before the direct draw seeded chunk k of 2^16 runs with
+# default_rng([seed, k]). A record of at most 2^16 runs was chunk 0 alone,
+# and default_rng(seed) has chunk 0's state, so such a record keeps its counts.
+OLD_CHUNK = 1 << 16
+
+
+def _chunk_zero_counts(cfg) -> np.ndarray:
+    """Counts of a record of at most OLD_CHUNK runs as the chunked sampler drew them."""
+    assert cfg.n <= OLD_CHUNK
+    if isinstance(cfg.source, EprbModel):
+        tables = cfg.source.outcome_tables()
+    else:
+        tables = singlet.outcome_tables(cfg.theta[:2], cfg.theta[2:])
+    rng = np.random.default_rng([cfg.seed, 0])
+    out = np.zeros((4, 4), dtype=np.int64)
+    for pair, cnt in enumerate(rng.multinomial(cfg.n, cfg.setting_probs.ravel())):
+        if cnt:
+            a, b = divmod(pair, 2)
+            out[pair] += rng.multinomial(cnt, tables[a, b].ravel())
+    return out.reshape(2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("n", [1, OLD_CHUNK - 1, OLD_CHUNK])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 7])
+def test_small_records_keep_their_counts(seed, n):
+    cfg = sim.SimConfig(seed=seed, n=n, theta=LOWER_ANGLES)
+    assert np.array_equal(sim.sample_runs(cfg).counts, _chunk_zero_counts(cfg))
+
+
+@pytest.mark.parametrize(
+    "setting_probs",
+    [None, UNEVEN, [[0.5, 0.0], [0.25, 0.25]]],
+    ids=["uniform", "uneven", "zero pair"],
+)
+def test_small_records_keep_their_counts_for_each_source_and_setting_law(setting_probs):
+    model = random_eprb_model(15, (2, 2, 2, 2), 0.0)
+    for source in ("singlet", model):
+        cfg = sim.SimConfig(seed=11, n=OLD_CHUNK - 5, theta=LOWER_ANGLES, setting_probs=setting_probs, source=source)
+        assert np.array_equal(sim.sample_runs(cfg).counts, _chunk_zero_counts(cfg))
+
+
+class _RecordingRng:
+    """A Generator that records the (n, pvals length) of each multinomial it draws."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def multinomial(self, n, pvals):
+        self._draws.append((int(n), len(pvals)))
+        return self._rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("n", [1, OLD_CHUNK + 1, 2**63 - 1])
+def test_sampling_draws_one_multinomial_per_pair_with_runs(monkeypatch, n):
+    # one draw of the pair counts, then one per pair with runs, whatever n is
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingRng(default_rng(seed), draws))
+    table = sim.sample_runs(sim.SimConfig(seed=3, n=n, theta=LOWER_ANGLES, setting_probs=UNEVEN))
+    pair_counts = table.counts.reshape(4, 4).sum(axis=1)
+    assert draws[0] == (n, 4)
+    assert draws[1:] == [(int(c), 4) for c in pair_counts if c]
+    assert len(draws) == (2 if n == 1 else 5)
 
 
 def test_pair_frequencies_sum_exactly_to_one():
@@ -95,76 +180,77 @@ def test_config_stores_python_ints():
     assert int(table.counts.sum()) == table.n == 70000
 
 
-# seeds of one to four 32-bit words (with the chunk index, up to five entropy words for
-# a pool of four); chunk indices on both sides of a block edge
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7, 2**96 + 5])
-@pytest.mark.parametrize("first", [0, 1 << 16, sim._STATE_BLOCK - 2])
-def test_chunk_states_are_numpys(seed, first):
-    states = list(sim._chunk_states(seed, first + 4))
-    assert len(states) == first + 4
-    for k in (0, 1, first, first + 1, first + 2, first + 3):
-        expected = np.random.default_rng([seed, k]).bit_generator.state["state"]
-        assert states[k] == (expected["state"], expected["inc"])
+@pytest.mark.parametrize("source", ["singlet", "model"])
+def test_zero_probability_pair_gets_no_runs(source):
+    model = random_eprb_model(15, (2, 2, 2, 2), 0.0) if source == "model" else "singlet"
+    cfg = sim.SimConfig(seed=11, n=10**6, theta=LOWER_ANGLES, setting_probs=[[0.5, 0.0], [0.25, 0.25]], source=model)
+    counts = sim.sample_runs(cfg).counts
+    assert counts[0, 1].sum() == 0
+    assert counts[0, 0].sum() > 0 and counts[1].sum() > 0
+    assert int(counts.sum()) == cfg.n
 
 
-@pytest.mark.parametrize("seed", [5, 2**32, 2**64 + 7])
-def test_chunk_states_at_two_word_chunk_indices(seed):
-    # chunk indices from 2^32 on are two entropy words. A zero word padding the entropy to
-    # at most four words hashes like the pool's own padding, so only the three-word seed
-    # tells a spurious high word at 2^32 - 1 apart.
-    for k in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1):
-        expected = np.random.default_rng([seed, k]).bit_generator.state["state"]
-        assert list(sim._block_states(seed, k, k + 1)) == [(expected["state"], expected["inc"])]
+# Pearson chi-square quantiles 1e-4 and 1 - 1e-4 at 600 and 2400 degrees of
+# freedom: 200 seeds, 3 per seed for the pair counts and 4 x 3 per seed for
+# the outcome counts given the pair counts
+GOF_SEEDS = range(200)
+PAIR_CHI2 = (479.64, 737.46)
+OUTCOME_CHI2 = (2150.85, 2666.25)
 
 
-def test_chunk_states_come_in_bounded_blocks(monkeypatch):
-    blocks = []
-    block_states = sim._block_states
-    def recording(seed, start, stop):
-        blocks.append((start, stop))
-        return block_states(seed, start, stop)
-    monkeypatch.setattr(sim, "_block_states", recording)
-    monkeypatch.setattr(sim, "_STATE_BLOCK", 3)
-    assert len(list(sim._chunk_states(4, 8))) == 8
-    assert blocks == [(0, 3), (3, 6), (6, 8)]
-    # a block stops at chunk 2^32, where chunk indices become two words
-    blocks.clear()
-    monkeypatch.setattr(sim, "_block_states", lambda seed, start, stop: blocks.append((start, stop)) or ())
-    monkeypatch.setattr(sim, "_STATE_BLOCK", 2**31 + 1)
-    list(sim._chunk_states(4, 2**32 + 5))
-    assert blocks == [(0, 2**31 + 1), (2**31 + 1, 2**32), (2**32, 2**32 + 5)]
+def _dirichlet_weights() -> np.ndarray:
+    """Weights of a full joint model at cause cards 3,1,2,2 with every outcome table entry positive."""
+    return np.random.default_rng(22).dirichlet(np.ones(16 * 12)).reshape(2, 2, 2, 2, 3, 1, 2, 2)
 
 
-def _assert_reference_counts(cfg):
-    table = sim.sample_runs(cfg)
-    expected = reference_sample_runs(cfg)
-    assert table.counts.dtype == expected.counts.dtype
-    assert np.array_equal(table.counts, expected.counts)
-    assert table.n == expected.n == cfg.n
+def _source(kind: str, flipped: bool) -> dict:
+    """SimConfig fields of a source; flipped swaps Alice's outcomes in every table."""
+    if kind == "singlet":
+        # turning Alice's directions by pi swaps her outcomes
+        turn = math.pi if flipped else 0.0
+        return {"theta": (LOWER_ANGLES[0] + turn, LOWER_ANGLES[1] + turn) + LOWER_ANGLES[2:]}
+    w = _dirichlet_weights()
+    return {"source": EprbModel(w[:, :, ::-1] if flipped else w, (3, 1, 2, 2))}
 
 
-@pytest.mark.parametrize("n", [1, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 3])
-def test_counts_match_a_per_chunk_default_rng(n):
-    _assert_reference_counts(sim.SimConfig(seed=8, n=n, theta=LOWER_ANGLES))
+def _tables(theta=LOWER_ANGLES, source="singlet") -> np.ndarray:
+    return singlet.outcome_tables(theta[:2], theta[2:]) if source == "singlet" else source.outcome_tables()
 
 
-def test_counts_match_across_state_blocks(monkeypatch):
-    monkeypatch.setattr(sim, "_STATE_BLOCK", 2)
-    # chunks 0-1, 2-3 and 4: two block edges, the last chunk partial
-    _assert_reference_counts(sim.SimConfig(seed=2**40 + 1, n=4 * sim._CHUNK + 17, theta=LOWER_ANGLES))
+def _chi2(tables, drawn_law=UNEVEN, **fields) -> tuple[float, float]:
+    """Pearson statistics over GOF_SEEDS of records drawn at drawn_law, tested against UNEVEN and tables.
+
+    The first sums over the pair counts, the second over the outcome counts
+    given the pair counts.
+    """
+    n = 20000
+    expected_pairs = n * np.ravel(UNEVEN)
+    pair_stat = outcome_stat = 0.0
+    for seed in GOF_SEEDS:
+        counts = sim.sample_runs(sim.SimConfig(seed=seed, n=n, setting_probs=drawn_law, **fields)).counts
+        counts = counts.reshape(4, 4)
+        pair_n = counts.sum(axis=1)
+        expected = pair_n[:, None] * tables.reshape(4, 4)
+        pair_stat += float(((pair_n - expected_pairs) ** 2 / expected_pairs).sum())
+        outcome_stat += float(((counts - expected) ** 2 / expected).sum())
+    return pair_stat, outcome_stat
 
 
-@pytest.mark.parametrize(
-    "setting_probs",
-    [None, [[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.0], [0.25, 0.25]]],
-    ids=["uniform", "uneven", "zero pair"],
-)
-def test_counts_match_for_each_source_and_setting_law(setting_probs):
-    model = random_eprb_model(15, (2, 2, 2, 2), 0.0)
-    for source in ("singlet", model):
-        _assert_reference_counts(sim.SimConfig(
-            seed=11, n=3 * sim._CHUNK + 5, theta=LOWER_ANGLES, setting_probs=setting_probs, source=source
-        ))
+@pytest.mark.parametrize("kind", ["singlet", "model"])
+def test_counts_fit_the_setting_law_and_outcome_tables(kind):
+    # Over many seeds the summed statistics lie between the two quantiles: a
+    # sampler that misplaces runs reads high, one that rounds its expected
+    # counts reads low.
+    fields = _source(kind, flipped=False)
+    tables = _tables(**fields)
+    assert np.all(tables > 0.0)
+    pair_stat, outcome_stat = _chi2(tables, **fields)
+    assert PAIR_CHI2[0] < pair_stat < PAIR_CHI2[1]
+    assert OUTCOME_CHI2[0] < outcome_stat < OUTCOME_CHI2[1]
+    # negative controls: counts drawn with Alice's outcomes swapped in every
+    # table, or at the reversed law, are rejected by the same statistics
+    assert _chi2(tables, **_source(kind, flipped=True))[1] > OUTCOME_CHI2[1]
+    assert _chi2(tables, np.ravel(UNEVEN)[::-1].reshape(2, 2), **fields)[0] > PAIR_CHI2[1]
 
 
 def test_wald_reference_case():
@@ -283,8 +369,7 @@ def test_exact_estimates_give_the_weak_report(kind):
     if kind == "generated":
         model = random_eprb_model(21, (3, 2, 4, 2), 5e-4, setting_probs=[[0.1, 0.2], [0.3, 0.4]])
     else:
-        w = np.random.default_rng(22).dirichlet(np.ones(16 * 12)).reshape(2, 2, 2, 2, 3, 1, 2, 2)
-        model = EprbModel(w, (3, 1, 2, 2))
+        model = EprbModel(_dirichlet_weights(), (3, 1, 2, 2))
     t = model.outcome_tables()
     est = sim.Estimates(
         joint=t, joint_se=np.zeros_like(t), plus=model.plus_probs(), plus_se=np.zeros((2, 2)),
