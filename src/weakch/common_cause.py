@@ -839,6 +839,24 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     )
 
 
+def _group_laws(rng: np.random.Generator, g0_size: int, card: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell laws of a group of g0_size cells and of the other card - g0_size.
+
+    Bit for bit, and with the same use of the stream, what
+    rng.dirichlet(np.full(size, 2.0)) gives for the one group and then the
+    other: numpy's Dirichlet draws one gamma variate per cell and scales
+    them by the reciprocal of their running sum.
+    """
+    gammas = rng.standard_gamma(2.0, card)
+    laws = []
+    for part in (gammas[:g0_size], gammas[g0_size:]):
+        acc = 0.0
+        for g in part.tolist():  # not sum(): Python 3.12 sums floats with compensation
+            acc += g
+        laws.append(part * (1.0 / acc))
+    return laws[0], laws[1]
+
+
 def random_eprb_model(
     seed: int | np.random.Generator,
     cause_cards: Sequence[int] = (2, 2, 2, 2),
@@ -874,8 +892,7 @@ def random_eprb_model(
         idx0, idx1 = perm[:g0_size], perm[g0_size:]
         idx0.sort()
         idx1.sort()
-        w0 = rng.dirichlet(np.full(idx0.size, 2.0))
-        w1 = rng.dirichlet(np.full(idx1.size, 2.0))
+        w0, w1 = _group_laws(rng, g0_size, card)
         splits.append(((idx0, w0), (idx1, w1)))
         law = np.zeros((2, card))
         law[0, idx0] = w0

@@ -116,8 +116,7 @@ def estimate(table: CountsTable) -> Estimates:
     """
     counts = table.counts
     pair_n = counts.sum(axis=(2, 3))
-    # (wing, own setting, own outcome), Bob's counts transposed to Alice's layout
-    own = np.stack([counts, counts.transpose(1, 0, 3, 2)]).sum(axis=(2, 4))
+    own = np.array([counts.sum(axis=(1, 3)), counts.sum(axis=(0, 2))])  # (wing, own setting, own outcome)
     own_n = own.sum(axis=2)
     n = pair_n[:, :, None, None]
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty conditioner
@@ -125,9 +124,14 @@ def estimate(table: CountsTable) -> Estimates:
         plus = own[:, :, 0] / own_n
     joint_se = np.sqrt(joint * (1.0 - joint) / n)
     plus_se = np.sqrt(plus * (1.0 - plus) / own_n)
-    undefined = [f"pair {a + 1}{b + 3}" for a, b in np.argwhere(pair_n == 0).tolist()]
+    undefined = [
+        f"pair {a + 1}{b + 3}" for a, row in enumerate(pair_n.tolist()) for b, m in enumerate(row) if not m
+    ]
     undefined += [
-        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w, s in np.argwhere(own_n == 0).tolist()
+        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}"
+        for w, row in enumerate(own_n.tolist())
+        for s, m in enumerate(row)
+        if not m
     ]
     return Estimates(
         joint=joint,
@@ -169,8 +173,11 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
     The interval uses the setting law the runs were drawn from. A
     violation is declared only when the bound is exceeded by more than
     k_sigma propagated standard errors. Margins report the signed distance
-    past each bound in sigma units.
+    past each bound in sigma units. k_sigma must be finite and positive.
     """
+    k_sigma = float(k_sigma)
+    if not (0.0 < k_sigma < math.inf):
+        raise WeakChError(f"k_sigma must be finite and positive, got {k_sigma}")
     terms = ch_table_terms(est.joint, est.plus)
     ses = ch_table_terms(est.joint_se, est.plus_se)
     bad = [k for k, v in terms.items() if math.isnan(v)]
@@ -193,7 +200,7 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
         lower=lower,
         upper=upper,
         epsilon=float(epsilon),
-        k_sigma=float(k_sigma),
+        k_sigma=k_sigma,
         violated_lower=value < lower - k_sigma * se,
         violated_upper=value > upper + k_sigma * se,
         margin_lower=margin_lower,

@@ -67,24 +67,22 @@ def marginal_prob(outcome: Sign) -> float:
     return 0.5
 
 
-def outcome_table(phi: float) -> np.ndarray:
-    """2x2 table of joint outcome probabilities, indexed [a_out, b_out] with 0='+'."""
-    import numpy as np
-
-    s = joint_prob(phi, "+", "+")
-    c = joint_prob(phi, "+", "-")
-    return np.array([[s, c], [c, s]])
-
-
 def outcome_tables(alice: Sequence[float], bob: Sequence[float]) -> np.ndarray:
-    """Per-setting-pair joint outcome tables, shape (n_alice, n_bob, 2, 2)."""
+    """Per-setting-pair joint outcome tables, shape (n_alice, n_bob, 2, 2).
+
+    tables[i, j] is indexed [a_out, b_out] with 0 = '+'.
+    """
     import numpy as np
 
-    out = np.empty((len(alice), len(bob), 2, 2))
-    for i, a in enumerate(alice):
-        for j, b in enumerate(bob):
-            out[i, j] = outcome_table(a - b)
-    return out
+    rows = []
+    for a in alice:
+        row = []
+        for b in bob:
+            s, c = joint_prob(a - b, "+", "+"), joint_prob(a - b, "+", "-")
+            row.append([[s, c], [c, s]])
+        rows.append(row)
+    # np.array reads an empty axis as the last one; the reshape puts it in its place
+    return np.array(rows).reshape(len(alice), len(bob), 2, 2)
 
 
 @dataclass(frozen=True, eq=False)

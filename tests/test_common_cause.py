@@ -29,6 +29,7 @@ from weakch.common_cause import (
     _WINGS,
     _aggregate,
     _deficit_scale,
+    _group_laws,
     _labelled_model,
     cell_stats,
     ch_atom_oracle,
@@ -644,6 +645,17 @@ def test_generator_matches_the_einsum_reference(law, epsilon):
     for seed, cards in enumerate(cards_list):
         got = random_eprb_model(seed, cards, epsilon, setting_probs=law).weights
         assert got.tobytes() == reference_eprb_weights(seed, cards, epsilon, setting_probs=law).tobytes()
+
+
+@pytest.mark.parametrize("g0_size, g1_size", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
+def test_group_laws_are_numpys_dirichlet_draws(g0_size, g1_size):
+    # the laws and the stream left behind, against two rng.dirichlet calls
+    for seed in range(1000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        w0, w1 = _group_laws(rng, g0_size, g0_size + g1_size)
+        assert w0.tobytes() == ref.dirichlet(np.full(g0_size, 2.0)).tobytes()
+        assert w1.tobytes() == ref.dirichlet(np.full(g1_size, 2.0)).tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_generator_rejects_bad_arguments():

@@ -275,14 +275,29 @@ def test_degenerate_estimate_has_zero_se():
             assert est.joint_se[a, b, 0, 0] == 0.0
 
 
-def test_empty_pair_is_flagged_undefined():
-    sp = np.array([[0.5, 0.5], [0.0, 0.0]])
-    table = sim.sample_runs(sim.SimConfig(seed=1, n=500, theta=LOWER_ANGLES, setting_probs=sp))
+@pytest.mark.parametrize(
+    "setting_probs, undefined",
+    [
+        ([[0.5, 0.5], [0.0, 0.0]], ("pair 23", "pair 24", "alice setting 2")),
+        ([[0.5, 0.0], [0.5, 0.0]], ("pair 14", "pair 24", "bob setting 4")),
+    ],
+    ids=["alice", "bob"],
+)
+def test_empty_pair_is_flagged_undefined(setting_probs, undefined):
+    # empty pairs in row order 13, 14, 23, 24, then the own settings they leave empty
+    table = sim.sample_runs(sim.SimConfig(seed=1, n=500, theta=LOWER_ANGLES, setting_probs=setting_probs))
     est = sim.estimate(table)
-    assert any("pair 23" in u for u in est.undefined)
-    assert math.isnan(est.joint[1, 0, 0, 0])
+    assert est.undefined == undefined
+    assert math.isnan(est.joint[1, 1, 0, 0])
     with pytest.raises(sim.UndefinedEstimate):
         sim.test_inequality(est, 0.0)
+
+
+@pytest.mark.parametrize("k_sigma", [math.nan, math.inf, 0.0, -3.0])
+def test_k_sigma_is_finite_and_positive(k_sigma):
+    est = sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=LOWER_ANGLES)))
+    with pytest.raises(WeakChError, match="k_sigma must be finite and positive"):
+        sim.test_inequality(est, 0.0, k_sigma)
 
 
 def test_large_run_declares_violation():

@@ -13,6 +13,7 @@ from weakch.singlet import (
     epsilon_profile,
     joint_prob,
     marginal_prob,
+    OUTCOMES,
     outcome_tables,
 )
 
@@ -186,3 +187,21 @@ def test_outcome_tables_shape_and_mass():
     t = outcome_tables((0.0, 1.0), (0.5, 2.0, 3.0))
     assert t.shape == (2, 3, 2, 2)
     assert np.allclose(t.sum(axis=(2, 3)), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (2, 2), (3, 2)])
+def test_outcome_tables_hold_the_joint_probabilities(n_alice, n_bob):
+    rng = np.random.default_rng([n_alice, n_bob])
+    for _ in range(50):
+        alice = rng.uniform(-2 * PI, 2 * PI, n_alice).tolist()
+        bob = rng.uniform(-2 * PI, 2 * PI, n_bob).tolist()
+        t = outcome_tables(alice, bob)
+        assert t.shape == (n_alice, n_bob, 2, 2) and t.dtype == np.float64
+        for (i, j, x, y), got in np.ndenumerate(t):
+            want = joint_prob(alice[i] - bob[j], OUTCOMES[x], OUTCOMES[y])
+            assert float(got).hex() == want.hex()
+
+
+def test_outcome_tables_without_directions_are_empty():
+    assert outcome_tables((), (0.0,)).shape == (0, 1, 2, 2)
+    assert outcome_tables((0.0,), ()).shape == (1, 0, 2, 2)
