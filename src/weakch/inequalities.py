@@ -104,12 +104,13 @@ def ch_table_terms(joint, plus) -> dict[str, float]:
     """The six CH terms, in the order ch_expression names them, read from tables.
 
     joint[a, b, 0, 0] is p(+,+ | a, b), taken for each pair in CH_PAIRS;
-    plus[wing][setting] is p(+ | own setting), wing 0 for Alice and 1 for
-    Bob, taken at direction 1 (plus[0][0]) and direction 4 (plus[1][1]).
+    plus[wing, setting] is p(+ | own setting), wing 0 for Alice and 1 for
+    Bob, taken at direction 1 (plus[0, 0]) and direction 4 (plus[1, 1]).
+    Both are numpy arrays.
     """
-    terms = {name: float(joint[a, b, 0, 0]) for name, (a, b) in CH_PAIRS.items()}
-    terms["p1_plus"] = float(plus[0][0])
-    terms["p4_plus"] = float(plus[1][1])
+    pp = joint[:, :, 0, 0].tolist()
+    terms = {name: pp[a][b] for name, (a, b) in CH_PAIRS.items()}
+    (terms["p1_plus"], _), (_, terms["p4_plus"]) = plus.tolist()
     return terms
 
 
@@ -128,6 +129,18 @@ def real_numbers(values) -> list[float]:
             raise TypeError(f"expected a real number, got {v!r}")
         out.append(float(v))
     return out
+
+
+def real_number(name: str, value, error: type[WeakChError] = WeakChError) -> float:
+    """value as a float if it is a real number as real_numbers defines one; otherwise error.
+
+    An int beyond the float range raises OverflowError, as float() does.
+    """
+    try:
+        (x,) = real_numbers((value,))
+    except TypeError:
+        raise error(f"{name} must be a real number, got {value!r}") from None
+    return x
 
 
 def integer(name: str, value, lower: int | None = None) -> int:
@@ -172,20 +185,24 @@ class CorrectionTerms:
     d_plus: float
 
 
+def deficit(epsilon) -> float:
+    """epsilon as a float in [0, 1]; anything else, NaN, a bool or a string included, is a BadEpsilon."""
+    eps = real_number("epsilon", epsilon, BadEpsilon)
+    if not (0.0 <= eps <= 1.0):
+        raise BadEpsilon(f"epsilon must be in [0, 1], got {epsilon}")
+    return eps
+
+
+def _terms(eps: float, root: float, sp: SettingProbs) -> tuple[float, float, float, float]:
+    # (d_minus_ab, d_plus_ab, d_minus, d_plus) at deficit eps = root**2
+    ratio = (sp.p_a + sp.p_b) / sp.p_ab
+    return ratio * root, ratio * (5.0 * root - 2.0 * eps), root, 4.0 * root - 2.0 * eps
+
+
 def correction_terms(epsilon: float, sp: SettingProbs = SYMMETRIC_SETTINGS) -> CorrectionTerms:
     """Correction terms at deficit epsilon for the given setting probabilities."""
-    eps = float(epsilon)
-    if not (0.0 <= eps <= 1.0) or math.isnan(eps):
-        raise BadEpsilon(f"epsilon must be in [0, 1], got {epsilon}")
-    root = math.sqrt(eps)
-    ratio = (sp.p_a + sp.p_b) / sp.p_ab
-    return CorrectionTerms(
-        epsilon=eps,
-        d_minus_ab=ratio * root,
-        d_plus_ab=ratio * (5.0 * root - 2.0 * eps),
-        d_minus=root,
-        d_plus=4.0 * root - 2.0 * eps,
-    )
+    eps = deficit(epsilon)
+    return CorrectionTerms(eps, *_terms(eps, math.sqrt(eps), sp))
 
 
 def ch_expression(terms) -> float:
@@ -208,17 +225,19 @@ def weak_ch_bounds(
 
     settings is one SettingProbs shared by all four pairs, or four of them
     in pair order 13, 14, 24, 23. At eps = 0 this returns exactly
-    (-1.0, 0.0).
+    (-1.0, 0.0). epsilon is read once, as correction_terms reads it.
     """
-    if isinstance(settings, SettingProbs):
-        cts = [correction_terms(epsilon, settings)] * 4
-    else:
-        cts = [correction_terms(epsilon, sp) for sp in settings]
-        if len(cts) != 4:
-            raise BadSettingProbs("need one SettingProbs or four, one per pair")
-    ct13, ct14, ct24, ct23 = cts
-    lower = -1.0 - ct13.d_minus_ab - ct14.d_minus_ab - ct24.d_minus_ab - ct23.d_plus_ab - 2.0 * ct13.d_plus
-    upper = ct13.d_plus_ab + ct14.d_plus_ab + ct24.d_plus_ab + ct23.d_minus_ab + 2.0 * ct13.d_minus
+    sps = (settings,) * 4 if isinstance(settings, SettingProbs) else tuple(settings)
+    if not sps:  # refused for its length before epsilon is read
+        raise BadSettingProbs("need one SettingProbs or four, one per pair")
+    eps = deficit(epsilon)
+    root = math.sqrt(eps)
+    terms = [_terms(eps, root, sp) for sp in sps]
+    if len(terms) != 4:
+        raise BadSettingProbs("need one SettingProbs or four, one per pair")
+    (m13, p13, d_minus, d_plus), (m14, p14, _, _), (m24, p24, _, _), (m23, p23, _, _) = terms
+    lower = -1.0 - m13 - m14 - m24 - p23 - 2.0 * d_plus
+    upper = p13 + p14 + p24 + m23 + 2.0 * d_minus
     return lower, upper
 
 
@@ -400,6 +419,9 @@ def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
         "p1_plus": p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15],
         "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
     })
-    identity = -sum(p[i] for i in _NEGATIVE_ATOMS)
+    negative_mass = 0.0
+    for i in _NEGATIVE_ATOMS:  # not sum(): Python 3.12 sums floats with compensation
+        negative_mass += p[i]
+    identity = -negative_mass
     in_bounds = -1.0 - 1e-12 <= value <= 1e-12
     return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)

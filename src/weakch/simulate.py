@@ -21,7 +21,16 @@ import numpy as np
 
 from . import singlet
 from .common_cause import EprbModel, setting_law
-from .inequalities import WeakChError, ch_expression, ch_table_terms, integer, pair_settings, weak_ch_bounds
+from .inequalities import (
+    WeakChError,
+    ch_expression,
+    ch_table_terms,
+    deficit,
+    integer,
+    pair_settings,
+    real_number,
+    weak_ch_bounds,
+)
 
 
 class UndefinedEstimate(WeakChError):
@@ -105,6 +114,28 @@ class Estimates:
     setting_probs: np.ndarray
 
 
+def _tally_rows() -> np.ndarray:
+    """The rows that estimate multiplies a record's 16 counts, in (a, b, A, B) order, by.
+
+    The first 20 rows give the 16 joint counts and the 4 single-wing "+"
+    counts in (wing, own setting) order; the last 20 give the runs that
+    condition each of those: its setting pair's, then its own setting's.
+    Written by slice assignment: ufuncs that nothing else here calls
+    would page in numpy code that adds over half a megabyte to a process's peak RSS.
+    """
+    t = np.zeros((40, 16), dtype=np.int64)
+    t[:16].reshape(-1)[::17] = 1  # each joint count itself
+    cell = t.reshape(40, 2, 2, 2, 2)  # [row, a, b, A, B]
+    cell[16, 0, :, 0] = cell[17, 1, :, 0] = cell[18, :, 0, :, 0] = cell[19, :, 1, :, 0] = 1  # "+" at an own setting
+    pair = t[20:36].reshape(2, 2, 4, 2, 2, 4)  # [a, b, outcome pair] of the row, then of the count
+    pair[0, 0, :, 0, 0] = pair[0, 1, :, 0, 1] = pair[1, 0, :, 1, 0] = pair[1, 1, :, 1, 1] = 1
+    cell[36, 0] = cell[37, 1] = cell[38, :, 0] = cell[39, :, 1] = 1  # runs at an own setting
+    return t
+
+
+_TALLY = _tally_rows()
+
+
 def estimate(table: CountsTable) -> Estimates:
     """Conditional frequencies and standard errors from a counts table.
 
@@ -114,31 +145,22 @@ def estimate(table: CountsTable) -> Estimates:
     are adequate away from degenerate probabilities; near 0 or 1 (aligned
     directions) they collapse to zero width.
     """
-    counts = table.counts
-    pair_n = counts.sum(axis=(2, 3))
-    own = np.array([counts.sum(axis=(1, 3)), counts.sum(axis=(0, 2))])  # (wing, own setting, own outcome)
-    own_n = own.sum(axis=2)
-    n = pair_n[:, :, None, None]
+    tally = np.dot(_TALLY, table.counts.ravel())
+    hits, runs = tally[:20], tally[20:]
     with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty conditioner
-        joint = counts / n
-        plus = own[:, :, 0] / own_n
-    joint_se = np.sqrt(joint * (1.0 - joint) / n)
-    plus_se = np.sqrt(plus * (1.0 - plus) / own_n)
-    undefined = [
-        f"pair {a + 1}{b + 3}" for a, row in enumerate(pair_n.tolist()) for b, m in enumerate(row) if not m
-    ]
+        freq = hits / runs
+    se = np.sqrt(freq * (1.0 - freq) / runs)
+    m = runs.tolist()
+    undefined = [f"pair {a + 1}{b + 3}" for a in (0, 1) for b in (0, 1) if not m[8 * a + 4 * b]]
     undefined += [
-        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}"
-        for w, row in enumerate(own_n.tolist())
-        for s, m in enumerate(row)
-        if not m
+        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w in (0, 1) for s in (0, 1) if not m[16 + 2 * w + s]
     ]
     return Estimates(
-        joint=joint,
-        joint_se=joint_se,
-        plus=plus,
-        plus_se=plus_se,
-        pair_counts=pair_n,
+        joint=freq[:16].reshape(2, 2, 2, 2),
+        joint_se=se[:16].reshape(2, 2, 2, 2),
+        plus=freq[16:].reshape(2, 2),
+        plus_se=se[16:].reshape(2, 2),
+        pair_counts=runs[:16:4].reshape(2, 2),
         undefined=tuple(undefined),
         setting_probs=table.setting_probs,
     )
@@ -173,9 +195,11 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
     The interval uses the setting law the runs were drawn from. A
     violation is declared only when the bound is exceeded by more than
     k_sigma propagated standard errors. Margins report the signed distance
-    past each bound in sigma units. k_sigma must be finite and positive.
+    past each bound in sigma units. epsilon is read as weak_ch_bounds reads
+    it, and k_sigma must be a finite, positive real number: a bool or a
+    string is refused, as elsewhere.
     """
-    k_sigma = float(k_sigma)
+    k_sigma = real_number("k_sigma", k_sigma)
     if not (0.0 < k_sigma < math.inf):
         raise WeakChError(f"k_sigma must be finite and positive, got {k_sigma}")
     terms = ch_table_terms(est.joint, est.plus)
@@ -185,8 +209,13 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
         raise UndefinedEstimate(f"missing observations for {', '.join(bad)}")
 
     value = ch_expression(terms)
-    se = math.sqrt(sum(s * s for s in ses.values()))
-    lower, upper = weak_ch_bounds(epsilon, pair_settings(est.setting_probs))
+    var = 0.0
+    for s in ses.values():  # not sum(): Python 3.12 sums floats with compensation
+        var += s * s
+    se = math.sqrt(var)
+    settings = pair_settings(est.setting_probs)
+    epsilon = deficit(epsilon)
+    lower, upper = weak_ch_bounds(epsilon, settings)
 
     if se == 0.0:
         margin_lower = math.copysign(math.inf, lower - value) if lower != value else 0.0
@@ -199,7 +228,7 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
         se=se,
         lower=lower,
         upper=upper,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         k_sigma=k_sigma,
         violated_lower=value < lower - k_sigma * se,
         violated_upper=value > upper + k_sigma * se,

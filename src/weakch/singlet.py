@@ -48,17 +48,20 @@ def _check_sign(outcome: str) -> str:
     return outcome
 
 
+def _sign_prob(half: float, same: bool) -> float:
+    # the joint probability of equal (same) or opposite signs at half the angle
+    return 0.5 * (math.sin(half) if same else math.cos(half)) ** 2
+
+
 def joint_prob(phi: float, a_out: Sign, b_out: Sign) -> float:
     """Joint outcome probability at inter-direction angle phi.
 
     sin^2(phi/2)/2 for equal signs, cos^2(phi/2)/2 for opposite signs.
     """
-    _check_sign(a_out)
-    _check_sign(b_out)
-    half = 0.5 * canonical_angle(phi)
-    if a_out == b_out:
-        return 0.5 * math.sin(half) ** 2
-    return 0.5 * math.cos(half) ** 2
+    if a_out not in OUTCOMES or b_out not in OUTCOMES:  # _check_sign names the bad one
+        _check_sign(a_out)
+        _check_sign(b_out)
+    return _sign_prob(0.5 * canonical_angle(phi), a_out == b_out)
 
 
 def marginal_prob(outcome: Sign) -> float:
@@ -70,7 +73,8 @@ def marginal_prob(outcome: Sign) -> float:
 def outcome_tables(alice: Sequence[float], bob: Sequence[float]) -> np.ndarray:
     """Per-setting-pair joint outcome tables, shape (n_alice, n_bob, 2, 2).
 
-    tables[i, j] is indexed [a_out, b_out] with 0 = '+'.
+    tables[i, j] is indexed [a_out, b_out] with 0 = '+' and holds
+    joint_prob(alice[i] - bob[j], a_out, b_out).
     """
     import numpy as np
 
@@ -78,7 +82,8 @@ def outcome_tables(alice: Sequence[float], bob: Sequence[float]) -> np.ndarray:
     for a in alice:
         row = []
         for b in bob:
-            s, c = joint_prob(a - b, "+", "+"), joint_prob(a - b, "+", "-")
+            half = 0.5 * canonical_angle(a - b)
+            s, c = _sign_prob(half, True), _sign_prob(half, False)
             row.append([[s, c], [c, s]])
         rows.append(row)
     # np.array reads an empty axis as the last one; the reshape puts it in its place

@@ -1,10 +1,11 @@
 """Shared constructors and reference implementations for tests."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from weakch import common_cause
+from weakch import common_cause, singlet
 from weakch.common_cause import (
     EprbModel,
     random_eprb_model,
@@ -12,6 +13,7 @@ from weakch.common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
+from weakch.inequalities import BadEpsilon, BadSettingProbs, CorrectionTerms, SettingProbs
 from weakch.search import _project_simplex, _repin_settings
 from weakch.spaces import WeakChError
 
@@ -234,3 +236,75 @@ def count_labels(monkeypatch) -> list:
         label = getattr(common_cause, name)
         monkeypatch.setattr(common_cause, name, lambda key, _label=label: formatted.append(key) or _label(key))
     return formatted
+
+
+def reference_correction_terms(epsilon, sp: SettingProbs) -> CorrectionTerms:
+    """correction_terms written out term by term, with epsilon read by float()."""
+    eps = float(epsilon)
+    if not (0.0 <= eps <= 1.0) or math.isnan(eps):
+        raise BadEpsilon(f"epsilon must be in [0, 1], got {epsilon}")
+    root = math.sqrt(eps)
+    ratio = (sp.p_a + sp.p_b) / sp.p_ab
+    return CorrectionTerms(
+        epsilon=eps,
+        d_minus_ab=ratio * root,
+        d_plus_ab=ratio * (5.0 * root - 2.0 * eps),
+        d_minus=root,
+        d_plus=4.0 * root - 2.0 * eps,
+    )
+
+
+def reference_weak_ch_bounds(epsilon, settings) -> tuple[float, float]:
+    """weak_ch_bounds summed from one CorrectionTerms per pair.
+
+    Each pair's terms read epsilon again, so a bad epsilon is refused at
+    the first pair and an empty settings tuple only for its length.
+    """
+    if isinstance(settings, SettingProbs):
+        cts = [reference_correction_terms(epsilon, settings)] * 4
+    else:
+        cts = [reference_correction_terms(epsilon, sp) for sp in settings]
+        if len(cts) != 4:
+            raise BadSettingProbs("need one SettingProbs or four, one per pair")
+    ct13, ct14, ct24, ct23 = cts
+    lower = -1.0 - ct13.d_minus_ab - ct14.d_minus_ab - ct24.d_minus_ab - ct23.d_plus_ab - 2.0 * ct13.d_plus
+    upper = ct13.d_plus_ab + ct14.d_plus_ab + ct24.d_plus_ab + ct23.d_minus_ab + 2.0 * ct13.d_minus
+    return lower, upper
+
+
+def reference_estimate(counts) -> SimpleNamespace:
+    """simulate.estimate's frequencies, standard errors and labels, from axis sums of the counts."""
+    pair_n = counts.sum(axis=(2, 3))
+    own = np.array([counts.sum(axis=(1, 3)), counts.sum(axis=(0, 2))])  # (wing, own setting, own outcome)
+    own_n = own.sum(axis=2)
+    n = pair_n[:, :, None, None]
+    with np.errstate(invalid="ignore"):
+        joint = counts / n
+        plus = own[:, :, 0] / own_n
+    undefined = [f"pair {a + 1}{b + 3}" for a in (0, 1) for b in (0, 1) if not pair_n[a, b]]
+    undefined += [f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w in (0, 1) for s in (0, 1) if not own_n[w, s]]
+    return SimpleNamespace(
+        joint=joint,
+        joint_se=np.sqrt(joint * (1.0 - joint) / n),
+        plus=plus,
+        plus_se=np.sqrt(plus * (1.0 - plus) / own_n),
+        pair_counts=pair_n,
+        undefined=tuple(undefined),
+    )
+
+
+def reference_outcome_tables(alice, bob) -> np.ndarray:
+    """singlet.outcome_tables entry by entry from joint_prob, shape (len(alice), len(bob), 2, 2)."""
+    t = np.zeros((len(alice), len(bob), 2, 2))
+    for i, a in enumerate(alice):
+        for j, b in enumerate(bob):
+            for x, a_out in enumerate(singlet.OUTCOMES):
+                for y, b_out in enumerate(singlet.OUTCOMES):
+                    t[i, j, x, y] = singlet.joint_prob(a - b, a_out, b_out)
+    return t
+
+
+def same_array(got, want) -> bool:
+    """Equal dtype, shape and bytes; a NaN equals a NaN of the same bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

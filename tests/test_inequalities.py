@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_correction_terms, reference_weak_ch_bounds
 from weakch.inequalities import (
     QUANTUM_EXCESS,
     SYMMETRIC_SETTINGS,
@@ -16,6 +17,7 @@ from weakch.inequalities import (
     SettingProbs,
     UnnormalizedTable,
     bound_coefficients,
+    ch_atom_oracle,
     ch_expression,
     correction_terms,
     epsilon_thresholds,
@@ -74,6 +76,19 @@ def test_correction_terms_rejects_bad_epsilon():
         correction_terms(-1e-9)
     with pytest.raises(BadEpsilon):
         correction_terms(1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.001", None, [0.5]], ids=repr)
+def test_epsilon_is_a_real_number(bad):
+    # float() would read True as 1 and "0.001" as a number
+    sps = pair_settings(np.full((2, 2), 0.25))
+    for call in (
+        lambda: correction_terms(bad),
+        lambda: weak_ch_bounds(bad),
+        lambda: weak_ch_bounds(bad, sps),
+    ):
+        with pytest.raises(BadEpsilon, match="epsilon must be a real number"):
+            call()
 
 
 def test_setting_probs_validation():
@@ -150,6 +165,44 @@ def test_weak_bounds_per_pair_settings():
     assert weak_ch_bounds(1e-4, [SYMMETRIC_SETTINGS] * 4) == weak_ch_bounds(1e-4)
     with pytest.raises(BadSettingProbs):
         weak_ch_bounds(1e-4, sps[:3])
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def test_weak_bounds_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    epsilons = [0.0, -0.0, 1.0, 1e-12, *(10.0 ** rng.uniform(-12.0, 0.0, 60)).tolist()]
+    laws = [np.full((2, 2), 0.25), np.array([[0.1, 0.2], [0.3, 0.4]])]
+    laws += [rng.dirichlet(np.full(4, alpha)).reshape(2, 2) for alpha in (0.5, 1.0, 5.0) for _ in range(20)]
+    fields = ("epsilon", "d_minus_ab", "d_plus_ab", "d_minus", "d_plus")
+    for law in laws:
+        sps = pair_settings(law)
+        for eps in epsilons:
+            for settings in (sps, sps[1], list(sps)):
+                assert _hex(weak_ch_bounds(eps, settings)) == _hex(reference_weak_ch_bounds(eps, settings))
+            got, want = correction_terms(eps, sps[3]), reference_correction_terms(eps, sps[3])
+            assert _hex(getattr(got, f) for f in fields) == _hex(getattr(want, f) for f in fields)
+
+
+@pytest.mark.parametrize(
+    "epsilon, n_settings, error",
+    [
+        (2.0, 0, BadSettingProbs),  # an empty tuple is refused for its length alone
+        (2.0, 3, BadEpsilon),
+        (0.5, 3, BadSettingProbs),
+        (2.0, 5, BadEpsilon),
+        (math.nan, 4, BadEpsilon),
+        (-1e-9, 4, BadEpsilon),
+        (1.0 + 1e-9, 1, BadEpsilon),
+    ],
+)
+def test_weak_bounds_refuse_bad_input_as_the_reference_does(epsilon, n_settings, error):
+    settings = (SYMMETRIC_SETTINGS,) * n_settings if n_settings != 1 else SYMMETRIC_SETTINGS
+    for bounds in (weak_ch_bounds, reference_weak_ch_bounds):
+        with pytest.raises(error):
+            bounds(epsilon, settings)
 
 
 @settings(deadline=None)
@@ -299,3 +352,13 @@ def test_real_numbers_takes_numbers_only():
             real_numbers(bad)
     with pytest.raises(OverflowError):
         real_numbers([10**400])
+
+
+def test_oracle_identity_sums_left_to_right():
+    # the negative atoms hold 0.1, 0.2 and 0.3: added in order they make
+    # 0.6000000000000001, where a compensated sum (Python 3.12's sum())
+    # would give 0.6
+    atoms = [0.0] * 16
+    atoms[1], atoms[3], atoms[6], atoms[15] = 0.1, 0.2, 0.3, 0.4
+    res = ch_atom_oracle(atoms)
+    assert float.hex(res.identity_value) == float.hex(-(0.1 + 0.2 + 0.3)) == "-0x1.3333333333334p-1"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import weakch.simulate as sim
+from helpers import reference_estimate, reference_weak_ch_bounds, same_array
 from weakch import singlet
 from weakch.cli import main
 from weakch.common_cause import (
@@ -15,7 +16,7 @@ from weakch.common_cause import (
     random_eprb_model,
     random_screened_model,
 )
-from weakch.inequalities import TSIRELSON_LOWER
+from weakch.inequalities import TSIRELSON_LOWER, BadEpsilon, pair_settings
 from weakch.spaces import WeakChError
 
 LOWER_ANGLES = (0.0, -math.pi / 2, math.pi / 4, -math.pi / 4)
@@ -298,6 +299,67 @@ def test_k_sigma_is_finite_and_positive(k_sigma):
     est = sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=LOWER_ANGLES)))
     with pytest.raises(WeakChError, match="k_sigma must be finite and positive"):
         sim.test_inequality(est, 0.0, k_sigma)
+
+
+@pytest.mark.parametrize("arg", ["epsilon", "k_sigma"])
+@pytest.mark.parametrize("bad", [True, False, "3", None], ids=repr)
+def test_epsilon_and_k_sigma_are_real_numbers(arg, bad):
+    # float() would read True as 1 and "3" as a number
+    est = sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=LOWER_ANGLES)))
+    args = {"epsilon": 0.0, "k_sigma": 3.0, arg: bad}
+    with pytest.raises(BadEpsilon if arg == "epsilon" else WeakChError, match=f"{arg} must be a real number"):
+        sim.test_inequality(est, **args)
+
+
+@pytest.mark.parametrize("epsilon", [0, Fraction(1, 1000), np.float64(1e-3)], ids=repr)
+def test_sample_test_holds_the_epsilon_as_a_float(epsilon):
+    est = sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=LOWER_ANGLES)))
+    rep = sim.test_inequality(est, epsilon)
+    assert type(rep.epsilon) is float and rep.epsilon == float(epsilon)
+
+
+def test_se_sums_the_squared_errors_left_to_right():
+    # a record whose six squared errors a compensated sum (Python 3.12's
+    # sum()) rounds to 0x1.5af62d141c0f2p-3 instead
+    rep = sim.test_inequality(sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=100, theta=LOWER_ANGLES))), 0.0)
+    var = 0.0
+    for s in rep.term_ses.values():
+        var += s * s
+    assert float.hex(rep.se) == float.hex(math.sqrt(var)) == "0x1.5af62d141c0f1p-3"
+
+
+@pytest.mark.parametrize("source", ["singlet", "model"])
+@pytest.mark.parametrize(
+    "setting_probs",
+    [
+        None,
+        UNEVEN,
+        [[0.97, 0.01], [0.01, 0.01]],
+        [[0.5, 0.5], [0.0, 0.0]],
+        [[0.5, 0.0], [0.5, 0.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+    ],
+    ids=["uniform", "uneven", "skewed", "alice empty", "bob empty", "one pair"],
+)
+def test_estimate_matches_the_reference_bit_for_bit(source, setting_probs):
+    # every array by dtype, shape and bytes (NaN as NaN), and the bounds of
+    # the sample test as one CorrectionTerms per pair gives them
+    if source == "model":
+        source = random_eprb_model(5, (2, 3, 2, 2), 1e-3, setting_probs=UNEVEN)
+    rng = np.random.default_rng(41)
+    for seed, n in enumerate([1, 2, 3, 10, 100, 1000, 10**4, 10**6, 10**8] * 3):
+        theta = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, 4))
+        table = sim.sample_runs(sim.SimConfig(seed=seed, n=n, theta=theta, setting_probs=setting_probs, source=source))
+        got, want = sim.estimate(table), reference_estimate(table.counts)
+        for field in ("joint", "joint_se", "plus", "plus_se", "pair_counts"):
+            assert same_array(getattr(got, field), getattr(want, field)), field
+        assert got.undefined == want.undefined
+        if got.undefined:
+            continue
+        for eps in (0.0, -0.0, 1e-3):
+            rep = sim.test_inequality(got, eps)
+            want_bounds = reference_weak_ch_bounds(eps, pair_settings(table.setting_probs))
+            assert [float.hex(rep.lower), float.hex(rep.upper)] == [float.hex(v) for v in want_bounds]
 
 
 def test_large_run_declares_violation():

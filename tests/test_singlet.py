@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_outcome_tables, same_array
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER
 from weakch.singlet import (
     canonical_angle,
@@ -13,7 +14,6 @@ from weakch.singlet import (
     epsilon_profile,
     joint_prob,
     marginal_prob,
-    OUTCOMES,
     outcome_tables,
 )
 
@@ -189,17 +189,16 @@ def test_outcome_tables_shape_and_mass():
     assert np.allclose(t.sum(axis=(2, 3)), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("n_alice, n_bob", [(1, 1), (2, 2), (3, 2), (4, 3), (0, 2), (2, 0)])
 def test_outcome_tables_hold_the_joint_probabilities(n_alice, n_bob):
+    # every entry is joint_prob's, by dtype, shape and bytes, at angles
+    # within a turn and far outside it
     rng = np.random.default_rng([n_alice, n_bob])
-    for _ in range(50):
-        alice = rng.uniform(-2 * PI, 2 * PI, n_alice).tolist()
-        bob = rng.uniform(-2 * PI, 2 * PI, n_bob).tolist()
-        t = outcome_tables(alice, bob)
-        assert t.shape == (n_alice, n_bob, 2, 2) and t.dtype == np.float64
-        for (i, j, x, y), got in np.ndenumerate(t):
-            want = joint_prob(alice[i] - bob[j], OUTCOMES[x], OUTCOMES[y])
-            assert float(got).hex() == want.hex()
+    for scale in (2 * PI, 1e3, 1e9):
+        for _ in range(50):
+            alice = rng.uniform(-scale, scale, n_alice).tolist()
+            bob = rng.uniform(-scale, scale, n_bob).tolist()
+            assert same_array(outcome_tables(alice, bob), reference_outcome_tables(alice, bob))
 
 
 def test_outcome_tables_without_directions_are_empty():
