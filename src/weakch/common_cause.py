@@ -51,6 +51,7 @@ from .inequalities import (  # the oracle names are re-exported
     correction_terms,
     evaluate_weak_ch,
     integer,
+    left_sum,
     pair_settings,
     real_numbers,
     weak_ch_bounds,
@@ -301,11 +302,7 @@ def check_cause_mass_bounds(
     ct = correction_terms(eps)
     classes, high, mid = _classify(stats, eps, ct.d_minus if border is None else float(border))
 
-    # iterating the arrays keeps these sums sequential, in cell order: sum()
-    # adds numpy scalars one by one on every Python, while from Python 3.12
-    # on it compensates a sum of Python floats, so sum(a.tolist()) would
-    # round differently there
-    high_mass = float(sum(stats.mass[high]))
+    high_mass = left_sum(stats.mass[high].tolist())
     lower_ok = high_mass - ct.d_minus <= p_a + 1e-12
     upper_ok = p_a <= high_mass + ct.d_plus + PRECONDITION_TOL
 
@@ -315,8 +312,8 @@ def check_cause_mass_bounds(
     diagnostics = {
         "a_not_b_mass": float((q * (1.0 - r) * m).sum()),
         "b_not_a_mass": float((r * (1.0 - q) * m).sum()),
-        "mid_gap_sum": float(sum(gap[mid] * m[mid])),
-        "wide_mid_mass": float(sum(m[mid & (gap >= gap_b)])),
+        "mid_gap_sum": left_sum((gap[mid] * m[mid]).tolist()),
+        "wide_mid_mass": left_sum(m[mid & (gap >= gap_b)].tolist()),
         "gap_border": gap_b,
     }
     return CauseMassReport(
@@ -603,38 +600,53 @@ def _loc_label(key: tuple) -> str:
     return " ".join((r.side, r.name, *(r.far[f] for f in rest), cell))
 
 
+def locality_residuals(w: np.ndarray, rows: Sequence[_Wing] = _WINGS) -> np.ndarray:
+    """p(out | own, far, cell) - p(out | own, cell) of weight tensors w (first axis) at _WINGS rows.
+
+    Read from each row's marginal p(far, out, cell) at its own setting; the
+    rows' cells sit side by side on the last axis of (batch, far, outcome,
+    cell). An entry of zero conditioning mass is 0/0, NaN.
+    """
+    marginals = [_marginal(w[(slice(None), *row.index)], (0, 1, 2 + row.wing, 4 + row.cause)) for row in rows]
+    s = np.concatenate(marginals, axis=-1)
+    with np.errstate(invalid="ignore"):
+        pooled = s[:, 0] + s[:, 1]  # (batch, outcome, cell)
+        pooled /= pooled[:, :1] + pooled[:, 1:]
+        out = s / (s[:, :, :1] + s[:, :, 1:])
+    out -= pooled[:, None]
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _loc_keys(cards: tuple[int, ...]) -> tuple[tuple, ...]:
+    # (row, cell, far, outcome) of each locality residual in validate_loc's order; reports share it
+    return tuple(
+        (r, i, f, o) for r, row in enumerate(_WINGS) for i in range(cards[row.cause]) for f in (0, 1) for o in (0, 1)
+    )
+
+
 @_kept
 def validate_loc(model: EprbModel) -> ResidualReport:
     """Locality residuals: far setting vs pooled conditionals of near outcomes.
 
     For each wing, own setting, own-direction cause cell, far setting, and
-    outcome, reports p(out | own, far, cell) - p(out | own, cell). Cells or
-    setting pairs of zero conditioning mass are skipped and listed.
+    outcome, reports locality_residuals of the model as a batch of one.
+    Cells or setting pairs of zero conditioning mass are skipped and listed.
     """
-    w = model.weights
-    keys: list[tuple] = []
-    residuals: list[float] = []
+    flat = locality_residuals(model.weights[None])[0].transpose(2, 0, 1).ravel().tolist()  # (row and cell, far, out)
+    keys = _loc_keys(model.cause_cards)
+    if not math.isnan(sum(flat)):  # a NaN, a residual of no conditioning mass, makes the sum NaN
+        return ResidualReport(tuple(flat), keys, (), _loc_label)
+    kept = [(key, x) for key, x in zip(keys, flat) if x == x]
     skipped: list[tuple] = []
-
-    for r, row in enumerate(_WINGS):
-        s = _marginal(w[row.index], (0, 1 + row.wing, 3 + row.cause))  # (far, out, cell)
-        for i, by_far in enumerate(s.transpose(2, 0, 1).tolist()):  # [p(+), p(-)] per far setting
-            (p0, m0), (p1, m1) = by_far
-            plus, minus = p0 + p1, m0 + m1
-            denom = plus + minus
-            if denom <= 0.0:
-                skipped.append((r, i))
-                continue
-            plus, minus = plus / denom, minus / denom
-            for f, (p, m) in enumerate(by_far):
-                d = p + m
-                if d <= 0.0:
-                    skipped.append((r, i, f))
-                    continue
-                keys += ((r, i, f, 0), (r, i, f, 1))
-                residuals += (p / d - plus, m / d - minus)
-
-    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _loc_label)
+    for (r, i, f, o), x in zip(keys, flat):
+        if o or x == x:
+            continue
+        if f and skipped and skipped[-1] == (r, i, 0):
+            skipped[-1] = (r, i)  # no mass at either far setting: the whole cell
+        else:
+            skipped.append((r, i, f))
+    return ResidualReport(tuple(x for _, x in kept), tuple(k for k, _ in kept), tuple(skipped), _loc_label)
 
 
 def _no_conspiracy_label(key: tuple) -> str:
@@ -850,10 +862,7 @@ def _group_laws(rng: np.random.Generator, g0_size: int, card: int) -> tuple[np.n
     gammas = rng.standard_gamma(2.0, card)
     laws = []
     for part in (gammas[:g0_size], gammas[g0_size:]):
-        acc = 0.0
-        for g in part.tolist():  # not sum(): Python 3.12 sums floats with compensation
-            acc += g
-        laws.append(part * (1.0 / acc))
+        laws.append(part * (1.0 / left_sum(part.tolist())))
     return laws[0], laws[1]
 
 
@@ -872,8 +881,8 @@ def random_eprb_model(
     cause cell. That product structure makes locality, setting
     independence, and screening hold identically, for any kernels. Outcome
     kernels are near-deterministic with randomized per-cell deviations
-    balanced so both wings stay exactly even, and the deviation scale is
-    chosen so the global deficit lands at or below epsilon_target.
+    balanced so both wings stay exactly even, and the deviation scale
+    keeps the global deficit at or below 0.9 * epsilon_target.
     Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
@@ -900,51 +909,49 @@ def random_eprb_model(
         laws.append(law)
     scale = (0.5 * sp).reshape(1, 2, 2, 1, 1, 1, 1, 1, 1)
 
+    # A direction's mean deviation md is at most delta, so a pair's deficit,
+    # md_a (1 - md_b) + (1 - md_a) md_b <= 2 delta, is at most 0.9 epsilon_target.
     delta = 0.45 * epsilon_target
-    for _ in range(6):
-        # each direction's deviations, own group then other group, in row order
-        draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
-        start = 0
-        w = None
-        for row in _WINGS:
-            card = cards[row.cause]
-            # Alice's directions favour pattern 0, Bob's pattern 1
-            des_idx, des_w = splits[row.cause][row.wing]
-            oth_idx, oth_w = splits[row.cause][1 - row.wing]
-            vec = np.zeros(card)
-            if draws is None:
-                vec[des_idx] = 1.0
-            else:
-                d_raw = draws[start : start + des_idx.size]
-                e_raw = draws[start + des_idx.size : start + card]
-                start += card
-                md = float(np.dot(des_w, d_raw))
-                me = float(np.dot(oth_w, e_raw))
-                vec[des_idx] = 1.0 - d_raw
-                vec[oth_idx] = e_raw * (md / me)
-            # (setting, outcome, cell): the outcome kernel at the own
-            # setting, 1 at the other, where the outcome reads another cause
-            kernel = np.ones((2, 2, card))
-            kernel[row.setting] = vec, 1.0 - vec
-            # on the axes (pattern, a, b, A, B, c1..c4)
-            shape = [2, 2 - row.wing, 1 + row.wing, 2 - row.wing, 1 + row.wing, 1, 1, 1, 1]
-            shape[5 + row.cause] = card
-            factor = (laws[row.cause][:, None, None, :] * kernel).reshape(shape)
-            # The factors are multiplied in cause order and then scaled, the
-            # rounding of the recorded weights (tests/golden); see
-            # reference_eprb_weights in tests/helpers.py.
-            w = factor if w is None else w * factor
-        w = w * scale
-        w = w[0] + w[1]  # sum over the hidden pattern
+    # each direction's deviations, own group then other group, in row order
+    draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
+    start = 0
+    w = None
+    for row in _WINGS:
+        card = cards[row.cause]
+        # Alice's directions favour pattern 0, Bob's pattern 1
+        des_idx, des_w = splits[row.cause][row.wing]
+        oth_idx, oth_w = splits[row.cause][1 - row.wing]
+        vec = np.zeros(card)
+        if draws is None:
+            vec[des_idx] = 1.0
+        else:
+            d_raw = draws[start : start + des_idx.size]
+            e_raw = draws[start + des_idx.size : start + card]
+            start += card
+            md = float(np.dot(des_w, d_raw))
+            me = float(np.dot(oth_w, e_raw))
+            vec[des_idx] = 1.0 - d_raw
+            vec[oth_idx] = e_raw * (md / me)
+        # (setting, outcome, cell): the outcome kernel at the own
+        # setting, 1 at the other, where the outcome reads another cause
+        kernel = np.ones((2, 2, card))
+        kernel[row.setting] = vec, 1.0 - vec
+        # on the axes (pattern, a, b, A, B, c1..c4)
+        shape = [2, 2 - row.wing, 1 + row.wing, 2 - row.wing, 1 + row.wing, 1, 1, 1, 1]
+        shape[5 + row.cause] = card
+        factor = (laws[row.cause][:, None, None, :] * kernel).reshape(shape)
+        # The factors are multiplied in cause order and then scaled, the
+        # rounding of the recorded weights (tests/golden); see
+        # reference_eprb_weights in tests/helpers.py.
+        w = factor if w is None else w * factor
+    w = w * scale
+    w = w[0] + w[1]  # sum over the hidden pattern
 
-        model = EprbModel(w, cards)
-        achieved = model.profile().eps_global
-        if achieved <= epsilon_target * (1.0 + 1e-9) + 1e-15:
-            return model
-        delta *= 0.5
-    raise GenerationFailed(
-        f"could not reach deficit <= {epsilon_target} after shrinking the deviation scale"
-    )
+    model = EprbModel(w, cards)
+    achieved = model.profile().eps_global
+    if not achieved <= epsilon_target * (1.0 + 1e-9) + 1e-15:
+        raise GenerationFailed(f"deficit {achieved!r} exceeds the target {epsilon_target!r}")
+    return model
 
 
 def model_from_dict(data: dict):

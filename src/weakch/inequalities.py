@@ -114,6 +114,18 @@ def ch_table_terms(joint, plus) -> dict[str, float]:
     return terms
 
 
+def left_sum(values) -> float:
+    """The floats in values added one at a time from the left, starting at 0.0.
+
+    Not sum(): from Python 3.12 on, sum() of Python floats compensates
+    its rounding, so its result would depend on the Python version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def real_numbers(values) -> list[float]:
     """The items of values as floats; each must be a real number.
 
@@ -280,15 +292,16 @@ def evaluate_weak_ch(
     """Flag whether a combination value leaves the corrected interval.
 
     The report carries the input probabilities when available, for audit
-    output.
+    output. value and both bounds must be real numbers and epsilon a
+    deficit in [0, 1], as real_number and deficit read them.
     """
-    lower, upper = float(bounds[0]), float(bounds[1])
-    v = float(value)
+    lower, upper = real_number("lower bound", bounds[0]), real_number("upper bound", bounds[1])
+    v = real_number("value", value)
     return WeakChReport(
         value=v,
         lower=lower,
         upper=upper,
-        epsilon=float(epsilon),
+        epsilon=deficit(epsilon),
         violated_lower=v < lower - VIOLATION_ATOL,
         violated_upper=v > upper + VIOLATION_ATOL,
         terms=terms,
@@ -359,12 +372,8 @@ def no_signalling_residuals(tables: np.ndarray) -> list[float]:
     res: list[float] = []
     # each wing's marginals as (own setting, far setting, own outcome)
     for marg in (t.sum(axis=3), t.sum(axis=2).transpose(1, 0, 2)):
-        n_own, n_far = marg.shape[:2]
-        for own in range(n_own):
-            for f1 in range(n_far):
-                for f2 in range(f1 + 1, n_far):
-                    for o in range(2):
-                        res.append(float(marg[own, f1, o] - marg[own, f2, o]))
+        f1, f2 = np.triu_indices(marg.shape[1], 1)  # each pair of far settings, f1 < f2
+        res += (marg[:, f1] - marg[:, f2]).ravel().tolist()
     return res
 
 
@@ -419,9 +428,6 @@ def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
         "p1_plus": p[8] + p[9] + p[10] + p[11] + p[12] + p[13] + p[14] + p[15],
         "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
     })
-    negative_mass = 0.0
-    for i in _NEGATIVE_ATOMS:  # not sum(): Python 3.12 sums floats with compensation
-        negative_mass += p[i]
-    identity = -negative_mass
+    identity = -left_sum(p[i] for i in _NEGATIVE_ATOMS)
     in_bounds = -1.0 - 1e-12 <= value <= 1e-12
     return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)

@@ -11,14 +11,14 @@ from . import singlet
 from .common_cause import (
     _WINGS,
     EprbModel,
-    _marginal,
     cause_cardinalities,
+    locality_residuals,
     random_eprb_model,
     validate_loc,
     validate_no_conspiracy,
     validate_screening,
 )
-from .inequalities import WeakChError, WeakChReport, ch_expression, integer
+from .inequalities import WeakChError, WeakChReport, ch_expression, integer, real_number
 
 TAU = 2.0 * math.pi
 _GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
@@ -159,38 +159,22 @@ def _repin_settings(w: np.ndarray, sp: np.ndarray) -> np.ndarray:
     return out.reshape(w.shape)
 
 
-def _locality_residuals(w: np.ndarray):
-    # validate_loc's arithmetic over a batch of normalised weight tensors
-    # (leading axis), one _WINGS row at a time: the same _marginal sums
-    # and per-cell operations, so each residual equals the validator's bit
-    # for bit. Yields the residuals (batch, far, outcome, cell). An entry
-    # the validator skips has no conditioning mass: it is 0/0, NaN, here.
-    for row in _WINGS:
-        s = _marginal(w[(slice(None), *row.index)], (0, 1, 2 + row.wing, 4 + row.cause))
-        pooled = s[:, 0] + s[:, 1]  # (batch, outcome, cell): far settings pooled
-        pooled /= pooled[:, :1] + pooled[:, 1:]
-        yield s / (s[:, :, :1] + s[:, :, 1:]) - pooled[:, None]
-
-
 def _locality_rejects(props: np.ndarray, shape: tuple, cutoff: float) -> np.ndarray:
-    # Which proposals (rows) would fail `penalty <= cutoff` in full. A
-    # proposal is marked when EprbModel accepts it (the same checks on the
-    # same sums) and one locality residual has r * r > cutoff: the
-    # penalty adds nonnegative terms to the locality validator's squared
-    # sum, so under rounding it is at least that square. A skipped
-    # residual is NaN and never exceeds it; every proposal not marked is
-    # left to _evaluate.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = props.sum(axis=1)
-        valid = (props.min(axis=1) >= 0.0) & (0.0 < total) & (total < math.inf)
-        w = props / total[:, None]
-        valid &= (w.reshape(len(w), 4, -1).max(axis=2) > 0.0).all(axis=1)
-        marked = ~valid  # no scan for an invalid row: _evaluate turns it away
-        for res in _locality_residuals(w.reshape(len(w), *shape)):
-            marked |= (res * res > cutoff).reshape(len(w), -1).any(axis=1)
-            if marked.all():
-                break
-    return marked & valid
+    # Which proposals (rows) would fail `penalty <= cutoff` in full. A walk
+    # proposal is nonnegative and finite with each setting block at its
+    # pinned mass, so EprbModel accepts it and divides it by the same sum.
+    # A proposal is marked at its first locality residual with r * r >
+    # cutoff: the penalty adds nonnegative terms to that square, so under
+    # rounding it is at least as large. A NaN residual (no conditioning
+    # mass) never exceeds it; every proposal not marked is left to _evaluate.
+    w = (props / props.sum(axis=1)[:, None]).reshape(len(props), *shape)
+    marked = np.zeros(len(w), dtype=bool)
+    for row in _WINGS:
+        res = locality_residuals(w, (row,))
+        marked |= (res * res > cutoff).reshape(len(w), -1).any(axis=1)
+        if marked.all():
+            break
+    return marked
 
 
 @dataclass(frozen=True)
@@ -213,6 +197,10 @@ class SearchConfig:
         object.__setattr__(self, "cause_cards", cause_cardinalities(self.cause_cards, 2))
         if 16 * math.prod(self.cause_cards) > MAX_SEARCH_WEIGHTS:
             raise WeakChError(f"cause_cards give more than {MAX_SEARCH_WEIGHTS} weights")
+        for name in ("step_init", "step_decay", "penalty_weight", "feas_tol"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
+        band = tuple(real_number("eps_band", v) for v in self.eps_band)
+        object.__setattr__(self, "eps_band", band)
         # a step of 1 already moves each weight (noise step_init / n) by about its own size (1 / n)
         if not (0.0 < self.step_init <= 1.0 and 0.0 < self.step_decay <= 1.0):
             raise WeakChError("step schedule must have step_init and step_decay in (0, 1]")
@@ -221,8 +209,7 @@ class SearchConfig:
             raise WeakChError("penalty_weight must be finite and nonnegative")
         if not 0.0 <= self.feas_tol < math.inf:
             raise WeakChError("feas_tol must be finite and nonnegative")
-        lo, hi = self.eps_band
-        if not (0.0 <= lo <= hi <= 1.0):
+        if len(band) != 2 or not 0.0 <= band[0] <= band[1] <= 1.0:
             raise WeakChError("eps_band must satisfy 0 <= lo <= hi <= 1")
 
 
@@ -260,9 +247,8 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class _Eval:
+    model: EprbModel
     penalty: float
-    epsilon: float
-    ch: float
     weak: WeakChReport
     strict_excess: float
     objective: float
@@ -281,7 +267,7 @@ def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _
     objective = strict_excess - cfg.penalty_weight * (
         pen + band_dist * band_dist + weak_excess * weak_excess
     )
-    return _Eval(pen, eps, v, weak, strict_excess, objective)
+    return _Eval(model, pen, weak, strict_excess, objective)
 
 
 def _move(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval | None:
@@ -299,7 +285,7 @@ def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
     lo, hi = cfg.eps_band
     return (
         ev.penalty <= cfg.feas_tol
-        and lo - 1e-12 <= ev.epsilon <= hi + 1e-12
+        and lo - 1e-12 <= ev.weak.epsilon <= hi + 1e-12
         and ev.strict_excess > 1e-12
         and not ev.weak.violated
     )
@@ -312,7 +298,7 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     sp = np.full((2, 2), 0.25)
     lo, hi = cfg.eps_band
     start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=sp)
-    w = start.weights.ravel().copy()
+    w = start.weights.ravel()
     cur = _evaluate(w, shape, cards, cfg)
 
     trace = []
@@ -346,23 +332,22 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
                     break
             delta = delta[t + 1:]
 
-    model = EprbModel(w.reshape(shape), cards)
     feasible = _feasible(cur, cfg)
     if feasible:
         # Independent re-validation before any feasibility claim.
-        check = _evaluate(model.weights.ravel(), shape, cards, cfg)
+        check = _evaluate(cur.model.weights.ravel(), shape, cards, cfg)
         feasible = (
             _feasible(check, cfg)
             and check.weak.violated_lower == cur.weak.violated_lower
             and check.weak.violated_upper == cur.weak.violated_upper
         )
     return SearchResult(
-        model=model,
+        model=cur.model,
         restart_index=restart,
         objective=cur.objective,
         penalty=cur.penalty,
-        epsilon=cur.epsilon,
-        ch_value=cur.ch,
+        epsilon=cur.weak.epsilon,
+        ch_value=cur.weak.value,
         weak_report=cur.weak,
         trace=tuple(trace),
         feasible=feasible,

@@ -27,6 +27,7 @@ from .inequalities import (
     ch_table_terms,
     deficit,
     integer,
+    left_sum,
     pair_settings,
     real_number,
     weak_ch_bounds,
@@ -55,7 +56,7 @@ class SimConfig:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if not (isinstance(self.source, EprbModel) or self.source == "singlet"):
             raise WeakChError(f"source must be 'singlet' or an EprbModel, got {self.source!r}")
-        theta = tuple(float(t) for t in self.theta)
+        theta = tuple(real_number("an angle", t) for t in self.theta)
         if len(theta) != 4 or not all(map(math.isfinite, theta)):
             raise WeakChError(f"theta must hold exactly four finite angles, got {theta}")
         object.__setattr__(self, "theta", theta)
@@ -209,10 +210,7 @@ def test_inequality(est: Estimates, epsilon: float, k_sigma: float = 3.0) -> Sam
         raise UndefinedEstimate(f"missing observations for {', '.join(bad)}")
 
     value = ch_expression(terms)
-    var = 0.0
-    for s in ses.values():  # not sum(): Python 3.12 sums floats with compensation
-        var += s * s
-    se = math.sqrt(var)
+    se = math.sqrt(left_sum(s * s for s in ses.values()))
     settings = pair_settings(est.setting_probs)
     epsilon = deficit(epsilon)
     lower, upper = weak_ch_bounds(epsilon, settings)

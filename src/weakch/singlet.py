@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from .inequalities import ch_expression
+from .inequalities import ch_expression, real_numbers
 
 if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
     import numpy as np
@@ -159,10 +159,11 @@ def epsilon_profile(tables: np.ndarray) -> EpsilonProfile:
 def ch_terms(theta: Sequence[float]) -> dict[str, float]:
     """The six singlet probabilities entering the CH combination.
 
-    theta holds the four absolute directions (1, 2 for Alice; 3, 4 for Bob);
-    each joint term uses the inter-direction angle theta_i - theta_j.
+    theta holds the four absolute directions (1, 2 for Alice; 3, 4 for Bob),
+    real numbers as real_numbers reads them; each joint term uses the
+    inter-direction angle theta_i - theta_j.
     """
-    t = [float(x) for x in theta]
+    t = real_numbers(theta)
     if len(t) != 4:
         raise ValueError("theta must hold exactly four angles")
     t1, t2, t3, t4 = t

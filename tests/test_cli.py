@@ -330,6 +330,16 @@ def test_search_cli_roundtrip(capsys):
     assert constraint_penalty(model) == pytest.approx(env["result"]["penalty"], abs=1e-12)
 
 
+def test_search_cli_exits_3_on_a_confirmed_feasible_model(capsys, monkeypatch):
+    # no seeded search reaches a feasible model in test time, so feasibility is forced
+    import weakch.search
+
+    monkeypatch.setattr(weakch.search, "_feasible", lambda ev, cfg: True)
+    code, env, _ = run_json(capsys, "search", "--seed", "4", "--restarts", "1", "--iters", "15")
+    assert code == 3
+    assert env["result"]["feasible"] is True
+
+
 def test_simulate_cli_json(capsys):
     code, env, _ = run_json(
         capsys,

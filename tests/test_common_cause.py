@@ -630,6 +630,17 @@ def test_generated_model_passes_all_validators():
         assert m.plus_probs() == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
 
 
+def test_generator_reaches_its_target_with_one_draw():
+    # each direction's mean deviation is at most 0.45 * target, so each
+    # pair's deficit, md_a (1 - md_b) + (1 - md_a) md_b, is at most 0.9 * target
+    rng = np.random.default_rng(41)
+    for law in SETTING_LAWS:
+        for target in (0.0, 1e-7, 1e-3, 0.1, *rng.uniform(0.0, 0.1, 20)):
+            cards = tuple(int(c) for c in rng.integers(2, 5, size=4))
+            m = random_eprb_model(rng, cards, target, setting_probs=law)
+            assert m.profile().eps_global <= 0.9 * target * (1.0 + 1e-12) + 1e-15
+
+
 def test_generated_model_is_deterministic():
     a = random_eprb_model(77, (2, 2, 3, 2), 5e-4)
     b = random_eprb_model(77, (2, 2, 3, 2), 5e-4)

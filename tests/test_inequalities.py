@@ -16,12 +16,14 @@ from weakch.inequalities import (
     BadSettingProbs,
     SettingProbs,
     UnnormalizedTable,
+    WeakChError,
     bound_coefficients,
     ch_atom_oracle,
     ch_expression,
     correction_terms,
     epsilon_thresholds,
     evaluate_weak_ch,
+    left_sum,
     no_signalling_residuals,
     pair_settings,
     real_numbers,
@@ -86,6 +88,7 @@ def test_epsilon_is_a_real_number(bad):
         lambda: correction_terms(bad),
         lambda: weak_ch_bounds(bad),
         lambda: weak_ch_bounds(bad, sps),
+        lambda: evaluate_weak_ch(-0.5, (-1.0, 0.0), bad),
     ):
         with pytest.raises(BadEpsilon, match="epsilon must be a real number"):
             call()
@@ -242,6 +245,18 @@ def test_evaluate_inside_interval():
     assert not rep.violated
 
 
+@pytest.mark.parametrize("args, name", [
+    (("-0.5", (-1.0, 0.0), 0.0), "value"),
+    ((True, (-1.0, 0.0), 0.0), "value"),
+    ((-0.5, (None, 0.0), 0.0), "lower bound"),
+    ((-0.5, (-1.0, "0"), 0.0), "upper bound"),
+])
+def test_evaluate_reads_real_numbers(args, name):
+    # float() would read "-0.5" and True as numbers
+    with pytest.raises(WeakChError, match=f"{name} must be a real number"):
+        evaluate_weak_ch(*args)
+
+
 def test_thresholds_reference_values():
     lo, hi = epsilon_thresholds()
     assert f"{lo:.3e}" == "2.689e-05"
@@ -319,6 +334,28 @@ def test_no_signalling_identical_tables_exact_zero():
     assert no_signalling_residuals(t) == [0.0] * len(no_signalling_residuals(t))
 
 
+def _loop_no_signalling_residuals(t):
+    # the nested-loop form the per-wing array difference replaced
+    res = []
+    for marg in (t.sum(axis=3), t.sum(axis=2).transpose(1, 0, 2)):
+        n_own, n_far = marg.shape[:2]
+        for own in range(n_own):
+            for f1 in range(n_far):
+                for f2 in range(f1 + 1, n_far):
+                    for o in range(2):
+                        res.append(float(marg[own, f1, o] - marg[own, f2, o]))
+    return res
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2), (3, 2), (2, 4), (0, 3)])
+def test_no_signalling_residuals_match_the_loop(n_a, n_b):
+    rng = np.random.default_rng([n_a, n_b])
+    t = rng.dirichlet(np.ones(4), size=(n_a, n_b)).reshape(n_a, n_b, 2, 2)
+    got = no_signalling_residuals(t)
+    assert [float.hex(r) for r in got] == [float.hex(r) for r in _loop_no_signalling_residuals(t)]
+    assert all(type(r) is float for r in got)
+
+
 def test_no_signalling_rejects_unnormalized():
     t = outcome_tables((0.0,), (0.0,))
     t[0, 0, 0, 0] += 0.1
@@ -352,6 +389,13 @@ def test_real_numbers_takes_numbers_only():
             real_numbers(bad)
     with pytest.raises(OverflowError):
         real_numbers([10**400])
+
+
+def test_left_sum_adds_from_the_left():
+    # a compensated sum (Python 3.12's sum()) would give 0.6
+    assert float.hex(left_sum([0.1, 0.2, 0.3])) == "0x1.3333333333334p-1"
+    assert float.hex(left_sum(np.array([0.1, 0.2, 0.3]))) == "0x1.3333333333334p-1"
+    assert type(left_sum([])) is float and left_sum([]) == 0.0
 
 
 def test_oracle_identity_sums_left_to_right():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,13 @@ from helpers import (
 )
 from test_validator_fixture import CARDS as FIXTURE_CARDS
 from test_validator_fixture import validator_models
-from weakch.common_cause import EprbModel, _loc_label, random_eprb_model, validate_loc
+from weakch.common_cause import (
+    _WINGS,
+    EprbModel,
+    locality_residuals,
+    random_eprb_model,
+    validate_loc,
+)
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER, tsirelson_check
 from weakch.search import (
     MAX_GRID_SIZE,
@@ -26,7 +33,7 @@ from weakch.search import (
     search_counterexample,
 )
 from weakch.singlet import ch_terms
-from weakch.spaces import ResidualReport, WeakChError
+from weakch.spaces import WeakChError
 
 
 def test_optimizer_finds_lower_extremum():
@@ -181,6 +188,12 @@ def test_config_validation():
         ("max_iters", 2.0),
         ("max_iters", None),
         ("max_iters", "3"),
+        ("step_init", "0.1"),
+        ("step_decay", True),
+        ("penalty_weight", True),
+        ("feas_tol", None),
+        ("eps_band", ("0", 1e-3)),
+        ("eps_band", (0.0, False)),
     ],
 )
 def test_config_rejects_non_finite_and_negative_knobs(field, value):
@@ -406,72 +419,115 @@ def test_batched_projection_and_repinning_match_row_by_row(cards):
     assert np.all(repinned[2].reshape(shape)[1, 0] == 0.2 / (n // 4))
 
 
-def _screen_report(rows, b):
-    # The screen's residuals of batch member b as a locality report, in
-    # validate_loc's order. A NaN is skipped: a cell whose far settings
-    # are both NaN as a whole, otherwise each far setting on its own.
-    keys, residuals, skipped = [], [], []
-    for r, res in enumerate(rows):
-        for i in range(res.shape[-1]):
-            by_far = res[b, :, :, i]
-            if np.isnan(by_far).all():
-                skipped.append((r, i))
-                continue
-            for f, (plus, minus) in enumerate(by_far.tolist()):
-                if math.isnan(plus):
-                    skipped.append((r, i, f))
-                else:
-                    keys += [(r, i, f, 0), (r, i, f, 1)]
-                    residuals += [plus, minus]
-    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _loc_label)
-
-
 @pytest.mark.parametrize("cards", FIXTURE_CARDS)
-def test_locality_screen_residuals_match_the_validator(cards):
-    # the validator fixture's models: generated, perturbed, foreign-cause,
-    # Dirichlet, and with zero-mass cells and far settings (both skip kinds)
+def test_locality_residuals_of_a_block_are_the_validators(cards):
+    # The screen reads a block of proposals as one batch, validate_loc each
+    # model as a batch of one: each model's residuals are the same bits
+    # either way, and its NaNs are the entries the validator skips. The
+    # validator fixture's models include zero-mass cells and far settings,
+    # so both kinds of skip occur.
     models = [EprbModel(w, c) for _, w, c in validator_models() if c == cards]
-    with np.errstate(divide="ignore", invalid="ignore"):  # skipped entries divide by zero
-        rows = list(search_mod._locality_residuals(np.stack([m.weights for m in models])))
+    block = np.stack([m.weights for m in models])
+    rows = [locality_residuals(block, (row,)) for row in _WINGS]  # as the screen reads them
     kinds = set()
     for b, m in enumerate(models):
-        screen, rep = _screen_report(rows, b), validate_loc(m)
-        assert screen.labels == rep.labels
-        assert [r.hex() for r in screen.residuals] == [r.hex() for r in rep.residuals]
-        assert screen.skipped == rep.skipped
-        kinds.update(len(key) for key in screen._skipped)
+        flat = np.concatenate([res[b] for res in rows], axis=-1).transpose(2, 0, 1).ravel()  # validate_loc's order
+        rep = validate_loc(m)
+        assert [r.hex() for r in flat[~np.isnan(flat)].tolist()] == [r.hex() for r in rep.residuals]
+        kinds.update(len(key) for key in rep._skipped)
     assert kinds == {2, 3}
+
+
+def _walk_proposals(base, scales, seed):
+    # rows as the walk makes them: noise added, projected, re-pinned
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((len(scales), base.size)) * np.array(scales)[:, None] / base.size
+    return search_mod._repin_settings(search_mod._project_simplex(base + noise), np.full((2, 2), 0.25))
 
 
 @pytest.mark.parametrize("cards", [(2, 2, 2, 2), (3, 2, 4, 2), (4, 4, 8, 8)])
 def test_locality_screen_marks_only_proposals_rejected_at_locality(cards):
     shape = (2, 2, 2, 2, *cards)
     cfg = SearchConfig(cause_cards=cards)
-    rng = np.random.default_rng(9)
-    base = random_eprb_model(rng, cards, 1e-3).weights.ravel()
-    scales = [0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]
-    props = np.abs(base + rng.standard_normal((len(scales), base.size)) * np.array(scales)[:, None] / base.size)
-    props[1] *= 7.0  # unnormalised
-    bad = np.stack([props[3], props[4], np.zeros(base.size), props[5]])
-    bad[0, 5] = -1e-300  # a negative weight
-    bad[1, 7] = math.nan
-    bad[3].reshape(shape)[0, 1] = 0.0  # a setting pair with no mass
-    props = np.concatenate([props, bad])
-    valid = len(scales)
-    models = [EprbModel(p.reshape(shape), cards) for p in props[:valid]]
+    base = random_eprb_model(9, cards, 1e-3).weights.ravel()
+    props = _walk_proposals(base, [0.0, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0], 9)
+    models = [EprbModel(p.reshape(shape), cards) for p in props]
     # the screen normalises as the constructor does
-    normalised = props[:valid] / props[:valid].sum(axis=1)[:, None]
+    normalised = props / props.sum(axis=1)[:, None]
     assert all(normalised[b].tobytes() == m.weights.tobytes() for b, m in enumerate(models))
     largest = [max(np.square(validate_loc(m).residuals)) for m in models]
     marked_any = False
     for cutoff in [0.0, 1e-40, 1e-30, 1e-20, 1e-12, *largest, *(np.nextafter(x, -1.0) for x in largest)]:
         marked = search_mod._locality_rejects(props, shape, cutoff)
-        assert not marked[valid:].any()
-        assert list(marked[:valid]) == [x > cutoff for x in largest]
+        assert list(marked) == [x > cutoff for x in largest]
         for p in props[marked]:
             assert _evaluate(p, shape, cards, cfg).penalty > cutoff
         marked_any |= marked.any()
     assert marked_any
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2, 2), (3, 2, 4, 2)])
+def test_move_refuses_rows_that_are_no_model(cards):
+    # rows the walk never proposes: EprbModel refuses them, so the walk stays
+    shape = (2, 2, 2, 2, *cards)
+    cfg = SearchConfig(cause_cards=cards)
+    base = random_eprb_model(9, cards, 1e-3).weights.ravel()
+    start = _evaluate(base, shape, cards, cfg)
+    anything = dataclasses.replace(start, penalty=math.inf, objective=-math.inf)  # any model beats it
+    bad = np.stack([np.zeros(base.size), base, base, base])
+    bad[1, 5] = -1e-300  # a negative weight
+    bad[2, 7] = math.nan
+    bad[3].reshape(shape)[0, 1] = 0.0  # a setting pair with no mass
+    for row in bad:
+        assert search_mod._move(row.copy(), anything, shape, cards, cfg) is None
+    assert search_mod._move(base, anything, shape, cards, cfg) is not None
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2, 2), (3, 2, 4, 2), (4, 3, 2, 4)])
+@pytest.mark.parametrize("step", [0.05, 0.5, 1.0])
+def test_walk_proposals_are_valid_models(monkeypatch, cards, step):
+    # what lets the screen drop EprbModel's checks: every proposal is
+    # finite and nonnegative with each setting block at 1/4, and is a model
+    shape = (2, 2, 2, 2, *cards)
+    screen = search_mod._locality_rejects
+    blocks = []
+    monkeypatch.setattr(search_mod, "_locality_rejects", lambda props, *rest: blocks.append(props.copy()) or screen(props, *rest))
+    for seed in (0, 1, 2):
+        search_counterexample(SearchConfig(seed=seed, restarts=1, max_iters=30, cause_cards=cards, step_init=step))
+    props = np.concatenate(blocks)
+    assert len(props) >= 90
+    assert np.isfinite(props).all() and (props >= 0.0).all()
+    assert np.abs(props.reshape(len(props), 4, -1).sum(axis=2) - 0.25).max() <= 1e-15
+    for p in props:
+        EprbModel(p.reshape(shape), cards)
+
+
+@pytest.mark.parametrize("recheck, claimed", [
+    ({}, True),  # the re-evaluation confirms the claim
+    ({"feasible": False}, False),  # the re-evaluation is not feasible
+    ({"flip": True}, False),  # the re-evaluation is feasible with another violated side
+])
+def test_feasibility_claims_are_rechecked(monkeypatch, recheck, claimed):
+    # The benchmark-style walk evaluates only its start and the re-check;
+    # _feasible is forced to claim the walk's state feasible.
+    evaluated = []
+
+    def evaluate(*args):
+        ev = _evaluate(*args)
+        if evaluated and recheck.get("flip"):
+            ev = dataclasses.replace(ev, weak=dataclasses.replace(ev.weak, violated_lower=not ev.weak.violated_lower))
+        evaluated.append(ev)
+        return ev
+
+    verdicts = iter([True, recheck.get("feasible", True)])
+    monkeypatch.setattr(search_mod, "_evaluate", evaluate)
+    monkeypatch.setattr(search_mod, "_feasible", lambda ev, cfg: next(verdicts))
+    res = search_counterexample(SearchConfig(seed=13, restarts=1, max_iters=50))
+    assert res.feasible is claimed
+    start, check = evaluated
+    assert check.model is not start.model
+    assert check.model.weights.tobytes() == res.model.weights.tobytes()
+    assert res.model is start.model  # no step was accepted
 
 
 @pytest.mark.parametrize("block_weights", [1, 3 * 768 + 5, 2**20])

@@ -173,6 +173,13 @@ def test_config_rejects_non_finite_inputs(field, value):
         sim.SimConfig(seed=1, n=10, **{field: value})
 
 
+@pytest.mark.parametrize("theta", [("0.5", 0.0, 0.0, 0.0), (0.0, True, 0.0, 0.0), (0.0, 0.0, None, 0.0)], ids=repr)
+def test_config_reads_angles_as_real_numbers(theta):
+    # float() would read "0.5" and True as angles
+    with pytest.raises(WeakChError, match="an angle must be a real number"):
+        sim.SimConfig(seed=1, n=10, theta=theta)
+
+
 def test_config_stores_python_ints():
     cfg = sim.SimConfig(seed=np.uint32(3), n=np.int64(70000))
     assert type(cfg.seed) is int and type(cfg.n) is int

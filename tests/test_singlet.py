@@ -176,6 +176,13 @@ def test_ch_terms_match_value():
     assert combo == ch_value(theta)
 
 
+@pytest.mark.parametrize("theta", [("0.5", 0.0, 0.0, 0.0), (0.0, True, 0.0, 0.0)], ids=repr)
+def test_ch_terms_read_real_numbers(theta):
+    # float() would read "0.5" and True as angles
+    with pytest.raises(TypeError, match="expected a real number"):
+        ch_terms(theta)
+
+
 def test_ch_value_stays_in_quantum_interval():
     rng = np.random.default_rng(99)
     for theta in rng.uniform(-2 * PI, 2 * PI, size=(4000, 4)):
