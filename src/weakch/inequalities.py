@@ -32,6 +32,7 @@ by the one function that takes arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -168,14 +169,29 @@ def integer(name: str, value, lower: int | None = None) -> int:
     return n
 
 
+# Distinct setting laws whose per-pair SettingProbs are kept: a run uses a
+# few, and each entry is four small frozen objects.
+PAIR_SETTINGS_MEMO = 64
+
+
 def pair_settings(table) -> tuple[SettingProbs, ...]:
     """Per-pair SettingProbs of a 2x2 setting table, in CH_PAIRS order.
 
     table[a, b] is the probability of Alice setting a with Bob setting b.
+    Built once per distinct table and shared: equal tables give the same
+    tuple of frozen SettingProbs.
     """
-    # Read once as Python floats. (0.0 + x) + y is what ndarray.sum gives
-    # for two entries, bit for bit, signed zeros included.
-    t = table.tolist()
+    # Read once as Python floats: its two rows are the memo's key
+    return _pair_settings(*map(tuple, table.tolist()))
+
+
+@functools.lru_cache(maxsize=PAIR_SETTINGS_MEMO)
+def _pair_settings(*t) -> tuple[SettingProbs, ...]:
+    # Only a table with every entry in (0, 1] builds, and such floats are
+    # equal exactly when their bits are, so a kept key is exact. A refused
+    # table raises on every call, as lru_cache keeps no exception.
+    # (0.0 + x) + y is what ndarray.sum gives for two entries, bit for bit,
+    # signed zeros included.
     return tuple(
         SettingProbs(0.0 + t[a][0] + t[a][1], 0.0 + t[0][b] + t[1][b], float(t[a][b]))
         for a, b in CH_PAIRS.values()

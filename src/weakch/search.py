@@ -197,10 +197,13 @@ class SearchConfig:
         object.__setattr__(self, "cause_cards", cause_cardinalities(self.cause_cards, 2))
         if 16 * math.prod(self.cause_cards) > MAX_SEARCH_WEIGHTS:
             raise WeakChError(f"cause_cards give more than {MAX_SEARCH_WEIGHTS} weights")
-        for name in ("step_init", "step_decay", "penalty_weight", "feas_tol"):
-            object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        band = tuple(real_number("eps_band", v) for v in self.eps_band)
-        object.__setattr__(self, "eps_band", band)
+        for name in ("step_init", "step_decay", "penalty_weight", "feas_tol", "eps_band"):
+            value = getattr(self, name)
+            try:
+                value = tuple(real_number(name, v) for v in value) if name == "eps_band" else real_number(name, value)
+            except (TypeError, OverflowError):  # eps_band not iterable, or an int past the float range
+                raise WeakChError(f"{name} must be made of real numbers within the float range") from None
+            object.__setattr__(self, name, value)
         # a step of 1 already moves each weight (noise step_init / n) by about its own size (1 / n)
         if not (0.0 < self.step_init <= 1.0 and 0.0 < self.step_decay <= 1.0):
             raise WeakChError("step schedule must have step_init and step_decay in (0, 1]")
@@ -209,7 +212,7 @@ class SearchConfig:
             raise WeakChError("penalty_weight must be finite and nonnegative")
         if not 0.0 <= self.feas_tol < math.inf:
             raise WeakChError("feas_tol must be finite and nonnegative")
-        if len(band) != 2 or not 0.0 <= band[0] <= band[1] <= 1.0:
+        if len(self.eps_band) != 2 or not 0.0 <= self.eps_band[0] <= self.eps_band[1] <= 1.0:
             raise WeakChError("eps_band must satisfy 0 <= lo <= hi <= 1")
 
 

@@ -14,7 +14,9 @@ five draws for any number of runs, with the law of run-by-run sampling.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,10 @@ class SimConfig:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if not (isinstance(self.source, EprbModel) or self.source == "singlet"):
             raise WeakChError(f"source must be 'singlet' or an EprbModel, got {self.source!r}")
-        theta = tuple(real_number("an angle", t) for t in self.theta)
+        try:
+            theta = tuple(real_number("an angle", t) for t in self.theta)
+        except (TypeError, OverflowError):  # theta not iterable, or an int angle past the float range
+            raise WeakChError("theta must hold exactly four finite angles") from None
         if len(theta) != 4 or not all(map(math.isfinite, theta)):
             raise WeakChError(f"theta must hold exactly four finite angles, got {theta}")
         object.__setattr__(self, "theta", theta)
@@ -75,6 +80,22 @@ class CountsTable:
     setting_probs: np.ndarray
 
 
+# Distinct direction sets whose singlet outcome law is kept: a run uses a
+# few, and each entry is one 4x4 array.
+SINGLET_LAW_MEMO = 64
+
+
+@functools.lru_cache(maxsize=SINGLET_LAW_MEMO)
+def _singlet_law(angles: bytes) -> np.ndarray:
+    """The singlet's read-only 4x4 outcome law at the four directions packed in angles.
+
+    Keyed on the angles' bytes, so that only bit-identical directions
+    share a law: 0.0 and -0.0 do not.
+    """
+    theta = struct.unpack("4d", angles)
+    return singlet._freeze(singlet.outcome_tables(theta[:2], theta[2:]).reshape(4, 4))
+
+
 def sample_runs(cfg: SimConfig) -> CountsTable:
     """Draw cfg.n independent runs; deterministic for a given seed.
 
@@ -84,11 +105,11 @@ def sample_runs(cfg: SimConfig) -> CountsTable:
     counts first, then the outcome counts of each pair with runs, in pair
     order. That realizes the same law as run-by-run sampling.
     """
+    # row a * 2 + b: the outcome law at settings (a, b)
     if isinstance(cfg.source, EprbModel):
-        tables = cfg.source.outcome_tables()
+        outcome_probs = cfg.source.outcome_tables().reshape(4, 4)
     else:
-        tables = singlet.outcome_tables(cfg.theta[:2], cfg.theta[2:])
-    outcome_probs = tables.reshape(4, 4)  # row a * 2 + b: the outcome law at settings (a, b)
+        outcome_probs = _singlet_law(struct.pack("4d", *cfg.theta))
     out = np.zeros((4, 4), dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
     for pair, cnt in enumerate(rng.multinomial(cfg.n, cfg.setting_probs.ravel()).tolist()):
@@ -148,14 +169,18 @@ def estimate(table: CountsTable) -> Estimates:
     """
     tally = np.dot(_TALLY, table.counts.ravel())
     hits, runs = tally[:20], tally[20:]
-    with np.errstate(invalid="ignore"):  # 0/0 is the NaN of an empty conditioner
+    m = runs.tolist()
+    undefined = []
+    if 0 in m:  # an empty conditioner: its 0/0 is the NaN that marks it
+        undefined = [f"pair {a + 1}{b + 3}" for a in (0, 1) for b in (0, 1) if not m[8 * a + 4 * b]]
+        undefined += [
+            f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w in (0, 1) for s in (0, 1) if not m[16 + 2 * w + s]
+        ]
+        with np.errstate(invalid="ignore"):
+            freq = hits / runs
+    else:
         freq = hits / runs
     se = np.sqrt(freq * (1.0 - freq) / runs)
-    m = runs.tolist()
-    undefined = [f"pair {a + 1}{b + 3}" for a in (0, 1) for b in (0, 1) if not m[8 * a + 4 * b]]
-    undefined += [
-        f"{('alice', 'bob')[w]} setting {2 * w + s + 1}" for w in (0, 1) for s in (0, 1) if not m[16 + 2 * w + s]
-    ]
     return Estimates(
         joint=freq[:16].reshape(2, 2, 2, 2),
         joint_se=se[:16].reshape(2, 2, 2, 2),

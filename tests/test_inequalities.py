@@ -153,6 +153,30 @@ def test_pair_settings_adds_as_numpy_does():
             build(signed)
 
 
+def test_equal_setting_laws_share_their_pair_settings():
+    rng = np.random.default_rng(25)
+    tables = [np.full((2, 2), 0.25)]
+    tables += [rng.dirichlet(np.full(4, alpha)).reshape(2, 2) for alpha in (0.3, 5.0) for _ in range(50)]
+    for t in tables:
+        got = pair_settings(t)
+        assert pair_settings(t.copy()) is got
+        assert pair_settings(np.array(t.tolist(), dtype=float)) is got
+        assert [float.hex(v) for sp in got for v in (sp.p_a, sp.p_b, sp.p_ab)] == [
+            float.hex(v) for sp in _numpy_pair_settings(t) for v in (sp.p_a, sp.p_b, sp.p_ab)
+        ]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [-0.0, 0.0]], [[0.25, 0.25], [0.25, math.nan]], [[0.5, 0.0], [0.5, 0.0]]],
+    ids=["zero row", "signed zero row", "NaN", "zero column"],
+)
+def test_refused_setting_laws_raise_on_every_call(table):
+    for _ in range(3):
+        with pytest.raises(BadSettingProbs):
+            pair_settings(np.array(table))
+
+
 def test_weak_bounds_per_pair_settings():
     # pairs 13 and 24 at ratio (p(a) + p(b))/p(ab) = 2.5, pairs 14 and 23 at 10
     sps = pair_settings(np.array([[0.4, 0.1], [0.1, 0.4]]))

@@ -203,6 +203,17 @@ def test_config_rejects_non_finite_and_negative_knobs(field, value):
         SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eps_band", None), ("eps_band", (10**400, 1)), ("step_init", 10**400)],
+    ids=["eps_band None", "eps_band past the float range", "step_init past the float range"],
+)
+def test_config_names_the_field_it_cannot_read(field, value):
+    # not iterable, or an int past the float range: Python's own TypeError or OverflowError otherwise
+    with pytest.raises(WeakChError, match=f"^{field} must"):
+        SearchConfig(**{field: value})
+
+
 def test_config_stores_python_ints():
     cfg = SearchConfig(seed=np.uint32(3), restarts=np.int64(2), max_iters=np.int8(5), cause_cards=np.array([2, 3, 2, 2]))
     assert (cfg.seed, cfg.restarts, cfg.max_iters, cfg.cause_cards) == (3, 2, 5, (2, 3, 2, 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +178,13 @@ def test_config_rejects_non_finite_inputs(field, value):
 def test_config_reads_angles_as_real_numbers(theta):
     # float() would read "0.5" and True as angles
     with pytest.raises(WeakChError, match="an angle must be a real number"):
+        sim.SimConfig(seed=1, n=10, theta=theta)
+
+
+@pytest.mark.parametrize("theta", [None, (10**400, 0, 0, 0)], ids=["None", "past the float range"])
+def test_config_names_theta_when_it_cannot_read_it(theta):
+    # not iterable, or an int past the float range: Python's own TypeError or OverflowError otherwise
+    with pytest.raises(WeakChError, match="^theta must"):
         sim.SimConfig(seed=1, n=10, theta=theta)
 
 
@@ -367,6 +375,39 @@ def test_estimate_matches_the_reference_bit_for_bit(source, setting_probs):
             rep = sim.test_inequality(got, eps)
             want_bounds = reference_weak_ch_bounds(eps, pair_settings(table.setting_probs))
             assert [float.hex(rep.lower), float.hex(rep.upper)] == [float.hex(v) for v in want_bounds]
+
+
+def _singlet_law(theta):
+    return sim._singlet_law(struct.pack("4d", *theta))
+
+
+def test_singlet_law_is_kept_read_only_and_bit_for_bit():
+    # one law per bit pattern of the four angles, equal to outcome_tables' own
+    rng = np.random.default_rng(25)
+    thetas = [tuple(rng.uniform(-2 * math.pi, 2 * math.pi, 4)) for _ in range(40)]
+    thetas += [tuple(t + 2 * math.pi for t in theta) for theta in thetas[:10]]
+    thetas += [(0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0, 0.0), (0.0,) * 4, (-0.0,) * 4, (-0.0, 0.0, 0.0, -0.0)]
+    for theta in thetas:
+        law = _singlet_law(theta)
+        want = singlet.outcome_tables(theta[:2], theta[2:])
+        assert same_array(law, want.reshape(4, 4))
+        assert _singlet_law(theta) is law
+        with pytest.raises(ValueError):
+            law[0, 0] = 0.5
+        want[0, 0, 0, 0] = 0.5  # outcome_tables still returns a fresh, writable array
+    assert _singlet_law((0.0,) * 4) is not _singlet_law((-0.0,) * 4)
+
+
+def test_singlet_records_compute_one_law_per_angle_set(monkeypatch):
+    calls = []
+    tables = singlet.outcome_tables
+    monkeypatch.setattr(singlet, "outcome_tables", lambda alice, bob: calls.append(1) or tables(alice, bob))
+    theta = (0.0, 1.5, -0.75, 2.25)  # in no other test
+    counts = [sim.sample_runs(sim.SimConfig(seed=seed, n=1000, theta=theta)).counts for seed in (1, 2, 3, 1)]
+    assert len(calls) == 1
+    assert np.array_equal(counts[0], counts[3])
+    sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=(-0.0, *theta[1:])))  # other bits, another law
+    assert len(calls) == 2
 
 
 def test_large_run_declares_violation():
