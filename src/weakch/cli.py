@@ -241,8 +241,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("optimize-angles", help="extremal directions for the combination")
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--refine", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search", help="search for a strict-only violation model")
     p.add_argument("--seed", type=int, default=0)
@@ -381,10 +379,8 @@ def _cmd_oracle(args) -> tuple[dict, object, int]:
 def _cmd_optimize_angles(args) -> tuple[dict, object, int]:
     from . import search
 
-    theta, value = search.optimize_angles(
-        mode=args.mode, seed=args.seed, grid_size=args.grid, refine_sweeps=args.refine
-    )
-    inputs = {"mode": args.mode, "grid": args.grid, "refine": args.refine, "seed": args.seed}
+    theta, value = search.optimize_angles(mode=args.mode, grid_size=args.grid)
+    inputs = {"mode": args.mode, "grid": args.grid}
     result = {"theta": list(theta), "ch_value": value, "tsirelson_ok": tsirelson_check(value)}
     return inputs, result, EXIT_OK
 

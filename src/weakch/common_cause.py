@@ -41,7 +41,6 @@ from .inequalities import (  # the oracle names are re-exported
     CH_PAIRS,
     BadSettingProbs,
     OracleResult,
-    SettingProbs,
     UnnormalizedInput,
     WeakChReport,
     _smaller_root,
@@ -508,9 +507,9 @@ def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 class EprbModel:
     """Joint distribution over settings, outcomes, and four cause variables.
 
-    Its setting law is computed at construction. Its per-pair setting law,
-    outcome tables, deficit profile and validator reports are computed on
-    first use and kept (see _kept). All of them are read-only.
+    Its setting law is computed at construction. Its outcome tables,
+    deficit profile and validator reports are computed on first use and
+    kept (see _kept). All of them are read-only.
     """
 
     weights: np.ndarray
@@ -546,11 +545,6 @@ class EprbModel:
         return self._setting_probs
 
     @_kept
-    def pair_setting_probs(self) -> tuple[SettingProbs, ...]:
-        """The setting law as one SettingProbs per pair, in CH_PAIRS order."""
-        return pair_settings(self._setting_probs)
-
-    @_kept
     def outcome_tables(self) -> np.ndarray:
         joint = _marginal(self.weights, (0, 1, 2, 3))
         t = joint / joint.sum(axis=(2, 3), keepdims=True)
@@ -568,7 +562,7 @@ class EprbModel:
 
     def weak_report(self) -> WeakChReport:
         eps = self.profile().eps_global
-        bounds = weak_ch_bounds(eps, self.pair_setting_probs())
+        bounds = weak_ch_bounds(eps, pair_settings(self._setting_probs))
         terms = ch_table_terms(self.outcome_tables(), self.plus_probs())
         return evaluate_weak_ch(ch_expression(terms), bounds, eps, terms=terms)
 
@@ -822,7 +816,7 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     t = model.outcome_tables()
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]
-    settings = dict(zip(CH_PAIRS.values(), model.pair_setting_probs()))
+    settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
     cause_pairs = _cause_pairs(model)
     pairs = []
     for ai in (0, 1):

@@ -147,12 +147,14 @@ def real_numbers(values) -> list[float]:
 def real_number(name: str, value, error: type[WeakChError] = WeakChError) -> float:
     """value as a float if it is a real number as real_numbers defines one; otherwise error.
 
-    An int beyond the float range raises OverflowError, as float() does.
+    An int beyond the float range is an error too, not the OverflowError of float().
     """
     try:
         (x,) = real_numbers((value,))
     except TypeError:
         raise error(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # no repr: an int of more than 4300 digits has none
+        raise error(f"{name} must be a real number within the float range") from None
     return x
 
 

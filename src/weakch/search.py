@@ -21,8 +21,8 @@ from .common_cause import (
 from .inequalities import WeakChError, WeakChReport, ch_expression, integer, real_number
 
 TAU = 2.0 * math.pi
-_GRID_STARTS = 6  # best grid points refined by optimize_angles, besides two random ones
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
+_REFINE_SWEEPS = 60  # cap on optimize_angles' coordinate-descent sweeps
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
 _BLOCK_WEIGHTS = 2**14  # weights per block of search proposals drawn and screened at once
 
@@ -39,7 +39,7 @@ def _ch_offsets(x, y, z):
     })
 
 
-def _refine(point: np.ndarray, sign: float, sweeps: int) -> tuple[np.ndarray, float]:
+def _refine(point: np.ndarray, sign: float) -> np.ndarray:
     # Each coordinate slice of the objective is a single harmonic
     # c0 + A cos t + B sin t, so the conditional optimum has a closed form.
     cur = np.array(point, dtype=float)
@@ -48,7 +48,7 @@ def _refine(point: np.ndarray, sign: float, sweeps: int) -> tuple[np.ndarray, fl
         return sign * float(_ch_offsets(p[0], p[1], p[2]))
 
     f_cur = value(cur)
-    for _ in range(sweeps):
+    for _ in range(_REFINE_SWEEPS):
         f_before = f_cur
         for k in range(3):
             base = cur.copy()
@@ -71,52 +71,28 @@ def _refine(point: np.ndarray, sign: float, sweeps: int) -> tuple[np.ndarray, fl
                 f_cur = f_star
         if f_before - f_cur < 1e-16:
             break
-    return cur, sign * f_cur
+    return cur
 
 
-def optimize_angles(
-    mode: str = "min",
-    seed: int = 0,
-    grid_size: int = 16,
-    refine_sweeps: int = 60,
-) -> tuple[tuple[float, float, float, float], float]:
+def optimize_angles(mode: str = "min", grid_size: int = 16) -> tuple[tuple[float, float, float, float], float]:
     """Extremize the singlet CH combination over measurement directions.
 
     A coarse grid over the three angle offsets relative to the first
-    direction seeds coordinate-descent refinement from the best grid points
-    plus a few random ones; the best refined point wins. Returns the four
-    absolute directions (first pinned at 0) and the extremal value.
+    direction gives its first best point, which coordinate descent refines
+    until it stops improving. Returns the four absolute directions (first
+    pinned at 0) and the extremal value.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     grid_size = integer("grid_size", grid_size)
-    refine_sweeps = integer("refine_sweeps", refine_sweeps)
-    seed = integer("seed", seed)
     if not 8 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be between 8 and {MAX_GRID_SIZE}, got {grid_size}")
-    if refine_sweeps < 0:
-        raise ValueError(f"refine_sweeps must be nonnegative, got {refine_sweeps}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     sign = 1.0 if mode == "min" else -1.0
 
     pts = TAU * np.arange(grid_size) / grid_size
-    gx, gy, gz = np.meshgrid(pts, pts, pts, indexing="ij")
-    vals = sign * _ch_offsets(gx, gy, gz)
-    flat = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    order = np.argsort(vals.ravel(), kind="stable")
-
-    rng = np.random.default_rng(seed)
-    candidates = [flat[i] for i in order[:_GRID_STARTS]]
-    candidates.extend(rng.uniform(0.0, TAU, size=(2, 3)))
-
-    best_point, best_val = None, math.inf
-    for cand in candidates:
-        point, val = _refine(np.asarray(cand, dtype=float), sign, refine_sweeps)
-        if sign * val < best_val:
-            best_point, best_val = point, sign * val
-
-    theta = (0.0, float(best_point[0]), float(best_point[1]), float(best_point[2]))
+    vals = sign * _ch_offsets(*np.meshgrid(pts, pts, pts, indexing="ij"))
+    best = pts[list(np.unravel_index(np.argmin(vals), vals.shape))]
+    theta = (0.0, *map(float, _refine(best, sign)))
     return tuple(singlet.canonical_angle(t) for t in theta), singlet.ch_value(theta)
 
 
@@ -201,8 +177,8 @@ class SearchConfig:
             value = getattr(self, name)
             try:
                 value = tuple(real_number(name, v) for v in value) if name == "eps_band" else real_number(name, value)
-            except (TypeError, OverflowError):  # eps_band not iterable, or an int past the float range
-                raise WeakChError(f"{name} must be made of real numbers within the float range") from None
+            except TypeError:  # eps_band not iterable
+                raise WeakChError(f"{name} must be made of real numbers") from None
             object.__setattr__(self, name, value)
         # a step of 1 already moves each weight (noise step_init / n) by about its own size (1 / n)
         if not (0.0 < self.step_init <= 1.0 and 0.0 < self.step_decay <= 1.0):

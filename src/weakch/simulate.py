@@ -60,7 +60,7 @@ class SimConfig:
             raise WeakChError(f"source must be 'singlet' or an EprbModel, got {self.source!r}")
         try:
             theta = tuple(real_number("an angle", t) for t in self.theta)
-        except (TypeError, OverflowError):  # theta not iterable, or an int angle past the float range
+        except TypeError:  # theta not iterable
             raise WeakChError("theta must hold exactly four finite angles") from None
         if len(theta) != 4 or not all(map(math.isfinite, theta)):
             raise WeakChError(f"theta must hold exactly four finite angles, got {theta}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_correction_terms, reference_weak_ch_bounds
+from weakch import simulate as sim
 from weakch.inequalities import (
     QUANTUM_EXCESS,
     SYMMETRIC_SETTINGS,
@@ -413,6 +414,27 @@ def test_real_numbers_takes_numbers_only():
             real_numbers(bad)
     with pytest.raises(OverflowError):
         real_numbers([10**400])
+
+
+def _estimate():
+    return sim.estimate(sim.sample_runs(sim.SimConfig(seed=1, n=1000)))
+
+
+@pytest.mark.parametrize(
+    "call, error, name",
+    [
+        (lambda: weak_ch_bounds(10**400), BadEpsilon, "epsilon"),
+        (lambda: correction_terms(10**400), BadEpsilon, "epsilon"),
+        (lambda: sim.test_inequality(_estimate(), 10**400), BadEpsilon, "epsilon"),
+        (lambda: sim.test_inequality(_estimate(), 0.0, 10**400), WeakChError, "k_sigma"),
+        (lambda: evaluate_weak_ch(10**400, (-1.0, 0.0), True), WeakChError, "value"),
+    ],
+    ids=["weak_ch_bounds", "correction_terms", "test_inequality epsilon", "test_inequality k_sigma", "evaluate_weak_ch"],
+)
+def test_an_int_past_the_float_range_is_a_named_error(call, error, name):
+    # float() of such an int raises OverflowError, which no caller expects
+    with pytest.raises(error, match=f"^{name} must be a real number within the float range$"):
+        call()
 
 
 def test_left_sum_adds_from_the_left():

@@ -2,6 +2,7 @@
 
 import importlib
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,19 @@ def test_readme_library_quick_start_runs(capsys):
     assert checks == "True"
     max_abs, joint_ok = validators.split()
     assert float(max_abs) <= 1e-9 and joint_ok == "True"
+
+
+def test_readme_command_lines_parse():
+    # Each weakch line of the Command line block, comments stripped and
+    # continuations joined, is parsed but not run: a flag that the CLI no
+    # longer has fails here.
+    from weakch.cli import _HANDLERS, _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```\n(.*?)```", section, re.S)
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("weakch ")]
+    assert {argv[0] for argv in commands} == set(_HANDLERS)
+    for argv in commands:
+        _build_parser().parse_args(argv)

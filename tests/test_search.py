@@ -32,7 +32,7 @@ from weakch.search import (
     optimize_angles,
     search_counterexample,
 )
-from weakch.singlet import ch_terms
+from weakch.singlet import ch_terms, ch_value
 from weakch.spaces import WeakChError
 
 
@@ -93,39 +93,19 @@ def test_search_config_caps_the_weight_tensor():
             SearchConfig(cause_cards=cards)
 
 
-def test_optimizer_rejects_negative_refine_sweeps():
-    # range(-1) would silently run no sweep
-    with pytest.raises(ValueError, match="refine_sweeps"):
-        optimize_angles(grid_size=8, refine_sweeps=-1)
-    _, value = optimize_angles(grid_size=8, refine_sweeps=0)  # grid points only
-    assert TSIRELSON_LOWER - 1e-12 <= value <= TSIRELSON_UPPER + 1e-12
+@pytest.mark.parametrize("value", [8.5, True], ids=["8.5", "True"])  # 8.5 would run a nine-point uneven grid
+def test_optimizer_reads_its_grid_size_as_an_integer(value):
+    with pytest.raises(WeakChError, match="grid_size must be an integer"):
+        optimize_angles(grid_size=value)
 
 
-def test_optimizer_rejects_a_negative_seed():
-    # numpy's own refusal would not say which input was negative
-    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
-        optimize_angles(grid_size=8, seed=-1)
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        ({"grid_size": 8.5}, "grid_size"),  # would run a nine-point uneven grid
-        ({"refine_sweeps": 2.5}, "refine_sweeps"),
-        ({"seed": None}, "seed"),
-        ({"seed": True}, "seed"),
-    ],
-)
-def test_optimizer_reads_its_counts_as_integers(kwargs, name):
-    with pytest.raises(WeakChError, match=f"{name} must be an integer"):
-        optimize_angles(**{"grid_size": 8, **kwargs})
-
-
-@pytest.mark.parametrize("mode", ["min", "max"])
-@pytest.mark.parametrize("grid,seed", [(8, 0), (12, 1), (16, 2)])
-def test_optimizer_value_stays_in_quantum_interval(mode, grid, seed):
-    _, value = optimize_angles(mode=mode, seed=seed, grid_size=grid)
-    assert TSIRELSON_LOWER - 1e-9 <= value <= TSIRELSON_UPPER + 1e-9
+@pytest.mark.parametrize("mode, bound", [("min", TSIRELSON_LOWER), ("max", TSIRELSON_UPPER)])
+def test_optimizer_reaches_tsirelson_from_its_best_grid_point(mode, bound):
+    # every grid from 8 to 24 points a side, and the largest ones
+    for grid in [*range(8, 25), 64, 127, 128]:
+        theta, value = optimize_angles(mode=mode, grid_size=grid)
+        assert abs(value - bound) <= 2e-15, (grid, value)
+        assert value == ch_value(theta), grid
 
 
 def test_penalty_zero_for_product_model():

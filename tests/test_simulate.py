@@ -181,10 +181,14 @@ def test_config_reads_angles_as_real_numbers(theta):
         sim.SimConfig(seed=1, n=10, theta=theta)
 
 
-@pytest.mark.parametrize("theta", [None, (10**400, 0, 0, 0)], ids=["None", "past the float range"])
-def test_config_names_theta_when_it_cannot_read_it(theta):
+@pytest.mark.parametrize(
+    "theta, message",
+    [(None, "^theta must"), ((10**400, 0, 0, 0), "^an angle must be a real number within the float range")],
+    ids=["None", "past the float range"],
+)
+def test_config_names_theta_when_it_cannot_read_it(theta, message):
     # not iterable, or an int past the float range: Python's own TypeError or OverflowError otherwise
-    with pytest.raises(WeakChError, match="^theta must"):
+    with pytest.raises(WeakChError, match=message):
         sim.SimConfig(seed=1, n=10, theta=theta)
 
 
