@@ -688,6 +688,14 @@ def test_cli_process_starts_no_blas_threads():
     assert (code, heavy, blas) == (0, ["numpy"], "2")
 
 
+def test_optimize_angles_rejects_a_grid_below_eight(capsys):
+    code, env, err = run_json(capsys, "optimize-angles", "--grid", "7")
+    assert code == 2
+    assert env["command"] == "optimize-angles"
+    assert env["error"] == "grid_size must be between 8 and 128, got 7"
+    assert "Traceback" not in err
+
+
 def test_check_rejects_nonfinite_value(capsys):
     for bad in ("nan", "inf", "-inf"):
         code, out, err = run(capsys, "check", f"--value={bad}", "--epsilon", "1e-3")

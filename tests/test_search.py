@@ -78,6 +78,12 @@ def test_optimizer_rejects_small_grid():
         optimize_angles(grid_size=4)
 
 
+def test_optimizer_rejects_an_unknown_mode():
+    # the sign of the grid's objective is read from it; nothing else is extremized
+    with pytest.raises(ValueError, match="^mode must be 'min' or 'max', got 'median'$"):
+        optimize_angles(mode="median")
+
+
 def test_optimizer_rejects_a_grid_above_its_cap():
     # the grid holds grid_size**3 points; one above the cap is refused
     # before anything is allocated
