@@ -24,7 +24,9 @@ TAU = 2.0 * math.pi
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 _REFINE_SWEEPS = 60  # cap on optimize_angles' coordinate-descent sweeps
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
-_BLOCK_WEIGHTS = 2**14  # weights per block of search proposals drawn and screened at once
+# weights per block of search proposals drawn and screened at once; the next
+# block is drawn on a helper thread while this one is screened
+_BLOCK_WEIGHTS = 2**14
 
 
 def _ch_offsets(x, y, z):
@@ -206,10 +208,12 @@ class SearchResult:
     cannot be built never does.
 
     Proposals are drawn, projected and screened for locality in blocks
-    of up to 2**14 weights. The screen turns away a proposal whose
-    locality residuals alone already exceed the current penalty; every
-    other proposal is evaluated in full. The walk, its trace and accepted
-    are those of proposing and judging one step at a time, bit for bit.
+    of up to 2**14 weights. The next block's noise is drawn on a helper
+    thread while this one is screened, in the stream's order. The screen
+    turns away a proposal whose locality residuals alone already exceed
+    the current penalty; every other proposal is evaluated in full. The
+    walk, its trace and accepted are those of proposing and judging one
+    step at a time, bit for bit.
     """
 
     model: EprbModel
@@ -270,7 +274,19 @@ def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
     )
 
 
-def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
+def _step_blocks(cfg: SearchConfig, block: int):
+    # The step of each proposal, one list per block, computed as the walk
+    # reaches it: the whole schedule would hold max_iters floats.
+    step = cfg.step_init
+    for first in range(0, cfg.max_iters, block):
+        steps = []
+        for _ in range(min(block, cfg.max_iters - first)):
+            steps.append(step)
+            step *= cfg.step_decay
+        yield steps
+
+
+def _run_restart(cfg: SearchConfig, restart: int, helper) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = cfg.cause_cards
     shape = (2, 2, 2, 2, *cards)
@@ -278,24 +294,29 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     lo, hi = cfg.eps_band
     start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=sp)
     w = start.weights.ravel()
+    size = w.size
+
+    def draw(steps):
+        # A proposal's noise does not depend on which earlier proposals were
+        # accepted, so a block of them draws it at once: the same stream as
+        # one draw of w.size per proposal. Only the helper calls this, one
+        # block after another, so the stream keeps its order.
+        delta = rng.standard_normal((len(steps), size))
+        delta *= np.array(steps)[:, None]
+        delta *= 1.0 / size
+        return delta
+
+    blocks = _step_blocks(cfg, max(1, _BLOCK_WEIGHTS // size))
+    pending = helper.submit(draw, next(blocks))
     cur = _evaluate(w, shape, cards, cfg)
 
     trace = []
     accepted = 0
-    step = cfg.step_init
-    scale = 1.0 / w.size
-    block = max(1, _BLOCK_WEIGHTS // w.size)
-    for first in range(0, cfg.max_iters, block):
-        # A proposal's noise does not depend on which earlier proposals were
-        # accepted, so a block of them draws it at once: the same stream as
-        # one draw of w.size per proposal.
-        steps = []
-        for _ in range(min(block, cfg.max_iters - first)):
-            steps.append(step)
-            step *= cfg.step_decay
-        delta = rng.standard_normal((len(steps), w.size))
-        delta *= np.array(steps)[:, None]
-        delta *= scale
+    while pending is not None:
+        delta = pending.result()
+        # the next block's noise is drawn while this block is screened
+        steps = next(blocks, None)
+        pending = None if steps is None else helper.submit(draw, steps)
         while len(delta):
             # After an acceptance the rest of the block is proposed again
             # from the new state, with the noise already drawn.
@@ -343,6 +364,15 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     result; merging picks the best objective with the lowest restart index
     as the tiebreak. With a deficit band containing only zero the two
     intervals coincide, so no feasible point exists there.
+
+    The restarts run in turn on the calling thread and share one helper
+    thread, which draws each block's noise from the restart's stream while
+    the caller screens the block before it. Only numpy runs on the helper,
+    and it has exited when this returns or raises.
     """
-    results = [_run_restart(cfg, r) for r in range(cfg.restarts)]
+    # imported here, so that importing this module does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:
+        results = [_run_restart(cfg, r, helper) for r in range(cfg.restarts)]
     return max(results, key=lambda res: (res.objective, -res.restart_index))

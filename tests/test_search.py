@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -541,3 +545,81 @@ def test_search_does_not_depend_on_the_block_length(monkeypatch, block_weights):
     assert other.trace == res.trace
     assert other.model.weights.tobytes() == res.model.weights.tobytes()
     assert (other.objective, other.penalty, other.accepted) == (res.objective, res.penalty, res.accepted)
+
+
+ACCEPTING = SearchConfig(
+    seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0), step_init=1e-16,
+)
+WIDE = SearchConfig(seed=5, restarts=2, max_iters=30, cause_cards=(4, 4, 4, 4))
+
+
+def test_concurrent_callers_get_their_sequential_results():
+    # Each call has its own restart streams and its own draw helper, so
+    # three calls running at once, with the interpreter switching threads
+    # often, return what each returns alone.
+    configs = (WIDE, ACCEPTING, SearchConfig(seed=3, restarts=2, max_iters=70))
+    alone = [search_counterexample(cfg) for cfg in configs]
+    barrier = threading.Barrier(len(configs))
+
+    def run(cfg):
+        barrier.wait(timeout=60)
+        return search_counterexample(cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(configs)) as callers:
+            futures = [callers.submit(run, cfg) for cfg in configs]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert alone[1].accepted > 0
+    for res, ref in zip(together, alone):
+        assert res.trace == ref.trace
+        assert (res.objective, res.accepted) == (ref.objective, ref.accepted)
+        assert res.model.weights.tobytes() == ref.model.weights.tobytes()
+
+
+def test_a_search_leaves_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    search_counterexample(WIDE)
+    assert threading.active_count() == before
+    calls = itertools.count(1)
+    screen = search_mod._locality_rejects
+
+    def failing(*args):
+        # the third block's screen, with the fourth block's draw under way
+        if next(calls) == 3:
+            raise RuntimeError("screen failed")
+        return screen(*args)
+
+    monkeypatch.setattr(search_mod, "_locality_rejects", failing)
+    with pytest.raises(RuntimeError, match="screen failed"):
+        search_counterexample(WIDE)
+    assert threading.active_count() == before
+
+
+def test_importing_the_search_loads_no_thread_pool():
+    code = "import sys, weakch.search\nprint('concurrent.futures' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_weakch_functions_run_on_the_calling_thread(monkeypatch):
+    # Only numpy's draws run on the helper: a tracer that assumes one
+    # thread sees every weakch call on the caller's.
+    threads = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_evaluate", "_locality_rejects", "_project_simplex"):
+        monkeypatch.setattr(search_mod, name, recording(name, getattr(search_mod, name)))
+    monkeypatch.setattr(EprbModel, "weak_report", recording("weak_report", EprbModel.weak_report))
+    search_counterexample(WIDE)
+    caller = {threading.get_ident()}
+    assert threads == dict.fromkeys(("_evaluate", "_project_simplex", "_locality_rejects", "weak_report"), caller)
