@@ -248,9 +248,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eps-band", default="1e-6,1e-3")
     p.add_argument("--cards", default="2,2,2,2")
-    p.add_argument("--step", type=_finite_float, default=0.05)
-    p.add_argument("--decay", type=_finite_float, default=0.99)
-    p.add_argument("--penalty-weight", type=_finite_float, default=1e4)
 
     p = sub.add_parser("simulate", help="Monte Carlo record with inequality test")
     p.add_argument("--seed", type=int, required=True)
@@ -395,9 +392,6 @@ def _cmd_search(args) -> tuple[dict, object, int]:
         restarts=args.restarts,
         max_iters=args.iters,
         cause_cards=tuple(cards),
-        step_init=args.step,
-        step_decay=args.decay,
-        penalty_weight=args.penalty_weight,
         eps_band=(band[0], band[1]),
     )
     res = search.search_counterexample(cfg)

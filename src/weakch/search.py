@@ -10,6 +10,7 @@ import numpy as np
 from . import singlet
 from .common_cause import (
     _WINGS,
+    PRECONDITION_TOL,
     EprbModel,
     cause_cardinalities,
     locality_residuals,
@@ -27,6 +28,11 @@ MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_ca
 # weights per block of search proposals drawn and screened at once; the next
 # block is drawn on a helper thread while this one is screened
 _BLOCK_WEIGHTS = 2**14
+# the walk's step schedule (step k is _STEP_INIT * _STEP_DECAY**k, applied to
+# noise scaled by 1 / w.size) and the weight of the penalty in its objective
+_STEP_INIT = 0.05
+_STEP_DECAY = 0.99
+_PENALTY_WEIGHT = 1e4
 
 
 def _ch_offsets(x, y, z):
@@ -157,17 +163,17 @@ def _locality_rejects(props: np.ndarray, shape: tuple, cutoff: float) -> np.ndar
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the counterexample search; deterministic per seed."""
+    """A counterexample search's seed, sizes and deficit band; deterministic per seed.
+
+    The walk's step schedule and penalty weight are the module constants
+    _STEP_INIT, _STEP_DECAY and _PENALTY_WEIGHT.
+    """
 
     seed: int = 0
     restarts: int = 4
     max_iters: int = 200
     cause_cards: tuple[int, int, int, int] = (2, 2, 2, 2)
-    step_init: float = 0.05
-    step_decay: float = 0.99
-    penalty_weight: float = 1e4
     eps_band: tuple[float, float] = (1e-6, 1e-3)
-    feas_tol: float = 1e-9
 
     def __post_init__(self):
         for name, lower in (("seed", 0), ("restarts", 1), ("max_iters", 1)):
@@ -175,22 +181,12 @@ class SearchConfig:
         object.__setattr__(self, "cause_cards", cause_cardinalities(self.cause_cards, 2))
         if 16 * math.prod(self.cause_cards) > MAX_SEARCH_WEIGHTS:
             raise WeakChError(f"cause_cards give more than {MAX_SEARCH_WEIGHTS} weights")
-        for name in ("step_init", "step_decay", "penalty_weight", "feas_tol", "eps_band"):
-            value = getattr(self, name)
-            try:
-                value = tuple(real_number(name, v) for v in value) if name == "eps_band" else real_number(name, value)
-            except TypeError:  # eps_band not iterable
-                raise WeakChError(f"{name} must be made of real numbers") from None
-            object.__setattr__(self, name, value)
-        # a step of 1 already moves each weight (noise step_init / n) by about its own size (1 / n)
-        if not (0.0 < self.step_init <= 1.0 and 0.0 < self.step_decay <= 1.0):
-            raise WeakChError("step schedule must have step_init and step_decay in (0, 1]")
-        # NaN fails every comparison, so these reject it too
-        if not 0.0 <= self.penalty_weight < math.inf:
-            raise WeakChError("penalty_weight must be finite and nonnegative")
-        if not 0.0 <= self.feas_tol < math.inf:
-            raise WeakChError("feas_tol must be finite and nonnegative")
-        if len(self.eps_band) != 2 or not 0.0 <= self.eps_band[0] <= self.eps_band[1] <= 1.0:
+        try:
+            band = tuple(real_number("eps_band", v) for v in self.eps_band)
+        except TypeError:  # not iterable
+            raise WeakChError("eps_band must be made of real numbers") from None
+        object.__setattr__(self, "eps_band", band)
+        if len(band) != 2 or not 0.0 <= band[0] <= band[1] <= 1.0:
             raise WeakChError("eps_band must satisfy 0 <= lo <= hi <= 1")
 
 
@@ -198,9 +194,10 @@ class SearchConfig:
 class SearchResult:
     """Best state of the search, with its certificate data.
 
-    feasible is claimed only after the assumption validators re-confirm the
-    penalty and the inequality statuses recompute identically; an
-    infeasible outcome is a valid result, never a nonexistence claim.
+    feasible is claimed only when each assumption validator's residuals are
+    within PRECONDITION_TOL, the tolerance check-model applies, and a
+    re-evaluation confirms that and the inequality statuses; an infeasible
+    outcome is a valid result, never a nonexistence claim.
 
     accepted counts the proposals of this restart that moved the walk.
     A proposal moves it when its full evaluation improves the objective
@@ -247,7 +244,7 @@ def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _
     weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
     lo, hi = cfg.eps_band
     band_dist = max(lo - eps, eps - hi, 0.0)
-    objective = strict_excess - cfg.penalty_weight * (
+    objective = strict_excess - _PENALTY_WEIGHT * (
         pen + band_dist * band_dist + weak_excess * weak_excess
     )
     return _Eval(model, pen, weak, strict_excess, objective)
@@ -265,24 +262,27 @@ def _move(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchC
 
 
 def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
+    # The validators must hold within the tolerance that check-model applies
+    # through joint_cause_bounds_check; their reports are kept on the model.
     lo, hi = cfg.eps_band
+    validators = (validate_loc, validate_no_conspiracy, validate_screening)
     return (
-        ev.penalty <= cfg.feas_tol
-        and lo - 1e-12 <= ev.weak.epsilon <= hi + 1e-12
+        lo - 1e-12 <= ev.weak.epsilon <= hi + 1e-12
         and ev.strict_excess > 1e-12
         and not ev.weak.violated
+        and all(validate(ev.model).max_abs <= PRECONDITION_TOL for validate in validators)
     )
 
 
 def _step_blocks(cfg: SearchConfig, block: int):
     # The step of each proposal, one list per block, computed as the walk
     # reaches it: the whole schedule would hold max_iters floats.
-    step = cfg.step_init
+    step = _STEP_INIT
     for first in range(0, cfg.max_iters, block):
         steps = []
         for _ in range(min(block, cfg.max_iters - first)):
             steps.append(step)
-            step *= cfg.step_decay
+            step *= _STEP_DECAY
         yield steps
 
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from weakch import common_cause, singlet
+from weakch import common_cause, search, singlet
 from weakch.common_cause import (
     EprbModel,
     random_eprb_model,
@@ -158,11 +158,11 @@ def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
     weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
     lo, hi = cfg.eps_band
     band_dist = max(lo - weak.epsilon, weak.epsilon - hi, 0.0)
-    objective = strict_excess - cfg.penalty_weight * (
+    objective = strict_excess - search._PENALTY_WEIGHT * (
         pen + band_dist * band_dist + weak_excess * weak_excess
     )
     return SimpleNamespace(
-        penalty=pen, epsilon=weak.epsilon, ch=v, weak=weak,
+        model=model, penalty=pen, epsilon=weak.epsilon, ch=v, weak=weak,
         strict_excess=strict_excess, objective=objective,
     )
 
@@ -178,7 +178,7 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     cur = _full_evaluation(w, shape, cards, cfg)
     trace = []
     accepted = 0
-    step = cfg.step_init
+    step = search._STEP_INIT
     scale = 1.0 / w.size
     for _ in range(cfg.max_iters):
         prop = w + rng.standard_normal(w.size) * step * scale
@@ -191,9 +191,12 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
             w, cur = prop, nxt
             accepted += 1
         trace.append((cur.penalty, cur.objective))
-        step *= cfg.step_decay
+        step *= search._STEP_DECAY
     feasible = (
-        cur.penalty <= cfg.feas_tol
+        all(
+            validate(cur.model).max_abs <= common_cause.PRECONDITION_TOL
+            for validate in (validate_loc, validate_no_conspiracy, validate_screening)
+        )
         and lo - 1e-12 <= cur.epsilon <= hi + 1e-12
         and cur.strict_excess > 1e-12
         and not cur.weak.violated

@@ -13,12 +13,16 @@ import numpy as np
 import weakch.simulate as sim
 from weakch.cli import main
 from weakch.common_cause import (
+    PRECONDITION_TOL,
     ch_atom_oracle,
     check_cause_mass_bounds,
     joint_cause_bounds_check,
     pairwise_model_from_dict,
     random_eprb_model,
     random_screened_model,
+    validate_loc,
+    validate_no_conspiracy,
+    validate_screening,
 )
 from weakch.inequalities import (
     TSIRELSON_LOWER,
@@ -29,7 +33,7 @@ from weakch.inequalities import (
     no_signalling_residuals,
     weak_ch_bounds,
 )
-from weakch.search import SearchConfig, constraint_penalty, optimize_angles, search_counterexample
+from weakch.search import SearchConfig, optimize_angles, search_counterexample
 from weakch.singlet import ch_value, outcome_tables
 
 PI = math.pi
@@ -265,7 +269,8 @@ def test_c13_counterexample_search_properties():
         and np.array_equal(r1.model.weights, r2.model.weights)
     )
     if r1.feasible:
-        ok = ok and constraint_penalty(r1.model) <= cfg.feas_tol
+        validators = (validate_loc, validate_no_conspiracy, validate_screening)
+        ok = ok and max(validate(r1.model).max_abs for validate in validators) <= PRECONDITION_TOL
         ok = ok and not r1.weak_report.violated
         ok = ok and (r1.ch_value < -1.0 or r1.ch_value > 0.0)
     zero_cfg = SearchConfig(seed=7, restarts=2, max_iters=40, eps_band=(0.0, 0.0))

@@ -339,6 +339,15 @@ def test_search_cli_roundtrip(capsys):
     assert constraint_penalty(model) == pytest.approx(env["result"]["penalty"], abs=1e-12)
 
 
+@pytest.mark.parametrize("flag, value", [("--step", "0.1"), ("--decay", "0.9"), ("--penalty-weight", "1")])
+def test_search_has_no_walk_settings(capsys, flag, value):
+    # the step schedule and the penalty weight are fixed in weakch.search
+    code, out, err = run(capsys, "search", "--restarts", "1", "--iters", "2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
 def test_search_cli_exits_3_on_a_confirmed_feasible_model(capsys, monkeypatch):
     # no seeded search reaches a feasible model in test time, so feasibility is forced
     import weakch.search
@@ -563,7 +572,7 @@ _EMITTING_PATHS = [
     (["optimize-angles", "--grid", "7"], 2, "error"),
     (["search", "--restarts", "1", "--iters", "2"], 0, "ok"),
     (["search", "--restarts", "1", "--iters", "2", "--eps-band", "1e-3,1e-6"], 2, "error"),
-    (["search", "--restarts", "1", "--iters", "2", "--step", "1e300"], 2, "error"),
+    (["search", "--restarts", "1", "--iters", "2", "--cards", "16,16,16,16"], 2, "error"),  # above MAX_SEARCH_WEIGHTS
     (["simulate", "--seed", "1", "--n", "100"], 0, "ok"),
     (["simulate", "--seed", "2", "--n", "2000", "--angles", LOWER, "--epsilon", "0"], 3, "ok"),
     (["simulate", "--seed", "1", "--n", "3", "--angles", "0,1,2,3"], 2, "error"),
@@ -788,9 +797,6 @@ _NUMERIC_ARGS = [
     (["search", "--restarts", "1"], "--iters", "1"),
     (["search", "--restarts", "1", "--iters", "1"], "--eps-band", "1e-6,1e-3"),
     (["search", "--restarts", "1", "--iters", "1"], "--cards", "2,2,2,2"),
-    (["search", "--restarts", "1", "--iters", "1"], "--step", "0.05"),
-    (["search", "--restarts", "1", "--iters", "1"], "--decay", "0.99"),
-    (["search", "--restarts", "1", "--iters", "1"], "--penalty-weight", "1e4"),
     (["simulate", "--n", "100"], "--seed", "1"),
     (["simulate", "--seed", "1"], "--n", "100"),
     (["simulate", "--seed", "1", "--n", "100"], "--angles", "0,0,0,0"),

@@ -47,7 +47,7 @@ from weakch.common_cause import (
     validate_screening,
 )
 from weakch import common_cause as cc
-from weakch import singlet
+from weakch import search, singlet
 from weakch.inequalities import BadSettingProbs, pair_settings
 from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
@@ -876,15 +876,13 @@ def test_measuring_a_model_formats_no_label(monkeypatch):
     formatted = count_labels(monkeypatch)
     # the walk as the benchmark runs it (locality rejects every proposal),
     # then one whose tiny steps pass every validator and get accepted
-    walks = [
-        search_counterexample(cfg)
-        for cfg in (
-            SearchConfig(seed=1, restarts=2, max_iters=30),
-            SearchConfig(
-                seed=2, restarts=1, max_iters=30, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0), step_init=1e-16
-            ),
+    walks = [search_counterexample(SearchConfig(seed=1, restarts=2, max_iters=30))]
+    monkeypatch.setattr(search, "_STEP_INIT", 1e-16)
+    walks.append(
+        search_counterexample(
+            SearchConfig(seed=2, restarts=1, max_iters=30, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0))
         )
-    ]
+    )
     assert walks[0].accepted == 0
     assert walks[1].accepted > 0
     # the validators, the joint-cause check and the weak report, called as

@@ -92,3 +92,15 @@ def test_readme_command_lines_parse():
     assert {argv[0] for argv in commands} == set(_HANDLERS)
     for argv in commands:
         _build_parser().parse_args(argv)
+
+
+def test_console_script_is_the_cli_main():
+    # CI runs the installed weakch script; this ties its entry point to main
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import weakch.cli
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["weakch"]
+    module, _, attr = entry.partition(":")
+    assert (module, attr) == ("weakch.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is weakch.cli.main

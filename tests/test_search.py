@@ -21,10 +21,15 @@ from test_validator_fixture import CARDS as FIXTURE_CARDS
 from test_validator_fixture import validator_models
 from weakch.common_cause import (
     _WINGS,
+    PRECONDITION_TOL,
     EprbModel,
+    PreconditionViolated,
+    joint_cause_bounds_check,
     locality_residuals,
     random_eprb_model,
     validate_loc,
+    validate_no_conspiracy,
+    validate_screening,
 )
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER, tsirelson_check
 from weakch.search import (
@@ -32,6 +37,7 @@ from weakch.search import (
     MAX_SEARCH_WEIGHTS,
     SearchConfig,
     _evaluate,
+    _feasible,
     constraint_penalty,
     optimize_angles,
     search_counterexample,
@@ -152,24 +158,12 @@ def test_config_validation():
     with pytest.raises(WeakChError, match="cause cardinalities"):
         SearchConfig(cause_cards=(2.5, 2, 2, 2))
     with pytest.raises(WeakChError):
-        SearchConfig(step_init=0.0)
-    with pytest.raises(WeakChError):
         SearchConfig(eps_band=(0.5, 0.1))
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("step_init", math.inf),
-        ("step_init", math.nan),
-        ("step_init", 2.0),
-        ("step_init", 1e300),
-        ("penalty_weight", math.nan),
-        ("penalty_weight", math.inf),
-        ("penalty_weight", -1.0),
-        ("feas_tol", math.nan),
-        ("feas_tol", math.inf),
-        ("feas_tol", -1e-12),
         ("seed", 1.5),
         ("seed", None),
         ("seed", True),
@@ -178,25 +172,19 @@ def test_config_validation():
         ("max_iters", 2.0),
         ("max_iters", None),
         ("max_iters", "3"),
-        ("step_init", "0.1"),
-        ("step_decay", True),
-        ("penalty_weight", True),
-        ("feas_tol", None),
         ("eps_band", ("0", 1e-3)),
         ("eps_band", (0.0, False)),
     ],
 )
 def test_config_rejects_non_finite_and_negative_knobs(field, value):
-    # a NaN penalty weight makes every objective NaN, so the walk could
-    # never accept a step and would still return normally
     with pytest.raises(WeakChError, match=field):
         SearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("eps_band", None), ("eps_band", (10**400, 1)), ("step_init", 10**400)],
-    ids=["eps_band None", "eps_band past the float range", "step_init past the float range"],
+    [("eps_band", None), ("eps_band", (10**400, 1))],
+    ids=["eps_band None", "eps_band past the float range"],
 )
 def test_config_names_the_field_it_cannot_read(field, value):
     # not iterable, or an int past the float range: Python's own TypeError or OverflowError otherwise
@@ -210,9 +198,12 @@ def test_config_stores_python_ints():
     assert all(type(v) is int for v in (cfg.seed, cfg.restarts, cfg.max_iters, *cfg.cause_cards))
 
 
-def test_config_accepts_zero_penalty_weight_and_feas_tol():
-    cfg = SearchConfig(penalty_weight=0.0, feas_tol=0.0)
-    assert (cfg.penalty_weight, cfg.feas_tol) == (0.0, 0.0)
+@pytest.mark.parametrize("field", ["step_init", "step_decay", "penalty_weight", "feas_tol"])
+def test_config_has_no_walk_settings(field):
+    # the step schedule and the penalty weight are module constants, and
+    # feasibility uses the validators' precondition tolerance
+    with pytest.raises(TypeError, match=field):
+        SearchConfig(**{field: 0.5})
 
 
 def test_search_replay_is_bit_identical():
@@ -247,12 +238,34 @@ def test_search_feasible_claims_are_validated():
     cfg = SearchConfig(seed=8, restarts=2, max_iters=60)
     res = search_counterexample(cfg)
     if res.feasible:
-        assert constraint_penalty(res.model) <= cfg.feas_tol
+        validators = (validate_loc, validate_no_conspiracy, validate_screening)
+        assert max(validate(res.model).max_abs for validate in validators) <= PRECONDITION_TOL
         assert not res.weak_report.violated
         assert res.ch_value < -1.0 or res.ch_value > 0.0
     else:
         # an infeasible outcome is a valid result and never a nonexistence claim
         assert res.model is not None
+
+
+def test_feasibility_needs_every_residual_within_the_precondition_tolerance():
+    # 1e-6 of mass moved between Bob's outcomes at one setting pair leaves
+    # a locality residual of 4e-6 but a penalty of only 6.4e-11, while CH
+    # breaks the strict interval inside the weak one: check-model refuses
+    # the model, so the search must not call it feasible.
+    m = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
+    w = m.weights.copy()
+    move = 1e-6 * w[1, 0, 0, 1] / w[1, 0, 0, 1].sum()
+    w[1, 0, 0, 1] -= move
+    w[1, 0, 0, 0] += move
+    model = EprbModel(w, (2, 2, 2, 2))
+    cfg = SearchConfig()
+    ev = _evaluate(model.weights, model.weights.shape, model.cause_cards, cfg)
+    assert ev.penalty < 1e-10
+    assert ev.weak.value < -1.0 and not ev.weak.violated
+    assert cfg.eps_band[0] <= ev.weak.epsilon <= cfg.eps_band[1]
+    with pytest.raises(PreconditionViolated, match="locality"):
+        joint_cause_bounds_check(ev.model)
+    assert _feasible(ev, cfg) is False
 
 
 CARDS = [(2, 2, 2, 2), (3, 2, 4, 2), (4, 4, 4, 4)]
@@ -276,20 +289,17 @@ def _assert_same_search(res, ref, cfg):
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("cards", CARDS)
 @pytest.mark.parametrize("step", [0.05, 1e-16])
-def test_lazy_search_matches_full_evaluation(cards, band, step):
+def test_lazy_search_matches_full_evaluation(monkeypatch, cards, band, step):
     # The tiny step keeps proposals within rounding of the start, so some
     # pass locality and reach the later stages or the objective.
-    cfg = SearchConfig(
-        seed=2, restarts=2, max_iters=30, cause_cards=cards, eps_band=band, step_init=step
-    )
+    monkeypatch.setattr(search_mod, "_STEP_INIT", step)
+    cfg = SearchConfig(seed=2, restarts=2, max_iters=30, cause_cards=cards, eps_band=band)
     _assert_same_search(search_counterexample(cfg), reference_search(cfg), cfg)
 
 
-def test_lazy_search_matches_full_evaluation_across_accepted_steps():
-    cfg = SearchConfig(
-        seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0),
-        step_init=1e-16,
-    )
+def test_lazy_search_matches_full_evaluation_across_accepted_steps(monkeypatch):
+    monkeypatch.setattr(search_mod, "_STEP_INIT", 1e-16)
+    cfg = SearchConfig(seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0))
     res = search_counterexample(cfg)
     assert res.accepted > 0
     _assert_same_search(res, reference_search(cfg), cfg)
@@ -368,10 +378,9 @@ def test_lazy_search_matches_full_evaluation_at_block_edges(cards, iters):
     ((4, 4, 4, 4), (0.0, 0.0), 7, 12),  # accepts proposals 0 and 1 of the first block of 4
     ((2, 2, 2, 2), (1e-6, 1e-3), 11, 70),  # accepts proposal 16 of the first block of 64
 ])
-def test_lazy_search_matches_full_evaluation_across_mid_block_acceptances(cards, band, seed, iters):
-    cfg = SearchConfig(
-        seed=seed, restarts=1, max_iters=iters, cause_cards=cards, eps_band=band, step_init=1e-15
-    )
+def test_lazy_search_matches_full_evaluation_across_mid_block_acceptances(monkeypatch, cards, band, seed, iters):
+    monkeypatch.setattr(search_mod, "_STEP_INIT", 1e-15)
+    cfg = SearchConfig(seed=seed, restarts=1, max_iters=iters, cause_cards=cards, eps_band=band)
     res = search_counterexample(cfg)
     block = search_mod._BLOCK_WEIGHTS // (16 * math.prod(cards))
     moves = [t for t in range(1, iters) if res.trace[t] != res.trace[t - 1]]
@@ -493,8 +502,9 @@ def test_walk_proposals_are_valid_models(monkeypatch, cards, step):
     screen = search_mod._locality_rejects
     blocks = []
     monkeypatch.setattr(search_mod, "_locality_rejects", lambda props, *rest: blocks.append(props.copy()) or screen(props, *rest))
+    monkeypatch.setattr(search_mod, "_STEP_INIT", step)
     for seed in (0, 1, 2):
-        search_counterexample(SearchConfig(seed=seed, restarts=1, max_iters=30, cause_cards=cards, step_init=step))
+        search_counterexample(SearchConfig(seed=seed, restarts=1, max_iters=30, cause_cards=cards))
     props = np.concatenate(blocks)
     assert len(props) >= 90
     assert np.isfinite(props).all() and (props >= 0.0).all()
@@ -534,10 +544,8 @@ def test_feasibility_claims_are_rechecked(monkeypatch, recheck, claimed):
 @pytest.mark.parametrize("block_weights", [1, 3 * 768 + 5, 2**20])
 def test_search_does_not_depend_on_the_block_length(monkeypatch, block_weights):
     # blocks of 1, 3 and all 60 proposals at 768 weights, across 2 acceptances
-    cfg = SearchConfig(
-        seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0),
-        step_init=1e-16,
-    )
+    monkeypatch.setattr(search_mod, "_STEP_INIT", 1e-16)
+    cfg = SearchConfig(seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0))
     res = search_counterexample(cfg)
     monkeypatch.setattr(search_mod, "_BLOCK_WEIGHTS", block_weights)
     other = search_counterexample(cfg)
@@ -547,16 +555,16 @@ def test_search_does_not_depend_on_the_block_length(monkeypatch, block_weights):
     assert (other.objective, other.penalty, other.accepted) == (res.objective, res.penalty, res.accepted)
 
 
-ACCEPTING = SearchConfig(
-    seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0), step_init=1e-16,
-)
+# accepts steps under a step of 1e-16
+ACCEPTING = SearchConfig(seed=2, restarts=1, max_iters=60, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0))
 WIDE = SearchConfig(seed=5, restarts=2, max_iters=30, cause_cards=(4, 4, 4, 4))
 
 
-def test_concurrent_callers_get_their_sequential_results():
+def test_concurrent_callers_get_their_sequential_results(monkeypatch):
     # Each call has its own restart streams and its own draw helper, so
     # three calls running at once, with the interpreter switching threads
     # often, return what each returns alone.
+    monkeypatch.setattr(search_mod, "_STEP_INIT", 1e-16)
     configs = (WIDE, ACCEPTING, SearchConfig(seed=3, restarts=2, max_iters=70))
     alone = [search_counterexample(cfg) for cfg in configs]
     barrier = threading.Barrier(len(configs))
