@@ -339,6 +339,20 @@ def test_search_cli_roundtrip(capsys):
     assert constraint_penalty(model) == pytest.approx(env["result"]["penalty"], abs=1e-12)
 
 
+def test_search_inputs_replay_the_search(capsys):
+    # with the walk settings fixed in weakch.search, the echoed inputs are
+    # the whole configuration: fed back, they give the same walk
+    from weakch.search import SearchConfig, search_counterexample
+
+    code, env, _ = run_json(capsys, "search", "--seed", "9", "--restarts", "2", "--iters", "12", "--cards", "3,2,2,2")
+    assert code == 0
+    res = search_counterexample(SearchConfig(**env["inputs"]))
+    assert [list(t) for t in res.trace] == env["result"]["trace"]
+    assert (res.restart_index, res.objective, res.epsilon) == (
+        env["result"]["restart_index"], env["result"]["objective"], env["result"]["epsilon"],
+    )
+
+
 @pytest.mark.parametrize("flag, value", [("--step", "0.1"), ("--decay", "0.9"), ("--penalty-weight", "1")])
 def test_search_has_no_walk_settings(capsys, flag, value):
     # the step schedule and the penalty weight are fixed in weakch.search

@@ -174,22 +174,35 @@ def test_config_validation():
         ("max_iters", "3"),
         ("eps_band", ("0", 1e-3)),
         ("eps_band", (0.0, False)),
+        ("eps_band", (math.nan, 1e-3)),
+        ("eps_band", (0.0, math.inf)),
+        ("eps_band", (-1e-12, 1e-3)),
+        ("eps_band", (0.0, 1.0 + 1e-12)),
     ],
 )
 def test_config_rejects_non_finite_and_negative_knobs(field, value):
+    # eps_band is the one real-number setting; a NaN end would put every
+    # deficit outside the band, and the search would still return normally
     with pytest.raises(WeakChError, match=field):
         SearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("eps_band", None), ("eps_band", (10**400, 1))],
-    ids=["eps_band None", "eps_band past the float range"],
+    [("eps_band", None), ("eps_band", 5), ("eps_band", (10**400, 1)), ("eps_band", (0, 10**400))],
+    ids=["eps_band None", "eps_band an int", "eps_band past the float range", "eps_band upper past the float range"],
 )
 def test_config_names_the_field_it_cannot_read(field, value):
     # not iterable, or an int past the float range: Python's own TypeError or OverflowError otherwise
     with pytest.raises(WeakChError, match=f"^{field} must"):
         SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("band", [(0, 0), (0.0, 1.0), (1, 1)])
+def test_config_accepts_the_band_edges(band):
+    cfg = SearchConfig(eps_band=band)
+    assert cfg.eps_band == band
+    assert all(type(v) is float for v in cfg.eps_band)
 
 
 def test_config_stores_python_ints():
