@@ -39,6 +39,7 @@ CASES = {
     "check_model_eprb_precondition_failed": (["check-model", "--file", "eprb_precondition_failed.json"], 2),
     "search": (["search", "--seed", "6", "--restarts", "1", "--iters", "10"], 0),
     "optimize_angles": (["optimize-angles"], 0),
+    "optimize_angles_max": (["optimize-angles", "--mode", "max"], 0),
     "simulate": (["simulate", "--seed", "1", "--n", "100000", "--angles", LOWER], 3),
     "simulate_setting_probs": (
         ["simulate", "--seed", "1", "--n", "100000", "--angles", LOWER,
