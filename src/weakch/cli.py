@@ -39,6 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 
 FORMAT_ENV = "WEAKCH_FORMAT"
+FORMATS = ("json", "csv")
 
 
 class _UsageError(Exception):
@@ -169,6 +170,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _output_format(text: str) -> str:
+    """argparse type of --format: unlike choices, it also checks the default read from WEAKCH_FORMAT."""
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"must be json or csv, got {text!r} (the default is read from {FORMAT_ENV})"
+        )
+    return text
+
+
 def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0.0:
@@ -203,7 +213,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="weakch", description=__doc__)
     parser.add_argument(
         "--format",
-        choices=("json", "csv"),
+        type=_output_format,
+        choices=FORMATS,
         default=os.environ.get(FORMAT_ENV, "json"),
         help="output format (env WEAKCH_FORMAT sets the default)",
     )
@@ -213,8 +224,9 @@ def _build_parser() -> _Parser:
         setting_probs.add_argument(flag, type=_finite_float, default=default)
 
     p = sub.add_parser("predict", help="singlet predictions")
-    p.add_argument("--angles", help="four directions t1,t2,t3,t4")
-    p.add_argument("--phi", type=_finite_float, help="single inter-direction angle")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--angles", help="four directions t1,t2,t3,t4")
+    given.add_argument("--phi", type=_finite_float, help="single inter-direction angle")
     p.add_argument("--outcomes", help="outcome pair for --phi, e.g. ++ or +-")
     p.add_argument("--degrees", action="store_true")
 
@@ -235,8 +247,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--file", required=True)
 
     p = sub.add_parser("oracle", help="CH value of an explicit 16-atom distribution")
-    p.add_argument("--atoms", help="16 comma-separated probabilities")
-    p.add_argument("--file", help="JSON file holding a list of 16 probabilities")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--atoms", help="16 comma-separated probabilities")
+    given.add_argument("--file", help="JSON file holding a list of 16 probabilities")
 
     p = sub.add_parser("optimize-angles", help="extremal directions for the combination")
     p.add_argument("--mode", choices=("min", "max"), default="min")
@@ -269,14 +282,12 @@ def _cmd_predict(args) -> tuple[dict, object, int]:
         value = ch_expression(terms)
         result = {"ch_value": value, "terms": terms, "tsirelson_ok": tsirelson_check(value)}
         inputs = {"angles": list(theta), "degrees": bool(args.degrees)}
-    elif args.phi is not None:
+    else:
         if not args.outcomes or len(args.outcomes) != 2 or any(c not in "+-" for c in args.outcomes):
             raise _UsageError("--phi needs --outcomes from {++, +-, -+, --}")
         phi = _maybe_radians([args.phi], args.degrees)[0]
         result = {"joint_prob": singlet.joint_prob(phi, args.outcomes[0], args.outcomes[1])}
         inputs = {"phi": phi, "outcomes": args.outcomes, "degrees": bool(args.degrees)}
-    else:
-        raise _UsageError("predict needs --angles or --phi with --outcomes")
     return inputs, result, EXIT_OK
 
 
@@ -363,12 +374,10 @@ def _cmd_check_model(args) -> tuple[dict, object, int]:
 
 
 def _cmd_oracle(args) -> tuple[dict, object, int]:
-    if args.atoms:
+    if args.atoms is not None:
         probs = _parse_numbers(args.atoms, 16, "--atoms")
-    elif args.file:
-        probs = _read_json(args.file)
     else:
-        raise _UsageError("oracle needs --atoms or --file")
+        probs = _read_json(args.file)
     res = ch_atom_oracle(probs)
     return {"atoms": list(map(float, probs))}, res, EXIT_OK if res.in_bounds else EXIT_VIOLATION
 

@@ -790,6 +790,25 @@ class JointCauseReport:
         return all(p.lower_ok and p.upper_ok for p in self.pairs)
 
 
+def check_assumptions(model: EprbModel) -> None:
+    """Raise PreconditionViolated unless every assumption validator holds.
+
+    Each validator's largest residual must be within PRECONDITION_TOL; one
+    that is not <= it, a NaN included, is refused. The reports are kept on
+    the model, so running them again costs nothing.
+    """
+    tol = PRECONDITION_TOL
+    # listed in the call, so each validator is looked up when it runs
+    for what, validate in (
+        ("locality", validate_loc),
+        ("setting-independence", validate_no_conspiracy),
+        ("screening", validate_screening),
+    ):
+        worst = validate(model).max_abs
+        if not worst <= tol:
+            raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")
+
+
 def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     """Check the correction-term interval around p(+,+|ab) for each pair.
 
@@ -803,16 +822,7 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     side carries the same tolerance. Their reports are kept on the model,
     so a caller that has run them pays nothing to run them again here.
     """
-    tol = PRECONDITION_TOL
-    # listed in the call, so each validator is looked up when it runs
-    for what, validate in (
-        ("locality", validate_loc),
-        ("setting-independence", validate_no_conspiracy),
-        ("screening", validate_screening),
-    ):
-        worst = validate(model).max_abs
-        if worst > tol:
-            raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")
+    check_assumptions(model)
     t = model.outcome_tables()
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]

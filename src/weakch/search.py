@@ -10,9 +10,10 @@ import numpy as np
 from . import singlet
 from .common_cause import (
     _WINGS,
-    PRECONDITION_TOL,
     EprbModel,
+    PreconditionViolated,
     cause_cardinalities,
+    check_assumptions,
     locality_residuals,
     random_eprb_model,
     validate_loc,
@@ -23,7 +24,6 @@ from .inequalities import WeakChError, WeakChReport, ch_expression, integer, rea
 
 TAU = 2.0 * math.pi
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
-_REFINE_SWEEPS = 60  # cap on optimize_angles' coordinate-descent sweeps
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
 # weights per block of search proposals drawn and screened at once; the next
 # block is drawn on a helper thread while this one is screened
@@ -33,6 +33,18 @@ _BLOCK_WEIGHTS = 2**14
 _STEP_INIT = 0.05
 _STEP_DECAY = 0.99
 _PENALTY_WEIGHT = 1e4
+
+
+# The exact extremal offset triples (theta2, theta3, theta4), theta1 = 0, of
+# each mode. With theta1 = 0 the singlet's CH value is (2 - S) / 4 - 1 for
+# S = cos t3 + cos t4 + cos(t2 - t4) - cos(t2 - t3), and S = 2*sqrt(2), its
+# maximum (Tsirelson), forces (t3, t4, t2 - t4) to (-pi/4, pi/4, pi/4) or all
+# three negated. Turning t3 and t4 by pi negates S, which gives the maximum.
+_Q = 0.25 * math.pi
+_EXTREMA = {
+    "min": ((2 * _Q, -_Q, _Q), (-2 * _Q, _Q, -_Q)),
+    "max": ((2 * _Q, math.pi - _Q, math.pi + _Q), (-2 * _Q, math.pi + _Q, math.pi - _Q)),
+}
 
 
 def _ch_offsets(x, y, z):
@@ -47,48 +59,14 @@ def _ch_offsets(x, y, z):
     })
 
 
-def _refine(point: np.ndarray, sign: float) -> np.ndarray:
-    # Each coordinate slice of the objective is a single harmonic
-    # c0 + A cos t + B sin t, so the conditional optimum has a closed form.
-    cur = np.array(point, dtype=float)
-
-    def value(p):
-        return sign * float(_ch_offsets(p[0], p[1], p[2]))
-
-    f_cur = value(cur)
-    for _ in range(_REFINE_SWEEPS):
-        f_before = f_cur
-        for k in range(3):
-            base = cur.copy()
-
-            def slice_val(t):
-                base[k] = t
-                return value(base)
-
-            f0 = slice_val(0.0)
-            fq = slice_val(0.5 * math.pi)
-            fp = slice_val(math.pi)
-            amp_c = 0.5 * (f0 - fp)
-            amp_s = fq - 0.5 * (f0 + fp)
-            if amp_c == 0.0 and amp_s == 0.0:
-                continue
-            t_star = math.atan2(amp_s, amp_c) + math.pi  # argmin of the harmonic
-            f_star = slice_val(t_star)
-            if f_star < f_cur:
-                cur[k] = t_star % TAU
-                f_cur = f_star
-        if f_before - f_cur < 1e-16:
-            break
-    return cur
-
-
 def optimize_angles(mode: str = "min", grid_size: int = 16) -> tuple[tuple[float, float, float, float], float]:
     """Extremize the singlet CH combination over measurement directions.
 
-    A coarse grid over the three angle offsets relative to the first
-    direction gives its first best point, which coordinate descent refines
-    until it stops improving. Returns the four absolute directions (first
-    pinned at 0) and the extremal value.
+    A grid over the three angle offsets relative to the first direction
+    gives its first best point, and of the mode's two exact extremal offset
+    triples the one nearer to it (summed circular distance) is returned: the
+    four absolute directions (first pinned at 0), reduced to [0, 2*pi), and
+    their CH value, the Tsirelson bound to within rounding.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -100,7 +78,9 @@ def optimize_angles(mode: str = "min", grid_size: int = 16) -> tuple[tuple[float
     pts = TAU * np.arange(grid_size) / grid_size
     vals = sign * _ch_offsets(*np.meshgrid(pts, pts, pts, indexing="ij"))
     best = pts[list(np.unravel_index(np.argmin(vals), vals.shape))]
-    theta = (0.0, *map(float, _refine(best, sign)))
+    # the triple at the least summed circular distance from the grid point
+    offsets = min(_EXTREMA[mode], key=lambda t: sum(abs(math.remainder(a - b, TAU)) for a, b in zip(t, best)))
+    theta = (0.0, *offsets)
     return tuple(singlet.canonical_angle(t) for t in theta), singlet.ch_value(theta)
 
 
@@ -262,16 +242,20 @@ def _move(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchC
 
 
 def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
-    # The validators must hold within the tolerance that check-model applies
-    # through joint_cause_bounds_check; their reports are kept on the model.
+    # The validators must pass the gate that check-model applies through
+    # joint_cause_bounds_check; it is run only after the cheaper tests pass.
     lo, hi = cfg.eps_band
-    validators = (validate_loc, validate_no_conspiracy, validate_screening)
-    return (
+    if not (
         lo - 1e-12 <= ev.weak.epsilon <= hi + 1e-12
         and ev.strict_excess > 1e-12
         and not ev.weak.violated
-        and all(validate(ev.model).max_abs <= PRECONDITION_TOL for validate in validators)
-    )
+    ):
+        return False
+    try:
+        check_assumptions(ev.model)
+    except PreconditionViolated:
+        return False
+    return True
 
 
 def _step_blocks(cfg: SearchConfig, block: int):
@@ -374,5 +358,8 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as helper:
-        results = [_run_restart(cfg, r, helper) for r in range(cfg.restarts)]
-    return max(results, key=lambda res: (res.objective, -res.restart_index))
+        # max keeps only the best result so far, not every restart's
+        return max(
+            (_run_restart(cfg, r, helper) for r in range(cfg.restarts)),
+            key=lambda res: (res.objective, -res.restart_index),
+        )

@@ -62,6 +62,25 @@ def test_predict_requires_arguments(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--angles", "0,1,2,3", "--phi", "1", "--outcomes", "++"],
+    ["oracle", "--atoms", ",".join(["0.0625"] * 16), "--file", "missing.json"],
+], ids=["predict", "oracle"])
+def test_conflicting_inputs_are_a_usage_error(capsys, argv):
+    # one input is used, so the other would be silently ignored
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+def test_oracle_requires_arguments(capsys):
+    code, out, err = run(capsys, "oracle")
+    assert code == 1
+    assert out == ""
+    assert "one of the arguments --atoms --file is required" in err
+
+
 def test_thresholds_full_precision(capsys):
     code, out, _ = run(capsys, "thresholds")
     assert code == 0
@@ -316,7 +335,7 @@ def test_optimize_angles_cli(capsys):
 
 @pytest.mark.parametrize("flag", ["--refine", "--seed"])
 def test_optimize_angles_has_no_refine_or_seed(capsys, flag):
-    # it refines its one best grid point until that stops improving, with no random start
+    # it returns the exact extremum nearest its one best grid point, with no random start
     code, out, err = run(capsys, "optimize-angles", "--grid", "8", flag, "1")
     assert code == 1
     assert out == ""
@@ -510,6 +529,20 @@ def test_format_env_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "thresholds")
     assert code == 0
     assert out.startswith("key,value")
+
+
+@pytest.mark.parametrize("value", ["xml", "", "JSON"])
+def test_format_env_must_name_a_format(capsys, monkeypatch, value):
+    # argparse checks no default against choices; the env's value is checked as --format's would be
+    monkeypatch.setenv("WEAKCH_FORMAT", value)
+    code, out, err = run(capsys, "thresholds")
+    assert code == 1
+    assert out == ""
+    assert f"must be json or csv, got {value!r}" in err and "WEAKCH_FORMAT" in err
+    # an explicit --format is used instead of the default
+    code, out, _ = run(capsys, "--format", "json", "thresholds")
+    assert code == 0
+    assert json.loads(out)["command"] == "thresholds"
 
 
 def test_seeded_commands_emit_byte_identical_output(capsys):

@@ -4,11 +4,13 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import weakch.common_cause as common_cause_mod
 import weakch.search as search_mod
 from helpers import (
     aligned_cause_joint,
@@ -42,8 +44,8 @@ from weakch.search import (
     optimize_angles,
     search_counterexample,
 )
-from weakch.singlet import ch_terms, ch_value
-from weakch.spaces import WeakChError
+from weakch.singlet import canonical_angle, ch_terms, ch_value
+from weakch.spaces import ResidualReport, WeakChError
 
 
 def test_optimizer_finds_lower_extremum():
@@ -117,9 +119,18 @@ def test_optimizer_reads_its_grid_size_as_an_integer(value):
 
 @pytest.mark.parametrize("mode, bound", [("min", TSIRELSON_LOWER), ("max", TSIRELSON_UPPER)])
 def test_optimizer_reaches_tsirelson_from_its_best_grid_point(mode, bound):
+    # theta1 = 0 and offsets (pi/2, -pi/4, pi/4) or their mirror for min;
+    # max turns the third and fourth directions by pi
+    q = math.pi / 4
+    turn = 0.0 if mode == "min" else math.pi
+    exact = {
+        tuple(canonical_angle(t) for t in (0.0, s * 2 * q, turn - s * q, turn + s * q))
+        for s in (1, -1)
+    }
     # every grid from 8 to 24 points a side, and the largest ones
     for grid in [*range(8, 25), 64, 127, 128]:
         theta, value = optimize_angles(mode=mode, grid_size=grid)
+        assert theta in exact, grid
         assert abs(value - bound) <= 2e-15, (grid, value)
         assert value == ch_value(theta), grid
 
@@ -279,6 +290,37 @@ def test_feasibility_needs_every_residual_within_the_precondition_tolerance():
     with pytest.raises(PreconditionViolated, match="locality"):
         joint_cause_bounds_check(ev.model)
     assert _feasible(ev, cfg) is False
+
+
+def test_check_model_and_the_search_refuse_a_nan_residual(monkeypatch):
+    # A NaN is neither above nor within the tolerance; the one gate passes
+    # only residuals <= PRECONDITION_TOL, and looks each validator up when
+    # it runs.
+    model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
+    weak = model.weak_report()
+    ev = search_mod._Eval(model, 0.0, weak, 1.0, 0.0)  # as if it broke the strict interval
+    cfg = SearchConfig(eps_band=(weak.epsilon, weak.epsilon))
+    assert not weak.violated
+    assert _feasible(ev, cfg) is True
+    monkeypatch.setattr(common_cause_mod, "validate_loc", lambda m: ResidualReport((math.nan,)))
+    with pytest.raises(PreconditionViolated, match="^locality residual nan exceeds"):
+        joint_cause_bounds_check(model)
+    assert _feasible(ev, cfg) is False
+
+
+def test_search_keeps_only_its_best_restart():
+    # Each restart's result holds its trace, ~22 KB at 200 iterations; the
+    # search's peak memory must not grow with the restart count.
+    def peak(restarts):
+        tracemalloc.start()
+        try:
+            search_counterexample(SearchConfig(seed=3, restarts=restarts))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    search_counterexample(SearchConfig(seed=3, restarts=40))  # fills the caches first
+    assert peak(40) - peak(4) < 200_000
 
 
 CARDS = [(2, 2, 2, 2), (3, 2, 4, 2), (4, 4, 4, 4)]
