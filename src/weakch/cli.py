@@ -258,14 +258,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="search for a strict-only violation model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eps-band", default="1e-6,1e-3")
     p.add_argument("--cards", default="2,2,2,2")
 
     p = sub.add_parser("simulate", help="Monte Carlo record with inequality test")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--angles", default="0,0,0,0")
+    p.add_argument("--angles", help="four directions t1,t2,t3,t4 of the singlet (default 0,0,0,0)")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--model", help="model file used as the outcome source")
     p.add_argument("--epsilon", type=_finite_float, default=0.0)
@@ -277,6 +276,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_predict(args) -> tuple[dict, object, int]:
     if args.angles is not None:
+        if args.outcomes is not None:
+            raise _UsageError("--outcomes applies to --phi only")
         theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
         terms = singlet.ch_terms(theta)
         value = ch_expression(terms)
@@ -399,12 +400,11 @@ def _cmd_search(args) -> tuple[dict, object, int]:
     cfg = search.SearchConfig(
         seed=args.seed,
         restarts=args.restarts,
-        max_iters=args.iters,
         cause_cards=tuple(cards),
         eps_band=(band[0], band[1]),
     )
     res = search.search_counterexample(cfg)
-    inputs = dataclasses.asdict(cfg)
+    inputs = {"seed": cfg.seed, "restarts": cfg.restarts, "cause_cards": cfg.cause_cards, "eps_band": cfg.eps_band}
     result = {
         "feasible": res.feasible,
         "restart_index": res.restart_index,
@@ -413,7 +413,6 @@ def _cmd_search(args) -> tuple[dict, object, int]:
         "epsilon": res.epsilon,
         "ch_value": res.ch_value,
         "weak_report": res.weak_report.as_dict(),
-        "trace": [list(t) for t in res.trace],
         "model": res.model.to_dict(),
     }
     return inputs, result, EXIT_VIOLATION if res.feasible else EXIT_OK
@@ -422,7 +421,10 @@ def _cmd_search(args) -> tuple[dict, object, int]:
 def _cmd_simulate(args) -> tuple[dict, object, int]:
     from . import common_cause, simulate
 
-    theta = _maybe_radians(_parse_numbers(args.angles, 4, "--angles"), args.degrees)
+    if args.model and (args.angles is not None or args.degrees):
+        raise _UsageError("--angles and --degrees apply to the singlet, not to --model")
+    angles = "0,0,0,0" if args.angles is None else args.angles
+    theta = _maybe_radians(_parse_numbers(angles, 4, "--angles"), args.degrees)
     sp = None
     if args.setting_probs:
         vals = _parse_numbers(args.setting_probs, 4, "--setting-probs")

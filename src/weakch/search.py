@@ -9,12 +9,10 @@ import numpy as np
 
 from . import singlet
 from .common_cause import (
-    _WINGS,
     EprbModel,
     PreconditionViolated,
     cause_cardinalities,
     check_assumptions,
-    locality_residuals,
     random_eprb_model,
     validate_loc,
     validate_no_conspiracy,
@@ -25,14 +23,7 @@ from .inequalities import WeakChError, WeakChReport, ch_expression, integer, rea
 TAU = 2.0 * math.pi
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
-# weights per block of search proposals drawn and screened at once; the next
-# block is drawn on a helper thread while this one is screened
-_BLOCK_WEIGHTS = 2**14
-# the walk's step schedule (step k is _STEP_INIT * _STEP_DECAY**k, applied to
-# noise scaled by 1 / w.size) and the weight of the penalty in its objective
-_STEP_INIT = 0.05
-_STEP_DECAY = 0.99
-_PENALTY_WEIGHT = 1e4
+_PENALTY_WEIGHT = 1e4  # the weight of the constraint penalty in the search's objective
 
 
 # The exact extremal offset triples (theta2, theta3, theta4), theta1 = 0, of
@@ -97,56 +88,13 @@ def constraint_penalty(model: EprbModel) -> float:
     return total
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection of each row (the last axis) onto the probability simplex.
-    out = np.sort(v, axis=-1)
-    u = out[..., ::-1]  # descending
-    css = np.cumsum(u, axis=-1)
-    css -= 1.0
-    u *= np.arange(1.0, v.shape[-1] + 1)
-    rho = v.shape[-1] - 1 - np.argmax((u > css)[..., ::-1], axis=-1, keepdims=True)  # last index above
-    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
-    np.subtract(v, theta, out=out)
-    return np.maximum(out, 0.0, out=out)
-
-
-def _repin_settings(w: np.ndarray, sp: np.ndarray) -> np.ndarray:
-    # Rescale each setting block of each row to the target setting
-    # probabilities; keeps the setting-independence part of the penalty
-    # pinned by construction. A block of no mass is spread evenly.
-    blocks = w.reshape(*w.shape[:-1], 4, -1)  # (setting pair, rest) per row
-    s = blocks.sum(axis=-1, keepdims=True)
-    target = sp.reshape(4, 1)
-    empty = s <= 0.0
-    out = blocks * (target / np.where(empty, 1.0, s))
-    np.copyto(out, target / blocks.shape[-1], where=empty)
-    return out.reshape(w.shape)
-
-
-def _locality_rejects(props: np.ndarray, shape: tuple, cutoff: float) -> np.ndarray:
-    # Which proposals (rows) would fail `penalty <= cutoff` in full. A walk
-    # proposal is nonnegative and finite with each setting block at its
-    # pinned mass, so EprbModel accepts it and divides it by the same sum.
-    # A proposal is marked at its first locality residual with r * r >
-    # cutoff: the penalty adds nonnegative terms to that square, so under
-    # rounding it is at least as large. A NaN residual (no conditioning
-    # mass) never exceeds it; every proposal not marked is left to _evaluate.
-    w = (props / props.sum(axis=1)[:, None]).reshape(len(props), *shape)
-    marked = np.zeros(len(w), dtype=bool)
-    for row in _WINGS:
-        res = locality_residuals(w, (row,))
-        marked |= (res * res > cutoff).reshape(len(w), -1).any(axis=1)
-        if marked.all():
-            break
-    return marked
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """A counterexample search's seed, sizes and deficit band; deterministic per seed.
 
-    The walk's step schedule and penalty weight are the module constants
-    _STEP_INIT, _STEP_DECAY and _PENALTY_WEIGHT.
+    max_iters is validated and kept for callers that still pass it; the
+    search does not read it. The penalty weight is the module constant
+    _PENALTY_WEIGHT.
     """
 
     seed: int = 0
@@ -179,18 +127,8 @@ class SearchResult:
     re-evaluation confirms that and the inequality statuses; an infeasible
     outcome is a valid result, never a nonexistence claim.
 
-    accepted counts the proposals of this restart that moved the walk.
-    A proposal moves it when its full evaluation improves the objective
-    without raising the constraint penalty; one whose model or report
-    cannot be built never does.
-
-    Proposals are drawn, projected and screened for locality in blocks
-    of up to 2**14 weights. The next block's noise is drawn on a helper
-    thread while this one is screened, in the stream's order. The screen
-    turns away a proposal whose locality residuals alone already exceed
-    the current penalty; every other proposal is evaluated in full. The
-    walk, its trace and accepted are those of proposing and judging one
-    step at a time, bit for bit.
+    trace is always empty, as the search takes no steps; it stays for
+    callers that still read it.
     """
 
     model: EprbModel
@@ -202,7 +140,6 @@ class SearchResult:
     weak_report: WeakChReport
     trace: tuple[tuple[float, float], ...]
     feasible: bool
-    accepted: int
 
 
 @dataclass(frozen=True)
@@ -214,8 +151,8 @@ class _Eval:
     objective: float
 
 
-def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval:
-    model = EprbModel(w.reshape(shape), cards)
+def _evaluate(w: np.ndarray, cards: tuple, cfg: SearchConfig) -> _Eval:
+    model = EprbModel(w, cards)
     pen = constraint_penalty(model)
     weak = model.weak_report()
     v = weak.value
@@ -228,17 +165,6 @@ def _evaluate(w: np.ndarray, shape: tuple, cards: tuple, cfg: SearchConfig) -> _
         pen + band_dist * band_dist + weak_excess * weak_excess
     )
     return _Eval(model, pen, weak, strict_excess, objective)
-
-
-def _move(prop: np.ndarray, cur: _Eval, shape: tuple, cards: tuple, cfg: SearchConfig) -> _Eval | None:
-    # The evaluation a proposal moves the walk to, if any. Accept only steps
-    # that improve the objective without letting the constraint penalty
-    # grow; this keeps the penalty trace monotone.
-    try:
-        nxt = _evaluate(prop, shape, cards, cfg)
-    except WeakChError:
-        return None
-    return nxt if nxt.objective > cur.objective and nxt.penalty <= cur.penalty else None
 
 
 def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
@@ -258,68 +184,16 @@ def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
     return True
 
 
-def _step_blocks(cfg: SearchConfig, block: int):
-    # The step of each proposal, one list per block, computed as the walk
-    # reaches it: the whole schedule would hold max_iters floats.
-    step = _STEP_INIT
-    for first in range(0, cfg.max_iters, block):
-        steps = []
-        for _ in range(min(block, cfg.max_iters - first)):
-            steps.append(step)
-            step *= _STEP_DECAY
-        yield steps
-
-
-def _run_restart(cfg: SearchConfig, restart: int, helper) -> SearchResult:
+def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = cfg.cause_cards
-    shape = (2, 2, 2, 2, *cards)
-    sp = np.full((2, 2), 0.25)
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=sp)
-    w = start.weights.ravel()
-    size = w.size
-
-    def draw(steps):
-        # A proposal's noise does not depend on which earlier proposals were
-        # accepted, so a block of them draws it at once: the same stream as
-        # one draw of w.size per proposal. Only the helper calls this, one
-        # block after another, so the stream keeps its order.
-        delta = rng.standard_normal((len(steps), size))
-        delta *= np.array(steps)[:, None]
-        delta *= 1.0 / size
-        return delta
-
-    blocks = _step_blocks(cfg, max(1, _BLOCK_WEIGHTS // size))
-    pending = helper.submit(draw, next(blocks))
-    cur = _evaluate(w, shape, cards, cfg)
-
-    trace = []
-    accepted = 0
-    while pending is not None:
-        delta = pending.result()
-        # the next block's noise is drawn while this block is screened
-        steps = next(blocks, None)
-        pending = None if steps is None else helper.submit(draw, steps)
-        while len(delta):
-            # After an acceptance the rest of the block is proposed again
-            # from the new state, with the noise already drawn.
-            props = _repin_settings(_project_simplex(w + delta), sp)
-            marked = _locality_rejects(props, shape, cur.penalty)
-            for t, prop in enumerate(props):
-                nxt = None if marked[t] else _move(prop, cur, shape, cards, cfg)
-                if nxt is not None:
-                    w, cur = prop, nxt
-                    accepted += 1
-                trace.append((cur.penalty, cur.objective))
-                if cur is nxt:
-                    break
-            delta = delta[t + 1:]
-
+    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=np.full((2, 2), 0.25))
+    cur = _evaluate(start.weights, cards, cfg)
     feasible = _feasible(cur, cfg)
     if feasible:
         # Independent re-validation before any feasibility claim.
-        check = _evaluate(cur.model.weights.ravel(), shape, cards, cfg)
+        check = _evaluate(cur.model.weights, cards, cfg)
         feasible = (
             _feasible(check, cfg)
             and check.weak.violated_lower == cur.weak.violated_lower
@@ -333,33 +207,23 @@ def _run_restart(cfg: SearchConfig, restart: int, helper) -> SearchResult:
         epsilon=cur.weak.epsilon,
         ch_value=cur.weak.value,
         weak_report=cur.weak,
-        trace=tuple(trace),
+        trace=(),
         feasible=feasible,
-        accepted=accepted,
     )
 
 
 def search_counterexample(cfg: SearchConfig) -> SearchResult:
     """Search for a model that breaks the strict interval but not the weak one.
 
-    Projected local search on the atom-weight simplex with setting
-    marginals re-pinned each step. Restarts use independent streams keyed
-    by (seed, restart index), so concurrent execution cannot change the
-    result; merging picks the best objective with the lowest restart index
-    as the tiebreak. With a deficit band containing only zero the two
-    intervals coincide, so no feasible point exists there.
-
-    The restarts run in turn on the calling thread and share one helper
-    thread, which draws each block's noise from the restart's stream while
-    the caller screens the block before it. Only numpy runs on the helper,
-    and it has exited when this returns or raises.
+    Each restart generates one model with random_eprb_model, whose
+    validator residuals are zero up to rounding, from its own stream keyed
+    by (seed, restart index), and evaluates it once; the best objective
+    wins, with the lowest restart index as the tiebreak. The search does
+    not move away from these models. With a deficit band containing only
+    zero the two intervals coincide, so no feasible point exists there.
     """
-    # imported here, so that importing this module does not load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as helper:
-        # max keeps only the best result so far, not every restart's
-        return max(
-            (_run_restart(cfg, r, helper) for r in range(cfg.restarts)),
-            key=lambda res: (res.objective, -res.restart_index),
-        )
+    # max keeps only the best result so far, not every restart's
+    return max(
+        (_run_restart(cfg, r) for r in range(cfg.restarts)),
+        key=lambda res: (res.objective, -res.restart_index),
+    )

@@ -14,8 +14,6 @@ from weakch.common_cause import (
     validate_screening,
 )
 from weakch.inequalities import BadEpsilon, BadSettingProbs, CorrectionTerms, SettingProbs
-from weakch.search import _project_simplex, _repin_settings
-from weakch.spaces import WeakChError
 
 
 def _along(vec, axis, cards):
@@ -149,8 +147,8 @@ def ordered_penalty(model: EprbModel) -> float:
     return total
 
 
-def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
-    model = EprbModel(w.reshape(shape), cards)
+def _full_evaluation(w, cards, cfg) -> SimpleNamespace:
+    model = EprbModel(w, cards)
     pen = ordered_penalty(model)
     weak = model.weak_report()
     v = weak.value
@@ -170,28 +168,9 @@ def _full_evaluation(w, shape, cards, cfg) -> SimpleNamespace:
 def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = tuple(cfg.cause_cards)
-    shape = (2, 2, 2, 2, *cards)
-    sp = np.full((2, 2), 0.25)
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=sp)
-    w = start.weights.ravel().copy()
-    cur = _full_evaluation(w, shape, cards, cfg)
-    trace = []
-    accepted = 0
-    step = search._STEP_INIT
-    scale = 1.0 / w.size
-    for _ in range(cfg.max_iters):
-        prop = w + rng.standard_normal(w.size) * step * scale
-        prop = _repin_settings(_project_simplex(prop), sp)
-        try:
-            nxt = _full_evaluation(prop, shape, cards, cfg)
-        except WeakChError:
-            nxt = None
-        if nxt is not None and nxt.objective > cur.objective and nxt.penalty <= cur.penalty:
-            w, cur = prop, nxt
-            accepted += 1
-        trace.append((cur.penalty, cur.objective))
-        step *= search._STEP_DECAY
+    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=np.full((2, 2), 0.25))
+    cur = _full_evaluation(start.weights, cards, cfg)
     feasible = (
         all(
             validate(cur.model).max_abs <= common_cause.PRECONDITION_TOL
@@ -202,27 +181,24 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
         and not cur.weak.violated
     )
     return SimpleNamespace(
-        model=EprbModel(w.reshape(shape), cards),
+        model=cur.model,
         restart_index=restart,
         objective=cur.objective,
         penalty=cur.penalty,
         epsilon=cur.epsilon,
         ch_value=cur.ch,
         weak_report=cur.weak,
-        trace=tuple(trace),
         feasible=feasible,
-        accepted=accepted,
     )
 
 
 def reference_search(cfg) -> SimpleNamespace:
-    """The counterexample search with every proposal evaluated in full.
+    """The counterexample search written out: each restart's start model, evaluated in full.
 
-    Each proposal is drawn, projected and re-pinned on its own, then runs
-    all three validators and the weak report before the acceptance test,
-    so this is the reference that the search's block screening must
-    match bit for bit. A feasible winner is returned without the search's
-    re-validation step.
+    Each restart generates its model from the stream keyed by (seed,
+    restart index) and runs all three validators and the weak report on
+    it; the best objective wins, the lowest restart index breaking ties.
+    A feasible winner is returned without the search's re-validation step.
     """
     results = [_reference_restart(cfg, r) for r in range(cfg.restarts)]
     return max(results, key=lambda res: (res.objective, -res.restart_index))

@@ -62,16 +62,21 @@ def test_predict_requires_arguments(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["predict", "--angles", "0,1,2,3", "--phi", "1", "--outcomes", "++"],
-    ["oracle", "--atoms", ",".join(["0.0625"] * 16), "--file", "missing.json"],
-], ids=["predict", "oracle"])
-def test_conflicting_inputs_are_a_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "--angles", "0,1,2,3", "--phi", "1", "--outcomes", "++"], "not allowed with argument"),
+    (["oracle", "--atoms", ",".join(["0.0625"] * 16), "--file", "missing.json"], "not allowed with argument"),
+    (["predict", "--angles", "0,1,2,3", "--outcomes", "++"], "--outcomes applies to --phi only"),
+    (["simulate", "--seed", "1", "--n", "10", "--model", "eprb_model.json", "--angles", "0,1,2,3"],
+     "--angles and --degrees apply to the singlet, not to --model"),
+    (["simulate", "--seed", "1", "--n", "10", "--model", "eprb_model.json", "--degrees"],
+     "--angles and --degrees apply to the singlet, not to --model"),
+], ids=["predict", "oracle", "predict outcomes without phi", "simulate model with angles", "simulate model with degrees"])
+def test_conflicting_inputs_are_a_usage_error(capsys, argv, message):
     # one input is used, so the other would be silently ignored
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "not allowed with argument" in err
+    assert message in err
 
 
 def test_oracle_requires_arguments(capsys):
@@ -343,13 +348,11 @@ def test_optimize_angles_has_no_refine_or_seed(capsys, flag):
 
 
 def test_search_cli_roundtrip(capsys):
-    code, env, _ = run_json(
-        capsys, "search", "--seed", "4", "--restarts", "1", "--iters", "15"
-    )
+    code, env, _ = run_json(capsys, "search", "--seed", "4", "--restarts", "1")
     assert code == 0
     assert env["result"]["feasible"] is False
-    assert env["inputs"]["seed"] == 4
-    assert len(env["result"]["trace"]) == 15
+    assert env["inputs"] == {"seed": 4, "restarts": 1, "cause_cards": [2, 2, 2, 2], "eps_band": [1e-6, 1e-3]}
+    assert "trace" not in env["result"]
     # the embedded model round-trips and its penalty recomputes identically
     from weakch.common_cause import model_from_dict
     from weakch.search import constraint_penalty
@@ -359,23 +362,25 @@ def test_search_cli_roundtrip(capsys):
 
 
 def test_search_inputs_replay_the_search(capsys):
-    # with the walk settings fixed in weakch.search, the echoed inputs are
-    # the whole configuration: fed back, they give the same walk
+    # the echoed inputs are the whole configuration: fed back, they give
+    # the same search
     from weakch.search import SearchConfig, search_counterexample
 
-    code, env, _ = run_json(capsys, "search", "--seed", "9", "--restarts", "2", "--iters", "12", "--cards", "3,2,2,2")
+    code, env, _ = run_json(capsys, "search", "--seed", "9", "--restarts", "2", "--cards", "3,2,2,2")
     assert code == 0
     res = search_counterexample(SearchConfig(**env["inputs"]))
-    assert [list(t) for t in res.trace] == env["result"]["trace"]
+    assert res.model.to_dict() == env["result"]["model"]
     assert (res.restart_index, res.objective, res.epsilon) == (
         env["result"]["restart_index"], env["result"]["objective"], env["result"]["epsilon"],
     )
 
 
-@pytest.mark.parametrize("flag, value", [("--step", "0.1"), ("--decay", "0.9"), ("--penalty-weight", "1")])
+@pytest.mark.parametrize(
+    "flag, value", [("--iters", "5"), ("--step", "0.1"), ("--decay", "0.9"), ("--penalty-weight", "1")]
+)
 def test_search_has_no_walk_settings(capsys, flag, value):
-    # the step schedule and the penalty weight are fixed in weakch.search
-    code, out, err = run(capsys, "search", "--restarts", "1", "--iters", "2", flag, value)
+    # the search takes no steps, and the penalty weight is fixed in weakch.search
+    code, out, err = run(capsys, "search", "--restarts", "1", flag, value)
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {flag} {value}" in err
@@ -386,7 +391,7 @@ def test_search_cli_exits_3_on_a_confirmed_feasible_model(capsys, monkeypatch):
     import weakch.search
 
     monkeypatch.setattr(weakch.search, "_feasible", lambda ev, cfg: True)
-    code, env, _ = run_json(capsys, "search", "--seed", "4", "--restarts", "1", "--iters", "15")
+    code, env, _ = run_json(capsys, "search", "--seed", "4", "--restarts", "1")
     assert code == 3
     assert env["result"]["feasible"] is True
 
@@ -412,7 +417,7 @@ def test_simulate_samples_a_model_file_named_singlet(capsys, tmp_path, monkeypat
 
     (tmp_path / "singlet").write_text((GOLDEN / "eprb_model.json").read_text())
     monkeypatch.chdir(tmp_path)
-    argv = ["simulate", "--seed", "2", "--n", "20000", "--angles", LOWER, "--epsilon", "0", "--model", "singlet"]
+    argv = ["simulate", "--seed", "2", "--n", "20000", "--epsilon", "0", "--model", "singlet"]
     code, env, _ = run_json(capsys, *argv)
     model = model_from_dict(json.loads(Path("singlet").read_text()))
     cfg = simulate.SimConfig(seed=2, n=20000, theta=env["inputs"]["angles"], source=model)
@@ -547,7 +552,7 @@ def test_format_env_must_name_a_format(capsys, monkeypatch, value):
 
 def test_seeded_commands_emit_byte_identical_output(capsys):
     for argv in (
-        ["search", "--seed", "6", "--restarts", "1", "--iters", "10"],
+        ["search", "--seed", "6", "--restarts", "1"],
         ["simulate", "--seed", "5", "--n", "4000", "--angles", LOWER, "--epsilon", "0"],
     ):
         _, out1, _ = run(capsys, *argv)
@@ -617,9 +622,9 @@ _EMITTING_PATHS = [
     (["oracle", "--file", "eprb_model.json"], 2, "error"),
     (["optimize-angles", "--grid", "8"], 0, "ok"),
     (["optimize-angles", "--grid", "7"], 2, "error"),
-    (["search", "--restarts", "1", "--iters", "2"], 0, "ok"),
-    (["search", "--restarts", "1", "--iters", "2", "--eps-band", "1e-3,1e-6"], 2, "error"),
-    (["search", "--restarts", "1", "--iters", "2", "--cards", "16,16,16,16"], 2, "error"),  # above MAX_SEARCH_WEIGHTS
+    (["search", "--restarts", "1"], 0, "ok"),
+    (["search", "--restarts", "1", "--eps-band", "1e-3,1e-6"], 2, "error"),
+    (["search", "--restarts", "1", "--cards", "16,16,16,16"], 2, "error"),  # above MAX_SEARCH_WEIGHTS
     (["simulate", "--seed", "1", "--n", "100"], 0, "ok"),
     (["simulate", "--seed", "2", "--n", "2000", "--angles", LOWER, "--epsilon", "0"], 3, "ok"),
     (["simulate", "--seed", "1", "--n", "3", "--angles", "0,1,2,3"], 2, "error"),
@@ -669,7 +674,7 @@ def test_every_exit_path_writes_exactly_one_envelope(capsys, monkeypatch, fmt, a
 
 @pytest.mark.parametrize(
     "argv",
-    [["optimize-angles", "--grid", "129"], ["search", "--cards", "9,8,8,8", "--restarts", "1", "--iters", "1"]],
+    [["optimize-angles", "--grid", "129"], ["search", "--cards", "9,8,8,8", "--restarts", "1"]],
     ids=["grid", "cards"],
 )
 def test_oversized_request_ends_in_an_error_envelope(capsys, argv):
@@ -810,7 +815,7 @@ def test_check_model_rejects_nan_weight(capsys, tmp_path):
 
 
 def test_search_rejects_non_integral_cards(capsys):
-    code, out, err = run(capsys, "search", "--restarts", "1", "--iters", "1", "--cards", "2,2,2,2.7")
+    code, out, err = run(capsys, "search", "--restarts", "1", "--cards", "2,2,2,2.7")
     assert code == 1
     assert out == ""
     assert "--cards" in err
@@ -839,11 +844,10 @@ _NUMERIC_ARGS = [
     (["check", "--value", "-0.5", "--epsilon", "1e-3"], "--pab", "0.25"),
     (["oracle"], "--atoms", ",".join(["0.0625"] * 16)),
     (["optimize-angles"], "--grid", "8"),
-    (["search", "--restarts", "1", "--iters", "1"], "--seed", "0"),
-    (["search", "--iters", "1"], "--restarts", "1"),
-    (["search", "--restarts", "1"], "--iters", "1"),
-    (["search", "--restarts", "1", "--iters", "1"], "--eps-band", "1e-6,1e-3"),
-    (["search", "--restarts", "1", "--iters", "1"], "--cards", "2,2,2,2"),
+    (["search", "--restarts", "1"], "--seed", "0"),
+    (["search"], "--restarts", "1"),
+    (["search", "--restarts", "1"], "--eps-band", "1e-6,1e-3"),
+    (["search", "--restarts", "1"], "--cards", "2,2,2,2"),
     (["simulate", "--n", "100"], "--seed", "1"),
     (["simulate", "--seed", "1"], "--n", "100"),
     (["simulate", "--seed", "1", "--n", "100"], "--angles", "0,0,0,0"),
@@ -851,7 +855,7 @@ _NUMERIC_ARGS = [
     (["simulate", "--seed", "1", "--n", "100"], "--k-sigma", "3"),
     (["simulate", "--seed", "1", "--n", "100"], "--setting-probs", "0.25,0.25,0.25,0.25"),
 ]
-_INT_FLAGS = {"--seed", "--n", "--grid", "--restarts", "--iters", "--cards"}
+_INT_FLAGS = {"--seed", "--n", "--grid", "--restarts", "--cards"}
 _NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"]
 _MALFORMED = ["", "one", "1/2", "0x10"]
 _NON_INTEGRAL = ["2.7", "0.5", "1e-3"]

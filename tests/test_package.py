@@ -42,7 +42,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_moved_names_are_still_reexported():
-    # tests/helpers.py imports WeakChError from spaces; the benchmark tracer
+    # the tests import WeakChError from spaces; the benchmark tracer
     # wraps common_cause.ch_atom_oracle.
     import weakch.common_cause as cc
     from weakch import inequalities

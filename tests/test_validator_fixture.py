@@ -49,6 +49,7 @@ from weakch.common_cause import (
     check_cause_mass_bounds,
     classify_cells,
     joint_cause_bounds_check,
+    locality_residuals,
     model_epsilon,
     pairwise_model_to_dict,
     random_eprb_model,
@@ -421,6 +422,25 @@ def test_pairwise_fixture_cases_exercise_every_branch():
     assert any(r["epsilon"] == "ZeroConditioner" for r in recs.values())
     assert any(r["cell_stats"]["skipped"] for r in recs.values())
     assert recs["zero-mass and empty cells"]["screening"]["skipped_cells"] == [0, 2, 4, 5]
+
+
+@pytest.mark.parametrize("cards", CARDS)
+def test_locality_residuals_of_a_block_are_the_validators(cards):
+    # locality_residuals reads a stack of models as one batch, validate_loc
+    # each model as a batch of one: each model's residuals are the same bits
+    # either way, and its NaNs are the entries the validator skips. The
+    # fixture's models include zero-mass cells and far settings, so both
+    # kinds of skip occur.
+    models = [EprbModel(w, c) for _, w, c in validator_models() if c == cards]
+    block = np.stack([m.weights for m in models])
+    rows = [locality_residuals(block, (row,)) for row in _WINGS]  # a wing at a time
+    kinds = set()
+    for b, m in enumerate(models):
+        flat = np.concatenate([res[b] for res in rows], axis=-1).transpose(2, 0, 1).ravel()  # validate_loc's order
+        rep = validate_loc(m)
+        assert [r.hex() for r in flat[~np.isnan(flat)].tolist()] == [r.hex() for r in rep.residuals]
+        kinds.update(len(key) for key in rep._skipped)
+    assert kinds == {2, 3}
 
 
 if __name__ == "__main__":
