@@ -425,6 +425,15 @@ def test_simulate_samples_a_model_file_named_singlet(capsys, tmp_path, monkeypat
     assert code == 0
 
 
+def test_simulate_defaults_to_directions_zero(capsys):
+    # --angles has no parser default, so that --model can refuse it; left
+    # out, the singlet is measured at 0,0,0,0
+    argv = ["simulate", "--seed", "3", "--n", "500"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--angles", "0,0,0,0")[:2]
+    assert json.loads(out)["inputs"]["angles"] == [0.0, 0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("content", [None, '{"type": "eprb"}'], ids=["missing", "eprb_without_fields"])
 def test_model_file_errors_read_the_same_under_check_model_and_simulate(capsys, tmp_path, content):
     # one reader: a file check-model cannot load is refused by simulate

@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,6 +344,101 @@ def test_search_is_the_best_of_its_start_models(cards, band):
     assert res.model.weights.tobytes() == ref.model.weights.tobytes()
 
 
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("cards", CARDS)
+def test_every_restart_reports_a_validator_clean_model(cards, band):
+    # what the search reports is a generated model, so each restart's is a
+    # model with every setting pair at 1/4 and residuals zero up to rounding
+    cfg = SearchConfig(seed=2, restarts=3, cause_cards=cards, eps_band=band)
+    for r in range(cfg.restarts):
+        res = search_mod._run_restart(cfg, r)
+        w = res.model.weights
+        assert np.isfinite(w).all() and (w >= 0.0).all()
+        assert np.abs(w.reshape(4, -1).sum(axis=1) - 0.25).max() <= 1e-15
+        assert max(validate(res.model).max_abs for validate in (validate_loc, validate_no_conspiracy, validate_screening)) <= PRECONDITION_TOL
+        assert res.penalty == constraint_penalty(res.model) <= 1e-26
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("cards", CARDS)
+def test_more_restarts_never_give_a_worse_result(cards, band):
+    # a restart's model does not depend on the restart count, and a later
+    # restart wins only with a strictly better objective
+    cfg = SearchConfig(seed=4, restarts=1, cause_cards=cards, eps_band=band)
+    best = search_counterexample(cfg)
+    for n in range(2, 6):
+        res = search_counterexample(dataclasses.replace(cfg, restarts=n))
+        last = search_mod._run_restart(cfg, n - 1)
+        expected = last if last.objective > best.objective else best
+        assert res.restart_index == expected.restart_index
+        assert res.objective == expected.objective >= best.objective
+        assert res.model.weights.tobytes() == expected.model.weights.tobytes()
+        best = res
+
+
+def test_ties_go_to_the_lowest_restart_index(monkeypatch):
+    cfg = SearchConfig(seed=6, restarts=4)
+    first = search_mod._run_restart(cfg, 0)
+    evaluate = search_mod._evaluate
+    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: dataclasses.replace(evaluate(*args), objective=0.0))
+    res = search_counterexample(cfg)
+    assert (res.restart_index, res.objective) == (0, 0.0)
+    assert res.model.weights.tobytes() == first.model.weights.tobytes()
+
+
+def test_restart_streams_are_keyed_by_seed_and_index():
+    # a stream keyed by seed + restart would repeat (1, 0) as (0, 1)
+    models = {
+        search_mod._run_restart(SearchConfig(seed=seed), r).model.weights.tobytes()
+        for seed in range(4)
+        for r in range(4)
+    }
+    assert len(models) == 16
+
+
+@pytest.mark.parametrize("shift, strict_excess, violated, feasible", [
+    (0.0, 1.0, False, True),
+    (0.5e-12, 1.0, False, True),
+    (2e-12, 1.0, False, False),
+    (-0.5e-12, 1.0, False, True),
+    (-2e-12, 1.0, False, False),
+    (0.0, 2e-12, False, True),
+    (0.0, 1e-12, False, False),
+    (0.0, 1.0, True, False),
+], ids=[
+    "in the band", "1/2e-12 below the band", "2e-12 below the band", "1/2e-12 above the band",
+    "2e-12 above the band", "strict excess 2e-12", "strict excess 1e-12", "weak interval broken",
+])
+def test_feasibility_gate_tolerances(shift, strict_excess, violated, feasible):
+    # A clean model, as if it broke the strict interval by strict_excess,
+    # in a one-point band shifted from its deficit: the deficit may lie
+    # 1e-12 outside the band, and the excess must be above 1e-12.
+    model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
+    weak = model.weak_report()
+    assert not weak.violated
+    weak = dataclasses.replace(weak, violated_lower=violated)
+    ev = search_mod._Eval(model, 0.0, weak, strict_excess, 0.0)
+    cfg = SearchConfig(eps_band=(weak.epsilon + shift, weak.epsilon + shift))
+    assert _feasible(ev, cfg) is feasible
+
+
+BENCHMARK_STYLE = [
+    SearchConfig(seed=100 + k, restarts=2, max_iters=150, cause_cards=cards, eps_band=band)
+    for k, (cards, band) in enumerate(itertools.product([(2, 2, 2, 2), (4, 4, 4, 4)], BANDS[:2]))
+] + [SearchConfig(seed=7, restarts=1, max_iters=150, eps_band=(0.0, 0.0))]
+
+
+@pytest.mark.parametrize("cfg", BENCHMARK_STYLE, ids=lambda cfg: f"{cfg.seed}")
+def test_benchmark_style_searches_evaluate_each_restart_once(monkeypatch, cfg):
+    # the benchmark counts restarts * max_iters operations; the search runs
+    # one evaluation per restart, and one more to re-check a feasible winner
+    evaluated = []
+    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args) or _evaluate(*args))
+    res = search_counterexample(cfg)
+    assert res.trace == ()
+    assert len(evaluated) == cfg.restarts + res.feasible
+
+
 def _perturbed(seed, cards):
     m = random_eprb_model(seed, cards, 1e-3)
     w = m.weights.copy()
@@ -412,3 +510,67 @@ def test_importing_the_search_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+WIDE = SearchConfig(seed=5, restarts=2, cause_cards=(4, 4, 4, 4))
+
+
+def test_concurrent_callers_get_their_sequential_results():
+    # Each call has its own restart streams, so three calls running at
+    # once, with the interpreter switching threads often, return what each
+    # returns alone.
+    configs = (WIDE, SearchConfig(seed=2, restarts=3, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0)), SearchConfig(seed=3, restarts=2))
+    alone = [search_counterexample(cfg) for cfg in configs]
+    barrier = threading.Barrier(len(configs))
+
+    def run(cfg):
+        barrier.wait(timeout=60)
+        return search_counterexample(cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(configs)) as callers:
+            futures = [callers.submit(run, cfg) for cfg in configs]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for res, ref in zip(together, alone):
+        assert (res.restart_index, res.objective, res.penalty) == (ref.restart_index, ref.objective, ref.penalty)
+        assert res.model.weights.tobytes() == ref.model.weights.tobytes()
+
+
+def test_a_search_leaves_no_thread_behind(monkeypatch):
+    before = threading.active_count()
+    search_counterexample(WIDE)
+    assert threading.active_count() == before
+    calls = itertools.count(1)
+
+    def failing(*args):
+        # the second restart's evaluation
+        if next(calls) == 2:
+            raise RuntimeError("evaluation failed")
+        return _evaluate(*args)
+
+    monkeypatch.setattr(search_mod, "_evaluate", failing)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        search_counterexample(WIDE)
+    assert threading.active_count() == before
+
+
+def test_weakch_functions_run_on_the_calling_thread(monkeypatch):
+    # a tracer that assumes one thread sees every weakch call on the caller's
+    threads = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    names = ("random_eprb_model", "_evaluate", "constraint_penalty", "_feasible")
+    for name in names:
+        monkeypatch.setattr(search_mod, name, recording(name, getattr(search_mod, name)))
+    monkeypatch.setattr(EprbModel, "weak_report", recording("weak_report", EprbModel.weak_report))
+    search_counterexample(WIDE)
+    assert threads == dict.fromkeys((*names, "weak_report"), {threading.get_ident()})
