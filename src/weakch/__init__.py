@@ -44,7 +44,7 @@ _EXPORTS = {
             "EpsilonProfile canonical_angle ch_terms ch_value epsilon_profile"
             " joint_prob marginal_prob outcome_tables"
         ),
-        "spaces": "FiniteProbSpace WeakChError make_space prob screening_residuals",
+        "spaces": "FiniteProbSpace WeakChError prob screening_residuals",
     }.items()
     for name in names.split()
 }

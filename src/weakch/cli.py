@@ -282,13 +282,13 @@ def _cmd_predict(args) -> tuple[dict, object, int]:
         terms = singlet.ch_terms(theta)
         value = ch_expression(terms)
         result = {"ch_value": value, "terms": terms, "tsirelson_ok": tsirelson_check(value)}
-        inputs = {"angles": list(theta), "degrees": bool(args.degrees)}
+        inputs = {"angles": list(theta)}  # radians, so that they replay without --degrees
     else:
         if not args.outcomes or len(args.outcomes) != 2 or any(c not in "+-" for c in args.outcomes):
             raise _UsageError("--phi needs --outcomes from {++, +-, -+, --}")
         phi = _maybe_radians([args.phi], args.degrees)[0]
         result = {"joint_prob": singlet.joint_prob(phi, args.outcomes[0], args.outcomes[1])}
-        inputs = {"phi": phi, "outcomes": args.outcomes, "degrees": bool(args.degrees)}
+        inputs = {"phi": phi, "outcomes": args.outcomes}
     return inputs, result, EXIT_OK
 
 
@@ -447,11 +447,12 @@ def _cmd_simulate(args) -> tuple[dict, object, int]:
     inputs = {
         "seed": args.seed,
         "n": args.n,
-        "angles": list(theta),
+        "angles": None if args.model else list(theta),  # a model is sampled at no angles
         "model": args.model,
         "epsilon": args.epsilon,
         "k_sigma": args.k_sigma,
-        "setting_probs": cfg.setting_probs,
+        # as given, so that it replays: dividing the law used by its sum again can move its bits
+        "setting_probs": cfg.setting_probs if sp is None else sp,
     }
     result = {
         "counts": table.counts,

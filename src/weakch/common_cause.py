@@ -594,23 +594,6 @@ def _loc_label(key: tuple) -> str:
     return " ".join((r.side, r.name, *(r.far[f] for f in rest), cell))
 
 
-def locality_residuals(w: np.ndarray, rows: Sequence[_Wing] = _WINGS) -> np.ndarray:
-    """p(out | own, far, cell) - p(out | own, cell) of weight tensors w (first axis) at _WINGS rows.
-
-    Read from each row's marginal p(far, out, cell) at its own setting; the
-    rows' cells sit side by side on the last axis of (batch, far, outcome,
-    cell). An entry of zero conditioning mass is 0/0, NaN.
-    """
-    marginals = [_marginal(w[(slice(None), *row.index)], (0, 1, 2 + row.wing, 4 + row.cause)) for row in rows]
-    s = np.concatenate(marginals, axis=-1)
-    with np.errstate(invalid="ignore"):
-        pooled = s[:, 0] + s[:, 1]  # (batch, outcome, cell)
-        pooled /= pooled[:, :1] + pooled[:, 1:]
-        out = s / (s[:, :, :1] + s[:, :, 1:])
-    out -= pooled[:, None]
-    return out
-
-
 @functools.lru_cache(maxsize=256)
 def _loc_keys(cards: tuple[int, ...]) -> tuple[tuple, ...]:
     # (row, cell, far, outcome) of each locality residual in validate_loc's order; reports share it
@@ -624,10 +607,18 @@ def validate_loc(model: EprbModel) -> ResidualReport:
     """Locality residuals: far setting vs pooled conditionals of near outcomes.
 
     For each wing, own setting, own-direction cause cell, far setting, and
-    outcome, reports locality_residuals of the model as a batch of one.
-    Cells or setting pairs of zero conditioning mass are skipped and listed.
+    outcome, p(out | own, far, cell) - p(out | own, cell), read from each
+    row's marginal p(far, out, cell) at its own setting. Cells or setting
+    pairs of zero conditioning mass (0/0, NaN) are skipped and listed.
     """
-    flat = locality_residuals(model.weights[None])[0].transpose(2, 0, 1).ravel().tolist()  # (row and cell, far, out)
+    w = model.weights
+    s = np.concatenate([_marginal(w[row.index], (0, 1 + row.wing, 3 + row.cause)) for row in _WINGS], axis=-1)
+    with np.errstate(invalid="ignore"):
+        pooled = s[0] + s[1]  # (outcome, row and cell)
+        pooled /= pooled[:1] + pooled[1:]
+        out = s / (s[:, :1] + s[:, 1:])
+    out -= pooled
+    flat = out.transpose(2, 0, 1).ravel().tolist()  # (row and cell, far, out)
     keys = _loc_keys(model.cause_cards)
     if not math.isnan(sum(flat)):  # a NaN, a residual of no conditioning mass, makes the sum NaN
         return ResidualReport(tuple(flat), keys, (), _loc_label)
@@ -747,24 +738,14 @@ def validate_screening(model: EprbModel) -> ResidualReport:
     return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _screening_label)
 
 
-@dataclass(frozen=True)
-class AggregateCause:
-    """Union of cause cells that make one outcome nearly certain."""
-
-    side: str
-    direction: int
-    cells: tuple[int, ...]
-    cutoff: float
-    epsilon_dir: float
-
-
-def _aggregate(model: EprbModel, row: _Wing) -> AggregateCause:
+def _aggregate(model: EprbModel, row: _Wing) -> tuple[int, ...]:
+    # the aggregate cause of a row: the own-direction cause cells that make
+    # the + outcome nearly certain, p(+ | own, cell) >= 1 - sqrt(eps_dir)
     prof = model.profile()
     eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
     s = _marginal(model.weights[row.index], (1 + row.wing, 3 + row.cause))  # (out, cell)
     cutoff = 1.0 - math.sqrt(eps_dir)
-    cells = [i for i, (p, m) in enumerate(zip(*s.tolist())) if p + m > 0.0 and p / (p + m) >= cutoff - 1e-12]
-    return AggregateCause(row.side, row.setting, tuple(cells), cutoff, eps_dir)
+    return tuple(i for i, (p, m) in enumerate(zip(*s.tolist())) if p + m > 0.0 and p / (p + m) >= cutoff - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -832,8 +813,8 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     for ai in (0, 1):
         for bj in (0, 1):
             ct = correction_terms(eps, settings[ai, bj])
-            sel_a = list(agg[ai].cells)
-            sel_b = list(agg[2 + bj].cells)
+            sel_a = list(agg[ai])
+            sel_b = list(agg[2 + bj])
             p_cc = float(cause_pairs[2 * ai + bj][:, sel_b][sel_a].sum()) if sel_a and sel_b else 0.0
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
@@ -850,8 +831,8 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     return JointCauseReport(
         epsilon=eps,
         pairs=tuple(pairs),
-        alice_cells=(agg[0].cells, agg[1].cells),
-        bob_cells=(agg[2].cells, agg[3].cells),
+        alice_cells=(agg[0], agg[1]),
+        bob_cells=(agg[2], agg[3]),
     )
 
 

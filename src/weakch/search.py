@@ -188,7 +188,7 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = cfg.cause_cards
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=np.full((2, 2), 0.25))
+    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1))
     cur = _evaluate(start.weights, cards, cfg)
     feasible = _feasible(cur, cfg)
     if feasible:

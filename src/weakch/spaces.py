@@ -93,17 +93,6 @@ class FiniteProbSpace:
         return len(self.atoms)
 
 
-def make_space(weights: Sequence[float], atoms: Sequence[Hashable] | None = None) -> FiniteProbSpace:
-    """Build a space from raw nonnegative weights, normalizing the total.
-
-    Atom labels default to 0..n-1.
-    """
-    w = np.asarray(list(weights), dtype=float)
-    if atoms is None:
-        atoms = tuple(range(w.size))
-    return FiniteProbSpace(tuple(atoms), w)
-
-
 def _event_indices(space: FiniteProbSpace, event: Iterable[Hashable]) -> list[int]:
     index = space._index
     out = []

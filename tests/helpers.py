@@ -169,7 +169,7 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     rng = np.random.default_rng([cfg.seed, restart])
     cards = tuple(cfg.cause_cards)
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1), setting_probs=np.full((2, 2), 0.25))
+    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1))
     cur = _full_evaluation(start.weights, cards, cfg)
     feasible = (
         all(

@@ -420,7 +420,8 @@ def test_simulate_samples_a_model_file_named_singlet(capsys, tmp_path, monkeypat
     argv = ["simulate", "--seed", "2", "--n", "20000", "--epsilon", "0", "--model", "singlet"]
     code, env, _ = run_json(capsys, *argv)
     model = model_from_dict(json.loads(Path("singlet").read_text()))
-    cfg = simulate.SimConfig(seed=2, n=20000, theta=env["inputs"]["angles"], source=model)
+    assert env["inputs"]["angles"] is None  # a model is sampled at no angles
+    cfg = simulate.SimConfig(seed=2, n=20000, source=model)
     assert env["result"]["counts"] == simulate.sample_runs(cfg).counts.tolist()
     assert code == 0
 
@@ -679,6 +680,64 @@ def test_every_exit_path_writes_exactly_one_envelope(capsys, monkeypatch, fmt, a
         assert status == "precondition_failed"
     elif argv[0] == "check-model" and kind == "ok":
         assert status == ("violation" if expected_code == 3 else "ok")
+
+
+# Commands whose echoed inputs must replay: run from tests/golden, the
+# inputs turned back into argv give the same exit code and result.
+_REPLAY_CASES = {
+    "predict-angles": ["predict", "--angles", LOWER],
+    "predict-angles-degrees": ["predict", "--angles", "0,90,45,-45", "--degrees"],
+    "predict-phi-degrees": ["predict", "--phi", "90", "--outcomes", "+-", "--degrees"],
+    "bounds": ["bounds", "--epsilon", "1e-4", "--pa", "0.4", "--pb", "0.6", "--pab", "0.2"],
+    "thresholds": ["thresholds"],
+    "check": ["check", "--value", "-1.2", "--epsilon", "1e-4", "--pab", "0.3"],
+    "check-model-eprb": ["check-model", "--file", "eprb_model.json"],
+    "check-model-pairwise": ["check-model", "--file", "pairwise_model.json"],
+    "oracle-file": ["oracle", "--file", "atoms.json"],
+    "optimize-angles": ["optimize-angles", "--mode", "max", "--grid", "8"],
+    "search": ["search", "--seed", "3", "--restarts", "2", "--eps-band", "1e-5,1e-3", "--cards", "3,2,2,2"],
+    "simulate": ["simulate", "--seed", "1", "--n", "2000", "--angles", LOWER, "--k-sigma", "2"],
+    "simulate-model": ["simulate", "--seed", "2", "--n", "2000", "--model", "eprb_model.json", "--epsilon", "0"],
+    "simulate-uneven": [
+        "simulate", "--seed", "3", "--n", "2000", "--angles", LOWER,
+        "--setting-probs", "0.3,0.3,0.3,0.1", "--epsilon", "1e-4",
+    ],
+}
+
+
+def _replay_argv(command: str, inputs: dict) -> list:
+    argv = [command]
+    for key, value in inputs.items():
+        if value is None or value is False or (command == "check-model" and key == "type"):
+            continue  # left out; check-model reads the type from the file
+        flag = "--cards" if key == "cause_cards" else "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+            continue
+        if key == "setting_probs":
+            value = [p for row in value for p in row]  # p13,p14,p23,p24
+        if isinstance(value, list):
+            value = ",".join(map(repr, value))
+        elif not isinstance(value, str):
+            value = repr(value)
+        argv.append(f"{flag}={value}")  # a value may start with "-"
+    return argv
+
+
+def test_replay_cases_cover_every_command():
+    from weakch.cli import _HANDLERS
+
+    assert {argv[0] for argv in _REPLAY_CASES.values()} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("name", list(_REPLAY_CASES))
+def test_echoed_inputs_replay_the_command(capsys, monkeypatch, name):
+    monkeypatch.chdir(GOLDEN)
+    argv = _REPLAY_CASES[name]
+    code, env, _ = run_json(capsys, *argv)
+    replay = _replay_argv(argv[0], env["inputs"])
+    again, env_again, err = run_json(capsys, *replay)
+    assert (again, env_again["result"]) == (code, env["result"]), (replay, err)
 
 
 @pytest.mark.parametrize(

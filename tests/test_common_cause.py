@@ -57,7 +57,6 @@ from weakch.spaces import (
     ResidualReport,
     WeakChError,
     ZeroConditioner,
-    make_space,
 )
 
 
@@ -237,7 +236,7 @@ def test_classify_independent_halves_single_cell_goes_low():
     # A and B independent halves of a uniform four-atom space, one cell:
     # deficit 1/2, border sqrt(1/2) ~ 0.707, and the 0.5 conditional falls
     # at or below it.
-    sp = make_space([0.25] * 4, atoms=["ab", "aB", "Ab", "AB"])
+    sp = FiniteProbSpace(("ab", "aB", "Ab", "AB"), [0.25] * 4)
     m = _labelled_model(sp, {"ab", "aB"}, {"ab", "Ab"}, [sp.atoms])
     classes = classify_cells(m)
     assert classes.epsilon == pytest.approx(0.5, abs=1e-12)
@@ -441,7 +440,7 @@ def test_cause_mass_bounds_rejects_broken_screening():
 
 def test_cause_mass_bounds_rejects_uneven_marginals():
     # deterministic cells screen exactly, but the marginal is 0.6
-    sp = make_space([0.6, 0.4], atoms=["ab", "none"])
+    sp = FiniteProbSpace(("ab", "none"), [0.6, 0.4])
     m = _labelled_model(sp, {"ab"}, {"ab"}, [{"ab"}, {"none"}])
     with pytest.raises(PreconditionViolated):
         check_cause_mass_bounds(m)
@@ -450,7 +449,7 @@ def test_cause_mass_bounds_rejects_uneven_marginals():
 
 
 def test_zero_mass_cells_go_low_and_are_skipped():
-    sp = make_space([0.5, 0.5, 0.0, 0.0], atoms=["a1", "a2", "z1", "z2"])
+    sp = FiniteProbSpace(("a1", "a2", "z1", "z2"), [0.5, 0.5, 0.0, 0.0])
     m = _labelled_model(sp, {"a1"}, {"a1"}, [{"a1"}, {"a2"}, {"z1", "z2"}])
     classes = classify_cells(m)
     assert 2 in classes.low
@@ -458,15 +457,15 @@ def test_zero_mass_cells_go_low_and_are_skipped():
 
 
 def test_model_epsilon_rejects_a_zero_mass_conditioner():
-    sp = make_space([0.5, 0.5], atoms=["x", "y"])
+    sp = FiniteProbSpace(("x", "y"), [0.5, 0.5])
     with pytest.raises(ZeroConditioner):
         model_epsilon(_labelled_model(sp, {"x"}, set(), [{"x"}, {"y"}]))
     with pytest.raises(ZeroConditioner):
-        model_epsilon(_labelled_model(make_space([1.0, 0.0]), {0}, {1}, [{0}, {1}]))
+        model_epsilon(_labelled_model(FiniteProbSpace((0, 1), [1.0, 0.0]), {0}, {1}, [{0}, {1}]))
 
 
 def test_labelled_model_rejects_foreign_atoms():
-    sp = make_space([0.5, 0.5], atoms=["x", "y"])
+    sp = FiniteProbSpace(("x", "y"), [0.5, 0.5])
     with pytest.raises(BadModel):
         _labelled_model(sp, {"x", "z"}, {"x"}, [{"x"}, {"y"}])
     with pytest.raises(ForeignEvent):
@@ -551,7 +550,7 @@ def test_pairwise_label_fields_must_be_json_arrays():
     # and 1 would name one atom; library callers keep any hashable label
     with pytest.raises(BadModel, match="strings or integers"):
         model_from_dict({**good, "A": ["w", True]})
-    space = make_space([0.5, 0.5], atoms=[(0, 1), 2.5])
+    space = FiniteProbSpace(((0, 1), 2.5), [0.5, 0.5])
     assert _labelled_model(space, [(0, 1)], [(0, 1)], [[(0, 1)], [2.5]]).n_cells == 2
 
 
@@ -952,10 +951,10 @@ def test_aggregate_cause_includes_forcing_and_boundary_cells():
     plus = [(1.0, 1.0 - root, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     m = build_product_model(uniform_settings(), cause, plus)
     assert m.profile().eps_a[0] == pytest.approx(t, rel=1e-9)
-    agg = _aggregate(m, _WINGS[0])
-    assert 0 in agg.cells  # conditional exactly 1
-    assert 1 in agg.cells  # conditional exactly at the cutoff
-    assert 2 not in agg.cells
+    cells = _aggregate(m, _WINGS[0])
+    assert 0 in cells  # conditional exactly 1
+    assert 1 in cells  # conditional exactly at the cutoff
+    assert 2 not in cells
 
 
 def test_aggregate_cause_empty_when_cells_uninformative():
@@ -969,10 +968,8 @@ def test_aggregate_cause_empty_when_cells_uninformative():
     plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     m = build_product_model(uniform_settings(), cause, plus, attach=(1, 1, 2, 3))
     assert m.profile().eps_a[0] == 0.0
-    agg = _aggregate(m, _WINGS[0])
-    assert agg.cells == ()
-    agg2 = _aggregate(m, _WINGS[1])
-    assert agg2.cells == (0,)
+    assert _aggregate(m, _WINGS[0]) == ()
+    assert _aggregate(m, _WINGS[1]) == (0,)
 
 
 def test_joint_cause_bounds_perfect_model_equality():
@@ -1087,10 +1084,10 @@ def test_aggregate_cause_cutoff_tolerance():
     # All weights are multiples of 2^-53 that sum to 1, so normalising and
     # summing are exact and the cell's conditional is edge itself.
     assert (m.weights[0, 0, 0, 0, 1, 0, 0, 0], m.weights[0, 0, 1, 0, 1, 0, 0, 0]) == (w_edge, 0.6875 - w_edge)
-    agg = _aggregate(m, _WINGS[0])
-    assert (agg.epsilon_dir, agg.cutoff, agg.cells) == (0.0, 1.0, (0, 1))
+    eps_dir = m.profile().eps_a[0]
+    assert (eps_dir, 1 - math.sqrt(eps_dir), _aggregate(m, _WINGS[0])) == (0.0, 1.0, (0, 1))
     for q, cells in ((1.0 - 0.5e-12, (0, 1)), (1.0 - 2e-12, (0,))):  # inside the tolerance, beyond it
-        assert _aggregate(_aggregate_border_model(q * 0.6875), _WINGS[0]).cells == cells, q
+        assert _aggregate(_aggregate_border_model(q * 0.6875), _WINGS[0]) == cells, q
 
 
 def test_weak_report_matches_components():

@@ -11,7 +11,6 @@ from weakch.spaces import (
     NegativeWeight,
     ResidualReport,
     WeakChError,
-    make_space,
     prob,
     screening_residuals,
     space_from_dict,
@@ -21,18 +20,18 @@ from weakch.common_cause import pairwise_model_to_dict, random_screened_model
 
 
 def test_single_atom_space():
-    sp = make_space([1.0])
+    sp = FiniteProbSpace((0,), [1.0])
     assert sp.weights.tolist() == [1.0]
     assert prob(sp, {0}) == 1.0
 
 
 def test_two_even_atoms():
-    sp = make_space([0.5, 0.5])
+    sp = FiniteProbSpace((0, 1), [0.5, 0.5])
     assert sp.weights.tolist() == [0.5, 0.5]
 
 
 def test_construction_normalizes():
-    sp = make_space([2.0, 2.0])
+    sp = FiniteProbSpace((0, 1), [2.0, 2.0])
     assert sp.weights.tolist() == [0.5, 0.5]
     assert abs(math.fsum(sp.weights.tolist()) - 1.0) <= 1e-12
 
@@ -41,7 +40,7 @@ def test_normalizing_is_idempotent():
     # a divided total is often an ulp off one; dividing by it again would move weights
     off_one = 0
     for seed in range(20):
-        sp = make_space(np.random.default_rng(seed).uniform(0.0, 1.0, 50))
+        sp = FiniteProbSpace(range(50), np.random.default_rng(seed).uniform(0.0, 1.0, 50))
         again = FiniteProbSpace(sp.atoms, sp.weights)
         assert again.weights.tobytes() == sp.weights.tobytes()
         off_one += math.fsum(sp.weights.tolist()) != 1.0
@@ -59,15 +58,15 @@ def test_space_keeps_its_own_copy_of_the_weights():
 
 def test_empty_and_negative_inputs():
     with pytest.raises(EmptySpace):
-        make_space([])
+        FiniteProbSpace((), [])
     with pytest.raises(EmptySpace):
-        make_space([0.0, 0.0])
+        FiniteProbSpace((0, 1), [0.0, 0.0])
     with pytest.raises(NegativeWeight):
-        make_space([0.5, -0.1])
+        FiniteProbSpace((0, 1), [0.5, -0.1])
     with pytest.raises(NegativeWeight):
-        make_space([0.5, math.nan])
+        FiniteProbSpace((0, 1), [0.5, math.nan])
     with pytest.raises(EmptySpace):
-        make_space([0.5, math.inf])
+        FiniteProbSpace((0, 1), [0.5, math.inf])
 
 
 def test_atom_labels_must_be_unique():
@@ -78,20 +77,20 @@ def test_atom_labels_must_be_unique():
 
 
 def test_prob_extremes():
-    sp = make_space([0.5, 0.5])
+    sp = FiniteProbSpace((0, 1), [0.5, 0.5])
     assert prob(sp, sp.atoms) == 1.0
     assert prob(sp, set()) == 0.0
     assert prob(sp, {0}) == 0.5
 
 
 def test_prob_rejects_foreign_atoms():
-    sp = make_space([1.0, 1.0])
+    sp = FiniteProbSpace((0, 1), [1.0, 1.0])
     with pytest.raises(ForeignEvent):
         prob(sp, {"nope"})
 
 
 def test_screening_trivial_partition():
-    sp = make_space([0.1, 0.2, 0.3, 0.4])
+    sp = FiniteProbSpace((0, 1, 2, 3), [0.1, 0.2, 0.3, 0.4])
     a, b = {0, 1}, {1, 2}
     rep = screening_residuals(sp, a, b, [sp.atoms])
     expected = prob(sp, a & b) - prob(sp, a) * prob(sp, b)
@@ -100,7 +99,7 @@ def test_screening_trivial_partition():
 
 def test_screening_deterministic_cells_exact_zero():
     # each cell sits inside A&B or inside the complement of A|B
-    sp = make_space([0.5, 0.5], atoms=["ab", "none"])
+    sp = FiniteProbSpace(("ab", "none"), [0.5, 0.5])
     rep = screening_residuals(sp, {"ab"}, {"ab"}, [{"ab"}, {"none"}])
     assert rep.residuals == (0.0, 0.0)
 
@@ -112,14 +111,14 @@ def test_screening_product_model_near_zero():
 
 
 def test_screening_zero_mass_cells_flagged():
-    sp = make_space([0.5, 0.5, 0.0], atoms=["x", "y", "z"])
+    sp = FiniteProbSpace(("x", "y", "z"), [0.5, 0.5, 0.0])
     rep = screening_residuals(sp, {"x"}, {"y"}, [{"x"}, {"y"}, {"z"}])
     assert rep.skipped == (2,)
     assert rep.index == (0, 1)
 
 
 def test_partition_validation():
-    sp = make_space([0.5, 0.5])
+    sp = FiniteProbSpace((0, 1), [0.5, 0.5])
     with pytest.raises(BadPartition):
         screening_residuals(sp, {0}, {1}, [{0}, {0, 1}])
     with pytest.raises(BadPartition):
@@ -131,7 +130,7 @@ def test_partition_validation():
 
 
 def test_space_json_roundtrip():
-    sp = make_space([0.25, 0.75], atoms=["u", "v"])
+    sp = FiniteProbSpace(("u", "v"), [0.25, 0.75])
     back = space_from_dict(space_to_dict(sp))
     assert back.atoms == sp.atoms
     assert back.weights.tolist() == sp.weights.tolist()

@@ -31,6 +31,7 @@ and say in the change log what moved and why.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -49,7 +50,6 @@ from weakch.common_cause import (
     check_cause_mass_bounds,
     classify_cells,
     joint_cause_bounds_check,
-    locality_residuals,
     model_epsilon,
     pairwise_model_to_dict,
     random_eprb_model,
@@ -60,7 +60,7 @@ from weakch.common_cause import (
 )
 from weakch.inequalities import no_signalling_residuals
 from weakch.simulate import CountsTable, estimate
-from weakch.spaces import FiniteProbSpace, ResidualReport, WeakChError, make_space, prob
+from weakch.spaces import FiniteProbSpace, ResidualReport, WeakChError, prob
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "validators.json"
 CARDS = ((2, 2, 2, 2), (3, 2, 4, 2), (2, 3, 2, 3), (4, 4, 4, 4))
@@ -138,10 +138,12 @@ def joint_report(model):
 
 def validator_record(weights, cards) -> dict:
     model = EprbModel(weights, cards)
+    prof = model.profile()
     aggregates = []
     for row in _WINGS:
-        agg = _aggregate(model, row)
-        aggregates.append([row.side, row.setting, list(agg.cells), agg.cutoff.hex(), agg.epsilon_dir.hex()])
+        eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
+        cutoff = 1 - math.sqrt(eps_dir)
+        aggregates.append([row.side, row.setting, list(_aggregate(model, row)), cutoff.hex(), eps_dir.hex()])
     joint = joint_report(model)
     return {
         "loc": _residual_record(validate_loc(model)),
@@ -268,7 +270,7 @@ def pairwise_models():
     halves = ["ab", "aB", "Ab", "AB"]
     out.append(("independent halves", _labelled(halves, [0.25] * 4, ["ab", "aB"], ["ab", "Ab"], [halves])))
     out.append(("B empty", _labelled(["x", "y"], [0.5, 0.5], ["x"], [], [["x"], ["y"]])))
-    space = make_space([0.1, 0.2, 0.3, 0.4])
+    space = FiniteProbSpace((0, 1, 2, 3), [0.1, 0.2, 0.3, 0.4])
     out.append(("integer atoms", _labelled_model(space, [0, 1], [1, 2], [[0, 3], [1], [2]])))
     for k in range(10):
         n = int(rng.integers(2, 12))
@@ -425,21 +427,36 @@ def test_pairwise_fixture_cases_exercise_every_branch():
 
 
 @pytest.mark.parametrize("cards", CARDS)
-def test_locality_residuals_of_a_block_are_the_validators(cards):
-    # locality_residuals reads a stack of models as one batch, validate_loc
-    # each model as a batch of one: each model's residuals are the same bits
-    # either way, and its NaNs are the entries the validator skips. The
+def test_locality_residuals_are_differences_of_conditionals(cards):
+    # Per model, each residual is p(out | own, far, cell) - p(out | own, cell),
+    # summed here from the weights one cell at a time, and each skip is a
+    # cell, or a cell at one far setting, of no conditioning mass. The
     # fixture's models include zero-mass cells and far settings, so both
     # kinds of skip occur.
-    models = [EprbModel(w, c) for _, w, c in validator_models() if c == cards]
-    block = np.stack([m.weights for m in models])
-    rows = [locality_residuals(block, (row,)) for row in _WINGS]  # a wing at a time
     kinds = set()
-    for b, m in enumerate(models):
-        flat = np.concatenate([res[b] for res in rows], axis=-1).transpose(2, 0, 1).ravel()  # validate_loc's order
+    for _, w, c in validator_models():
+        if c != cards:
+            continue
+        m = EprbModel(w, c)
+        keys, want, skipped = [], [], []
+        for r, row in enumerate(_WINGS):
+            s = np.moveaxis(m.weights[row.index], (0, 1 + row.wing, 3 + row.cause), (0, 1, 2))  # far, out, cell, ...
+            for i in range(c[row.cause]):
+                cell = s[:, :, i].reshape(2, 2, -1).sum(axis=-1)  # (far, out)
+                if cell.sum() == 0.0:
+                    skipped.append((r, i))
+                    continue
+                for f in (0, 1):
+                    if cell[f].sum() == 0.0:
+                        skipped.append((r, i, f))
+                        continue
+                    for o in (0, 1):
+                        keys.append((r, i, f, o))
+                        want.append(cell[f, o] / cell[f].sum() - cell[:, o].sum() / cell.sum())
         rep = validate_loc(m)
-        assert [r.hex() for r in flat[~np.isnan(flat)].tolist()] == [r.hex() for r in rep.residuals]
-        kinds.update(len(key) for key in rep._skipped)
+        assert (rep._keys, rep._skipped) == (tuple(keys), tuple(skipped))
+        assert rep.residuals == pytest.approx(want, rel=0, abs=1e-12)
+        kinds.update(map(len, skipped))
     assert kinds == {2, 3}
 
 
