@@ -451,8 +451,7 @@ def _cmd_simulate(args) -> tuple[dict, object, int]:
         "model": args.model,
         "epsilon": args.epsilon,
         "k_sigma": args.k_sigma,
-        # as given, so that it replays: dividing the law used by its sum again can move its bits
-        "setting_probs": cfg.setting_probs if sp is None else sp,
+        "setting_probs": cfg.setting_probs,
     }
     result = {
         "counts": table.counts,

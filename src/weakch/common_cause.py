@@ -56,6 +56,7 @@ from .inequalities import (  # the oracle names are re-exported
     weak_ch_bounds,
 )
 from .spaces import (
+    _NORMALIZED_TOL,
     CellStats,
     FiniteProbSpace,
     ResidualReport,
@@ -100,7 +101,9 @@ def setting_law(table) -> np.ndarray:
     """The 2x2 setting law p(a, b), read-only; None gives the even law.
 
     A given table must be 2x2, finite and nonnegative and sum to 1 within
-    1e-9, or BadSettingProbs is raised; it is returned divided by its sum.
+    1e-9, or BadSettingProbs is raised. As FiniteProbSpace's weights, it is
+    divided by its sum unless its exact total is within _NORMALIZED_TOL of 1,
+    so a law read again keeps its bits.
     """
     if table is None:
         return singlet._freeze(np.full((2, 2), 0.25))
@@ -108,7 +111,8 @@ def setting_law(table) -> np.ndarray:
     # NaN and -inf fail the first comparison, +inf the sum's
     if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= 1e-9:
         raise BadSettingProbs(f"setting law must be a finite, nonnegative 2x2 table summing to 1, got {sp.tolist()}")
-    return singlet._freeze(sp / sp.sum())
+    exact = abs(math.fsum(sp.ravel().tolist()) - 1.0) <= _NORMALIZED_TOL
+    return singlet._freeze(sp.copy() if exact else sp / sp.sum())  # never the caller's array
 
 
 def _kept(derive):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,17 +142,7 @@ class SearchResult:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class _Eval:
-    model: EprbModel
-    penalty: float
-    weak: WeakChReport
-    strict_excess: float
-    objective: float
-
-
-def _evaluate(w: np.ndarray, cards: tuple, cfg: SearchConfig) -> _Eval:
-    model = EprbModel(w, cards)
+def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig) -> SearchResult:
     pen = constraint_penalty(model)
     weak = model.weak_report()
     v = weak.value
@@ -164,21 +154,24 @@ def _evaluate(w: np.ndarray, cards: tuple, cfg: SearchConfig) -> _Eval:
     objective = strict_excess - _PENALTY_WEIGHT * (
         pen + band_dist * band_dist + weak_excess * weak_excess
     )
-    return _Eval(model, pen, weak, strict_excess, objective)
+    return SearchResult(
+        model=model, restart_index=restart, objective=objective, penalty=pen, epsilon=eps,
+        ch_value=v, weak_report=weak, trace=(), feasible=False,
+    )
 
 
-def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
+def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
     # The validators must pass the gate that check-model applies through
     # joint_cause_bounds_check; it is run only after the cheaper tests pass.
     lo, hi = cfg.eps_band
     if not (
-        lo - 1e-12 <= ev.weak.epsilon <= hi + 1e-12
-        and ev.strict_excess > 1e-12
-        and not ev.weak.violated
+        lo - 1e-12 <= res.epsilon <= hi + 1e-12
+        and max(-1.0 - res.ch_value, res.ch_value) > 1e-12
+        and not res.weak_report.violated
     ):
         return False
     try:
-        check_assumptions(ev.model)
+        check_assumptions(res.model)
     except PreconditionViolated:
         return False
     return True
@@ -186,30 +179,19 @@ def _feasible(ev: _Eval, cfg: SearchConfig) -> bool:
 
 def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     rng = np.random.default_rng([cfg.seed, restart])
-    cards = cfg.cause_cards
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1))
-    cur = _evaluate(start.weights, cards, cfg)
-    feasible = _feasible(cur, cfg)
-    if feasible:
-        # Independent re-validation before any feasibility claim.
-        check = _evaluate(cur.model.weights, cards, cfg)
-        feasible = (
-            _feasible(check, cfg)
-            and check.weak.violated_lower == cur.weak.violated_lower
-            and check.weak.violated_upper == cur.weak.violated_upper
-        )
-    return SearchResult(
-        model=cur.model,
-        restart_index=restart,
-        objective=cur.objective,
-        penalty=cur.penalty,
-        epsilon=cur.weak.epsilon,
-        ch_value=cur.weak.value,
-        weak_report=cur.weak,
-        trace=(),
-        feasible=feasible,
+    start = random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
+    res = _evaluate(start, restart, cfg)
+    if not _feasible(res, cfg):
+        return res
+    # Independent re-validation, of a model rebuilt from the weights.
+    check = _evaluate(EprbModel(res.model.weights, res.model.cause_cards), restart, cfg)
+    feasible = (
+        _feasible(check, cfg)
+        and check.weak_report.violated_lower == res.weak_report.violated_lower
+        and check.weak_report.violated_upper == res.weak_report.violated_upper
     )
+    return replace(res, feasible=feasible)
 
 
 def search_counterexample(cfg: SearchConfig) -> SearchResult:

@@ -147,8 +147,7 @@ def ordered_penalty(model: EprbModel) -> float:
     return total
 
 
-def _full_evaluation(w, cards, cfg) -> SimpleNamespace:
-    model = EprbModel(w, cards)
+def _full_evaluation(model, cfg) -> SimpleNamespace:
     pen = ordered_penalty(model)
     weak = model.weak_report()
     v = weak.value
@@ -167,10 +166,9 @@ def _full_evaluation(w, cards, cfg) -> SimpleNamespace:
 
 def _reference_restart(cfg, restart: int) -> SimpleNamespace:
     rng = np.random.default_rng([cfg.seed, restart])
-    cards = tuple(cfg.cause_cards)
     lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cards, min(0.5 * (lo + hi), 0.1))
-    cur = _full_evaluation(start.weights, cards, cfg)
+    start = random_eprb_model(rng, tuple(cfg.cause_cards), min(0.5 * (lo + hi), 0.1))
+    cur = _full_evaluation(start, cfg)
     feasible = (
         all(
             validate(cur.model).max_abs <= common_cause.PRECONDITION_TOL
@@ -193,7 +191,7 @@ def _reference_restart(cfg, restart: int) -> SimpleNamespace:
 
 
 def reference_search(cfg) -> SimpleNamespace:
-    """The counterexample search written out: each restart's start model, evaluated in full.
+    """The counterexample search written out: each restart's generated model, evaluated in full.
 
     Each restart generates its model from the stream keyed by (seed,
     restart index) and runs all three validators and the weak report on

@@ -51,6 +51,7 @@ from weakch import singlet
 from weakch.inequalities import BadSettingProbs, pair_settings
 from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
+    _NORMALIZED_TOL,
     BadPartition,
     FiniteProbSpace,
     ForeignEvent,
@@ -702,6 +703,25 @@ def test_setting_law_reads_tables_read_only():
     assert np.array_equal(sp, given / given.sum()) and not sp.flags.writeable
     assert given.flags.writeable  # the caller's table is not frozen
     assert cc.setting_law([[0.5, 0.0], [0.0, 0.5]]).tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("table, kept", [
+    ([[0.3, 0.3], [0.3, 0.1]], True),
+    ([[0.7, 0.1], [0.1, 0.1]], True),
+    ([[0.4, 0.1], [0.1, 0.4]], True),
+    ([[0.1, 0.2], [0.3, 0.4]], True),
+    ([[0.25, 0.25], [0.25, 0.25 + 1e-10]], False),
+    ([[0.25, 0.25], [0.25, 0.25 - 4e-15]], False),
+], ids=["0.3 law", "0.7 law", "fixture law", "uneven", "1e-10 over", "4e-15 under"])
+def test_setting_law_is_idempotent(table, kept):
+    # a table whose exact total is within _NORMALIZED_TOL of 1 is kept as
+    # given, as FiniteProbSpace keeps its weights; any other is divided by
+    # its sum, and the law read again keeps its bits
+    law = np.array(table)
+    sp = cc.setting_law(table)
+    assert sp.tobytes() == (law if kept else law / law.sum()).tobytes()
+    assert (abs(math.fsum(law.ravel().tolist()) - 1.0) <= _NORMALIZED_TOL) is kept
+    assert cc.setting_law(sp).tobytes() == sp.tobytes()
 
 
 def test_loc_detects_far_setting_influence():

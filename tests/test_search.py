@@ -285,13 +285,13 @@ def test_feasibility_needs_every_residual_within_the_precondition_tolerance():
     w[1, 0, 0, 0] += move
     model = EprbModel(w, (2, 2, 2, 2))
     cfg = SearchConfig()
-    ev = _evaluate(model.weights, model.cause_cards, cfg)
-    assert ev.penalty < 1e-10
-    assert ev.weak.value < -1.0 and not ev.weak.violated
-    assert cfg.eps_band[0] <= ev.weak.epsilon <= cfg.eps_band[1]
+    res = _evaluate(model, 0, cfg)
+    assert res.penalty < 1e-10
+    assert res.ch_value < -1.0 and not res.weak_report.violated
+    assert cfg.eps_band[0] <= res.epsilon <= cfg.eps_band[1]
     with pytest.raises(PreconditionViolated, match="locality"):
-        joint_cause_bounds_check(ev.model)
-    assert _feasible(ev, cfg) is False
+        joint_cause_bounds_check(res.model)
+    assert _feasible(res, cfg) is False
 
 
 def test_check_model_and_the_search_refuse_a_nan_residual(monkeypatch):
@@ -299,15 +299,15 @@ def test_check_model_and_the_search_refuse_a_nan_residual(monkeypatch):
     # only residuals <= PRECONDITION_TOL, and looks each validator up when
     # it runs.
     model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
-    weak = model.weak_report()
-    ev = search_mod._Eval(model, 0.0, weak, 1.0, 0.0)  # as if it broke the strict interval
-    cfg = SearchConfig(eps_band=(weak.epsilon, weak.epsilon))
-    assert not weak.violated
-    assert _feasible(ev, cfg) is True
+    res = _evaluate(model, 0, SearchConfig())
+    res = dataclasses.replace(res, ch_value=1.0)  # as if it broke the strict interval
+    cfg = SearchConfig(eps_band=(res.epsilon, res.epsilon))
+    assert not res.weak_report.violated
+    assert _feasible(res, cfg) is True
     monkeypatch.setattr(common_cause_mod, "validate_loc", lambda m: ResidualReport((math.nan,)))
     with pytest.raises(PreconditionViolated, match="^locality residual nan exceeds"):
         joint_cause_bounds_check(model)
-    assert _feasible(ev, cfg) is False
+    assert _feasible(res, cfg) is False
 
 
 def test_search_keeps_only_its_best_restart():
@@ -396,7 +396,51 @@ def test_restart_streams_are_keyed_by_seed_and_index():
     assert len(models) == 16
 
 
-@pytest.mark.parametrize("shift, strict_excess, violated, feasible", [
+# Two benchmark search jobs whose winning generated model (restart 0 and
+# restart 1) moved when its weights were divided by their sum again.
+NARROW_WIDE = [
+    SearchConfig(seed=seed, restarts=2, cause_cards=(4, 4, 4, 4), eps_band=(1e-5, 3e-5))
+    for seed in (1610819869, 1933752451)
+]
+
+
+@pytest.mark.parametrize("cfg, restart", [
+    (SearchConfig(seed=56), 3),
+    (NARROW_WIDE[0], 0),
+    (NARROW_WIDE[1], 1),
+    (SearchConfig(seed=56), 0),
+    (NARROW_WIDE[0], 1),
+    (NARROW_WIDE[1], 0),
+    (SearchConfig(seed=2, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0)), 2),
+], ids=["56-3", "1610819869-0", "1933752451-1", "56-0", "1610819869-1", "1933752451-0", "2-2"])
+def test_a_search_result_is_its_generated_model(cfg, restart):
+    # the restart reports the model random_eprb_model generated, not a
+    # rebuild that divides its weights by their sum again
+    lo, hi = cfg.eps_band
+    rng = np.random.default_rng([cfg.seed, restart])
+    generated = random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
+    res = search_mod._run_restart(cfg, restart)
+    assert res.model.weights.tobytes() == generated.weights.tobytes()
+    assert res.weak_report == generated.weak_report()
+
+
+@pytest.mark.parametrize("gate", [False, True], ids=["gate fails", "gate passes"])
+def test_only_a_restart_past_the_gate_rebuilds_its_model(monkeypatch, gate):
+    # the generator builds the restart's model; only the re-validation of a
+    # restart that passes the gate builds a second one from its weights
+    built = []
+    init = EprbModel.__init__
+    monkeypatch.setattr(EprbModel, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    if gate:
+        monkeypatch.setattr(search_mod, "_feasible", lambda res, cfg: True)
+    res = search_mod._run_restart(SearchConfig(seed=13), 0)
+    assert res.feasible is gate
+    assert len(built) == 1 + gate
+    if gate:
+        assert built[1][0] is res.model.weights
+
+
+@pytest.mark.parametrize("shift, ch_value, violated, feasible", [
     (0.0, 1.0, False, True),
     (0.5e-12, 1.0, False, True),
     (2e-12, 1.0, False, False),
@@ -404,22 +448,25 @@ def test_restart_streams_are_keyed_by_seed_and_index():
     (-2e-12, 1.0, False, False),
     (0.0, 2e-12, False, True),
     (0.0, 1e-12, False, False),
+    (0.0, -1.0 - 2e-12, False, True),
+    (0.0, -1.0 - 0.5e-12, False, False),
     (0.0, 1.0, True, False),
 ], ids=[
     "in the band", "1/2e-12 below the band", "2e-12 below the band", "1/2e-12 above the band",
-    "2e-12 above the band", "strict excess 2e-12", "strict excess 1e-12", "weak interval broken",
+    "2e-12 above the band", "strict excess 2e-12", "strict excess 1e-12",
+    "strict excess 2e-12 below -1", "strict excess 1/2e-12 below -1", "weak interval broken",
 ])
-def test_feasibility_gate_tolerances(shift, strict_excess, violated, feasible):
-    # A clean model, as if it broke the strict interval by strict_excess,
-    # in a one-point band shifted from its deficit: the deficit may lie
-    # 1e-12 outside the band, and the excess must be above 1e-12.
+def test_feasibility_gate_tolerances(shift, ch_value, violated, feasible):
+    # A clean model's result, as if its CH value were ch_value, in a
+    # one-point band shifted from its deficit: the deficit may lie 1e-12
+    # outside the band, and the strict excess must be above 1e-12.
     model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
-    weak = model.weak_report()
-    assert not weak.violated
-    weak = dataclasses.replace(weak, violated_lower=violated)
-    ev = search_mod._Eval(model, 0.0, weak, strict_excess, 0.0)
-    cfg = SearchConfig(eps_band=(weak.epsilon + shift, weak.epsilon + shift))
-    assert _feasible(ev, cfg) is feasible
+    res = _evaluate(model, 0, SearchConfig())
+    assert not res.weak_report.violated
+    weak = dataclasses.replace(res.weak_report, violated_lower=violated)
+    res = dataclasses.replace(res, ch_value=ch_value, weak_report=weak)
+    cfg = SearchConfig(eps_band=(res.epsilon + shift, res.epsilon + shift))
+    assert _feasible(res, cfg) is feasible
 
 
 BENCHMARK_STYLE = [
@@ -488,11 +535,12 @@ def test_feasibility_claims_are_rechecked(monkeypatch, recheck, claimed):
     evaluated = []
 
     def evaluate(*args):
-        ev = _evaluate(*args)
+        res = _evaluate(*args)
         if evaluated and recheck.get("flip"):
-            ev = dataclasses.replace(ev, weak=dataclasses.replace(ev.weak, violated_lower=not ev.weak.violated_lower))
-        evaluated.append(ev)
-        return ev
+            weak = res.weak_report
+            res = dataclasses.replace(res, weak_report=dataclasses.replace(weak, violated_lower=not weak.violated_lower))
+        evaluated.append(res)
+        return res
 
     verdicts = iter([True, recheck.get("feasible", True)])
     monkeypatch.setattr(search_mod, "_evaluate", evaluate)

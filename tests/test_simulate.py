@@ -47,6 +47,15 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a.counts, other.counts)
 
 
+def test_a_config_built_from_a_config_law_samples_the_same_counts():
+    # the law a config stores is the law it was given, so passing it on
+    # keeps its bits and the record's draws
+    cfg = sim.SimConfig(seed=3, n=2000, setting_probs=[[0.3, 0.3], [0.3, 0.1]])
+    again = sim.SimConfig(seed=3, n=2000, setting_probs=cfg.setting_probs)
+    assert again.setting_probs.tobytes() == cfg.setting_probs.tobytes()
+    assert np.array_equal(sim.sample_runs(again).counts, sim.sample_runs(cfg).counts)
+
+
 @pytest.mark.parametrize("n", [1, 2**63 - 1])
 def test_counts_sum_to_n(n):
     table = sim.sample_runs(sim.SimConfig(seed=8, n=n, theta=LOWER_ANGLES, setting_probs=UNEVEN))
