@@ -56,7 +56,6 @@ from .inequalities import (  # the oracle names are re-exported
     weak_ch_bounds,
 )
 from .spaces import (
-    _NORMALIZED_TOL,
     CellStats,
     FiniteProbSpace,
     ResidualReport,
@@ -66,6 +65,7 @@ from .spaces import (
     _cell_sums,
     _json_array,
     _label_list,
+    _normalized,
     _translate,
     space_from_dict,
     space_to_dict,
@@ -102,8 +102,8 @@ def setting_law(table) -> np.ndarray:
 
     A given table must be 2x2, finite and nonnegative and sum to 1 within
     1e-9, or BadSettingProbs is raised. As FiniteProbSpace's weights, it is
-    divided by its sum unless its exact total is within _NORMALIZED_TOL of 1,
-    so a law read again keeps its bits.
+    kept or divided by its exact total by spaces._normalized, so a law read
+    again keeps its bits.
     """
     if table is None:
         return singlet._freeze(np.full((2, 2), 0.25))
@@ -111,8 +111,8 @@ def setting_law(table) -> np.ndarray:
     # NaN and -inf fail the first comparison, +inf the sum's
     if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= 1e-9:
         raise BadSettingProbs(f"setting law must be a finite, nonnegative 2x2 table summing to 1, got {sp.tolist()}")
-    exact = abs(math.fsum(sp.ravel().tolist()) - 1.0) <= _NORMALIZED_TOL
-    return singlet._freeze(sp.copy() if exact else sp / sp.sum())  # never the caller's array
+    total = math.fsum(sp.ravel().tolist())
+    return singlet._freeze(_normalized(sp, total))
 
 
 def _kept(derive):
@@ -511,9 +511,11 @@ def _marginal(w: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 class EprbModel:
     """Joint distribution over settings, outcomes, and four cause variables.
 
-    Its setting law is computed at construction. Its outcome tables,
-    deficit profile and validator reports are computed on first use and
-    kept (see _kept). All of them are read-only.
+    The weights are kept or divided by their sum by spaces._normalized, so
+    a model read back from its to_dict has them bit for bit. Its setting
+    law is computed at construction. Its outcome tables, deficit profile
+    and validator reports are computed on first use and kept (see _kept).
+    All of them are read-only.
     """
 
     weights: np.ndarray
@@ -535,7 +537,7 @@ class EprbModel:
             total = float(w.sum())
         if not 0.0 < total < math.inf:
             raise BadModel(f"total mass must be positive and finite, got {total}")
-        w = w / total
+        w = _normalized(w, total)
         pair = w.sum(axis=tuple(range(2, w.ndim)))
         if (pair <= 0.0).any():
             raise BadModel("every setting pair needs positive probability")
@@ -935,6 +937,7 @@ def random_eprb_model(
         w = factor if w is None else w * factor
     w = w * scale
     w = w[0] + w[1]  # sum over the hidden pattern
+    w /= float(w.sum())  # so that EprbModel keeps them bit for bit
 
     model = EprbModel(w, cards)
     achieved = model.profile().eps_global

@@ -123,9 +123,8 @@ class SearchResult:
     """Best state of the search, with its certificate data.
 
     feasible is claimed only when each assumption validator's residuals are
-    within PRECONDITION_TOL, the tolerance check-model applies, and a
-    re-evaluation confirms that and the inequality statuses; an infeasible
-    outcome is a valid result, never a nonexistence claim.
+    within PRECONDITION_TOL, the tolerance check-model applies; an
+    infeasible outcome is a valid result, never a nonexistence claim.
 
     trace is always empty, as the search takes no steps; it stays for
     callers that still read it.
@@ -182,16 +181,7 @@ def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
     lo, hi = cfg.eps_band
     start = random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
     res = _evaluate(start, restart, cfg)
-    if not _feasible(res, cfg):
-        return res
-    # Independent re-validation, of a model rebuilt from the weights.
-    check = _evaluate(EprbModel(res.model.weights, res.model.cause_cards), restart, cfg)
-    feasible = (
-        _feasible(check, cfg)
-        and check.weak_report.violated_lower == res.weak_report.violated_lower
-        and check.weak_report.violated_upper == res.weak_report.violated_upper
-    )
-    return replace(res, feasible=feasible)
+    return replace(res, feasible=_feasible(res, cfg))
 
 
 def search_counterexample(cfg: SearchConfig) -> SearchResult:

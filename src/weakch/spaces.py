@@ -1,13 +1,14 @@
 """Finite classical probability spaces: atoms, events, partitions, screening.
 
-The substrate for every model in this package. Atoms are hashable labels
-carrying nonnegative weights; construction normalizes the weights so the
-total mass is one. Events are sets of atom labels, partitions are disjoint
-covers. Labelled events and partitions are translated once into arrays in
-atom order (a cell index per atom, a membership mask per event); the
-per-cell sums behind screening read only those arrays. Everything is
-immutable after construction and every operation is a pure function, so
-values can be shared freely between threads.
+The substrate of the pairwise models, and the one rule (_normalized) by
+which every weight table is kept or divided by its total. Atoms are
+hashable labels carrying nonnegative weights, normalized at construction.
+Events are sets of atom labels, partitions are disjoint covers. Labelled
+events and partitions are translated once into arrays in atom order (a
+cell index per atom, a membership mask per event); the per-cell sums
+behind screening read only those arrays. Everything is immutable after
+construction and every operation is a pure function, so values can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class BadPartition(WeakChError):
 _NORMALIZED_TOL = 1e-15
 
 
+def _normalized(w: np.ndarray, total: float) -> np.ndarray:
+    """w divided by total, or a copy of w when total is within _NORMALIZED_TOL of one; never w itself."""
+    return w.copy() if abs(total - 1.0) <= _NORMALIZED_TOL else w / total
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProbSpace:
     """Ordered atom labels with normalized nonnegative weights.
@@ -57,8 +63,8 @@ class FiniteProbSpace:
     Construction normalizes the weights (divides by the total) rather than
     rejecting inputs that do not sum to one. Normalizing is idempotent:
     weights whose exact total is within _NORMALIZED_TOL of one are kept
-    as they are, so a space built from another space's weights has the
-    same weights bit for bit. Individual weights may be zero, but the
+    as they are (_normalized), so a space built from another space's
+    weights has them bit for bit. Individual weights may be zero, but the
     total mass must be positive.
     """
 
@@ -83,7 +89,7 @@ class FiniteProbSpace:
         total = math.fsum(w.tolist())  # +inf survives min but not a finite total
         if not 0.0 < total < math.inf:
             raise EmptySpace(f"total mass must be positive and finite, got {total}")
-        w = w / total if abs(total - 1.0) > _NORMALIZED_TOL else w.copy()  # never the caller's array
+        w = _normalized(w, total)
         w.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)

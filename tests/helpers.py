@@ -53,7 +53,8 @@ def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, 
     The same draws in the same order as the generator: one uniform draw per
     group and direction, eight in all per attempt, where the generator
     draws them at once. Each block is the product of the four per-cause
-    factors in cause order, scaled by half the setting pair's probability.
+    factors in cause order, scaled by half the setting pair's probability;
+    the weights are then divided by their sum.
     """
     rng = np.random.default_rng(seed)
     cards = common_cause.cause_cardinalities(cause_cards, 2)
@@ -102,6 +103,7 @@ def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, 
                         ops[k] = kernels[k] * ops[k]
                     w[a, b] += 0.5 * sp[a, b] * np.einsum(",".join(subs) + "->abijkl", *ops)
 
+        w /= float(w.sum())  # as the generator divides before EprbModel
         model = EprbModel(w, cards)
         if model.profile().eps_global <= epsilon_target * (1.0 + 1e-9) + 1e-15:
             return model.weights

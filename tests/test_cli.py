@@ -347,7 +347,7 @@ def test_optimize_angles_has_no_refine_or_seed(capsys, flag):
     assert f"unrecognized arguments: {flag} 1" in err
 
 
-def test_search_cli_roundtrip(capsys):
+def test_search_cli_roundtrip(capsys, tmp_path):
     code, env, _ = run_json(capsys, "search", "--seed", "4", "--restarts", "1")
     assert code == 0
     assert env["result"]["feasible"] is False
@@ -358,7 +358,18 @@ def test_search_cli_roundtrip(capsys):
     from weakch.search import constraint_penalty
 
     model = model_from_dict(env["result"]["model"])
-    assert constraint_penalty(model) == pytest.approx(env["result"]["penalty"], abs=1e-12)
+    assert constraint_penalty(model) == env["result"]["penalty"]
+    # check-model on the reported model reads the search's weak report; the
+    # winner here moved when a model read back divided its weights again
+    code, env, _ = run_json(
+        capsys, "search", "--seed", "1610819869", "--restarts", "2", "--cards", "4,4,4,4", "--eps-band", "1e-5,3e-5",
+    )
+    assert code == 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(env["result"]["model"]))
+    code, checked, _ = run_json(capsys, "check-model", "--file", str(path))
+    assert code == 0
+    assert checked["result"]["weak_report"] == env["result"]["weak_report"]
 
 
 def test_search_inputs_replay_the_search(capsys):

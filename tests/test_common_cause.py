@@ -608,12 +608,19 @@ def test_eprb_weight_count_does_not_wrap():
         model_from_dict(data)
 
 
-def test_eprb_json_roundtrip():
-    m = random_eprb_model(5, (2, 3, 2, 2), 1e-3)
+@pytest.mark.parametrize("seed, cards, epsilon", [
+    (5, (2, 3, 2, 2), 1e-3),
+    # two models whose weights moved when a model read back divided them by their sum again
+    (2071700805, (3, 4, 4, 4), 0.00034689589710175763),
+    (1043139800, (2, 3, 2, 2), 0.0002534981608367719),
+], ids=["5", "2071700805", "1043139800"])
+def test_eprb_json_roundtrip(seed, cards, epsilon):
+    m = random_eprb_model(seed, cards, epsilon)
     back = model_from_dict(m.to_dict())
     assert isinstance(back, EprbModel)
     assert back.cause_cards == m.cause_cards
-    assert np.array_equal(back.weights, m.weights)
+    assert back.weights.tobytes() == m.weights.tobytes()
+    assert back.weak_report() == m.weak_report()
 
 
 def test_generated_model_passes_all_validators():
@@ -712,15 +719,17 @@ def test_setting_law_reads_tables_read_only():
     ([[0.1, 0.2], [0.3, 0.4]], True),
     ([[0.25, 0.25], [0.25, 0.25 + 1e-10]], False),
     ([[0.25, 0.25], [0.25, 0.25 - 4e-15]], False),
-], ids=["0.3 law", "0.7 law", "fixture law", "uneven", "1e-10 over", "4e-15 under"])
+    ([[0.3, 0.3], [0.3, 0.1 + 1e-9]], False),  # its float sum is an ulp off its exact total
+], ids=["0.3 law", "0.7 law", "fixture law", "uneven", "1e-10 over", "4e-15 under", "1e-9 over"])
 def test_setting_law_is_idempotent(table, kept):
     # a table whose exact total is within _NORMALIZED_TOL of 1 is kept as
     # given, as FiniteProbSpace keeps its weights; any other is divided by
-    # its sum, and the law read again keeps its bits
+    # its exact total, and the law read again keeps its bits
     law = np.array(table)
+    total = math.fsum(law.ravel().tolist())
     sp = cc.setting_law(table)
-    assert sp.tobytes() == (law if kept else law / law.sum()).tobytes()
-    assert (abs(math.fsum(law.ravel().tolist()) - 1.0) <= _NORMALIZED_TOL) is kept
+    assert sp.tobytes() == (law if kept else law / total).tobytes()
+    assert (abs(total - 1.0) <= _NORMALIZED_TOL) is kept
     assert cc.setting_law(sp).tobytes() == sp.tobytes()
 
 

@@ -425,19 +425,18 @@ def test_a_search_result_is_its_generated_model(cfg, restart):
 
 
 @pytest.mark.parametrize("gate", [False, True], ids=["gate fails", "gate passes"])
-def test_only_a_restart_past_the_gate_rebuilds_its_model(monkeypatch, gate):
-    # the generator builds the restart's model; only the re-validation of a
-    # restart that passes the gate builds a second one from its weights
+def test_each_restart_builds_one_model(monkeypatch, gate):
+    # the generator builds the restart's model, and that model is the one
+    # reported, whether or not it passes the gate
     built = []
     init = EprbModel.__init__
-    monkeypatch.setattr(EprbModel, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(EprbModel, "__init__", lambda self, *args: built.append(self) or init(self, *args))
     if gate:
         monkeypatch.setattr(search_mod, "_feasible", lambda res, cfg: True)
     res = search_mod._run_restart(SearchConfig(seed=13), 0)
     assert res.feasible is gate
-    assert len(built) == 1 + gate
-    if gate:
-        assert built[1][0] is res.model.weights
+    assert len(built) == 1
+    assert built[0] is res.model
 
 
 @pytest.mark.parametrize("shift, ch_value, violated, feasible", [
@@ -478,12 +477,12 @@ BENCHMARK_STYLE = [
 @pytest.mark.parametrize("cfg", BENCHMARK_STYLE, ids=lambda cfg: f"{cfg.seed}")
 def test_benchmark_style_searches_evaluate_each_restart_once(monkeypatch, cfg):
     # the benchmark counts restarts * max_iters operations; the search runs
-    # one evaluation per restart, and one more to re-check a feasible winner
+    # one evaluation per restart
     evaluated = []
     monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args) or _evaluate(*args))
     res = search_counterexample(cfg)
     assert res.trace == ()
-    assert len(evaluated) == cfg.restarts + res.feasible
+    assert len(evaluated) == cfg.restarts
 
 
 def _perturbed(seed, cards):
@@ -522,35 +521,6 @@ def test_each_restart_runs_the_later_stages_once(monkeypatch):
     assert res.feasible is False
     # only the start of each restart is evaluated, and only once
     assert calls == {"validate_no_conspiracy": 2, "validate_screening": 2, "weak_report": 2}
-
-
-@pytest.mark.parametrize("recheck, claimed", [
-    ({}, True),  # the re-evaluation confirms the claim
-    ({"feasible": False}, False),  # the re-evaluation is not feasible
-    ({"flip": True}, False),  # the re-evaluation is feasible with another violated side
-])
-def test_feasibility_claims_are_rechecked(monkeypatch, recheck, claimed):
-    # The search evaluates its start model and then the re-check; _feasible
-    # is forced to claim the start model feasible.
-    evaluated = []
-
-    def evaluate(*args):
-        res = _evaluate(*args)
-        if evaluated and recheck.get("flip"):
-            weak = res.weak_report
-            res = dataclasses.replace(res, weak_report=dataclasses.replace(weak, violated_lower=not weak.violated_lower))
-        evaluated.append(res)
-        return res
-
-    verdicts = iter([True, recheck.get("feasible", True)])
-    monkeypatch.setattr(search_mod, "_evaluate", evaluate)
-    monkeypatch.setattr(search_mod, "_feasible", lambda ev, cfg: next(verdicts))
-    res = search_counterexample(SearchConfig(seed=13, restarts=1))
-    assert res.feasible is claimed
-    start, check = evaluated
-    assert check.model is not start.model
-    assert check.model.weights.tobytes() == res.model.weights.tobytes()
-    assert res.model is start.model
 
 
 def test_importing_the_search_loads_no_thread_pool():
