@@ -313,7 +313,7 @@ def _cmd_check(args) -> tuple[dict, object, int]:
     sp = SettingProbs(args.pa, args.pb, args.pab)
     report = evaluate_weak_ch(args.value, weak_ch_bounds(args.epsilon, sp), args.epsilon)
     inputs = {"value": args.value, "epsilon": args.epsilon, "pa": args.pa, "pb": args.pb, "pab": args.pab}
-    return inputs, report.as_dict(), EXIT_VIOLATION if report.violated else EXIT_OK
+    return inputs, report, EXIT_VIOLATION if report.violated else EXIT_OK
 
 
 def _residual_summary(report) -> dict:
@@ -333,45 +333,41 @@ def _cmd_check_model(args) -> tuple[dict, object, int]:
     model = common_cause.model_from_dict(data)
     inputs = {"file": str(args.file), "type": data.get("type")}
 
-    if isinstance(model, common_cause.EprbModel):
+    full_joint = isinstance(model, common_cause.EprbModel)
+    if full_joint:
         result = {
             "cause_cards": list(model.cause_cards),
             "validators": {
-                "locality": _residual_summary(common_cause.validate_loc(model)),
-                "no_conspiracy": _residual_summary(common_cause.validate_no_conspiracy(model)),
-                "screening": _residual_summary(common_cause.validate_screening(model)),
+                name: _residual_summary(validate(model)) for name, validate in common_cause.validators().items()
             },
             "epsilon_profile": model.profile(),
         }
-        try:  # re-reads the three reports kept on the model
-            joint = common_cause.joint_cause_bounds_check(model)
-        except common_cause.PreconditionViolated:
-            result["status"] = "precondition_failed"
-            return inputs, result, EXIT_VALIDATION
-        weak = model.weak_report()
-        result["joint_cause_bounds"] = joint
-        result["weak_report"] = weak.as_dict()
-        violated = (not joint.ok) or weak.violated
-        result["status"] = "violation" if violated else "ok"
-        return inputs, result, EXIT_VIOLATION if violated else EXIT_OK
-
-    stats = common_cause.cell_stats(model)
-    result = {
-        "n_cells": model.n_cells,
-        "screening": {
-            "max_abs": stats.max_abs,
-            "skipped_cells": list(stats.skipped),
-        },
-    }
+        # re-reads the three reports kept on the model
+        check, key = common_cause.joint_cause_bounds_check, "joint_cause_bounds"
+    else:
+        stats = common_cause.cell_stats(model)
+        result = {
+            "n_cells": model.n_cells,
+            "screening": {
+                "max_abs": stats.max_abs,
+                "skipped_cells": list(stats.skipped),
+            },
+        }
+        check, key = common_cause.check_cause_mass_bounds, "cause_mass"
     try:
-        report = common_cause.check_cause_mass_bounds(model)
+        report = check(model)
     except common_cause.PreconditionViolated as exc:
         result["status"] = "precondition_failed"
         result["reason"] = str(exc)
         return inputs, result, EXIT_VALIDATION
-    result["cause_mass"] = report
-    result["status"] = "ok" if report.ok else "violation"
-    return inputs, result, EXIT_OK if report.ok else EXIT_VIOLATION
+    result[key] = report
+    violated = not report.ok
+    if full_joint:
+        weak = model.weak_report()
+        result["weak_report"] = weak
+        violated = violated or weak.violated
+    result["status"] = "violation" if violated else "ok"
+    return inputs, result, EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_oracle(args) -> tuple[dict, object, int]:
@@ -412,7 +408,7 @@ def _cmd_search(args) -> tuple[dict, object, int]:
         "penalty": res.penalty,
         "epsilon": res.epsilon,
         "ch_value": res.ch_value,
-        "weak_report": res.weak_report.as_dict(),
+        "weak_report": res.weak_report,
         "model": res.model.to_dict(),
     }
     return inputs, result, EXIT_VIOLATION if res.feasible else EXIT_OK

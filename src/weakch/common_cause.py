@@ -31,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -777,6 +777,18 @@ class JointCauseReport:
         return all(p.lower_ok and p.upper_ok for p in self.pairs)
 
 
+def validators() -> dict[str, Callable[[EprbModel], ResidualReport]]:
+    """The three assumption validators by the names check-model reports them under.
+
+    Built at each call, so each validator is looked up when it runs.
+    """
+    return {
+        "locality": validate_loc,
+        "no_conspiracy": validate_no_conspiracy,
+        "screening": validate_screening,
+    }
+
+
 def check_assumptions(model: EprbModel) -> None:
     """Raise PreconditionViolated unless every assumption validator holds.
 
@@ -785,12 +797,7 @@ def check_assumptions(model: EprbModel) -> None:
     the model, so running them again costs nothing.
     """
     tol = PRECONDITION_TOL
-    # listed in the call, so each validator is looked up when it runs
-    for what, validate in (
-        ("locality", validate_loc),
-        ("setting-independence", validate_no_conspiracy),
-        ("screening", validate_screening),
-    ):
+    for what, validate in validators().items():
         worst = validate(model).max_abs
         if not worst <= tol:
             raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")

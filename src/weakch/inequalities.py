@@ -287,19 +287,6 @@ class WeakChReport:
     def violated(self) -> bool:
         return self.violated_lower or self.violated_upper
 
-    def as_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "epsilon": self.epsilon,
-            "violated_lower": self.violated_lower,
-            "violated_upper": self.violated_upper,
-        }
-        if self.terms is not None:
-            out["terms"] = dict(self.terms)
-        return out
-
 
 def evaluate_weak_ch(
     value: float,

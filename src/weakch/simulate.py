@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +85,12 @@ SINGLET_LAW_MEMO = 64
 
 
 @functools.lru_cache(maxsize=SINGLET_LAW_MEMO)
-def _singlet_law(angles: bytes) -> np.ndarray:
-    """The singlet's read-only 4x4 outcome law at the four directions packed in angles.
+def _singlet_law(theta: tuple) -> np.ndarray:
+    """The singlet's read-only 4x4 outcome law at the four directions in theta.
 
-    Keyed on the angles' bytes, so that only bit-identical directions
-    share a law: 0.0 and -0.0 do not.
+    Keyed on the angles, so 0.0 and -0.0 share a law: the outcome law
+    does not read a zero's sign, and both give it bit for bit.
     """
-    theta = struct.unpack("4d", angles)
     return singlet._freeze(singlet.outcome_tables(theta[:2], theta[2:]).reshape(4, 4))
 
 
@@ -109,7 +107,7 @@ def sample_runs(cfg: SimConfig) -> CountsTable:
     if isinstance(cfg.source, EprbModel):
         outcome_probs = cfg.source.outcome_tables().reshape(4, 4)
     else:
-        outcome_probs = _singlet_law(struct.pack("4d", *cfg.theta))
+        outcome_probs = _singlet_law(cfg.theta)
     out = np.zeros((4, 4), dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
     for pair, cnt in enumerate(rng.multinomial(cfg.n, cfg.setting_probs.ravel()).tolist()):

@@ -86,7 +86,10 @@ class FiniteProbSpace:
         lowest = float(w.min())  # NaN propagates through min
         if not lowest >= 0.0:
             raise NegativeWeight(f"negative or NaN atom weight {lowest}")
-        total = math.fsum(w.tolist())  # +inf survives min but not a finite total
+        try:
+            total = math.fsum(w.tolist())  # +inf survives min but not a finite total
+        except OverflowError:  # finite weights whose total passes the float range
+            total = math.inf
         if not 0.0 < total < math.inf:
             raise EmptySpace(f"total mass must be positive and finite, got {total}")
         w = _normalized(w, total)
@@ -176,6 +179,13 @@ def _cell_sums(weights: np.ndarray, cell_of: np.ndarray, in_a: np.ndarray, in_b:
     )
 
 
+def _max_abs(residuals: tuple[float, ...]) -> float:
+    """The largest |residual|, 0.0 of none, or NaN when any residual is NaN."""
+    if math.isnan(sum(residuals)):  # max would skip a NaN that does not come first
+        return math.nan
+    return max(map(abs, residuals), default=0.0)
+
+
 @dataclass(frozen=True)
 class CellStats:
     """Per-cell statistics of a partition, for its positive-mass cells.
@@ -196,7 +206,7 @@ class CellStats:
 
     @property
     def max_abs(self) -> float:
-        return max((abs(r) for r in self.residuals), default=0.0)
+        return _max_abs(self.residuals)
 
 
 class ResidualReport:
@@ -239,7 +249,7 @@ class ResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return max(map(abs, self.residuals), default=0.0)
+        return _max_abs(self.residuals)
 
     def worst(self) -> tuple[str, float] | None:
         if not self.residuals:

@@ -51,8 +51,9 @@ def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, 
     """common_cause.random_eprb_model's weights, built with one einsum per (pattern, a, b) block.
 
     The same draws in the same order as the generator: one uniform draw per
-    group and direction, eight in all per attempt, where the generator
-    draws them at once. Each block is the product of the four per-cause
+    group and direction, eight in all, where the generator draws them at
+    once, and like the generator it draws once and raises GenerationFailed
+    above the target deficit. Each block is the product of the four per-cause
     factors in cause order, scaled by half the setting pair's probability;
     the weights are then divided by their sum.
     """
@@ -74,41 +75,40 @@ def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, 
             group_vecs[z][x][idx] = law
 
     delta = 0.45 * epsilon_target
-    for _ in range(6):
-        kernels = []  # (outcome, cell) per direction
-        for row in common_cause._WINGS:
-            des_idx, des_w = splits[row.cause][row.wing]
-            oth_idx, oth_w = splits[row.cause][1 - row.wing]
-            vec = np.zeros(cards[row.cause])
-            if delta == 0.0:
-                vec[des_idx] = 1.0
-            else:
-                d_raw = rng.uniform(0.5, 1.0, des_idx.size) * delta
-                e_raw = rng.uniform(0.5, 1.0, oth_idx.size) * delta
-                md = float(np.dot(des_w, d_raw))
-                me = float(np.dot(oth_w, e_raw))
-                e_raw = e_raw * (md / me)
-                vec[des_idx] = 1.0 - d_raw
-                vec[oth_idx] = e_raw
-            kernels.append(np.stack([vec, 1.0 - vec]))
+    kernels = []  # (outcome, cell) per direction
+    for row in common_cause._WINGS:
+        des_idx, des_w = splits[row.cause][row.wing]
+        oth_idx, oth_w = splits[row.cause][1 - row.wing]
+        vec = np.zeros(cards[row.cause])
+        if delta == 0.0:
+            vec[des_idx] = 1.0
+        else:
+            d_raw = rng.uniform(0.5, 1.0, des_idx.size) * delta
+            e_raw = rng.uniform(0.5, 1.0, oth_idx.size) * delta
+            md = float(np.dot(des_w, d_raw))
+            me = float(np.dot(oth_w, e_raw))
+            e_raw = e_raw * (md / me)
+            vec[des_idx] = 1.0 - d_raw
+            vec[oth_idx] = e_raw
+        kernels.append(np.stack([vec, 1.0 - vec]))
 
-        w = np.zeros((2, 2, 2, 2, *cards))
-        for z in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    subs = ["i", "j", "k", "l"]
-                    ops = list(group_vecs[z])
-                    for k, o in ((a, "a"), (2 + b, "b")):
-                        subs[k] = o + subs[k]
-                        ops[k] = kernels[k] * ops[k]
-                    w[a, b] += 0.5 * sp[a, b] * np.einsum(",".join(subs) + "->abijkl", *ops)
+    w = np.zeros((2, 2, 2, 2, *cards))
+    for z in (0, 1):
+        for a in (0, 1):
+            for b in (0, 1):
+                subs = ["i", "j", "k", "l"]
+                ops = list(group_vecs[z])
+                for k, o in ((a, "a"), (2 + b, "b")):
+                    subs[k] = o + subs[k]
+                    ops[k] = kernels[k] * ops[k]
+                w[a, b] += 0.5 * sp[a, b] * np.einsum(",".join(subs) + "->abijkl", *ops)
 
-        w /= float(w.sum())  # as the generator divides before EprbModel
-        model = EprbModel(w, cards)
-        if model.profile().eps_global <= epsilon_target * (1.0 + 1e-9) + 1e-15:
-            return model.weights
-        delta *= 0.5
-    raise common_cause.GenerationFailed("no attempt reached the target deficit")
+    w /= float(w.sum())  # as the generator divides before EprbModel
+    model = EprbModel(w, cards)
+    achieved = model.profile().eps_global
+    if not achieved <= epsilon_target * (1.0 + 1e-9) + 1e-15:
+        raise common_cause.GenerationFailed(f"deficit {achieved!r} exceeds the target {epsilon_target!r}")
+    return model.weights
 
 
 def uniform_settings() -> np.ndarray:

@@ -214,6 +214,10 @@ def test_check_model_eprb_precondition_failure(capsys, tmp_path):
     code, env, _ = run_json(capsys, "check-model", "--file", str(path))
     assert code == 2
     assert env["result"]["status"] == "precondition_failed"
+    # the reason names the validator that refused, by its key in validators
+    name, rest = env["result"]["reason"].split(" ", 1)
+    assert rest.startswith("residual ")
+    assert env["result"]["validators"][name]["max_abs"] > 1e-9
 
 
 def test_check_model_pairwise_ok(capsys, tmp_path):

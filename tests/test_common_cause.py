@@ -53,6 +53,7 @@ from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
     _NORMALIZED_TOL,
     BadPartition,
+    EmptySpace,
     FiniteProbSpace,
     ForeignEvent,
     ResidualReport,
@@ -563,6 +564,13 @@ def test_pairwise_label_fields_must_be_json_arrays():
 def perfect_model():
     plus = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     return build_product_model(uniform_settings(), aligned_cause_joint(), plus)
+
+
+def test_pairwise_file_with_an_overflowing_total_is_an_empty_space():
+    data = pairwise_model_to_dict(random_screened_model(7, 6, 0.02))
+    data["space"]["weights"] = [1e308] * len(data["space"]["weights"])
+    with pytest.raises(EmptySpace, match="total mass must be positive and finite"):
+        model_from_dict(data)
 
 
 def test_eprb_model_validation():

@@ -304,10 +304,11 @@ def test_check_model_and_the_search_refuse_a_nan_residual(monkeypatch):
     cfg = SearchConfig(eps_band=(res.epsilon, res.epsilon))
     assert not res.weak_report.violated
     assert _feasible(res, cfg) is True
-    monkeypatch.setattr(common_cause_mod, "validate_loc", lambda m: ResidualReport((math.nan,)))
-    with pytest.raises(PreconditionViolated, match="^locality residual nan exceeds"):
-        joint_cause_bounds_check(model)
-    assert _feasible(res, cfg) is False
+    for residuals in ((math.nan,), (0.0, math.nan)):  # first or not, max alone would skip a later one
+        monkeypatch.setattr(common_cause_mod, "validate_loc", lambda m: ResidualReport(residuals))
+        with pytest.raises(PreconditionViolated, match="^locality residual nan exceeds"):
+            joint_cause_bounds_check(model)
+        assert _feasible(res, cfg) is False
 
 
 def test_search_keeps_only_its_best_restart():

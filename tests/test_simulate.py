@@ -1,6 +1,5 @@
 import json
 import math
-import struct
 from fractions import Fraction
 
 import numpy as np
@@ -390,25 +389,23 @@ def test_estimate_matches_the_reference_bit_for_bit(source, setting_probs):
             assert [float.hex(rep.lower), float.hex(rep.upper)] == [float.hex(v) for v in want_bounds]
 
 
-def _singlet_law(theta):
-    return sim._singlet_law(struct.pack("4d", *theta))
-
-
 def test_singlet_law_is_kept_read_only_and_bit_for_bit():
-    # one law per bit pattern of the four angles, equal to outcome_tables' own
+    # one law per angle set, equal to outcome_tables' own; the sign of a zero
+    # angle does not change the law, so 0.0 and -0.0 share one
     rng = np.random.default_rng(25)
     thetas = [tuple(rng.uniform(-2 * math.pi, 2 * math.pi, 4)) for _ in range(40)]
     thetas += [tuple(t + 2 * math.pi for t in theta) for theta in thetas[:10]]
     thetas += [(0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0, 0.0), (0.0,) * 4, (-0.0,) * 4, (-0.0, 0.0, 0.0, -0.0)]
     for theta in thetas:
-        law = _singlet_law(theta)
+        law = sim._singlet_law(theta)
         want = singlet.outcome_tables(theta[:2], theta[2:])
         assert same_array(law, want.reshape(4, 4))
-        assert _singlet_law(theta) is law
+        assert sim._singlet_law(theta) is law
         with pytest.raises(ValueError):
             law[0, 0] = 0.5
         want[0, 0, 0, 0] = 0.5  # outcome_tables still returns a fresh, writable array
-    assert _singlet_law((0.0,) * 4) is not _singlet_law((-0.0,) * 4)
+    signed_zeros = thetas[-5:]
+    assert all(sim._singlet_law(theta) is sim._singlet_law((0.0,) * 4) for theta in signed_zeros)
 
 
 def test_singlet_records_compute_one_law_per_angle_set(monkeypatch):
@@ -419,8 +416,9 @@ def test_singlet_records_compute_one_law_per_angle_set(monkeypatch):
     counts = [sim.sample_runs(sim.SimConfig(seed=seed, n=1000, theta=theta)).counts for seed in (1, 2, 3, 1)]
     assert len(calls) == 1
     assert np.array_equal(counts[0], counts[3])
-    sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=(-0.0, *theta[1:])))  # other bits, another law
-    assert len(calls) == 2
+    signed = sim.sample_runs(sim.SimConfig(seed=1, n=1000, theta=(-0.0, *theta[1:]))).counts  # the same law
+    assert len(calls) == 1
+    assert np.array_equal(signed, counts[0])
 
 
 def test_large_run_declares_violation():

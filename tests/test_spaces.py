@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,8 @@ def test_empty_and_negative_inputs():
         FiniteProbSpace((0, 1), [0.5, math.nan])
     with pytest.raises(EmptySpace):
         FiniteProbSpace((0, 1), [0.5, math.inf])
+    with pytest.raises(EmptySpace, match="total mass must be positive and finite"):
+        FiniteProbSpace(("a", "b"), [1e308, 1e308])  # each weight finite, their total not
 
 
 def test_atom_labels_must_be_unique():
@@ -152,3 +155,12 @@ def test_residual_report_is_its_text_and_numbers():
     empty = ResidualReport(())
     assert empty.worst() is None
     assert empty.max_abs == 0.0
+
+
+def test_max_abs_is_nan_wherever_a_nan_sits():
+    sp = FiniteProbSpace(range(4), [0.25] * 4)
+    stats = screening_residuals(sp, {0, 1}, {0, 2}, [{0, 1}, {2, 3}])
+    for residuals in ((math.nan, 0.0), (0.0, math.nan), (0.5, -math.nan, 0.25)):
+        assert math.isnan(ResidualReport(residuals).max_abs)
+        assert math.isnan(dataclasses.replace(stats, residuals=residuals).max_abs)
+    assert ResidualReport((0.5, -0.75)).max_abs == dataclasses.replace(stats, residuals=(0.5, -0.75)).max_abs == 0.75
