@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, chain, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -513,9 +513,9 @@ class EprbModel:
 
     The weights are kept or divided by their sum by spaces._normalized, so
     a model read back from its to_dict has them bit for bit. Its setting
-    law is computed at construction. Its outcome tables, deficit profile
-    and validator reports are computed on first use and kept (see _kept).
-    All of them are read-only.
+    law is computed at construction. Its outcome tables, deficit profile,
+    cause tables (see _CauseTables) and validator reports are computed on
+    first use and kept (see _kept). All of them are read-only.
     """
 
     weights: np.ndarray
@@ -589,6 +589,49 @@ class EprbModel:
         return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
+@functools.lru_cache(maxsize=256)
+def _cell_starts(cards: tuple[int, ...]) -> tuple[int, ...]:
+    # where each cause's cells start on the cause tables' cell axis, c1's
+    # first; the last entry is the number of cells
+    return tuple(accumulate(cards, initial=0))
+
+
+class _CauseTables(NamedTuple):
+    """The marginals of a full-joint model that its checks read.
+
+    The cells of all four causes make one cell axis, each cause a block
+    placed by _cell_starts: Alice's causes c1, c2 and then Bob's c3, c4. A
+    cell's row is the _WINGS row of its cause.
+    """
+
+    single: np.ndarray  # p(a, b, A, B, cell), (2, 2, 2, 2, cells)
+    pairs: np.ndarray  # p(a, b, Alice's cell, Bob's cell), every cross-wing cause pair at once
+    own: np.ndarray  # p(far setting, own outcome, cell) at the own setting of the cell's row, (2, 2, cells)
+
+
+@_kept
+def _cause_tables(model: EprbModel) -> _CauseTables:
+    # Three reductions of the weights, the others of their small results;
+    # kept, read-only.
+    n1, n2, n3, n4 = model.cause_cards
+    w = model.weights.reshape(16, n1, n2, n3, n4)
+    alice = np.add.reduce(w, axis=(3, 4))  # p(a, b, A, B, c1, c2)
+    bob = np.add.reduce(w, axis=(1, 2))  # p(a, b, A, B, c3, c4)
+    single = np.concatenate([np.add.reduce(t, axis=k) for t in (alice, bob) for k in (2, 1)], axis=1)
+    single = single.reshape(2, 2, 2, 2, -1)
+    causes = np.add.reduce(w.reshape(4, 4, n1, n2, n3, n4), axis=1)  # p(a, b, c1..c4)
+    # p(a, b, Alice's cell, c3, c4), then every cross-wing pair
+    by_alice = np.concatenate((np.add.reduce(causes, axis=2), np.add.reduce(causes, axis=1)), axis=1)
+    pairs = np.concatenate((np.add.reduce(by_alice, axis=3), np.add.reduce(by_alice, axis=2)), axis=2)
+    pairs = pairs.reshape(2, 2, n1 + n2, n3 + n4)
+    near = (np.add.reduce(single, axis=3), np.add.reduce(single, axis=2))  # (a, b, own outcome, cell) per wing
+    at = _cell_starts(model.cause_cards)
+    own = np.concatenate([near[r.wing][r.index][..., at[r.cause] : at[r.cause + 1]] for r in _WINGS], axis=-1)
+    for a in (single, pairs, own):
+        a.flags.writeable = False
+    return _CauseTables(single, pairs, own)
+
+
 def _loc_label(key: tuple) -> str:
     # (row, cell, far, outcome) of a residual; (row, cell) or (row, cell, far) of a skip
     row, i, *rest = key
@@ -613,18 +656,18 @@ def validate_loc(model: EprbModel) -> ResidualReport:
     """Locality residuals: far setting vs pooled conditionals of near outcomes.
 
     For each wing, own setting, own-direction cause cell, far setting, and
-    outcome, p(out | own, far, cell) - p(out | own, cell), read from each
-    row's marginal p(far, out, cell) at its own setting. Cells or setting
-    pairs of zero conditioning mass (0/0, NaN) are skipped and listed.
+    outcome, p(out | own, far, cell) - p(out | own, cell), read from the
+    cause tables' p(far, out, cell) at each row's own setting. Cells or
+    setting pairs of zero conditioning mass (0/0, NaN) are skipped and
+    listed.
     """
-    w = model.weights
-    s = np.concatenate([_marginal(w[row.index], (0, 1 + row.wing, 3 + row.cause)) for row in _WINGS], axis=-1)
+    s = _cause_tables(model).own
     with np.errstate(invalid="ignore"):
-        pooled = s[0] + s[1]  # (outcome, row and cell)
+        pooled = s[0] + s[1]  # (outcome, cell)
         pooled /= pooled[:1] + pooled[1:]
         out = s / (s[:, :1] + s[:, 1:])
     out -= pooled
-    flat = out.transpose(2, 0, 1).ravel().tolist()  # (row and cell, far, out)
+    flat = out.transpose(2, 0, 1).ravel().tolist()  # (cell, far, out)
     keys = _loc_keys(model.cause_cards)
     if not math.isnan(sum(flat)):  # a NaN, a residual of no conditioning mass, makes the sum NaN
         return ResidualReport(tuple(flat), keys, (), _loc_label)
@@ -646,14 +689,6 @@ def _no_conspiracy_label(key: tuple) -> str:
     return "p(" + ", ".join((tag, *(f"c{k + 1}={i}" for k, i in zip(cells[::2], cells[1::2])))) + ")"
 
 
-@_kept
-def _cause_pairs(model: EprbModel) -> tuple[np.ndarray, ...]:
-    # p(c_a, c_b) of each cross-wing cause pair, Alice's cause a1 + ai and
-    # Bob's b3 + bj at index 2 * ai + bj
-    w = model.weights
-    return tuple(_marginal(w, (4 + ai, 6 + bj)) for ai in (0, 1) for bj in (0, 1))
-
-
 @functools.lru_cache(maxsize=256)
 def _no_conspiracy_keys(tag: str, cause: int, card: int, *other: int) -> tuple[tuple, ...]:
     # The keys (tag, cause, cell) of one row of residuals, or, given the
@@ -665,44 +700,55 @@ def _no_conspiracy_keys(tag: str, cause: int, card: int, *other: int) -> tuple[t
     return tuple((tag, cause, i) for i in range(card))
 
 
+@functools.lru_cache(maxsize=256)
+def _no_conspiracy_layout(cards: tuple[int, ...]) -> tuple[tuple[tuple, ...], np.ndarray]:
+    # The keys of validate_no_conspiracy's residuals in order and, for each,
+    # its place in its residual tables flattened one after the other: that
+    # of the cells, (event, cell), whose events are the four settings, each
+    # at its row's index, then the setting pairs at 4 + 2 * ai + bj; and
+    # that of the cell pairs, (a, b, Alice's cell, Bob's cell).
+    at = _cell_starts(cards)
+    n_alice, n_bob = at[2], at[4] - at[2]
+    keys: list[tuple[tuple, ...]] = []
+    index: list[int] = []
+    for r, row in enumerate(_WINGS):
+        keys.append(_no_conspiracy_keys(row.name, row.cause, cards[row.cause]))
+        index += range(r * at[4] + at[row.cause], r * at[4] + at[row.cause + 1])
+    for ra in _WINGS[:2]:
+        for rb in _WINGS[2:]:
+            pair = 2 * ra.setting + rb.setting
+            tag = ra.name + rb.name
+            for k in (ra.cause, rb.cause):
+                keys.append(_no_conspiracy_keys(tag, k, cards[k]))
+                index += range((4 + pair) * at[4] + at[k], (4 + pair) * at[4] + at[k + 1])
+            keys.append(_no_conspiracy_keys(tag, ra.cause, cards[ra.cause], rb.cause, cards[rb.cause]))
+            first = 8 * at[4] + pair * n_alice * n_bob + at[ra.cause] * n_bob + at[rb.cause] - n_alice
+            index += (first + i * n_bob + j for i in range(cards[ra.cause]) for j in range(cards[rb.cause]))
+    places = np.array(index, dtype=np.intp)
+    places.flags.writeable = False
+    return tuple(chain.from_iterable(keys)), places
+
+
 @_kept
 def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     """Setting-independence residuals of the five product conditions.
 
     Settings must be independent of each single cause cell and of pairs of
     cause cells from opposite wings; the validator checks exactly the five
-    listed product forms, nothing finer.
+    listed product forms, nothing finer. Each residual is
+    p(setting event, cells) - p(setting event) p(cells), read from the
+    cause tables.
     """
-    w = model.weights
+    t = _cause_tables(model)
     sp = model.setting_probs()
-    cards = model.cause_cards
-    p_setting = (sp.sum(axis=1).tolist(), sp.sum(axis=0).tolist())
-    cause_marg = [_marginal(w, (4 + k,)).tolist() for k in range(4)]
-    cause_pairs = _cause_pairs(model)
-    keys: list[tuple] = []
-    residuals: list[float] = []
-
-    def cause_rows(tag: str, cause: int, p_cell: np.ndarray, p_set: float) -> None:
-        keys.extend(_no_conspiracy_keys(tag, cause, cards[cause]))
-        residuals.extend(p - p_set * m for p, m in zip(p_cell.tolist(), cause_marg[cause]))
-
-    for row in _WINGS:
-        p_cell = _marginal(w[row.index], (3 + row.cause,))
-        cause_rows(row.name, row.cause, p_cell, p_setting[row.wing][row.setting])
-
-    for ra in _WINGS[:2]:
-        for rb in _WINGS[2:]:
-            block = w[ra.setting, rb.setting]  # (A, B, c1..c4)
-            pab = float(sp[ra.setting, rb.setting])
-            tag = ra.name + rb.name
-            for k in (ra.cause, rb.cause):
-                cause_rows(tag, k, _marginal(block, (2 + k,)), pab)
-            pab_cc = _marginal(block, (2 + ra.cause, 2 + rb.cause))
-            pcc = cause_pairs[2 * ra.setting + rb.setting]
-            keys.extend(_no_conspiracy_keys(tag, ra.cause, cards[ra.cause], rb.cause, cards[rb.cause]))
-            residuals.extend((pab_cc - pab * pcc).ravel().tolist())
-
-    return ResidualReport(tuple(residuals), tuple(keys), (), _no_conspiracy_label)
+    cells = np.add.reduce(t.single, axis=(2, 3))  # p(a, b, cell)
+    events = np.concatenate((np.add.reduce(cells, axis=1), np.add.reduce(cells, axis=0), cells.reshape(4, -1)))
+    p_events = np.concatenate((sp.sum(axis=1), sp.sum(axis=0), sp.ravel()))
+    by_cell = events - p_events[:, None] * np.add.reduce(cells, axis=(0, 1))
+    by_pair = t.pairs - sp[:, :, None, None] * np.add.reduce(t.pairs, axis=(0, 1))
+    keys, places = _no_conspiracy_layout(model.cause_cards)
+    residuals = np.concatenate((by_cell.ravel(), by_pair.ravel())).take(places)
+    return ResidualReport(tuple(residuals.tolist()), keys, (), _no_conspiracy_label)
 
 
 def _screening_label(key: tuple) -> str:
@@ -710,6 +756,12 @@ def _screening_label(key: tuple) -> str:
     row, partner, i = key
     r = _WINGS[row]
     return f"screen {r.name} partner {r.far[partner]} c{r.cause + 1} cell={i}"
+
+
+@functools.lru_cache(maxsize=256)
+def _screening_keys(row: int, partner: int, card: int) -> tuple[tuple, ...]:
+    # the keys (row, partner, cell) of one row's residuals, shared by reports
+    return tuple((row, partner, i) for i in range(card))
 
 
 @_kept
@@ -722,36 +774,48 @@ def validate_screening(model: EprbModel) -> ResidualReport:
     the model's own conditional tables, not from any quantum formula.
     """
     prof = model.profile()
-    w = model.weights
-    keys: list[tuple] = []
-    residuals: list[float] = []
-    skipped: list[tuple] = []
+    cards = model.cause_cards
+    partners = [int((prof.partner_a, prof.partner_b)[row.wing][row.setting]) for row in _WINGS]
+    pairs = [2 * p + row.setting if row.wing else 2 * row.setting + p for row, p in zip(_WINGS, partners)]
+    # p(A, B, cell) at each cell's setting pair, as (cell, A and B)
+    s = _cause_tables(model).single.reshape(4, 4, -1)[np.repeat(pairs, cards), :, np.arange(sum(cards))]
+    mass = np.add.reduce(s, axis=1)
+    # joined with +: tuple() of an iterator resizes as it grows, which fragments memory over many models
+    keys = sum((_screening_keys(r, p, cards[row.cause]) for r, (row, p) in enumerate(zip(_WINGS, partners))), ())
+    skipped: tuple = ()
+    positive = mass > 0.0
+    if not positive.all():
+        skipped = tuple(k for k, keep in zip(keys, positive.tolist()) if not keep)
+        keys = tuple(k for k, keep in zip(keys, positive.tolist()) if keep)
+        s, mass = s[positive], mass[positive]
+    pp, pm, _, mm = s.T
+    # p(A+ B-) - p(A+) p(B-) and p(A- B+) - p(A-) p(B+) are both the
+    # determinant of the cell's 2x2 table over -mass^2, so which wing is
+    # near does not matter
+    residuals = pm / mass - (pp + pm) / mass * ((pm + mm) / mass)
+    return ResidualReport(tuple(residuals.tolist()), keys, skipped, _screening_label)
 
-    for r, row in enumerate(_WINGS):
-        partner = int((prof.partner_a, prof.partner_b)[row.wing][row.setting])
-        pair = (partner, row.setting) if row.wing else (row.setting, partner)
-        s = _marginal(w[pair], (0, 1, 2 + row.cause))  # (A, B, cell)
-        for i, ((pp, pm), (mp, mm)) in enumerate(s.transpose(2, 0, 1).tolist()):
-            mass = pp + pm + mp + mm
-            if mass <= 0.0:
-                skipped.append((r, partner, i))
-                continue
-            if row.wing:
-                pm, mp = mp, pm  # near outcome first
-            keys.append((r, partner, i))
-            residuals.append(pm / mass - (pp + pm) / mass * ((pm + mm) / mass))
 
-    return ResidualReport(tuple(residuals), tuple(keys), tuple(skipped), _screening_label)
+@_kept
+def _aggregate_cells(model: EprbModel) -> np.ndarray:
+    # Whether each cell lies in its row's aggregate cause: it makes the +
+    # outcome nearly certain, p(+ | own, cell) >= 1 - sqrt(eps_dir); kept,
+    # read-only.
+    prof = model.profile()
+    s = _cause_tables(model).own
+    p, m = s[0] + s[1]
+    mass = p + m
+    cutoff = np.repeat(1.0 - np.sqrt(np.concatenate((prof.eps_a, prof.eps_b))), model.cause_cards)
+    with np.errstate(invalid="ignore"):  # 0/0 in a cell of no mass, which is left out
+        inside = (mass > 0.0) & (p / mass >= cutoff - 1e-12)
+    inside.flags.writeable = False
+    return inside
 
 
 def _aggregate(model: EprbModel, row: _Wing) -> tuple[int, ...]:
-    # the aggregate cause of a row: the own-direction cause cells that make
-    # the + outcome nearly certain, p(+ | own, cell) >= 1 - sqrt(eps_dir)
-    prof = model.profile()
-    eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
-    s = _marginal(model.weights[row.index], (1 + row.wing, 3 + row.cause))  # (out, cell)
-    cutoff = 1.0 - math.sqrt(eps_dir)
-    return tuple(i for i, (p, m) in enumerate(zip(*s.tolist())) if p + m > 0.0 and p / (p + m) >= cutoff - 1e-12)
+    # the aggregate cause of a row, as the own-direction cause cells in it
+    at = _cell_starts(model.cause_cards)
+    return tuple(_aggregate_cells(model)[at[row.cause] : at[row.cause + 1]].nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -821,14 +885,16 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     eps = model.profile().eps_global
     agg = [_aggregate(model, row) for row in _WINGS]
     settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
-    cause_pairs = _cause_pairs(model)
+    # p(C^a C^b) of every pair: the mass of the cell pairs whose two cells lie in their aggregate causes
+    at = _cell_starts(model.cause_cards)
+    inside = _aggregate_cells(model)
+    both = np.add.reduce(_cause_tables(model).pairs, axis=(0, 1)) * np.outer(inside[: at[2]], inside[at[2] :])
+    p_joint = np.add.reduceat(np.add.reduceat(both, at[:2], axis=0), (0, at[3] - at[2]), axis=1).tolist()
     pairs = []
     for ai in (0, 1):
         for bj in (0, 1):
             ct = correction_terms(eps, settings[ai, bj])
-            sel_a = list(agg[ai])
-            sel_b = list(agg[2 + bj])
-            p_cc = float(cause_pairs[2 * ai + bj][:, sel_b][sel_a].sum()) if sel_a and sel_b else 0.0
+            p_cc = p_joint[ai][bj]
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
                 JointCausePair(

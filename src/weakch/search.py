@@ -193,6 +193,12 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     wins, with the lowest restart index as the tiebreak. The search does
     not move away from these models. With a deficit band containing only
     zero the two intervals coincide, so no feasible point exists there.
+
+    With this generator the result is never feasible, by construction and
+    not for want of restarts: each outcome reads only its own setting and
+    own-direction cause cell, so the cause tuple is a local hidden
+    variable, the four outcomes have a joint law and the CH value lies in
+    [-1, 0], inside the strict interval.
     """
     # max keeps only the best result so far, not every restart's
     return max(

@@ -252,10 +252,12 @@ class ResidualReport:
         return _max_abs(self.residuals)
 
     def worst(self) -> tuple[str, float] | None:
-        if not self.residuals:
+        """The label and value of the largest |residual|, or of the first NaN, as max_abs reads NaN; None of none."""
+        r = self.residuals
+        if not r:
             return None
-        k = max(range(len(self.residuals)), key=lambda i: abs(self.residuals[i]))
-        return self._label(self._keys[k]), self.residuals[k]
+        k = max(range(len(r)), key=lambda i: (math.isnan(r[i]), abs(r[i])))  # max alone would skip a later NaN
+        return self._label(self._keys[k]), r[k]
 
 
 def screening_residuals(

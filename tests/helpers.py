@@ -111,6 +111,100 @@ def reference_eprb_weights(seed, cause_cards=(2, 2, 2, 2), epsilon_target=1e-3, 
     return model.weights
 
 
+def _sum_to(w, keep) -> np.ndarray:
+    # np.sum of w over every axis not named in keep
+    return np.sum(w, axis=tuple(k for k in range(w.ndim) if k not in keep))
+
+
+def reference_checks(model: EprbModel) -> SimpleNamespace:
+    """The validators' keys, residuals and skips, the aggregate causes and p(C^a C^b), written out.
+
+    Every quantity is np.sum over named axes of the weights, one row,
+    setting pair and cell at a time: the plain reading that the
+    validators' shared cause tables must reproduce. Screening reads its
+    events near outcome first. Each validator's entry is its (keys,
+    residuals, skipped) in report order, keys as ResidualReport holds
+    them.
+    """
+    w = model.weights
+    cards = model.cause_cards
+    prof = model.profile()
+    sp = model.setting_probs()
+
+    loc = ([], [], [])
+    for r, row in enumerate(common_cause._WINGS):
+        s = _sum_to(w[row.index], (0, 1 + row.wing, 3 + row.cause))  # (far, out, cell)
+        for i in range(cards[row.cause]):
+            cell = s[:, :, i]
+            if cell.sum() == 0.0:
+                loc[2].append((r, i))
+                continue
+            for f in (0, 1):
+                if cell[f].sum() == 0.0:
+                    loc[2].append((r, i, f))
+                    continue
+                for o in (0, 1):
+                    loc[0].append((r, i, f, o))
+                    loc[1].append(cell[f, o] / cell[f].sum() - cell[:, o].sum() / cell.sum())
+
+    no_conspiracy = ([], [], [])
+    p_setting = (sp.sum(axis=1), sp.sum(axis=0))
+
+    def independence(tag, k, p_cell, p_set):
+        p_c = _sum_to(w, (4 + k,))
+        for i in range(cards[k]):
+            no_conspiracy[0].append((tag, k, i))
+            no_conspiracy[1].append(p_cell[i] - p_set * p_c[i])
+
+    for row in common_cause._WINGS:
+        independence(row.name, row.cause, _sum_to(w[row.index], (3 + row.cause,)), p_setting[row.wing][row.setting])
+    for ra in common_cause._WINGS[:2]:
+        for rb in common_cause._WINGS[2:]:
+            block = w[ra.setting, rb.setting]  # (A, B, c1..c4)
+            p_ab = sp[ra.setting, rb.setting]
+            tag = ra.name + rb.name
+            for k in (ra.cause, rb.cause):
+                independence(tag, k, _sum_to(block, (2 + k,)), p_ab)
+            p_in = _sum_to(block, (2 + ra.cause, 2 + rb.cause))
+            p_cc = _sum_to(w, (4 + ra.cause, 4 + rb.cause))
+            for i in range(cards[ra.cause]):
+                for j in range(cards[rb.cause]):
+                    no_conspiracy[0].append((tag, ra.cause, i, rb.cause, j))
+                    no_conspiracy[1].append(p_in[i, j] - p_ab * p_cc[i, j])
+
+    screening = ([], [], [])
+    for r, row in enumerate(common_cause._WINGS):
+        partner = int((prof.partner_a, prof.partner_b)[row.wing][row.setting])
+        pair = (partner, row.setting) if row.wing else (row.setting, partner)
+        s = _sum_to(w[pair], (0, 1, 2 + row.cause))  # (A, B, cell)
+        for i in range(cards[row.cause]):
+            (pp, pm), (mp, mm) = s[:, :, i].tolist()
+            if row.wing:
+                pm, mp = mp, pm  # near outcome first
+            mass = pp + pm + mp + mm
+            if mass <= 0.0:
+                screening[2].append((r, partner, i))
+                continue
+            screening[0].append((r, partner, i))
+            screening[1].append(pm / mass - (pp + pm) / mass * ((pm + mm) / mass))
+
+    aggregate = []
+    for row in common_cause._WINGS:
+        eps_dir = float((prof.eps_a, prof.eps_b)[row.wing][row.setting])
+        cutoff = 1.0 - math.sqrt(eps_dir)
+        p, m = _sum_to(w[row.index], (1 + row.wing, 3 + row.cause)).tolist()  # (out, cell)
+        inside = [x + y > 0.0 and x / (x + y) >= cutoff - 1e-12 for x, y in zip(p, m)]
+        aggregate.append(tuple(i for i, keep in enumerate(inside) if keep))
+    p_joint = [
+        float(_sum_to(w, (4 + ai, 6 + bj))[np.ix_(aggregate[ai], aggregate[2 + bj])].sum())
+        for ai in (0, 1)
+        for bj in (0, 1)
+    ]
+    return SimpleNamespace(
+        locality=loc, no_conspiracy=no_conspiracy, screening=screening, aggregate=aggregate, p_joint=p_joint
+    )
+
+
 def uniform_settings() -> np.ndarray:
     return np.full((2, 2), 0.25)
 

@@ -14,10 +14,11 @@ from helpers import (
     build_product_model,
     ch_from_weights,
     count_labels,
+    reference_checks,
     reference_eprb_weights,
     uniform_settings,
 )
-from test_validator_fixture import SETTING_LAWS
+from test_validator_fixture import SETTING_LAWS, _zero_cells, joint_report
 from weakch.common_cause import (
     BadModel,
     EprbModel,
@@ -841,6 +842,8 @@ def _count_computations(monkeypatch) -> dict:
     owners = {
         "outcome_tables": EprbModel,
         "profile": EprbModel,
+        "_cause_tables": cc,
+        "_aggregate_cells": cc,
         "validate_loc": cc,
         "validate_no_conspiracy": cc,
         "validate_screening": cc,
@@ -867,6 +870,100 @@ def test_verify_sequence_computes_each_kept_value_once(monkeypatch):
     assert not m.weak_report().violated
     assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
     assert calls == dict.fromkeys(calls, 1)
+
+
+def _reference_cases():
+    # (description, weights, cause cards): generated models under even and
+    # uneven setting laws, the same weights perturbed, or reweighted by the
+    # Alice setting and c1 so that only setting independence fails, dense
+    # weights with zero-mass cells, and dense weights with single-cell causes
+    rng = np.random.default_rng(36)
+    out = []
+    for seed in range(24):
+        cards = tuple(int(c) for c in rng.integers(2, 5, 4))
+        law = SETTING_LAWS[seed % len(SETTING_LAWS)]
+        w = random_eprb_model(seed, cards, float(10 ** rng.uniform(-6, -1)), setting_probs=law).weights
+        out.append((f"generated seed={seed}", w, cards))
+        out.append((f"perturbed seed={seed}", w * rng.uniform(0.5, 1.5, w.shape), cards))
+        tilt = rng.uniform(0.5, 1.5, (2, 1, 1, 1, cards[0], 1, 1, 1))
+        out.append((f"setting-dependent c1 seed={seed}", w * tilt, cards))
+        dense = rng.dirichlet(np.ones(w.size)).reshape(w.shape)
+        out.append((f"zero cells seed={seed}", _zero_cells(dense, rng), cards))
+        ones = tuple(int(c) for c in rng.permutation([1, *rng.integers(1, 4, 3)]))
+        dense = rng.dirichlet(np.ones(16 * math.prod(ones))).reshape(2, 2, 2, 2, *ones)
+        out.append((f"cards={ones} seed={seed}", dense, ones))
+    return out
+
+
+def test_checks_read_the_cause_tables_as_sums_of_the_weights_read_them():
+    # Every validator's keys, labels and skips, the aggregate causes and the
+    # joint-cause gate equal those of the weights summed one row, pair and
+    # cell at a time; residuals and p(C^a C^b) differ by rounding only.
+    labels = {"locality": cc._loc_label, "no_conspiracy": cc._no_conspiracy_label, "screening": cc._screening_label}
+    seen = set()
+    for desc, w, cards in _reference_cases():
+        m = EprbModel(w, cards)
+        ref = reference_checks(m)
+        refused = None
+        for name, validate in cc.validators().items():
+            rep = validate(m)
+            keys, residuals, skipped = getattr(ref, name)
+            assert (rep._keys, rep._skipped) == (tuple(keys), tuple(skipped)), f"{desc}: {name}"
+            assert (rep.labels, rep.skipped) == (tuple(map(labels[name], keys)), tuple(map(labels[name], skipped)))
+            assert np.abs(np.subtract(rep.residuals, residuals)).max(initial=0.0) <= 4e-15, f"{desc}: {name}"
+            if refused is None and not max(map(abs, residuals), default=0.0) <= PRECONDITION_TOL:
+                refused = name
+            seen.update(f"{name} skips" for _ in skipped)
+        assert [_aggregate(m, row) for row in _WINGS] == ref.aggregate, desc
+        joint = joint_report(m)
+        assert joint.alice_cells + joint.bob_cells == tuple(ref.aggregate), desc
+        for pair, p_cc in zip(joint.pairs, ref.p_joint):
+            assert abs(pair.p_joint_cause - p_cc) <= 4e-15, desc
+            assert pair.lower_ok == (pair.p_plus_plus - pair.d_plus <= p_cc + PRECONDITION_TOL), desc
+            assert pair.upper_ok == (p_cc <= pair.p_plus_plus + pair.d_minus + 1e-12), desc
+        try:
+            cc.check_assumptions(m)
+            gate = None
+        except PreconditionViolated as exc:
+            gate = str(exc).split()[0]
+        assert gate == refused, desc
+        seen.add(f"refused by {refused}")
+        seen.update("aggregate" for cells in ref.aggregate if cells)
+        seen.update("joint cause" for p_cc in ref.p_joint if p_cc > 0.0)
+    assert seen >= {
+        "locality skips", "screening skips", "aggregate", "joint cause",
+        "refused by None", "refused by locality", "refused by no_conspiracy",
+    }
+
+
+def test_generated_models_are_bell_local():
+    # The atom probe: a generated model's outcomes read only their own
+    # setting and own-direction cause cell, so its cause tuple is a local
+    # hidden variable. The 16-atom law it gives the four directions'
+    # outcomes, sum over c of p(c) p(A1 | c1) p(A2 | c2) p(B3 | c3)
+    # p(B4 | c4), has the model's outcome tables and its CH value, which
+    # therefore lies in [-1, 0]: the strict interval cannot be broken.
+    rng = np.random.default_rng(13)
+    for seed in range(40):
+        cards = tuple(int(c) for c in rng.integers(2, 4, 4))
+        m = random_eprb_model(seed, cards, float(10 ** rng.uniform(-6, -1)))
+        w = m.weights
+        kernels = []  # p(outcome | own setting, own cause cell), (outcome, cell); 0 for + at a zero-mass cell
+        for row in _WINGS:
+            s = w[row.index].sum(axis=0)  # (A, B, c1..c4), the far setting summed out
+            s = s.sum(axis=1 - row.wing).sum(axis=tuple(1 + k for k in range(4) if k != row.cause))
+            mass = s.sum(axis=0)
+            plus = np.divide(s[0], mass, out=np.zeros_like(mass), where=mass > 0.0)
+            kernels.append(np.stack([plus, 1.0 - plus]))
+        law = np.einsum("ijkl,wi,xj,yk,zl->wxyz", w.sum(axis=(0, 1, 2, 3)), *kernels)  # outcome 0 is +
+        for a in (0, 1):
+            for b in (0, 1):
+                table = law.sum(axis=(1 - a, 3 - b))
+                assert np.abs(table - m.outcome_tables()[a, b]).max() <= 1e-15, (seed, a, b)
+        # the oracle's atom 8 A1 + 4 A2 + 2 B3 + B4 counts + as 1
+        res = ch_atom_oracle(law[::-1, ::-1, ::-1, ::-1].ravel().tolist())
+        assert res.in_bounds
+        assert abs(res.value - m.weak_report().value) <= 1e-15, seed
 
 
 def test_verify_sequence_pairs_the_setting_law_once(monkeypatch):

@@ -155,6 +155,11 @@ def test_residual_report_is_its_text_and_numbers():
     empty = ResidualReport(())
     assert empty.worst() is None
     assert empty.max_abs == 0.0
+    # a NaN is the worst entry wherever it sits, as it is max_abs
+    for residuals, k in (((0.0, math.nan), 1), ((math.nan, 0.5), 0), ((0.5, math.nan, -0.75, math.nan), 1)):
+        rep = ResidualReport(residuals, tuple(range(len(residuals))), (), str)
+        label, value = rep.worst()
+        assert label == str(k) and math.isnan(value) and math.isnan(rep.max_abs)
 
 
 def test_max_abs_is_nan_wherever_a_nan_sits():
