@@ -44,6 +44,7 @@ from .inequalities import (  # the oracle names are re-exported
     UnnormalizedInput,
     WeakChReport,
     _smaller_root,
+    _terms,
     ch_atom_oracle,
     ch_expression,
     ch_table_terms,
@@ -890,10 +891,13 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     inside = _aggregate_cells(model)
     both = np.add.reduce(_cause_tables(model).pairs, axis=(0, 1)) * np.outer(inside[: at[2]], inside[at[2] :])
     p_joint = np.add.reduceat(np.add.reduceat(both, at[:2], axis=0), (0, at[3] - at[2]), axis=1).tolist()
+    # eps_global is a float in [0, 1], one minus a conditional, so no pair
+    # re-reads it: the terms share one root, as in weak_ch_bounds
+    root = math.sqrt(eps)
     pairs = []
     for ai in (0, 1):
         for bj in (0, 1):
-            ct = correction_terms(eps, settings[ai, bj])
+            d_minus, d_plus, _, _ = _terms(eps, root, settings[ai, bj])
             p_cc = p_joint[ai][bj]
             p_pp = float(t[ai, bj, 0, 0])
             pairs.append(
@@ -901,10 +905,10 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
                     pair=f"{ai + 1}{bj + 3}",
                     p_plus_plus=p_pp,
                     p_joint_cause=p_cc,
-                    d_minus=ct.d_minus_ab,
-                    d_plus=ct.d_plus_ab,
-                    lower_ok=p_pp - ct.d_plus_ab <= p_cc + PRECONDITION_TOL,
-                    upper_ok=p_cc <= p_pp + ct.d_minus_ab + 1e-12,
+                    d_minus=d_minus,
+                    d_plus=d_plus,
+                    lower_ok=p_pp - d_plus <= p_cc + PRECONDITION_TOL,
+                    upper_ok=p_cc <= p_pp + d_minus + 1e-12,
                 )
             )
     return JointCauseReport(

@@ -141,21 +141,41 @@ class SearchResult:
     feasible: bool
 
 
-def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig) -> SearchResult:
-    pen = constraint_penalty(model)
-    weak = model.weak_report()
+def _start_model(cfg: SearchConfig, restart: int) -> EprbModel:
+    # the restart's generated model, from its own stream keyed by (seed, restart index)
+    rng = np.random.default_rng([cfg.seed, restart])
+    lo, hi = cfg.eps_band
+    return random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
+
+
+def _misfit(weak: WeakChReport, cfg: SearchConfig) -> tuple[float, float, float]:
+    # the strict excess, and the squares of the band distance and of the weak excess
     v = weak.value
     eps = weak.epsilon
-    strict_excess = max(-1.0 - v, v)
-    weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
     lo, hi = cfg.eps_band
     band_dist = max(lo - eps, eps - hi, 0.0)
-    objective = strict_excess - _PENALTY_WEIGHT * (
-        pen + band_dist * band_dist + weak_excess * weak_excess
-    )
+    weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
+    return max(-1.0 - v, v), band_dist * band_dist, weak_excess * weak_excess
+
+
+def _bound(weak: WeakChReport, cfg: SearchConfig) -> float:
+    # The objective with the penalty left out. The penalty is a sum of
+    # squares, so >= 0, and rounding is monotone, so no objective that
+    # _evaluate forms from this report exceeds it.
+    strict_excess, band_sq, weak_sq = _misfit(weak, cfg)
+    return strict_excess - _PENALTY_WEIGHT * (band_sq + weak_sq)
+
+
+def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
+    # weak is the model's weak report, computed here when not given
+    pen = constraint_penalty(model)
+    if weak is None:
+        weak = model.weak_report()
+    strict_excess, band_sq, weak_sq = _misfit(weak, cfg)
+    objective = strict_excess - _PENALTY_WEIGHT * (pen + band_sq + weak_sq)
     return SearchResult(
-        model=model, restart_index=restart, objective=objective, penalty=pen, epsilon=eps,
-        ch_value=v, weak_report=weak, trace=(), feasible=False,
+        model=model, restart_index=restart, objective=objective, penalty=pen, epsilon=weak.epsilon,
+        ch_value=weak.value, weak_report=weak, trace=(), feasible=False,
     )
 
 
@@ -176,12 +196,19 @@ def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
     return True
 
 
-def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
-    rng = np.random.default_rng([cfg.seed, restart])
-    lo, hi = cfg.eps_band
-    start = random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
-    res = _evaluate(start, restart, cfg)
+def _result(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
+    # a restart's full evaluation: the validators, the objective and the feasibility gate
+    res = _evaluate(model, restart, cfg, weak)
     return replace(res, feasible=_feasible(res, cfg))
+
+
+def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
+    return _result(_start_model(cfg, restart), restart, cfg)
+
+
+def _rank(res: SearchResult) -> tuple[float, int]:
+    # the best objective wins, the lowest restart index breaking ties
+    return res.objective, -res.restart_index
 
 
 def search_counterexample(cfg: SearchConfig) -> SearchResult:
@@ -189,10 +216,17 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
 
     Each restart generates one model with random_eprb_model, whose
     validator residuals are zero up to rounding, from its own stream keyed
-    by (seed, restart index), and evaluates it once; the best objective
-    wins, with the lowest restart index as the tiebreak. The search does
-    not move away from these models. With a deficit band containing only
-    zero the two intervals coincide, so no feasible point exists there.
+    by (seed, restart index); the best objective wins, with the lowest
+    restart index as the tiebreak. The search does not move away from
+    these models. With a deficit band containing only zero the two
+    intervals coincide, so no feasible point exists there.
+
+    The validators run only for a restart that can still win. Each
+    restart's weak report gives a bound on its objective, the objective
+    without the penalty, which no objective exceeds; the restart with the
+    best bound is evaluated in full, and then, best bound first, each
+    restart whose bound still beats the best result so far. The result is
+    the one a full evaluation of every restart would give.
 
     With this generator the result is never feasible, by construction and
     not for want of restarts: each outcome reads only its own setting and
@@ -200,8 +234,20 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     variable, the four outcomes have a joint law and the CH value lies in
     [-1, 0], inside the strict interval.
     """
-    # max keeps only the best result so far, not every restart's
-    return max(
-        (_run_restart(cfg, r) for r in range(cfg.restarts)),
-        key=lambda res: (res.objective, -res.restart_index),
-    )
+    keys = []  # (bound, -restart) of every restart
+
+    def started(restart):
+        model = _start_model(cfg, restart)
+        weak = model.weak_report()
+        keys.append((_bound(weak, cfg), -restart))
+        return keys[-1], model, weak
+
+    # max keeps only the model with the best key so far, not every restart's
+    key, model, weak = max(map(started, range(cfg.restarts)), key=lambda item: item[0])
+    best = _result(model, -key[1], cfg, weak)
+    del model, weak  # held by best, and freed with it if a later restart wins
+    for key in sorted(keys, reverse=True)[1:]:  # the first is the top restart's
+        if key <= _rank(best):  # so are all later ones: none of them can win
+            break
+        best = max(best, _run_restart(cfg, -key[1]), key=_rank)
+    return best

@@ -215,8 +215,9 @@ class ResidualReport:
     A validator hands over a key per residual and per skipped entry, and
     label, which formats a key as its text. labels and skipped are
     formatted when first read and worst() formats one label, so a caller
-    that reads only the numbers formats no string. Reports are kept on
-    their model, so label must not refer to it.
+    that reads only the numbers formats no string; max_abs is computed
+    when first read and kept. Reports are kept on their model, so label
+    must not refer to it.
     """
 
     def __init__(self, residuals: tuple[float, ...], keys: tuple = (), skipped: tuple = (), label: Callable = str):
@@ -247,7 +248,7 @@ class ResidualReport:
     def __repr__(self) -> str:
         return "ResidualReport(labels={!r}, residuals={!r}, skipped={!r})".format(*self._fields())
 
-    @property
+    @cached_property
     def max_abs(self) -> float:
         return _max_abs(self.residuals)
 

@@ -49,7 +49,8 @@ from weakch.common_cause import (
 )
 from weakch import common_cause as cc
 from weakch import singlet
-from weakch.inequalities import BadSettingProbs, pair_settings
+from weakch import spaces as spaces_mod
+from weakch.inequalities import CH_PAIRS, BadSettingProbs, correction_terms, pair_settings
 from weakch.search import SearchConfig, search_counterexample
 from weakch.spaces import (
     _NORMALIZED_TOL,
@@ -1121,6 +1122,37 @@ def test_joint_cause_bounds_generated_sweep():
         cards = tuple(int(c) for c in rng.integers(2, 4, size=4))
         m = random_eprb_model(rng, cards, float(rng.uniform(1e-6, 1e-3)))
         assert joint_cause_bounds_check(m).ok
+
+
+def test_joint_cause_bounds_terms_are_the_correction_terms():
+    # each pair's terms, read from one root of the model's deficit, are correction_terms' bit for bit
+    rng = np.random.default_rng(91)
+    models = [perfect_model()] + [
+        random_eprb_model(rng, tuple(int(c) for c in rng.integers(2, 5, size=4)), float(rng.uniform(1e-6, 1e-2)), law)
+        for law in SETTING_LAWS
+        for _ in range(8)
+    ]
+    for m in models:
+        rep = joint_cause_bounds_check(m)
+        settings = dict(zip(CH_PAIRS.values(), pair_settings(m.setting_probs())))
+        for pair, (ai, bj) in zip(rep.pairs, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            ct = correction_terms(rep.epsilon, settings[ai, bj])
+            assert pair.pair == f"{ai + 1}{bj + 3}"
+            assert (pair.d_minus, pair.d_plus) == (ct.d_minus_ab, ct.d_plus_ab)
+            assert type(pair.d_minus) is type(pair.d_plus) is float
+
+
+def test_max_abs_is_computed_once_per_report(monkeypatch):
+    # check_assumptions reads each kept report's max_abs; a second call reads it again for free
+    computed = []
+    max_abs = spaces_mod._max_abs
+    monkeypatch.setattr(spaces_mod, "_max_abs", lambda residuals: computed.append(residuals) or max_abs(residuals))
+    m = random_eprb_model(92, (3, 2, 4, 2), 1e-4)
+    cc.check_assumptions(m)
+    cc.check_assumptions(m)
+    assert len(computed) == 3
+    assert [validate(m).max_abs for validate in cc.validators().values()] == [max_abs(r) for r in computed]
+    assert len(computed) == 3
 
 
 def test_joint_cause_bounds_rejects_conspiracy():

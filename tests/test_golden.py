@@ -38,6 +38,7 @@ CASES = {
     "check_model_pairwise": (["check-model", "--file", "pairwise_model.json"], 0),
     "check_model_eprb_precondition_failed": (["check-model", "--file", "eprb_precondition_failed.json"], 2),
     "search": (["search", "--seed", "6", "--restarts", "1"], 0),
+    "search_restarts": (["search", "--seed", "3", "--restarts", "4", "--cards", "3,2,4,2"], 0),
     "optimize_angles": (["optimize-angles"], 0),
     "optimize_angles_max": (["optimize-angles", "--mode", "max"], 0),
     "simulate": (["simulate", "--seed", "1", "--n", "100000", "--angles", LOWER], 3),

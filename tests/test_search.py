@@ -332,7 +332,10 @@ BANDS = [(1e-6, 1e-3), (1e-5, 3e-5), (0.0, 0.0)]
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("cards", CARDS)
 def test_search_is_the_best_of_its_start_models(cards, band):
-    cfg = SearchConfig(seed=2, restarts=3, cause_cards=cards, eps_band=band)
+    _assert_is_the_reference_search(SearchConfig(seed=2, restarts=3, cause_cards=cards, eps_band=band))
+
+
+def _assert_is_the_reference_search(cfg):
     res = search_counterexample(cfg)
     ref = reference_search(cfg)
     assert res.restart_index == ref.restart_index
@@ -378,13 +381,23 @@ def test_more_restarts_never_give_a_worse_result(cards, band):
 
 
 def test_ties_go_to_the_lowest_restart_index(monkeypatch):
+    # Every restart generates restart 0's model, so their bounds and their
+    # objectives tie. With a penalty of 1.0 each restart's bound beats the
+    # first one's objective, so every restart is evaluated in full.
     cfg = SearchConfig(seed=6, restarts=4)
-    first = search_mod._run_restart(cfg, 0)
-    evaluate = search_mod._evaluate
-    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: dataclasses.replace(evaluate(*args), objective=0.0))
-    res = search_counterexample(cfg)
-    assert (res.restart_index, res.objective) == (0, 0.0)
-    assert res.model.weights.tobytes() == first.model.weights.tobytes()
+    start = search_mod._start_model
+    monkeypatch.setattr(search_mod, "_start_model", lambda cfg, restart: start(cfg, 0))
+    evaluated = []
+    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
+    for penalty, evaluations in ((None, 1), (1.0, cfg.restarts)):
+        if penalty is not None:
+            monkeypatch.setattr(search_mod, "constraint_penalty", lambda m: penalty)
+        first = search_mod._run_restart(cfg, 0)
+        evaluated.clear()
+        res = search_counterexample(cfg)
+        assert (res.restart_index, res.objective, res.penalty) == (0, first.objective, first.penalty)
+        assert res.model.weights.tobytes() == first.model.weights.tobytes()
+        assert evaluated == list(range(evaluations))
 
 
 def test_restart_streams_are_keyed_by_seed_and_index():
@@ -477,13 +490,58 @@ BENCHMARK_STYLE = [
 
 @pytest.mark.parametrize("cfg", BENCHMARK_STYLE, ids=lambda cfg: f"{cfg.seed}")
 def test_benchmark_style_searches_evaluate_each_restart_once(monkeypatch, cfg):
-    # the benchmark counts restarts * max_iters operations; the search runs
-    # one evaluation per restart
+    # the benchmark counts restarts * max_iters operations; the search reads
+    # each restart's weak report once and evaluates only the restart that wins
     evaluated = []
+    reports = []
+    weak_report = EprbModel.weak_report
     monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args) or _evaluate(*args))
+    monkeypatch.setattr(EprbModel, "weak_report", lambda self: reports.append(self) or weak_report(self))
     res = search_counterexample(cfg)
     assert res.trace == ()
-    assert len(evaluated) == cfg.restarts
+    assert len(evaluated) == 1
+    assert len(reports) == cfg.restarts == len(set(map(id, reports)))
+
+
+LONGER = [
+    SearchConfig(seed=2, restarts=n, cause_cards=cards, eps_band=band)
+    for n in (4, 7) for cards in CARDS for band in BANDS
+] + BENCHMARK_STYLE
+
+
+@pytest.mark.parametrize("cfg", LONGER, ids=lambda cfg: f"{cfg.seed}-{cfg.restarts}-{cfg.cause_cards}-{cfg.eps_band}")
+def test_longer_searches_are_the_best_of_their_start_models(cfg):
+    _assert_is_the_reference_search(cfg)
+
+
+@pytest.mark.parametrize("penalized", [1, 2])
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(seed=3, restarts=4, cause_cards=(3, 2, 4, 2)),
+    SearchConfig(seed=2, restarts=7, cause_cards=(4, 4, 4, 4), eps_band=(1e-5, 3e-5)),
+    SearchConfig(seed=4, restarts=3),
+], ids=lambda cfg: f"{cfg.seed}-{cfg.restarts}")
+def test_a_penalized_top_restart_gives_way_to_the_full_search(monkeypatch, cfg, penalized):
+    # A penalty of 1.0 on the restarts of the best bounds drops their
+    # objectives below the other restarts' bounds, so a later restart is
+    # evaluated in full and wins, as it does when every restart is.
+    models = [search_mod._start_model(cfg, r) for r in range(cfg.restarts)]
+    order = sorted(range(cfg.restarts), key=lambda r: (search_mod._bound(models[r].weak_report(), cfg), -r), reverse=True)
+    heavy = {models[r].weights.tobytes() for r in order[:penalized]}
+    assert len(heavy) == penalized
+    penalty = search_mod.constraint_penalty
+    calls = []
+    monkeypatch.setattr(
+        search_mod, "constraint_penalty",
+        lambda m: calls.append(m) or (1.0 if m.weights.tobytes() in heavy else penalty(m)),
+    )
+    full = max((search_mod._run_restart(cfg, r) for r in range(cfg.restarts)), key=lambda res: (res.objective, -res.restart_index))
+    assert full.restart_index == order[penalized]
+    calls.clear()
+    res = search_counterexample(cfg)
+    assert len(calls) == penalized + 1
+    for field in ("restart_index", "objective", "penalty", "epsilon", "ch_value", "weak_report", "feasible"):
+        assert getattr(res, field) == getattr(full, field)
+    assert res.model.weights.tobytes() == full.model.weights.tobytes()
 
 
 def _perturbed(seed, cards):
@@ -520,8 +578,9 @@ def test_each_restart_runs_the_later_stages_once(monkeypatch):
     cfg = SearchConfig(seed=13, restarts=2)
     res = search_counterexample(cfg)
     assert res.feasible is False
-    # only the start of each restart is evaluated, and only once
-    assert calls == {"validate_no_conspiracy": 2, "validate_screening": 2, "weak_report": 2}
+    # each restart's weak report is read once, and the validators run once,
+    # for the restart that wins
+    assert calls == {"validate_no_conspiracy": 1, "validate_screening": 1, "weak_report": 2}
 
 
 def test_importing_the_search_loads_no_thread_pool():
@@ -564,15 +623,16 @@ def test_a_search_leaves_no_thread_behind(monkeypatch):
     search_counterexample(WIDE)
     assert threading.active_count() == before
     calls = itertools.count(1)
+    generate = search_mod.random_eprb_model
 
     def failing(*args):
-        # the second restart's evaluation
+        # the second restart's model
         if next(calls) == 2:
-            raise RuntimeError("evaluation failed")
-        return _evaluate(*args)
+            raise RuntimeError("generation failed")
+        return generate(*args)
 
-    monkeypatch.setattr(search_mod, "_evaluate", failing)
-    with pytest.raises(RuntimeError, match="evaluation failed"):
+    monkeypatch.setattr(search_mod, "random_eprb_model", failing)
+    with pytest.raises(RuntimeError, match="generation failed"):
         search_counterexample(WIDE)
     assert threading.active_count() == before
 
