@@ -690,11 +690,9 @@ def _no_conspiracy_label(key: tuple) -> str:
     return "p(" + ", ".join((tag, *(f"c{k + 1}={i}" for k, i in zip(cells[::2], cells[1::2])))) + ")"
 
 
-@functools.lru_cache(maxsize=256)
 def _no_conspiracy_keys(tag: str, cause: int, card: int, *other: int) -> tuple[tuple, ...]:
     # The keys (tag, cause, cell) of one row of residuals, or, given the
-    # (cause, card) of another cause, (tag, cause, cell, cause, cell). They
-    # depend only on the cards, so reports share them.
+    # (cause, card) of another cause, (tag, cause, cell, cause, cell).
     if other:
         other_cause, other_card = other
         return tuple(product((tag,), (cause,), range(card), (other_cause,), range(other_card)))

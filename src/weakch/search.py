@@ -20,7 +20,6 @@ from .common_cause import (
 )
 from .inequalities import WeakChError, WeakChReport, ch_expression, integer, real_number
 
-TAU = 2.0 * math.pi
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
 _PENALTY_WEIGHT = 1e4  # the weight of the constraint penalty in the search's objective
@@ -66,11 +65,11 @@ def optimize_angles(mode: str = "min", grid_size: int = 16) -> tuple[tuple[float
         raise ValueError(f"grid_size must be between 8 and {MAX_GRID_SIZE}, got {grid_size}")
     sign = 1.0 if mode == "min" else -1.0
 
-    pts = TAU * np.arange(grid_size) / grid_size
+    pts = singlet.TAU * np.arange(grid_size) / grid_size
     vals = sign * _ch_offsets(*np.meshgrid(pts, pts, pts, indexing="ij"))
     best = pts[list(np.unravel_index(np.argmin(vals), vals.shape))]
     # the triple at the least summed circular distance from the grid point
-    offsets = min(_EXTREMA[mode], key=lambda t: sum(abs(math.remainder(a - b, TAU)) for a, b in zip(t, best)))
+    offsets = min(_EXTREMA[mode], key=lambda t: sum(abs(math.remainder(a - b, singlet.TAU)) for a, b in zip(t, best)))
     theta = (0.0, *offsets)
     return tuple(singlet.canonical_angle(t) for t in theta), singlet.ch_value(theta)
 
@@ -148,35 +147,17 @@ def _start_model(cfg: SearchConfig, restart: int) -> EprbModel:
     return random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
 
 
-def _misfit(weak: WeakChReport, cfg: SearchConfig) -> tuple[float, float, float]:
-    # the strict excess, and the squares of the band distance and of the weak excess
+def _objective(weak: WeakChReport, cfg: SearchConfig, penalty: float = 0.0) -> float:
+    # The strict excess less _PENALTY_WEIGHT times the penalty and the
+    # squares of the band distance and of the weak excess. The penalty is a
+    # sum of squares, so >= 0, and rounding is monotone, so no objective
+    # exceeds the one with the penalty at 0.0, a bound read from the report.
     v = weak.value
     eps = weak.epsilon
     lo, hi = cfg.eps_band
     band_dist = max(lo - eps, eps - hi, 0.0)
     weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
-    return max(-1.0 - v, v), band_dist * band_dist, weak_excess * weak_excess
-
-
-def _bound(weak: WeakChReport, cfg: SearchConfig) -> float:
-    # The objective with the penalty left out. The penalty is a sum of
-    # squares, so >= 0, and rounding is monotone, so no objective that
-    # _evaluate forms from this report exceeds it.
-    strict_excess, band_sq, weak_sq = _misfit(weak, cfg)
-    return strict_excess - _PENALTY_WEIGHT * (band_sq + weak_sq)
-
-
-def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
-    # weak is the model's weak report, computed here when not given
-    pen = constraint_penalty(model)
-    if weak is None:
-        weak = model.weak_report()
-    strict_excess, band_sq, weak_sq = _misfit(weak, cfg)
-    objective = strict_excess - _PENALTY_WEIGHT * (pen + band_sq + weak_sq)
-    return SearchResult(
-        model=model, restart_index=restart, objective=objective, penalty=pen, epsilon=weak.epsilon,
-        ch_value=weak.value, weak_report=weak, trace=(), feasible=False,
-    )
+    return max(-1.0 - v, v) - _PENALTY_WEIGHT * (penalty + band_dist * band_dist + weak_excess * weak_excess)
 
 
 def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
@@ -196,14 +177,22 @@ def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
     return True
 
 
-def _result(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
-    # a restart's full evaluation: the validators, the objective and the feasibility gate
-    res = _evaluate(model, restart, cfg, weak)
+def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
+    # A restart's full evaluation: the validators, the objective and the
+    # feasibility gate. weak is the model's weak report, computed here when
+    # not given.
+    pen = constraint_penalty(model)
+    if weak is None:
+        weak = model.weak_report()
+    res = SearchResult(
+        model=model, restart_index=restart, objective=_objective(weak, cfg, pen), penalty=pen,
+        epsilon=weak.epsilon, ch_value=weak.value, weak_report=weak, trace=(), feasible=False,
+    )
     return replace(res, feasible=_feasible(res, cfg))
 
 
 def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
-    return _result(_start_model(cfg, restart), restart, cfg)
+    return _evaluate(_start_model(cfg, restart), restart, cfg)
 
 
 def _rank(res: SearchResult) -> tuple[float, int]:
@@ -221,12 +210,14 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     these models. With a deficit band containing only zero the two
     intervals coincide, so no feasible point exists there.
 
-    The validators run only for a restart that can still win. Each
+    The validators run only where they can change the answer. Each
     restart's weak report gives a bound on its objective, the objective
-    without the penalty, which no objective exceeds; the restart with the
-    best bound is evaluated in full, and then, best bound first, each
-    restart whose bound still beats the best result so far. The result is
-    the one a full evaluation of every restart would give.
+    with the penalty at 0.0, which no objective exceeds. One pass keeps
+    the two best (bound, -restart) keys and the best-keyed model, and
+    evaluates that restart in full. If the runner-up key still beats the
+    result, the search is the plain fold instead: every restart evaluated
+    in full, the best kept. Either way the result is the one a full
+    evaluation of every restart would give.
 
     With this generator the result is never feasible, by construction and
     not for want of restarts: each outcome reads only its own setting and
@@ -234,20 +225,16 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     variable, the four outcomes have a joint law and the CH value lies in
     [-1, 0], inside the strict interval.
     """
-    keys = []  # (bound, -restart) of every restart
-
-    def started(restart):
+    top = []  # the two best (bound, -restart) keys, the best last
+    for restart in range(cfg.restarts):
         model = _start_model(cfg, restart)
         weak = model.weak_report()
-        keys.append((_bound(weak, cfg), -restart))
-        return keys[-1], model, weak
-
-    # max keeps only the model with the best key so far, not every restart's
-    key, model, weak = max(map(started, range(cfg.restarts)), key=lambda item: item[0])
-    best = _result(model, -key[1], cfg, weak)
-    del model, weak  # held by best, and freed with it if a later restart wins
-    for key in sorted(keys, reverse=True)[1:]:  # the first is the top restart's
-        if key <= _rank(best):  # so are all later ones: none of them can win
-            break
-        best = max(best, _run_restart(cfg, -key[1]), key=_rank)
+        key = (_objective(weak, cfg), -restart)
+        top[:] = sorted((*top, key))[-2:]
+        if key == top[-1]:
+            kept = model, restart, weak
+    best = _evaluate(kept[0], kept[1], cfg, kept[2])
+    del model, weak, kept  # held by best
+    if len(top) == 2 and top[0] > _rank(best):  # the runner-up could still win
+        return max((_run_restart(cfg, r) for r in range(cfg.restarts)), key=_rank)
     return best

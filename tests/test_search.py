@@ -382,14 +382,15 @@ def test_more_restarts_never_give_a_worse_result(cards, band):
 
 def test_ties_go_to_the_lowest_restart_index(monkeypatch):
     # Every restart generates restart 0's model, so their bounds and their
-    # objectives tie. With a penalty of 1.0 each restart's bound beats the
-    # first one's objective, so every restart is evaluated in full.
+    # objectives tie. With a penalty of 1.0 the runner-up's bound beats
+    # restart 0's objective, so after restart 0 the search evaluates every
+    # restart in full, in order.
     cfg = SearchConfig(seed=6, restarts=4)
     start = search_mod._start_model
     monkeypatch.setattr(search_mod, "_start_model", lambda cfg, restart: start(cfg, 0))
     evaluated = []
     monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
-    for penalty, evaluations in ((None, 1), (1.0, cfg.restarts)):
+    for penalty, evaluations in ((None, [0]), (1.0, [0, 0, 1, 2, 3])):
         if penalty is not None:
             monkeypatch.setattr(search_mod, "constraint_penalty", lambda m: penalty)
         first = search_mod._run_restart(cfg, 0)
@@ -397,7 +398,22 @@ def test_ties_go_to_the_lowest_restart_index(monkeypatch):
         res = search_counterexample(cfg)
         assert (res.restart_index, res.objective, res.penalty) == (0, first.objective, first.penalty)
         assert res.model.weights.tobytes() == first.model.weights.tobytes()
-        assert evaluated == list(range(evaluations))
+        assert evaluated == evaluations
+
+
+def test_a_one_restart_search_evaluates_its_restart_once(monkeypatch):
+    # A one-restart search has no runner-up, so however far the penalty
+    # drops its objective below its bound, nothing else is evaluated.
+    cfg = SearchConfig(seed=6, restarts=1)
+    monkeypatch.setattr(search_mod, "constraint_penalty", lambda m: 1.0)
+    expected = search_mod._run_restart(cfg, 0)
+    evaluated = []
+    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
+    res = search_counterexample(cfg)
+    assert evaluated == [0]
+    for field in ("restart_index", "objective", "penalty", "epsilon", "ch_value", "weak_report", "feasible"):
+        assert getattr(res, field) == getattr(expected, field)
+    assert res.model.weights.tobytes() == expected.model.weights.tobytes()
 
 
 def test_restart_streams_are_keyed_by_seed_and_index():
@@ -522,10 +538,11 @@ def test_longer_searches_are_the_best_of_their_start_models(cfg):
 ], ids=lambda cfg: f"{cfg.seed}-{cfg.restarts}")
 def test_a_penalized_top_restart_gives_way_to_the_full_search(monkeypatch, cfg, penalized):
     # A penalty of 1.0 on the restarts of the best bounds drops their
-    # objectives below the other restarts' bounds, so a later restart is
-    # evaluated in full and wins, as it does when every restart is.
+    # objectives below the other restarts' bounds, so the top restart's
+    # result loses to the runner-up's bound, every restart is evaluated in
+    # full, and a later restart wins, as it does in the plain fold.
     models = [search_mod._start_model(cfg, r) for r in range(cfg.restarts)]
-    order = sorted(range(cfg.restarts), key=lambda r: (search_mod._bound(models[r].weak_report(), cfg), -r), reverse=True)
+    order = sorted(range(cfg.restarts), key=lambda r: (search_mod._objective(models[r].weak_report(), cfg), -r), reverse=True)
     heavy = {models[r].weights.tobytes() for r in order[:penalized]}
     assert len(heavy) == penalized
     penalty = search_mod.constraint_penalty
@@ -538,7 +555,7 @@ def test_a_penalized_top_restart_gives_way_to_the_full_search(monkeypatch, cfg, 
     assert full.restart_index == order[penalized]
     calls.clear()
     res = search_counterexample(cfg)
-    assert len(calls) == penalized + 1
+    assert len(calls) == 1 + cfg.restarts
     for field in ("restart_index", "objective", "penalty", "epsilon", "ch_value", "weak_report", "feasible"):
         assert getattr(res, field) == getattr(full, field)
     assert res.model.weights.tobytes() == full.model.weights.tobytes()

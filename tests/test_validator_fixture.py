@@ -15,7 +15,12 @@ sha256) of:
   marginals, shuffled atom order), the generated weights and labels,
   cell_stats, classify_cells, every CauseMassReport field, model_epsilon,
   the marginals, the screening cell lists and the error each check
-  raises. Screening residuals are stored in full as float.hex strings.
+  raises. Screening residuals are stored in full as float.hex strings;
+- for 100 seeded searches (the CLI defaults, seven restarts at cards
+  3,2,4,2, and two restarts at cards 2,2,2,2 and 4,4,4,4 in two deficit
+  bands), the winning restart, feasibility, the float.hex of the
+  objective, penalty, deficit, CH value and weak bounds, and a digest of
+  the model's weights.
 Everything must match exactly.
 The models are exact generated ones (residuals at the rounding level, so
 any change in summation order shows), perturbed weights, dense random
@@ -59,6 +64,7 @@ from weakch.common_cause import (
     validate_screening,
 )
 from weakch.inequalities import no_signalling_residuals
+from weakch.search import SearchConfig, search_counterexample
 from weakch.simulate import CountsTable, estimate
 from weakch.spaces import FiniteProbSpace, ResidualReport, WeakChError, prob
 
@@ -342,6 +348,36 @@ def pairwise_cases() -> list:
     return cases
 
 
+def search_configs() -> list[SearchConfig]:
+    """The fixture's searches, in order."""
+    return [
+        *(SearchConfig(seed=seed) for seed in range(40)),
+        *(SearchConfig(seed=seed, restarts=7, cause_cards=(3, 2, 4, 2)) for seed in range(20)),
+        *(
+            SearchConfig(seed=seed, restarts=2, cause_cards=cards, eps_band=band)
+            for cards in ((2, 2, 2, 2), (4, 4, 4, 4))
+            for band in ((1e-6, 1e-3), (1e-5, 3e-5))
+            for seed in range(10)
+        ),
+    ]
+
+
+def search_digests() -> list:
+    out = []
+    for cfg in search_configs():
+        res = search_counterexample(cfg)
+        weak = res.weak_report
+        out.append({
+            "case": f"seed={cfg.seed} restarts={cfg.restarts} cards={''.join(map(str, cfg.cause_cards))} band={cfg.eps_band!r}",
+            "restart_index": res.restart_index,
+            "feasible": res.feasible,
+            **{name: float(getattr(res, name)).hex() for name in ("objective", "penalty", "epsilon", "ch_value")},
+            "weak": [weak.value.hex(), weak.lower.hex(), weak.upper.hex()],
+            "weights": _digest(np.ascontiguousarray(res.model.weights).tobytes()),
+        })
+    return out
+
+
 def record() -> dict:
     cases = []
     for k, (desc, weights, cards) in enumerate(validator_models()):
@@ -356,6 +392,7 @@ def record() -> dict:
         "estimate": estimate_digests(),
         "no_signalling": no_signalling_digests(),
         "pairwise": pairwise_cases(),
+        "search": search_digests(),
     }
 
 
@@ -411,6 +448,10 @@ def test_pairwise_engine_matches_the_fixture(fixture):
         for part, value in rec.items():
             assert _digest(value) == want[part], f"{desc}: {part}"
         assert [r.hex() for r in cell_stats(model).residuals] == want["residuals"], desc
+
+
+def test_searches_match_the_fixture(fixture):
+    assert search_digests() == fixture["search"]
 
 
 def test_pairwise_fixture_cases_exercise_every_branch():
