@@ -297,11 +297,15 @@ def evaluate_weak_ch(
     """Flag whether a combination value leaves the corrected interval.
 
     The report carries the input probabilities when available, for audit
-    output. value and both bounds must be real numbers and epsilon a
-    deficit in [0, 1], as real_number and deficit read them.
+    output. value and both bounds must be finite real numbers and epsilon
+    a deficit in [0, 1], as real_number and deficit read them; a NaN would
+    compare as inside the interval.
     """
     lower, upper = real_number("lower bound", bounds[0]), real_number("upper bound", bounds[1])
     v = real_number("value", value)
+    for name, x in (("value", v), ("lower bound", lower), ("upper bound", upper)):
+        if not math.isfinite(x):
+            raise WeakChError(f"{name} must be finite, got {x!r}")
     return WeakChReport(
         value=v,
         lower=lower,
@@ -370,9 +374,9 @@ def no_signalling_residuals(tables: np.ndarray) -> list[float]:
     t = np.asarray(tables, dtype=float)
     if t.ndim != 4 or t.shape[2:] != (2, 2):
         raise UnnormalizedTable("tables must have shape (n_a, n_b, 2, 2)")
-    sums = t.sum(axis=(2, 3))
-    if np.any(np.abs(sums - 1.0) > 1e-9):
-        worst = float(np.abs(sums - 1.0).max())
+    dev = np.abs(t.sum(axis=(2, 3)) - 1.0)
+    if not (dev <= 1e-9).all():  # a NaN sum fails too
+        worst = float(dev.max())
         raise UnnormalizedTable(f"table sums deviate from 1 by up to {worst}")
     res: list[float] = []
     # each wing's marginals as (own setting, far setting, own outcome)

@@ -22,7 +22,7 @@ from .inequalities import WeakChError, WeakChReport, ch_expression, integer, rea
 
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
-_PENALTY_WEIGHT = 1e4  # the weight of the constraint penalty in the search's objective
+_PENALTY_WEIGHT = 1e4  # the weight of the band distance and weak excess squares in the search's objective
 
 
 # The exact extremal offset triples (theta2, theta3, theta4), theta1 = 0, of
@@ -92,8 +92,8 @@ class SearchConfig:
     """A counterexample search's seed, sizes and deficit band; deterministic per seed.
 
     max_iters is validated and kept for callers that still pass it; the
-    search does not read it. The penalty weight is the module constant
-    _PENALTY_WEIGHT.
+    search does not read it. The objective's weight on the band distance
+    and weak excess is the module constant _PENALTY_WEIGHT.
     """
 
     seed: int = 0
@@ -121,9 +121,11 @@ class SearchConfig:
 class SearchResult:
     """Best state of the search, with its certificate data.
 
-    feasible is claimed only when each assumption validator's residuals are
-    within PRECONDITION_TOL, the tolerance check-model applies; an
-    infeasible outcome is a valid result, never a nonexistence claim.
+    objective is read from the weak report alone; penalty is the winner's
+    constraint_penalty, reported but not ranked on. feasible is claimed
+    only when each assumption validator's residuals are within
+    PRECONDITION_TOL, the tolerance check-model applies; an infeasible
+    outcome is a valid result, never a nonexistence claim.
 
     trace is always empty, as the search takes no steps; it stays for
     callers that still read it.
@@ -147,17 +149,15 @@ def _start_model(cfg: SearchConfig, restart: int) -> EprbModel:
     return random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
 
 
-def _objective(weak: WeakChReport, cfg: SearchConfig, penalty: float = 0.0) -> float:
-    # The strict excess less _PENALTY_WEIGHT times the penalty and the
-    # squares of the band distance and of the weak excess. The penalty is a
-    # sum of squares, so >= 0, and rounding is monotone, so no objective
-    # exceeds the one with the penalty at 0.0, a bound read from the report.
+def _objective(weak: WeakChReport, cfg: SearchConfig) -> float:
+    # The strict excess less _PENALTY_WEIGHT times the squares of the band
+    # distance and of the weak excess, all read from the weak report.
     v = weak.value
     eps = weak.epsilon
     lo, hi = cfg.eps_band
     band_dist = max(lo - eps, eps - hi, 0.0)
     weak_excess = max(weak.lower - v, v - weak.upper, 0.0)
-    return max(-1.0 - v, v) - _PENALTY_WEIGHT * (penalty + band_dist * band_dist + weak_excess * weak_excess)
+    return max(-1.0 - v, v) - _PENALTY_WEIGHT * (band_dist * band_dist + weak_excess * weak_excess)
 
 
 def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
@@ -177,27 +177,14 @@ def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
     return True
 
 
-def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport | None = None) -> SearchResult:
-    # A restart's full evaluation: the validators, the objective and the
-    # feasibility gate. weak is the model's weak report, computed here when
-    # not given.
-    pen = constraint_penalty(model)
-    if weak is None:
-        weak = model.weak_report()
+def _evaluate(model: EprbModel, restart: int, cfg: SearchConfig, weak: WeakChReport) -> SearchResult:
+    # The winning restart's result: its weak report, its objective, the
+    # validator penalty it reports and the feasibility gate.
     res = SearchResult(
-        model=model, restart_index=restart, objective=_objective(weak, cfg, pen), penalty=pen,
+        model=model, restart_index=restart, objective=_objective(weak, cfg), penalty=constraint_penalty(model),
         epsilon=weak.epsilon, ch_value=weak.value, weak_report=weak, trace=(), feasible=False,
     )
     return replace(res, feasible=_feasible(res, cfg))
-
-
-def _run_restart(cfg: SearchConfig, restart: int) -> SearchResult:
-    return _evaluate(_start_model(cfg, restart), restart, cfg)
-
-
-def _rank(res: SearchResult) -> tuple[float, int]:
-    # the best objective wins, the lowest restart index breaking ties
-    return res.objective, -res.restart_index
 
 
 def search_counterexample(cfg: SearchConfig) -> SearchResult:
@@ -205,19 +192,14 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
 
     Each restart generates one model with random_eprb_model, whose
     validator residuals are zero up to rounding, from its own stream keyed
-    by (seed, restart index); the best objective wins, with the lowest
-    restart index as the tiebreak. The search does not move away from
-    these models. With a deficit band containing only zero the two
-    intervals coincide, so no feasible point exists there.
+    by (seed, restart index), and reads its weak report. The objective
+    comes from that report alone; the best wins, with the lowest restart
+    index as the tiebreak. The search does not move away from these
+    models. With a deficit band containing only zero the two intervals
+    coincide, so no feasible point exists there.
 
-    The validators run only where they can change the answer. Each
-    restart's weak report gives a bound on its objective, the objective
-    with the penalty at 0.0, which no objective exceeds. One pass keeps
-    the two best (bound, -restart) keys and the best-keyed model, and
-    evaluates that restart in full. If the runner-up key still beats the
-    result, the search is the plain fold instead: every restart evaluated
-    in full, the best kept. Either way the result is the one a full
-    evaluation of every restart would give.
+    The validators run once, on the winner: their penalty is reported,
+    and they gate feasibility at PRECONDITION_TOL as check-model does.
 
     With this generator the result is never feasible, by construction and
     not for want of restarts: each outcome reads only its own setting and
@@ -225,16 +207,12 @@ def search_counterexample(cfg: SearchConfig) -> SearchResult:
     variable, the four outcomes have a joint law and the CH value lies in
     [-1, 0], inside the strict interval.
     """
-    top = []  # the two best (bound, -restart) keys, the best last
+    best = None  # (objective, restart, model, weak report) of the best restart so far
     for restart in range(cfg.restarts):
         model = _start_model(cfg, restart)
         weak = model.weak_report()
-        key = (_objective(weak, cfg), -restart)
-        top[:] = sorted((*top, key))[-2:]
-        if key == top[-1]:
-            kept = model, restart, weak
-    best = _evaluate(kept[0], kept[1], cfg, kept[2])
-    del model, weak, kept  # held by best
-    if len(top) == 2 and top[0] > _rank(best):  # the runner-up could still win
-        return max((_run_restart(cfg, r) for r in range(cfg.restarts)), key=_rank)
-    return best
+        objective = _objective(weak, cfg)
+        if best is None or objective > best[0]:  # strict, so ties keep the lowest restart
+            best = objective, restart, model, weak
+    _, restart, model, weak = best
+    return _evaluate(model, restart, cfg, weak)

@@ -37,8 +37,10 @@ OUTCOMES: tuple[Sign, Sign] = ("+", "-")
 def canonical_angle(value: float) -> float:
     """Reduce an angle in radians to the canonical range [0, 2*pi)."""
     r = math.fmod(float(value), TAU)
-    if r < 0.0:
+    if r <= 0.0:  # -0.0 too, which fmod gives for a negative multiple of 2*pi
         r += TAU
+        if r == TAU:  # a tiny negative angle rounds up to 2*pi, which is 0 on the circle
+            r = 0.0
     return r
 
 

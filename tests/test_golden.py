@@ -39,6 +39,10 @@ CASES = {
     "check_model_eprb_precondition_failed": (["check-model", "--file", "eprb_precondition_failed.json"], 2),
     "search": (["search", "--seed", "6", "--restarts", "1"], 0),
     "search_restarts": (["search", "--seed", "3", "--restarts", "4", "--cards", "3,2,4,2"], 0),
+    "search_many": (
+        ["search", "--seed", "0", "--restarts", "40", "--cards", "4,4,4,4", "--eps-band", "1e-5,3e-5"],
+        0,
+    ),
     "optimize_angles": (["optimize-angles"], 0),
     "optimize_angles_max": (["optimize-angles", "--mode", "max"], 0),
     "simulate": (["simulate", "--seed", "1", "--n", "100000", "--angles", LOWER], 3),

@@ -282,6 +282,21 @@ def test_evaluate_reads_real_numbers(args, name):
         evaluate_weak_ch(*args)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, (-1.0, 0.0), 0.0), "value"),
+    ((math.inf, (-1.0, 0.0), 0.0), "value"),
+    ((-5.0, (math.nan, 0.0), 0.0), "lower bound"),
+    ((-5.0, (-math.inf, 0.0), 0.0), "lower bound"),
+    ((0.5, (-1.0, math.nan), 0.0), "upper bound"),
+    ((np.float64(math.nan), (-1.0, 0.0), 0.0), "value"),
+])
+def test_evaluate_refuses_non_finite_numbers(args, name):
+    # a NaN compares as neither below nor above a bound, so it would read
+    # as "not violated"
+    with pytest.raises(WeakChError, match=f"^{name} must be finite, got"):
+        evaluate_weak_ch(*args)
+
+
 def test_thresholds_reference_values():
     lo, hi = epsilon_thresholds()
     assert f"{lo:.3e}" == "2.689e-05"
@@ -385,6 +400,17 @@ def test_no_signalling_rejects_unnormalized():
     t = outcome_tables((0.0,), (0.0,))
     t[0, 0, 0, 0] += 0.1
     with pytest.raises(UnnormalizedTable):
+        no_signalling_residuals(t)
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)])
+def test_no_signalling_rejects_a_nan_table(where):
+    # a NaN sum is neither within 1e-9 of one nor further from it
+    with pytest.raises(UnnormalizedTable, match="nan"):
+        no_signalling_residuals(np.full((2, 2, 2, 2), math.nan))
+    t = outcome_tables((0.0, 1.0), (0.5, 2.0))
+    t[where] = math.nan
+    with pytest.raises(UnnormalizedTable, match="nan"):
         no_signalling_residuals(t)
 
 

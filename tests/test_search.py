@@ -285,7 +285,7 @@ def test_feasibility_needs_every_residual_within_the_precondition_tolerance():
     w[1, 0, 0, 0] += move
     model = EprbModel(w, (2, 2, 2, 2))
     cfg = SearchConfig()
-    res = _evaluate(model, 0, cfg)
+    res = _evaluate(model, 0, cfg, model.weak_report())
     assert res.penalty < 1e-10
     assert res.ch_value < -1.0 and not res.weak_report.violated
     assert cfg.eps_band[0] <= res.epsilon <= cfg.eps_band[1]
@@ -299,7 +299,7 @@ def test_check_model_and_the_search_refuse_a_nan_residual(monkeypatch):
     # only residuals <= PRECONDITION_TOL, and looks each validator up when
     # it runs.
     model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
-    res = _evaluate(model, 0, SearchConfig())
+    res = _evaluate(model, 0, SearchConfig(), model.weak_report())
     res = dataclasses.replace(res, ch_value=1.0)  # as if it broke the strict interval
     cfg = SearchConfig(eps_band=(res.epsilon, res.epsilon))
     assert not res.weak_report.violated
@@ -335,6 +335,12 @@ def test_search_is_the_best_of_its_start_models(cards, band):
     _assert_is_the_reference_search(SearchConfig(seed=2, restarts=3, cause_cards=cards, eps_band=band))
 
 
+def _run_restart(cfg, restart):
+    # one restart's generated model, evaluated as if it had won
+    model = search_mod._start_model(cfg, restart)
+    return _evaluate(model, restart, cfg, model.weak_report())
+
+
 def _assert_is_the_reference_search(cfg):
     res = search_counterexample(cfg)
     ref = reference_search(cfg)
@@ -355,7 +361,7 @@ def test_every_restart_reports_a_validator_clean_model(cards, band):
     # model with every setting pair at 1/4 and residuals zero up to rounding
     cfg = SearchConfig(seed=2, restarts=3, cause_cards=cards, eps_band=band)
     for r in range(cfg.restarts):
-        res = search_mod._run_restart(cfg, r)
+        res = _run_restart(cfg, r)
         w = res.model.weights
         assert np.isfinite(w).all() and (w >= 0.0).all()
         assert np.abs(w.reshape(4, -1).sum(axis=1) - 0.25).max() <= 1e-15
@@ -372,7 +378,7 @@ def test_more_restarts_never_give_a_worse_result(cards, band):
     best = search_counterexample(cfg)
     for n in range(2, 6):
         res = search_counterexample(dataclasses.replace(cfg, restarts=n))
-        last = search_mod._run_restart(cfg, n - 1)
+        last = _run_restart(cfg, n - 1)
         expected = last if last.objective > best.objective else best
         assert res.restart_index == expected.restart_index
         assert res.objective == expected.objective >= best.objective
@@ -381,32 +387,31 @@ def test_more_restarts_never_give_a_worse_result(cards, band):
 
 
 def test_ties_go_to_the_lowest_restart_index(monkeypatch):
-    # Every restart generates restart 0's model, so their bounds and their
-    # objectives tie. With a penalty of 1.0 the runner-up's bound beats
-    # restart 0's objective, so after restart 0 the search evaluates every
-    # restart in full, in order.
+    # Every restart generates restart 0's model, so their objectives tie
+    # and restart 0 wins. The penalty is not ranked on, so even at 1.0 it
+    # is restart 0 alone that is evaluated.
     cfg = SearchConfig(seed=6, restarts=4)
     start = search_mod._start_model
     monkeypatch.setattr(search_mod, "_start_model", lambda cfg, restart: start(cfg, 0))
     evaluated = []
     monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
-    for penalty, evaluations in ((None, [0]), (1.0, [0, 0, 1, 2, 3])):
+    for penalty in (None, 1.0):
         if penalty is not None:
             monkeypatch.setattr(search_mod, "constraint_penalty", lambda m: penalty)
-        first = search_mod._run_restart(cfg, 0)
+        first = _run_restart(cfg, 0)
         evaluated.clear()
         res = search_counterexample(cfg)
         assert (res.restart_index, res.objective, res.penalty) == (0, first.objective, first.penalty)
         assert res.model.weights.tobytes() == first.model.weights.tobytes()
-        assert evaluated == evaluations
+        assert evaluated == [0]
 
 
 def test_a_one_restart_search_evaluates_its_restart_once(monkeypatch):
-    # A one-restart search has no runner-up, so however far the penalty
-    # drops its objective below its bound, nothing else is evaluated.
+    # A one-restart search evaluates its one restart once, and whatever
+    # the penalty, it is reported as that restart's evaluation reports it.
     cfg = SearchConfig(seed=6, restarts=1)
     monkeypatch.setattr(search_mod, "constraint_penalty", lambda m: 1.0)
-    expected = search_mod._run_restart(cfg, 0)
+    expected = _run_restart(cfg, 0)
     evaluated = []
     monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
     res = search_counterexample(cfg)
@@ -419,7 +424,7 @@ def test_a_one_restart_search_evaluates_its_restart_once(monkeypatch):
 def test_restart_streams_are_keyed_by_seed_and_index():
     # a stream keyed by seed + restart would repeat (1, 0) as (0, 1)
     models = {
-        search_mod._run_restart(SearchConfig(seed=seed), r).model.weights.tobytes()
+        _run_restart(SearchConfig(seed=seed), r).model.weights.tobytes()
         for seed in range(4)
         for r in range(4)
     }
@@ -449,7 +454,7 @@ def test_a_search_result_is_its_generated_model(cfg, restart):
     lo, hi = cfg.eps_band
     rng = np.random.default_rng([cfg.seed, restart])
     generated = random_eprb_model(rng, cfg.cause_cards, min(0.5 * (lo + hi), 0.1))
-    res = search_mod._run_restart(cfg, restart)
+    res = _run_restart(cfg, restart)
     assert res.model.weights.tobytes() == generated.weights.tobytes()
     assert res.weak_report == generated.weak_report()
 
@@ -463,7 +468,7 @@ def test_each_restart_builds_one_model(monkeypatch, gate):
     monkeypatch.setattr(EprbModel, "__init__", lambda self, *args: built.append(self) or init(self, *args))
     if gate:
         monkeypatch.setattr(search_mod, "_feasible", lambda res, cfg: True)
-    res = search_mod._run_restart(SearchConfig(seed=13), 0)
+    res = _run_restart(SearchConfig(seed=13), 0)
     assert res.feasible is gate
     assert len(built) == 1
     assert built[0] is res.model
@@ -490,7 +495,7 @@ def test_feasibility_gate_tolerances(shift, ch_value, violated, feasible):
     # one-point band shifted from its deficit: the deficit may lie 1e-12
     # outside the band, and the strict excess must be above 1e-12.
     model = random_eprb_model(0, (2, 2, 2, 2), 3e-6)
-    res = _evaluate(model, 0, SearchConfig())
+    res = _evaluate(model, 0, SearchConfig(), model.weak_report())
     assert not res.weak_report.violated
     weak = dataclasses.replace(res.weak_report, violated_lower=violated)
     res = dataclasses.replace(res, ch_value=ch_value, weak_report=weak)
@@ -536,13 +541,14 @@ def test_longer_searches_are_the_best_of_their_start_models(cfg):
     SearchConfig(seed=2, restarts=7, cause_cards=(4, 4, 4, 4), eps_band=(1e-5, 3e-5)),
     SearchConfig(seed=4, restarts=3),
 ], ids=lambda cfg: f"{cfg.seed}-{cfg.restarts}")
-def test_a_penalized_top_restart_gives_way_to_the_full_search(monkeypatch, cfg, penalized):
-    # A penalty of 1.0 on the restarts of the best bounds drops their
-    # objectives below the other restarts' bounds, so the top restart's
-    # result loses to the runner-up's bound, every restart is evaluated in
-    # full, and a later restart wins, as it does in the plain fold.
+def test_a_penalized_top_restart_still_wins(monkeypatch, cfg, penalized):
+    # The objective is read from the weak report alone, so a penalty of 1.0
+    # on the restarts of the best bounds does not move the top one: it wins,
+    # reports that penalty and its bound as its objective, and is the one
+    # restart evaluated, with the penalty computed once.
     models = [search_mod._start_model(cfg, r) for r in range(cfg.restarts)]
-    order = sorted(range(cfg.restarts), key=lambda r: (search_mod._objective(models[r].weak_report(), cfg), -r), reverse=True)
+    bounds = [search_mod._objective(m.weak_report(), cfg) for m in models]
+    order = sorted(range(cfg.restarts), key=lambda r: (bounds[r], -r), reverse=True)
     heavy = {models[r].weights.tobytes() for r in order[:penalized]}
     assert len(heavy) == penalized
     penalty = search_mod.constraint_penalty
@@ -551,14 +557,16 @@ def test_a_penalized_top_restart_gives_way_to_the_full_search(monkeypatch, cfg, 
         search_mod, "constraint_penalty",
         lambda m: calls.append(m) or (1.0 if m.weights.tobytes() in heavy else penalty(m)),
     )
-    full = max((search_mod._run_restart(cfg, r) for r in range(cfg.restarts)), key=lambda res: (res.objective, -res.restart_index))
-    assert full.restart_index == order[penalized]
-    calls.clear()
+    evaluated = []
+    monkeypatch.setattr(search_mod, "_evaluate", lambda *args: evaluated.append(args[1]) or _evaluate(*args))
     res = search_counterexample(cfg)
-    assert len(calls) == 1 + cfg.restarts
-    for field in ("restart_index", "objective", "penalty", "epsilon", "ch_value", "weak_report", "feasible"):
-        assert getattr(res, field) == getattr(full, field)
-    assert res.model.weights.tobytes() == full.model.weights.tobytes()
+    top = order[0]
+    assert res.restart_index == top
+    assert res.penalty == 1.0
+    assert res.objective == bounds[top]
+    assert res.model.weights.tobytes() == models[top].weights.tobytes()
+    assert evaluated == [top]
+    assert len(calls) == 1
 
 
 def _perturbed(seed, cards):

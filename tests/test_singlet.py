@@ -27,6 +27,24 @@ def test_canonical_angle_range():
     assert 0.0 <= canonical_angle(123.456) < 2 * PI
 
 
+@pytest.mark.parametrize("value, expected", [
+    (-1e-17, 0.0),
+    (-5e-324, 0.0),
+    (-1e-16, 0.0),
+    (-math.ulp(2 * PI) / 2, 0.0),
+    (-0.0, 0.0),
+    (-2 * PI, 0.0),
+    (-4 * PI, 0.0),
+    (-math.ulp(2 * PI), math.nextafter(2 * PI, 0.0)),
+])
+def test_canonical_angle_of_a_tiny_negative_angle_is_in_range(value, expected):
+    # r + 2*pi may round to 2*pi itself, which lies outside [0, 2*pi), and
+    # fmod gives -0.0 for a negative multiple of 2*pi
+    r = canonical_angle(value)
+    assert 0.0 <= r < 2 * PI
+    assert (r, math.copysign(1.0, r)) == (expected, 1.0)
+
+
 @pytest.mark.parametrize(
     "phi,a,b,expected",
     [
