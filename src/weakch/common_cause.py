@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -590,19 +590,12 @@ class EprbModel:
         return cls(flat.reshape((2, 2, 2, 2, *cards)), cards)
 
 
-@functools.lru_cache(maxsize=256)
-def _cell_starts(cards: tuple[int, ...]) -> tuple[int, ...]:
-    # where each cause's cells start on the cause tables' cell axis, c1's
-    # first; the last entry is the number of cells
-    return tuple(accumulate(cards, initial=0))
-
-
 class _CauseTables(NamedTuple):
     """The marginals of a full-joint model that its checks read.
 
     The cells of all four causes make one cell axis, each cause a block
-    placed by _cell_starts: Alice's causes c1, c2 and then Bob's c3, c4. A
-    cell's row is the _WINGS row of its cause.
+    (_Layout.blocks): Alice's causes c1, c2 and then Bob's c3, c4. A cell's
+    row is the _WINGS row of its cause.
     """
 
     single: np.ndarray  # p(a, b, A, B, cell), (2, 2, 2, 2, cells)
@@ -626,8 +619,8 @@ def _cause_tables(model: EprbModel) -> _CauseTables:
     pairs = np.concatenate((np.add.reduce(by_alice, axis=3), np.add.reduce(by_alice, axis=2)), axis=2)
     pairs = pairs.reshape(2, 2, n1 + n2, n3 + n4)
     near = (np.add.reduce(single, axis=3), np.add.reduce(single, axis=2))  # (a, b, own outcome, cell) per wing
-    at = _cell_starts(model.cause_cards)
-    own = np.concatenate([near[r.wing][r.index][..., at[r.cause] : at[r.cause + 1]] for r in _WINGS], axis=-1)
+    blocks = _layout(model.cause_cards).blocks
+    own = np.concatenate([near[r.wing][r.index][..., blocks[r.cause]] for r in _WINGS], axis=-1)
     for a in (single, pairs, own):
         a.flags.writeable = False
     return _CauseTables(single, pairs, own)
@@ -642,14 +635,6 @@ def _loc_label(key: tuple) -> str:
         f, o = rest
         return f"{r.side} {r.outcome}={'+-'[o]} {r.name} {r.far[f]} {cell}"
     return " ".join((r.side, r.name, *(r.far[f] for f in rest), cell))
-
-
-@functools.lru_cache(maxsize=256)
-def _loc_keys(cards: tuple[int, ...]) -> tuple[tuple, ...]:
-    # (row, cell, far, outcome) of each locality residual in validate_loc's order; reports share it
-    return tuple(
-        (r, i, f, o) for r, row in enumerate(_WINGS) for i in range(cards[row.cause]) for f in (0, 1) for o in (0, 1)
-    )
 
 
 @_kept
@@ -669,63 +654,25 @@ def validate_loc(model: EprbModel) -> ResidualReport:
         out = s / (s[:, :1] + s[:, 1:])
     out -= pooled
     flat = out.transpose(2, 0, 1).ravel().tolist()  # (cell, far, out)
-    keys = _loc_keys(model.cause_cards)
+    labels = _layout(model.cause_cards).loc
     if not math.isnan(sum(flat)):  # a NaN, a residual of no conditioning mass, makes the sum NaN
-        return ResidualReport(tuple(flat), keys, (), _loc_label)
-    kept = [(key, x) for key, x in zip(keys, flat) if x == x]
-    skipped: list[tuple] = []
-    for (r, i, f, o), x in zip(keys, flat):
-        if o or x == x:
-            continue
-        if f and skipped and skipped[-1] == (r, i, 0):
-            skipped[-1] = (r, i)  # no mass at either far setting: the whole cell
-        else:
-            skipped.append((r, i, f))
-    return ResidualReport(tuple(x for _, x in kept), tuple(k for k, _ in kept), tuple(skipped), _loc_label)
+        return ResidualReport(tuple(flat), labels)
+    # both outcomes of a far setting share its conditioning mass, so they
+    # are NaN together, and a cell of no mass is NaN at both far settings
+    cells = ((r, i) for r, card in enumerate(model.cause_cards) for i in range(card))
+    skipped = []
+    for cell, (r, i) in enumerate(cells):
+        far = [f for f in (0, 1) if math.isnan(flat[4 * cell + 2 * f])]
+        if far:
+            skipped.append(_loc_label((r, i) if len(far) == 2 else (r, i, *far)))
+    kept = [(label, x) for label, x in zip(labels, flat) if x == x]
+    return ResidualReport(tuple(x for _, x in kept), tuple(label for label, _ in kept), tuple(skipped))
 
 
 def _no_conspiracy_label(key: tuple) -> str:
     # (tag, cause, cell) or (tag, cause, cell, cause, cell)
     tag, *cells = key
     return "p(" + ", ".join((tag, *(f"c{k + 1}={i}" for k, i in zip(cells[::2], cells[1::2])))) + ")"
-
-
-def _no_conspiracy_keys(tag: str, cause: int, card: int, *other: int) -> tuple[tuple, ...]:
-    # The keys (tag, cause, cell) of one row of residuals, or, given the
-    # (cause, card) of another cause, (tag, cause, cell, cause, cell).
-    if other:
-        other_cause, other_card = other
-        return tuple(product((tag,), (cause,), range(card), (other_cause,), range(other_card)))
-    return tuple((tag, cause, i) for i in range(card))
-
-
-@functools.lru_cache(maxsize=256)
-def _no_conspiracy_layout(cards: tuple[int, ...]) -> tuple[tuple[tuple, ...], np.ndarray]:
-    # The keys of validate_no_conspiracy's residuals in order and, for each,
-    # its place in its residual tables flattened one after the other: that
-    # of the cells, (event, cell), whose events are the four settings, each
-    # at its row's index, then the setting pairs at 4 + 2 * ai + bj; and
-    # that of the cell pairs, (a, b, Alice's cell, Bob's cell).
-    at = _cell_starts(cards)
-    n_alice, n_bob = at[2], at[4] - at[2]
-    keys: list[tuple[tuple, ...]] = []
-    index: list[int] = []
-    for r, row in enumerate(_WINGS):
-        keys.append(_no_conspiracy_keys(row.name, row.cause, cards[row.cause]))
-        index += range(r * at[4] + at[row.cause], r * at[4] + at[row.cause + 1])
-    for ra in _WINGS[:2]:
-        for rb in _WINGS[2:]:
-            pair = 2 * ra.setting + rb.setting
-            tag = ra.name + rb.name
-            for k in (ra.cause, rb.cause):
-                keys.append(_no_conspiracy_keys(tag, k, cards[k]))
-                index += range((4 + pair) * at[4] + at[k], (4 + pair) * at[4] + at[k + 1])
-            keys.append(_no_conspiracy_keys(tag, ra.cause, cards[ra.cause], rb.cause, cards[rb.cause]))
-            first = 8 * at[4] + pair * n_alice * n_bob + at[ra.cause] * n_bob + at[rb.cause] - n_alice
-            index += (first + i * n_bob + j for i in range(cards[ra.cause]) for j in range(cards[rb.cause]))
-    places = np.array(index, dtype=np.intp)
-    places.flags.writeable = False
-    return tuple(chain.from_iterable(keys)), places
 
 
 @_kept
@@ -745,9 +692,9 @@ def validate_no_conspiracy(model: EprbModel) -> ResidualReport:
     p_events = np.concatenate((sp.sum(axis=1), sp.sum(axis=0), sp.ravel()))
     by_cell = events - p_events[:, None] * np.add.reduce(cells, axis=(0, 1))
     by_pair = t.pairs - sp[:, :, None, None] * np.add.reduce(t.pairs, axis=(0, 1))
-    keys, places = _no_conspiracy_layout(model.cause_cards)
-    residuals = np.concatenate((by_cell.ravel(), by_pair.ravel())).take(places)
-    return ResidualReport(tuple(residuals.tolist()), keys, (), _no_conspiracy_label)
+    layout = _layout(model.cause_cards)
+    residuals = np.concatenate((by_cell.ravel(), by_pair.ravel())).take(layout.no_conspiracy_places)
+    return ResidualReport(tuple(residuals.tolist()), layout.no_conspiracy)
 
 
 def _screening_label(key: tuple) -> str:
@@ -757,10 +704,60 @@ def _screening_label(key: tuple) -> str:
     return f"screen {r.name} partner {r.far[partner]} c{r.cause + 1} cell={i}"
 
 
+class _Layout(NamedTuple):
+    """What the checks of a full-joint model read that depends only on its cause cardinalities.
+
+    blocks places each cause's cells on the cause tables' cell axis, c1's
+    first; cause k is the cause of _WINGS row k. loc and no_conspiracy are
+    the labels of validate_loc's and validate_no_conspiracy's residuals in
+    report order; no_conspiracy_places picks those residuals out of the
+    (8, cells) table by setting event (the four settings in row order,
+    then the setting pairs at 4 + 2 * ai + bj) and the (a, b, Alice's cell,
+    Bob's cell) table, flattened one after the other. screening[row][partner]
+    labels the residuals of a row's cells at that partner. Every model of
+    these cards shares them.
+    """
+
+    blocks: tuple[slice, ...]
+    loc: tuple[str, ...]
+    no_conspiracy: tuple[str, ...]
+    no_conspiracy_places: np.ndarray
+    screening: tuple[tuple[tuple[str, ...], ...], ...]
+
+
 @functools.lru_cache(maxsize=256)
-def _screening_keys(row: int, partner: int, card: int) -> tuple[tuple, ...]:
-    # the keys (row, partner, cell) of one row's residuals, shared by reports
-    return tuple((row, partner, i) for i in range(card))
+def _layout(cards: tuple[int, ...]) -> _Layout:
+    starts = tuple(accumulate(cards, initial=0))
+    blocks = tuple(map(slice, starts[:-1], starts[1:]))
+    n_cells, n_alice = starts[4], starts[2]
+    by_cell = np.arange(8 * n_cells).reshape(8, n_cells)
+    by_pair = np.arange(8 * n_cells, 8 * n_cells + 4 * n_alice * (n_cells - n_alice)).reshape(2, 2, n_alice, -1)
+    keys: list[tuple] = []
+    places = []
+    for row in _WINGS:
+        keys += ((row.name, row.cause, i) for i in range(cards[row.cause]))
+        places.append(by_cell[row.cause, blocks[row.cause]])
+    for ra in _WINGS[:2]:
+        for rb in _WINGS[2:]:
+            tag = ra.name + rb.name
+            for k in (ra.cause, rb.cause):
+                keys += ((tag, k, i) for i in range(cards[k]))
+                places.append(by_cell[4 + 2 * ra.setting + rb.setting, blocks[k]])
+            keys += product((tag,), (ra.cause,), range(cards[ra.cause]), (rb.cause,), range(cards[rb.cause]))
+            bob = blocks[rb.cause]  # Bob's cells start at 0 on the pair table's last axis
+            bob = slice(bob.start - n_alice, bob.stop - n_alice)
+            places.append(by_pair[ra.setting, rb.setting, blocks[ra.cause], bob].ravel())
+    no_conspiracy_places = np.concatenate(places)
+    no_conspiracy_places.flags.writeable = False
+    return _Layout(
+        blocks=blocks,
+        loc=tuple(_loc_label((r, i, f, o)) for r in range(4) for i in range(cards[r]) for f in (0, 1) for o in (0, 1)),
+        no_conspiracy=tuple(map(_no_conspiracy_label, keys)),
+        no_conspiracy_places=no_conspiracy_places,
+        screening=tuple(
+            tuple(tuple(_screening_label((r, p, i)) for i in range(cards[r])) for p in (0, 1)) for r in range(4)
+        ),
+    )
 
 
 @_kept
@@ -779,20 +776,22 @@ def validate_screening(model: EprbModel) -> ResidualReport:
     # p(A, B, cell) at each cell's setting pair, as (cell, A and B)
     s = _cause_tables(model).single.reshape(4, 4, -1)[np.repeat(pairs, cards), :, np.arange(sum(cards))]
     mass = np.add.reduce(s, axis=1)
+    by_row = _layout(cards).screening
     # joined with +: tuple() of an iterator resizes as it grows, which fragments memory over many models
-    keys = sum((_screening_keys(r, p, cards[row.cause]) for r, (row, p) in enumerate(zip(_WINGS, partners))), ())
+    labels = sum((by_row[r][p] for r, p in enumerate(partners)), ())
     skipped: tuple = ()
     positive = mass > 0.0
     if not positive.all():
-        skipped = tuple(k for k, keep in zip(keys, positive.tolist()) if not keep)
-        keys = tuple(k for k, keep in zip(keys, positive.tolist()) if keep)
+        keys = [(r, p, i) for r, p in enumerate(partners) for i in range(cards[r])]
+        skipped = tuple(_screening_label(k) for k, keep in zip(keys, positive.tolist()) if not keep)
+        labels = tuple(label for label, keep in zip(labels, positive.tolist()) if keep)
         s, mass = s[positive], mass[positive]
     pp, pm, _, mm = s.T
     # p(A+ B-) - p(A+) p(B-) and p(A- B+) - p(A-) p(B+) are both the
     # determinant of the cell's 2x2 table over -mass^2, so which wing is
     # near does not matter
     residuals = pm / mass - (pp + pm) / mass * ((pm + mm) / mass)
-    return ResidualReport(tuple(residuals.tolist()), keys, skipped, _screening_label)
+    return ResidualReport(tuple(residuals.tolist()), labels, skipped)
 
 
 @_kept
@@ -813,8 +812,8 @@ def _aggregate_cells(model: EprbModel) -> np.ndarray:
 
 def _aggregate(model: EprbModel, row: _Wing) -> tuple[int, ...]:
     # the aggregate cause of a row, as the own-direction cause cells in it
-    at = _cell_starts(model.cause_cards)
-    return tuple(_aggregate_cells(model)[at[row.cause] : at[row.cause + 1]].nonzero()[0].tolist())
+    block = _layout(model.cause_cards).blocks[row.cause]
+    return tuple(_aggregate_cells(model)[block].nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -885,10 +884,10 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     agg = [_aggregate(model, row) for row in _WINGS]
     settings = dict(zip(CH_PAIRS.values(), pair_settings(model.setting_probs())))
     # p(C^a C^b) of every pair: the mass of the cell pairs whose two cells lie in their aggregate causes
-    at = _cell_starts(model.cause_cards)
+    c1, c2, c3, c4 = _layout(model.cause_cards).blocks
     inside = _aggregate_cells(model)
-    both = np.add.reduce(_cause_tables(model).pairs, axis=(0, 1)) * np.outer(inside[: at[2]], inside[at[2] :])
-    p_joint = np.add.reduceat(np.add.reduceat(both, at[:2], axis=0), (0, at[3] - at[2]), axis=1).tolist()
+    both = np.add.reduce(_cause_tables(model).pairs, axis=(0, 1)) * np.outer(inside[: c3.start], inside[c3.start :])
+    p_joint = np.add.reduceat(np.add.reduceat(both, (0, c2.start), axis=0), (0, c4.start - c3.start), axis=1).tolist()
     # eps_global is a float in [0, 1], one minus a conditional, so no pair
     # re-reads it: the terms share one root, as in weak_ch_bounds
     root = math.sqrt(eps)

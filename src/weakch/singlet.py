@@ -35,8 +35,11 @@ OUTCOMES: tuple[Sign, Sign] = ("+", "-")
 
 
 def canonical_angle(value: float) -> float:
-    """Reduce an angle in radians to the canonical range [0, 2*pi)."""
-    r = math.fmod(float(value), TAU)
+    """Reduce an angle in radians to the canonical range [0, 2*pi); ValueError names a non-finite one."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"angle must be finite, got {value!r}")
+    r = math.fmod(value, TAU)
     if r <= 0.0:  # -0.0 too, which fmod gives for a negative multiple of 2*pi
         r += TAU
         if r == TAU:  # a tiny negative angle rounds up to 2*pi, which is 0 on the circle

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -97,9 +97,6 @@ class FiniteProbSpace:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_index", index)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 def _event_indices(space: FiniteProbSpace, event: Iterable[Hashable]) -> list[int]:
@@ -194,7 +191,8 @@ class CellStats:
     p(C_i), p(A|C_i), p(B|C_i) and the screening residual
     p(AB|C_i) - p(A|C_i) p(B|C_i) of each, in index order. Cells of zero mass cannot be conditioned
     on; they are listed in skipped rather than raised, since a vanishing
-    cell makes the condition vacuous.
+    cell makes the condition vacuous. max_abs is computed when first read
+    and kept, as on ResidualReport.
     """
 
     index: tuple[int, ...]
@@ -204,49 +202,22 @@ class CellStats:
     residuals: tuple[float, ...]
     skipped: tuple[int, ...]
 
-    @property
+    @cached_property
     def max_abs(self) -> float:
         return _max_abs(self.residuals)
 
 
+@dataclass(frozen=True)
 class ResidualReport:
     """Labeled residuals from an assumption validator, plus skipped entries.
 
-    A validator hands over a key per residual and per skipped entry, and
-    label, which formats a key as its text. labels and skipped are
-    formatted when first read and worst() formats one label, so a caller
-    that reads only the numbers formats no string; max_abs is computed
-    when first read and kept. Reports are kept on their model, so label
-    must not refer to it.
+    labels name the residuals in order and skipped the entries that could
+    not be computed. max_abs is computed when first read and kept.
     """
 
-    def __init__(self, residuals: tuple[float, ...], keys: tuple = (), skipped: tuple = (), label: Callable = str):
-        self.residuals = residuals
-        self._keys = keys
-        self._skipped = skipped
-        self._label = label
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(map(self._label, self._keys))
-
-    @cached_property
-    def skipped(self) -> tuple[str, ...]:
-        return tuple(map(self._label, self._skipped))
-
-    def _fields(self) -> tuple:
-        return self.labels, self.residuals, self.skipped
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "ResidualReport(labels={!r}, residuals={!r}, skipped={!r})".format(*self._fields())
+    residuals: tuple[float, ...]
+    labels: tuple[str, ...] = ()
+    skipped: tuple[str, ...] = ()
 
     @cached_property
     def max_abs(self) -> float:
@@ -258,7 +229,7 @@ class ResidualReport:
         if not r:
             return None
         k = max(range(len(r)), key=lambda i: (math.isnan(r[i]), abs(r[i])))  # max alone would skip a later NaN
-        return self._label(self._keys[k]), r[k]
+        return self.labels[k], r[k]
 
 
 def screening_residuals(

@@ -123,8 +123,8 @@ def reference_checks(model: EprbModel) -> SimpleNamespace:
     setting pair and cell at a time: the plain reading that the
     validators' shared cause tables must reproduce. Screening reads its
     events near outcome first. Each validator's entry is its (keys,
-    residuals, skipped) in report order, keys as ResidualReport holds
-    them.
+    residuals, skipped) in report order, keys as its label function
+    (common_cause._loc_label, ...) reads them.
     """
     w = model.weights
     cards = model.cause_cards
@@ -299,16 +299,25 @@ def reference_search(cfg) -> SimpleNamespace:
 
 
 def count_labels(monkeypatch) -> list:
-    """The keys of every validator label formatted from now on, in order.
+    """Every validator label formatted from now on, in order.
 
-    The validators look their formatters up in common_cause when they run,
-    so a report made after this call formats through a counter.
+    The layouts kept so far are dropped, and common_cause._layout and the
+    validators' skip paths look their formatters up in common_cause when
+    they run, so a label formatted after this call goes through a counter.
     """
     formatted = []
     for name in ("_loc_label", "_no_conspiracy_label", "_screening_label"):
         label = getattr(common_cause, name)
-        monkeypatch.setattr(common_cause, name, lambda key, _label=label: formatted.append(key) or _label(key))
+        monkeypatch.setattr(common_cause, name, lambda key, _label=label: formatted.append(_label(key)) or formatted[-1])
+    common_cause._layout.cache_clear()
     return formatted
+
+
+def layout_labels(cards) -> list:
+    """Every label the layout of these cause cardinalities holds, sorted."""
+    layout = common_cause._layout(tuple(cards))
+    screening = [label for row in layout.screening for labels in row for label in labels]
+    return sorted([*layout.loc, *layout.no_conspiracy, *screening])
 
 
 def reference_correction_terms(epsilon, sp: SettingProbs) -> CorrectionTerms:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_product_model, count_labels
+from helpers import build_product_model, count_labels, layout_labels
 from weakch.cli import main
 from weakch.common_cause import (
     model_from_dict,
@@ -179,6 +179,21 @@ def test_check_model_runs_each_validator_once(capsys, monkeypatch):
     assert calls == {"validate_loc": 1, "validate_no_conspiracy": 1, "validate_screening": 1}
 
 
+def test_pairwise_check_model_reads_its_largest_residual_once(capsys, monkeypatch):
+    # the screening summary and the cause-mass gate read the max_abs the
+    # model's kept cell statistics keep
+    from weakch import spaces
+
+    calls = []
+    max_abs = spaces._max_abs
+    monkeypatch.setattr(spaces, "_max_abs", lambda residuals: calls.append(1) or max_abs(residuals))
+    fixture = Path(__file__).resolve().parent / "golden" / "pairwise_model.json"
+    code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
+    assert code == 0
+    assert env["result"]["status"] == "ok"
+    assert len(calls) == 1
+
+
 def test_pairwise_check_model_runs_the_cell_kernel_once(capsys, monkeypatch):
     # the screening summary and the cause-mass check read the cell
     # statistics the model keeps
@@ -194,14 +209,19 @@ def test_pairwise_check_model_runs_the_cell_kernel_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_check_model_formats_only_the_labels_it_prints(capsys, monkeypatch):
+def test_check_model_formats_labels_once_per_cause_cardinalities(capsys, monkeypatch):
     formatted = count_labels(monkeypatch)
     fixture = Path(__file__).resolve().parent / "golden" / "eprb_model.json"
     code, env, _ = run_json(capsys, "check-model", "--file", str(fixture))
     assert code == 0
     reports = env["result"]["validators"].values()
     assert all(r["skipped"] == [] for r in reports)
-    assert len(formatted) == 3  # the worst entry of each validator
+    # the layout of the model's cards formatted each of its labels once
+    assert sorted(formatted) == layout_labels(env["result"]["cause_cards"])
+    formatted.clear()
+    # a second run reads the kept layout
+    assert run_json(capsys, "check-model", "--file", str(fixture))[:2] == (code, env)
+    assert formatted == []
 
 
 def test_check_model_eprb_precondition_failure(capsys, tmp_path):

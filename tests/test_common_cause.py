@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    layout_labels,
     aligned_cause_joint,
     build_product_model,
     ch_from_weights,
@@ -909,8 +910,9 @@ def test_checks_read_the_cause_tables_as_sums_of_the_weights_read_them():
         for name, validate in cc.validators().items():
             rep = validate(m)
             keys, residuals, skipped = getattr(ref, name)
-            assert (rep._keys, rep._skipped) == (tuple(keys), tuple(skipped)), f"{desc}: {name}"
-            assert (rep.labels, rep.skipped) == (tuple(map(labels[name], keys)), tuple(map(labels[name], skipped)))
+            # each label function tells its keys apart, so equal labels are equal keys
+            want = (tuple(map(labels[name], keys)), tuple(map(labels[name], skipped)))
+            assert (rep.labels, rep.skipped) == want, f"{desc}: {name}"
             assert np.abs(np.subtract(rep.residuals, residuals)).max(initial=0.0) <= 4e-15, f"{desc}: {name}"
             if refused is None and not max(map(abs, residuals), default=0.0) <= PRECONDITION_TOL:
                 refused = name
@@ -1006,24 +1008,29 @@ def test_kept_reports_do_not_keep_their_model_alive():
         gc.enable()
 
 
-def test_measuring_a_model_formats_no_label(monkeypatch):
+def test_labels_are_formatted_once_per_cause_cardinalities(monkeypatch):
     formatted = count_labels(monkeypatch)
-    # the search as the benchmark runs it, and at other cause sizes and bands
-    search_counterexample(SearchConfig(seed=1, restarts=2))
-    search_counterexample(SearchConfig(seed=2, restarts=1, cause_cards=(3, 2, 4, 2), eps_band=(0.0, 0.0)))
     # the validators, the joint-cause check and the weak report, called as
     # the benchmark's verify_joint calls them
-    m = random_eprb_model(7, (2, 3, 2, 2), 1e-3)
+    cards = (2, 3, 2, 2)
+    m = random_eprb_model(7, cards, 1e-3)
     reports = (validate_loc(m), validate_no_conspiracy(m), validate_screening(m))
     assert joint_cause_bounds_check(m).ok
     assert not m.weak_report().violated
     assert max(r.max_abs for r in reports) <= PRECONDITION_TOL
-    assert formatted == []
-    # worst() formats its one label, and labels format each once
-    for rep in reports:
+    # the model's layout formatted each of its labels once, and nothing else
+    assert sorted(formatted) == layout_labels(cards)
+    formatted.clear()
+    # another model of these cards, and the search on them, format none
+    twin = random_eprb_model(8, cards, 1e-3)
+    again = (validate_loc(twin), validate_no_conspiracy(twin), validate_screening(twin))
+    assert again[0].labels is reports[0].labels and again[1].labels is reports[1].labels
+    assert joint_cause_bounds_check(twin).ok
+    search_counterexample(SearchConfig(seed=2, restarts=2, cause_cards=cards))
+    for rep in again:
         k = max(range(len(rep.residuals)), key=lambda i: abs(rep.residuals[i]))
         assert rep.worst() == (rep.labels[k], rep.residuals[k])
-    assert len(formatted) == 3 + sum(len(r.labels) for r in reports)
+    assert formatted == []
 
 
 def test_full_check_profiles_the_model_once(monkeypatch):

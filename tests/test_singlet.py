@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def test_canonical_angle_of_a_tiny_negative_angle_is_in_range(value, expected):
     r = canonical_angle(value)
     assert 0.0 <= r < 2 * PI
     assert (r, math.copysign(1.0, r)) == (expected, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_refused(value):
+    # every entry point reduces its angles through canonical_angle, which names the bad one
+    calls = (
+        lambda: canonical_angle(value),
+        lambda: joint_prob(value, "+", "-"),
+        lambda: ch_terms((0.0, value, 1.0, 2.0)),
+        lambda: ch_value((0.0, value, 1.0, 2.0)),
+        lambda: outcome_tables([0.5, value], [0.0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"angle must be finite, got {value!r}")):
+            call()
 
 
 @pytest.mark.parametrize(
