@@ -39,6 +39,9 @@ from . import singlet
 from .inequalities import (  # the oracle names are re-exported
     _NEGATIVE_ATOMS,
     CH_PAIRS,
+    LAW_SUM_TOL,
+    PRECONDITION_TOL,
+    VIOLATION_ATOL,
     BadSettingProbs,
     OracleResult,
     UnnormalizedInput,
@@ -53,6 +56,7 @@ from .inequalities import (  # the oracle names are re-exported
     integer,
     left_sum,
     pair_settings,
+    real_number,
     real_numbers,
     weak_ch_bounds,
 )
@@ -71,8 +75,6 @@ from .spaces import (
     space_from_dict,
     space_to_dict,
 )
-
-PRECONDITION_TOL = 1e-9
 
 
 class PreconditionViolated(WeakChError):
@@ -102,15 +104,15 @@ def setting_law(table) -> np.ndarray:
     """The 2x2 setting law p(a, b), read-only; None gives the even law.
 
     A given table must be 2x2, finite and nonnegative and sum to 1 within
-    1e-9, or BadSettingProbs is raised. As FiniteProbSpace's weights, it is
-    kept or divided by its exact total by spaces._normalized, so a law read
-    again keeps its bits.
+    LAW_SUM_TOL, or BadSettingProbs is raised. As FiniteProbSpace's
+    weights, it is kept or divided by its exact total by
+    spaces._normalized, so a law read again keeps its bits.
     """
     if table is None:
         return singlet._freeze(np.full((2, 2), 0.25))
     sp = np.asarray(table, dtype=float)
     # NaN and -inf fail the first comparison, +inf the sum's
-    if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= 1e-9:
+    if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= LAW_SUM_TOL:
         raise BadSettingProbs(f"setting law must be a finite, nonnegative 2x2 table summing to 1, got {sp.tolist()}")
     total = math.fsum(sp.ravel().tolist())
     return singlet._freeze(_normalized(sp, total))
@@ -208,15 +210,14 @@ def model_epsilon(model: PairwiseCcModel) -> float:
 
 def _require_screened_even_model(model: PairwiseCcModel) -> CellStats:
     # Returns the cell statistics it checked.
-    tol = PRECONDITION_TOL
     stats = cell_stats(model)
-    if stats.max_abs > tol:
+    if stats.max_abs > PRECONDITION_TOL:
         raise PreconditionViolated(
-            f"screening residual {stats.max_abs:.3e} exceeds {tol:.1e}"
+            f"screening residual {stats.max_abs:.3e} exceeds {PRECONDITION_TOL:.1e}"
         )
     for name, v in zip(("p(A)", "p(B)"), _event_masses(model)[:2]):
-        if abs(v - 0.5) > tol:
-            raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {tol:.1e}")
+        if abs(v - 0.5) > PRECONDITION_TOL:
+            raise PreconditionViolated(f"{name} = {v!r} is not 1/2 within {PRECONDITION_TOL:.1e}")
     return stats
 
 
@@ -241,11 +242,18 @@ def classify_cells(model: PairwiseCcModel, *, border: float | None = None) -> Ce
     """Trichotomy of partition cells by their conditional p(A|C_i).
 
     Requires an exactly screened model with even marginals, within
-    PRECONDITION_TOL.
+    PRECONDITION_TOL. A given border is a real number in [0, 1].
     """
     stats = _require_screened_even_model(model)
     eps = model_epsilon(model)
-    return _classify(stats, eps, math.sqrt(eps) if border is None else float(border))[0]
+    return _classify(stats, eps, math.sqrt(eps) if border is None else _border("border", border))[0]
+
+
+def _border(name: str, value) -> float:
+    x = real_number(name, value)
+    if not 0.0 <= x <= 1.0:
+        raise WeakChError(f"{name} must be in [0, 1], got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -261,8 +269,8 @@ class CauseMassReport:
                   gap border (default sqrt(eps)/2), <= 2*sqrt(eps)
 
     The upper bound is strict in exact arithmetic but unattainable at
-    eps = 0 where equality holds, so it is checked non-strictly with a
-    small tolerance.
+    eps = 0 where equality holds, so it is checked non-strictly at
+    PRECONDITION_TOL.
     """
 
     epsilon: float
@@ -294,7 +302,8 @@ def check_cause_mass_bounds(
     screens the correlation off, and both marginals sit at one half. The
     half-marginal tolerance is an implementation choice; the bounds are
     derived for exactly even marginals. The strict upper bound is checked
-    with the same tolerance.
+    with the same tolerance, the lower bound at VIOLATION_ATOL. A given
+    border or gap_border is a real number in [0, 1].
 
     At the default border the lower bound cannot fail: a high cell has
     p(A|C) >= 1 - sqrt(eps), so p(A) >= (1 - sqrt(eps)) * high_mass >=
@@ -304,14 +313,14 @@ def check_cause_mass_bounds(
     p_a, p_b, _ = _event_masses(model)
     eps = model_epsilon(model)
     ct = correction_terms(eps)
-    classes, high, mid = _classify(stats, eps, ct.d_minus if border is None else float(border))
+    classes, high, mid = _classify(stats, eps, ct.d_minus if border is None else _border("border", border))
 
     high_mass = left_sum(stats.mass[high].tolist())
-    lower_ok = high_mass - ct.d_minus <= p_a + 1e-12
+    lower_ok = high_mass - ct.d_minus <= p_a + VIOLATION_ATOL
     upper_ok = p_a <= high_mass + ct.d_plus + PRECONDITION_TOL
 
     q, r, m = stats.cond_a, stats.cond_b, stats.mass
-    gap_b = 0.5 * ct.d_minus if gap_border is None else float(gap_border)
+    gap_b = 0.5 * ct.d_minus if gap_border is None else _border("gap_border", gap_border)
     gap = np.abs(q - r)
     diagnostics = {
         "a_not_b_mass": float((q * (1.0 - r) * m).sum()),
@@ -337,6 +346,10 @@ def check_cause_mass_bounds(
 
 _OUTCOME_SUFFIX = ("11", "10", "01", "00")  # (in A, in B) indicator pairs
 _GEN_S_MAX = 0.49
+_GEN_ZERO_TARGET = 1e-12  # a deficit target at most this takes no mid cell mass
+_GEN_ROUNDING = 1e-15  # the rounding slack of a reached deficit
+_GEN_RELATIVE_SLACK = 1e-9  # random_eprb_model's deficit may exceed its target by this share of it
+_GEN_TARGET_MISS = 1e-6  # random_screened_model's deficit may miss its target by this
 
 
 def _deficit_scale(m1: float, m2: float, mid_mass: float, target: float) -> float:
@@ -347,7 +360,7 @@ def _deficit_scale(m1: float, m2: float, mid_mass: float, target: float) -> floa
     so it rises over [0, _GEN_S_MAX] and, once the target is within reach,
     the smaller root is the only root there.
     """
-    if target <= 0.5 * mid_mass + 1e-15:
+    if target <= 0.5 * mid_mass + _GEN_ROUNDING:
         return 0.0
     s = _GEN_S_MAX
     if 0.5 * mid_mass + 2.0 * s * m1 - 4.0 * s * s * m2 < target:
@@ -401,7 +414,7 @@ def random_screened_model(
 
     n_pairs = n_cells // 2
     has_mid = n_cells % 2 == 1
-    mid_mass = min(epsilon_target, 0.05) if has_mid and epsilon_target > 1e-12 else 0.0
+    mid_mass = min(epsilon_target, 0.05) if has_mid and epsilon_target > _GEN_ZERO_TARGET else 0.0
 
     raw = rng.uniform(0.5, 1.5, n_pairs)
     pair_mass = raw / raw.sum() * (1.0 - mid_mass)
@@ -431,10 +444,10 @@ def random_screened_model(
     model = PairwiseCcModel(FiniteProbSpace(atoms, weights), *layout, n_cells)
 
     p_a, p_b, _ = _event_masses(model)  # kept: the deficit below and the checker read them
-    if abs(p_a - 0.5) > 1e-9 or abs(p_b - 0.5) > 1e-9:
+    if abs(p_a - 0.5) > PRECONDITION_TOL or abs(p_b - 0.5) > PRECONDITION_TOL:
         raise GenerationFailed(f"marginals drifted: p(A)={p_a!r}, p(B)={p_b!r}")
     achieved = model_epsilon(model)
-    if abs(achieved - epsilon_target) > 1e-6:
+    if abs(achieved - epsilon_target) > _GEN_TARGET_MISS:
         raise GenerationFailed(
             f"deficit {achieved!r} missed the target {epsilon_target!r} beyond 1e-6"
         )
@@ -797,15 +810,15 @@ def validate_screening(model: EprbModel) -> ResidualReport:
 @_kept
 def _aggregate_cells(model: EprbModel) -> np.ndarray:
     # Whether each cell lies in its row's aggregate cause: it makes the +
-    # outcome nearly certain, p(+ | own, cell) >= 1 - sqrt(eps_dir); kept,
-    # read-only.
+    # outcome nearly certain, p(+ | own, cell) >= 1 - sqrt(eps_dir) within
+    # VIOLATION_ATOL; kept, read-only.
     prof = model.profile()
     s = _cause_tables(model).own
     p, m = s[0] + s[1]
     mass = p + m
     cutoff = np.repeat(1.0 - np.sqrt(np.concatenate((prof.eps_a, prof.eps_b))), model.cause_cards)
     with np.errstate(invalid="ignore"):  # 0/0 in a cell of no mass, which is left out
-        inside = (mass > 0.0) & (p / mass >= cutoff - 1e-12)
+        inside = (mass > 0.0) & (p / mass >= cutoff - VIOLATION_ATOL)
     inside.flags.writeable = False
     return inside
 
@@ -858,11 +871,10 @@ def check_assumptions(model: EprbModel) -> None:
     that is not <= it, a NaN included, is refused. The reports are kept on
     the model, so running them again costs nothing.
     """
-    tol = PRECONDITION_TOL
     for what, validate in validators().items():
         worst = validate(model).max_abs
-        if not worst <= tol:
-            raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {tol:.1e}")
+        if not worst <= PRECONDITION_TOL:
+            raise PreconditionViolated(f"{what} residual {worst:.3e} exceeds {PRECONDITION_TOL:.1e}")
 
 
 def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
@@ -874,9 +886,10 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
         p(+,+|ab) - d_plus_ab <= p(C^a C^b) <= p(+,+|ab) + d_minus_ab
 
     with the correction terms computed at the model's own global deficit.
-    The three validators must hold within PRECONDITION_TOL, and the strict
-    side carries the same tolerance. Their reports are kept on the model,
-    so a caller that has run them pays nothing to run them again here.
+    The three validators must hold within PRECONDITION_TOL, the lower side
+    carries the same tolerance and the upper side VIOLATION_ATOL. Their
+    reports are kept on the model, so a caller that has run them pays
+    nothing to run them again here.
     """
     check_assumptions(model)
     t = model.outcome_tables()
@@ -905,7 +918,7 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
                     d_minus=d_minus,
                     d_plus=d_plus,
                     lower_ok=p_pp - d_plus <= p_cc + PRECONDITION_TOL,
-                    upper_ok=p_cc <= p_pp + d_minus + 1e-12,
+                    upper_ok=p_cc <= p_pp + d_minus + VIOLATION_ATOL,
                 )
             )
     return JointCauseReport(
@@ -1015,7 +1028,7 @@ def random_eprb_model(
 
     model = EprbModel(w, cards)
     achieved = model.profile().eps_global
-    if not achieved <= epsilon_target * (1.0 + 1e-9) + 1e-15:
+    if not achieved <= epsilon_target * (1.0 + _GEN_RELATIVE_SLACK) + _GEN_ROUNDING:
         raise GenerationFailed(f"deficit {achieved!r} exceeds the target {epsilon_target!r}")
     return model
 

@@ -48,10 +48,16 @@ TSIRELSON_UPPER = (math.sqrt(2.0) - 1.0) / 2.0
 # the same amount (sqrt(2)-1)/2 on both sides.
 QUANTUM_EXCESS = TSIRELSON_UPPER
 
-# Strict inequalities are tested non-strictly at this tolerance; strictness
-# is not detectable in floating point and the eps = 0 reduction must pass
-# exactly.
+# The check tolerances, by role. At eps = 0 the weak interval is the strict
+# one, so every verdict near it rests on them. An exact or strict
+# inequality is tested non-strictly at VIOLATION_ATOL: strictness is not
+# detectable in floating point, and the eps = 0 reduction must pass exactly.
 VIOLATION_ATOL = 1e-12
+# Each residual of a checker's statistical precondition (screening,
+# locality, setting independence, even marginals) must be within this.
+PRECONDITION_TOL = 1e-9
+# A given law (setting table, outcome tables, atoms) sums to one within this.
+LAW_SUM_TOL = 1e-9
 
 
 class WeakChError(Exception):
@@ -86,7 +92,7 @@ class SettingProbs:
         for name, v in (("p_a", self.p_a), ("p_b", self.p_b), ("p_ab", self.p_ab)):
             if not (0.0 < v <= 1.0):
                 raise BadSettingProbs(f"{name} must be in (0, 1], got {v}")
-        if self.p_ab > min(self.p_a, self.p_b) + 1e-12:
+        if self.p_ab > min(self.p_a, self.p_b) + VIOLATION_ATOL:
             raise BadSettingProbs(
                 f"p_ab={self.p_ab} exceeds min(p_a, p_b)={min(self.p_a, self.p_b)}"
             )
@@ -364,9 +370,9 @@ def no_signalling_residuals(tables: np.ndarray) -> list[float]:
     """Marginal-consistency residuals of per-setting-pair outcome tables.
 
     tables[a, b] is the 2x2 joint outcome distribution given settings
-    (a, b), each normalized to one within 1e-9. For each wing, outcome,
-    own setting, and pair of far settings, returns the difference between
-    the two far-setting marginals. All residuals vanish exactly when the
+    (a, b), each normalized to one within LAW_SUM_TOL. For each wing,
+    outcome, own setting, and pair of far settings, returns the difference
+    between the two far-setting marginals. All residuals vanish exactly when the
     far setting cannot influence the near marginal.
     """
     import numpy as np
@@ -375,7 +381,7 @@ def no_signalling_residuals(tables: np.ndarray) -> list[float]:
     if t.ndim != 4 or t.shape[2:] != (2, 2):
         raise UnnormalizedTable("tables must have shape (n_a, n_b, 2, 2)")
     dev = np.abs(t.sum(axis=(2, 3)) - 1.0)
-    if not (dev <= 1e-9).all():  # a NaN sum fails too
+    if not (dev <= LAW_SUM_TOL).all():  # a NaN sum fails too
         worst = float(dev.max())
         raise UnnormalizedTable(f"table sums deviate from 1 by up to {worst}")
     res: list[float] = []
@@ -387,8 +393,8 @@ def no_signalling_residuals(tables: np.ndarray) -> list[float]:
 
 
 def tsirelson_check(value: float) -> bool:
-    """True iff value lies in the quantum interval, within 1e-12."""
-    return TSIRELSON_LOWER - 1e-12 <= float(value) <= TSIRELSON_UPPER + 1e-12
+    """True iff value lies in the quantum interval, within VIOLATION_ATOL."""
+    return TSIRELSON_LOWER - VIOLATION_ATOL <= float(value) <= TSIRELSON_UPPER + VIOLATION_ATOL
 
 
 # Atom index bits are (A, A', B, B'), most significant first; bit 1 means the
@@ -411,8 +417,8 @@ def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
     and independently recomputes it as minus the mass of the eight
     negatively-counted atoms. Because those eight atoms are distinct, the
     combination of any normalized distribution lies in [-1, 0]; in_bounds
-    reports that check at 1e-12. The atoms must be real numbers summing to
-    one within 1e-9.
+    reports that check at VIOLATION_ATOL. The atoms must be real numbers
+    summing to one within LAW_SUM_TOL.
     """
     try:
         p = real_numbers(atom_probs)
@@ -422,10 +428,10 @@ def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
         raise UnnormalizedInput(f"need 16 atom probabilities, got {len(p)}")
     if not all(math.isfinite(v) for v in p):
         raise UnnormalizedInput(f"non-finite atom probability in {p}")
-    if min(p) < -1e-12:
+    if min(p) < -VIOLATION_ATOL:
         raise UnnormalizedInput(f"negative atom probability {min(p)}")
     total = math.fsum(p)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > LAW_SUM_TOL:
         raise UnnormalizedInput(f"atom probabilities sum to {total!r}, not 1")
 
     # A, A', B, B' stand for directions 1, 2, 3, 4, so p13 = p(AB).
@@ -438,5 +444,5 @@ def ch_atom_oracle(atom_probs: Sequence[float]) -> OracleResult:
         "p4_plus": p[1] + p[3] + p[5] + p[7] + p[9] + p[11] + p[13] + p[15],
     })
     identity = -left_sum(p[i] for i in _NEGATIVE_ATOMS)
-    in_bounds = -1.0 - 1e-12 <= value <= 1e-12
+    in_bounds = -1.0 - VIOLATION_ATOL <= value <= VIOLATION_ATOL
     return OracleResult(value=value, identity_value=identity, in_bounds=in_bounds)

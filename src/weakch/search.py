@@ -18,7 +18,7 @@ from .common_cause import (
     validate_no_conspiracy,
     validate_screening,
 )
-from .inequalities import WeakChError, WeakChReport, ch_expression, integer, real_number
+from .inequalities import VIOLATION_ATOL, WeakChError, WeakChReport, ch_expression, integer, real_number
 
 MAX_GRID_SIZE = 128  # optimize_angles holds ~64 bytes per point of its grid_size**3 grid
 MAX_SEARCH_WEIGHTS = 2**16  # cap on a search's weight count, 16 * prod(cause_cards)
@@ -165,8 +165,8 @@ def _feasible(res: SearchResult, cfg: SearchConfig) -> bool:
     # joint_cause_bounds_check; it is run only after the cheaper tests pass.
     lo, hi = cfg.eps_band
     if not (
-        lo - 1e-12 <= res.epsilon <= hi + 1e-12
-        and max(-1.0 - res.ch_value, res.ch_value) > 1e-12
+        lo - VIOLATION_ATOL <= res.epsilon <= hi + VIOLATION_ATOL
+        and max(-1.0 - res.ch_value, res.ch_value) > VIOLATION_ATOL
         and not res.weak_report.violated
     ):
         return False

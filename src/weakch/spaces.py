@@ -183,7 +183,7 @@ def _max_abs(residuals: tuple[float, ...]) -> float:
     return max(map(abs, residuals), default=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellStats:
     """Per-cell statistics of a partition, for its positive-mass cells.
 

@@ -217,6 +217,28 @@ def aligned_cause_joint(cards=(2, 2, 2, 2), p_pattern=0.5) -> np.ndarray:
     return joint
 
 
+def within_tolerance_model(delta=1e-9) -> EprbModel:
+    """The model of weights (1/4) [(1 - delta) L + delta PR] at cause cardinalities 1, 1, 1, 1.
+
+    L is the deterministic strategy A1 = +, A2 = -, B3 = -, B4 = +, whose
+    CH is -1. PR is a no-signalling box of CH -3/2 with no (-,-) at pairs
+    13 and 24: (+,-) and (-,+) at 1/2 each on pairs 13, 14 and 24, and
+    (+,+) and (-,-) at 1/2 each on pair 23. Its CH is -1 - delta/2 at a
+    deficit of exactly 0, and only screening's residuals, about delta/2,
+    are not zero. Outcome index 0 is +.
+    """
+    local = np.zeros((2, 2, 2, 2))  # (a, b, A, B)
+    for a in (0, 1):
+        for b in (0, 1):
+            local[a, b, a, 1 - b] = 1.0
+    box = np.zeros((2, 2, 2, 2))
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        box[a, b, 0, 1] = box[a, b, 1, 0] = 0.5
+    box[1, 0, 0, 0] = box[1, 0, 1, 1] = 0.5
+    w = 0.25 * ((1.0 - delta) * local + delta * box)
+    return EprbModel(w.reshape(2, 2, 2, 2, 1, 1, 1, 1), (1, 1, 1, 1))
+
+
 def ch_from_weights(weights) -> float:
     """CH combination of a joint tensor (a, b, A, B, causes...), recomputed directly.
 

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     reference_checks,
     reference_eprb_weights,
     uniform_settings,
+    within_tolerance_model,
 )
 from test_validator_fixture import SETTING_LAWS, _zero_cells, joint_report
 from weakch.common_cause import (
@@ -372,6 +374,26 @@ def test_cause_mass_lower_border(monkeypatch, offset, ok):
     assert rep.high_cells == (0, 1)
     assert rep.high_mass - rep.p_a == pytest.approx(border + offset, abs=1e-15)
     assert (rep.lower_ok, rep.upper_ok) == (ok, True)
+
+
+@pytest.mark.parametrize("name", ["border", "gap_border"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, True, "0.1"])
+def test_a_border_is_a_real_number_in_the_unit_interval(name, value):
+    m = random_screened_model(1, 5, 1e-3)
+    with pytest.raises(WeakChError, match=f"^{name} must be"):
+        check_cause_mass_bounds(m, **{name: value})
+    if name == "border":
+        with pytest.raises(WeakChError, match="^border must be"):
+            classify_cells(m, border=value)
+    # both ends of [0, 1] are borders
+    check_cause_mass_bounds(m, **{name: 0.0})
+    check_cause_mass_bounds(m, **{name: 1})
+
+
+def test_cell_stats_compare_and_hash_by_identity():
+    s1, s2 = (cell_stats(random_screened_model(seed, 5, 1e-3)) for seed in (1, 2))
+    assert s1 == s1 and s1 != s2
+    assert len({s1, s2, s1}) == 2
 
 
 def test_subset_sums_stay_below_half_eps():
@@ -1269,3 +1291,23 @@ def test_weak_report_matches_components():
     assert rep.epsilon == m.profile().eps_global
     assert rep.value == pytest.approx(ch_from_weights(m.weights), abs=1e-15)
     assert not rep.violated
+
+
+WITHIN_TOLERANCE = Path(__file__).resolve().parent / "golden" / "eprb_within_tolerance.json"
+
+
+def test_within_tolerance_fixture_is_the_helpers_model():
+    assert json.loads(WITHIN_TOLERANCE.read_text()) == within_tolerance_model().to_dict()
+
+
+def test_within_tolerance_model_meets_the_gate_only_to_tolerance():
+    # A 1e-9 share of a PR box in a deterministic local strategy: the gate
+    # passes, with screening's residual near delta/2 = 5e-10, and CH lies
+    # below -1 by as much at a deficit of exactly 0.
+    m = model_from_dict(json.loads(WITHIN_TOLERANCE.read_text()))
+    cc.check_assumptions(m)
+    assert validate_loc(m).max_abs == 0.0 and validate_no_conspiracy(m).max_abs == 0.0
+    assert validate_screening(m).max_abs == pytest.approx(5.0e-10, rel=1e-6)
+    assert validate_screening(m).max_abs <= PRECONDITION_TOL
+    assert m.profile().eps_global == 0.0
+    assert m.weak_report().value == pytest.approx(-1.0 - 5e-10, abs=1e-15)

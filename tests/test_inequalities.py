@@ -1,5 +1,7 @@
+import ast
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +480,27 @@ def test_oracle_identity_sums_left_to_right():
     atoms[1], atoms[3], atoms[6], atoms[15] = 0.1, 0.2, 0.3, 0.4
     res = ch_atom_oracle(atoms)
     assert float.hex(res.identity_value) == float.hex(-(0.1 + 0.2 + 0.3)) == "-0x1.3333333333334p-1"
+
+
+def test_every_check_tolerance_is_a_named_module_constant():
+    # A float of at most 1e-8 in src/ is the value of a module-level
+    # NAME = literal assignment, and the three shared check tolerances are
+    # each assigned once, in inequalities.
+    inline, assigned = [], {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "weakch").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value <= 1e-8:
+                if node not in named:
+                    inline.append((path.name, node.lineno, node.value))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(path.stem)
+    assert inline == []
+    for name in ("VIOLATION_ATOL", "PRECONDITION_TOL", "LAW_SUM_TOL"):
+        assert assigned.get(name) == ["inequalities"], name
