@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build_product_model, count_labels, layout_labels
-from weakch.cli import main
+from weakch.cli import _dump_json, main
 from weakch.common_cause import (
     model_from_dict,
     pairwise_model_to_dict,
@@ -995,3 +995,70 @@ def test_malformed_numeric_argument_never_succeeds(spec, data):
     parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(bad))
     value = ",".join(parts)
     assert main([*base, f"{flag}={value}"]) in (1, 2), (base, flag, value)
+
+
+def test_dump_json_prints_floats_at_17_digits_and_the_rest_as_json_dumps():
+    assert _dump_json([math.nan, math.inf, -math.inf]) == "[null, null, null]"
+    assert _dump_json(-0.0) == "-0"
+    assert _dump_json(0.1) == "0.10000000000000001"
+    for value in (2**70, True, None, 'a "quoted" Å'):
+        assert _dump_json(value) == json.dumps(value)
+
+
+def _json_trees(leaves):
+    # str-keyed dicts, lists and tuples of leaves, nested
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+        max_leaves=12,
+    )
+
+
+_FLOAT_FREE = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+
+
+def _number_texts(tree):
+    # the text each number of tree should print as, in document order
+    if isinstance(tree, bool):
+        return []
+    if isinstance(tree, float):
+        return [format(tree, ".17g")]
+    if isinstance(tree, int):
+        return [str(tree)]
+    if isinstance(tree, dict):
+        tree = tree.values()
+    if isinstance(tree, str) or tree is None:
+        return []
+    return [text for item in tree for text in _number_texts(item)]
+
+
+def _lists_for_tuples(tree):
+    if isinstance(tree, dict):
+        return {k: _lists_for_tuples(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_lists_for_tuples(v) for v in tree]
+    return tree
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    _json_trees(_FLOAT_FREE | st.floats(allow_nan=False, allow_infinity=False)),
+    _json_trees(_FLOAT_FREE),
+)
+def test_dump_json_reads_back_and_prints_each_float_at_17_digits(tree, float_free):
+    text = _dump_json(tree)
+    assert json.loads(text) == _lists_for_tuples(tree)
+    numbers = []
+    json.loads(text, parse_int=numbers.append, parse_float=numbers.append)
+    assert numbers == _number_texts(tree)
+    assert _dump_json(float_free) == json.dumps(float_free)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN.glob("*.out") if not p.name.startswith("csv_"))
+)
+def test_json_golden_rerenders_to_its_own_bytes(name):
+    text = (GOLDEN / name).read_bytes().decode()
+    assert _dump_json(json.loads(text)) + "\n" == text
