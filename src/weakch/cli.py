@@ -65,41 +65,16 @@ def _jsonable(obj):
     return obj
 
 
-def _dump_json(obj) -> str:
-    # All floats rendered with 17 significant digits for exact round trips.
-    def render(x, parts):
-        if x is None:
-            parts.append("null")
-        elif x is True:
-            parts.append("true")
-        elif x is False:
-            parts.append("false")
-        elif isinstance(x, float):
-            parts.append("null" if not math.isfinite(x) else format(x, ".17g"))
-        elif isinstance(x, int):
-            parts.append(str(x))
-        elif isinstance(x, str):
-            parts.append(json.dumps(x))
-        elif isinstance(x, dict):
-            parts.append("{")
-            for i, (k, v) in enumerate(x.items()):
-                if i:
-                    parts.append(", ")
-                parts.append(json.dumps(str(k)) + ": ")
-                render(v, parts)
-            parts.append("}")
-        elif isinstance(x, (list, tuple)):
-            parts.append("[")
-            for i, v in enumerate(x):
-                if i:
-                    parts.append(", ")
-                render(v, parts)
-            parts.append("]")
-        else:
-            raise TypeError(f"cannot serialize {type(x).__name__}")
-        return parts
-
-    return "".join(render(obj, []))
+def _dump_json(x) -> str:
+    # json.dumps's text, except each float at 17 significant digits (exact
+    # round trips) and a non-finite one as null
+    if isinstance(x, float):
+        return format(x, ".17g") if math.isfinite(x) else "null"
+    if isinstance(x, dict):
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + _dump_json(v) for k, v in x.items()) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(map(_dump_json, x)) + "]"
+    return json.dumps(x)
 
 
 def _flatten(prefix: str, obj, rows: list):
@@ -129,8 +104,7 @@ def _csv_rows(envelope: dict) -> list:
             for oa, sa in enumerate("+-"):
                 for ob, sb in enumerate("+-"):
                     cnt = result["counts"][a][b][oa][ob]
-                    freq = "" if n_pair == 0 else format(cnt / n_pair, ".17g")
-                    rows.append([a + 1, b + 3, sa, sb, cnt, freq])
+                    rows.append([a + 1, b + 3, sa, sb, cnt, format(cnt / n_pair, ".17g")])
     return rows
 
 

@@ -69,6 +69,7 @@ from .spaces import (
     _cell_stats,
     _cell_sums,
     _json_array,
+    _json_object,
     _label_list,
     _normalized,
     _translate,
@@ -469,7 +470,7 @@ def pairwise_model_to_dict(model: PairwiseCcModel) -> dict:
 
 
 def pairwise_model_from_dict(data: dict) -> PairwiseCcModel:
-    space = space_from_dict(data["space"])
+    space = space_from_dict(_json_object(data["space"], "space"))
     cells = [_label_list(c, "a partition cell") for c in _json_array(data["partition"], "partition")]
     return _labelled_model(space, _label_list(data["A"], "A"), _label_list(data["B"], "B"), cells)
 
@@ -596,7 +597,7 @@ class EprbModel:
     @classmethod
     def from_dict(cls, data: dict) -> "EprbModel":
         cards = cause_cardinalities(data["cause_cards"], 1)
-        flat = np.asarray(real_numbers(data["weights"]))
+        flat = np.asarray(real_numbers(_json_array(data["weights"], "weights")))
         n = 16 * math.prod(cards)  # exact, where np.prod wraps in int64
         if flat.size != n:
             raise BadModel(f"expected {n} weights for cards {cards}, got {flat.size}")

@@ -273,6 +273,13 @@ def _json_array(value, name: str) -> list:
     return value
 
 
+def _json_object(value, name: str) -> dict:
+    # value, which must be a dict (a JSON object); TypeError otherwise
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _label_list(value, name: str) -> list:
     # value, a JSON array of atom labels: JSON strings and integers only, as
     # true, 1.0 and 1 are equal in Python and would name one atom
@@ -288,4 +295,4 @@ def space_to_dict(space: FiniteProbSpace) -> dict:
 
 def space_from_dict(data: dict) -> FiniteProbSpace:
     atoms = _label_list(data["atoms"], "atoms")
-    return FiniteProbSpace(tuple(atoms), np.asarray(real_numbers(data["weights"])))
+    return FiniteProbSpace(tuple(atoms), np.asarray(real_numbers(_json_array(data["weights"], "weights"))))

@@ -355,6 +355,35 @@ def test_malformed_model_file_is_a_validation_error(capsys, tmp_path, command, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "kind,field,value,message",
+    [
+        ("pairwise", "space", "abc", "space must be a JSON object, got str"),
+        ("pairwise", "space", None, "space must be a JSON object, got NoneType"),
+        ("pairwise", "space", [0.25] * 4, "space must be a JSON object, got list"),
+        ("pairwise", "space.weights", 5, "weights must be a JSON array, got int"),
+        ("pairwise", "space.weights", "wxyz", "weights must be a JSON array, got str"),
+        ("eprb", "weights", None, "weights must be a JSON array, got NoneType"),
+        ("eprb", "weights", "a" * 128, "weights must be a JSON array, got str"),
+        ("eprb", "weights", {str(i): 0 for i in range(128)}, "weights must be a JSON array, got dict"),
+    ],
+    ids=["space_string", "space_null", "space_list", "space_weights_number", "space_weights_string",
+         "weights_null", "weights_string", "weights_object"],
+)
+def test_model_field_of_the_wrong_json_type_is_named(capsys, tmp_path, kind, field, value, message):
+    # not an error text from Python internals, which varies with its version
+    data = json.loads((GOLDEN / f"{kind}_model.json").read_text())
+    if field == "space.weights":
+        data["space"]["weights"] = value
+    else:
+        data[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, env, _ = run_json(capsys, "check-model", "--file", str(path))
+    assert code == 2
+    assert env["error"] == f"malformed {kind} model: {message}"
+
+
 def test_optimize_angles_cli(capsys):
     code, env, _ = run_json(capsys, "optimize-angles", "--mode", "min", "--grid", "16")
     assert code == 0
