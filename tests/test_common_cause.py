@@ -698,6 +698,20 @@ def test_generator_matches_the_einsum_reference(law, epsilon):
         assert got.tobytes() == reference_eprb_weights(seed, cards, epsilon, setting_probs=law).tobytes()
 
 
+def test_generator_draws_numpys_dirichlet_laws():
+    # each cause's group laws against two rng.dirichlet calls in the
+    # reference, over groups of 1 to 5 cells: the weights bit for bit and
+    # the stream left behind
+    cards_rng = np.random.default_rng(43)
+    for seed in range(300):
+        cards = tuple(int(c) for c in cards_rng.integers(2, 7, size=4))
+        epsilon = (0.0, 1e-6, 1e-3, 0.1)[seed % 4]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_eprb_model(rng, cards, epsilon).weights
+        assert got.tobytes() == reference_eprb_weights(ref, cards, epsilon).tobytes()
+        assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("g0_size, g1_size", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
 def test_group_laws_are_numpys_dirichlet_draws(g0_size, g1_size):
     # the laws and the stream left behind, against two rng.dirichlet calls
