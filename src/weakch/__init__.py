@@ -29,14 +29,14 @@ _EXPORTS = {
     name: module
     for module, names in {
         "common_cause": (
-            "EprbModel PairwiseCcModel ch_atom_oracle check_cause_mass_bounds classify_cells"
+            "EprbModel PairwiseCcModel check_cause_mass_bounds classify_cells"
             " joint_cause_bounds_check random_eprb_model random_screened_model validate_loc"
             " validate_no_conspiracy validate_screening"
         ),
         "inequalities": (
             "QUANTUM_EXCESS SYMMETRIC_SETTINGS TSIRELSON_LOWER TSIRELSON_UPPER CorrectionTerms"
-            " SettingProbs WeakChReport ch_expression correction_terms epsilon_thresholds"
-            " evaluate_weak_ch no_signalling_residuals tsirelson_check weak_ch_bounds"
+            " SettingProbs WeakChError WeakChReport ch_atom_oracle ch_expression correction_terms"
+            " epsilon_thresholds evaluate_weak_ch no_signalling_residuals tsirelson_check weak_ch_bounds"
         ),
         "search": "SearchConfig SearchResult constraint_penalty optimize_angles search_counterexample",
         "simulate": "CountsTable SimConfig estimate sample_runs test_inequality",
@@ -44,7 +44,7 @@ _EXPORTS = {
             "EpsilonProfile canonical_angle ch_terms ch_value epsilon_profile"
             " joint_prob marginal_prob outcome_tables"
         ),
-        "spaces": "FiniteProbSpace WeakChError prob screening_residuals",
+        "spaces": "FiniteProbSpace prob screening_residuals",
     }.items()
     for name in names.split()
 }

@@ -410,6 +410,7 @@ def random_screened_model(
             "a single screened cell forces independence, which is incompatible "
             "with a deficit below one half"
         )
+    epsilon_target = real_number("epsilon_target", epsilon_target, GenerationFailed)
     if not (0.0 <= epsilon_target < 0.5):
         raise GenerationFailed(f"epsilon_target must be in [0, 0.5), got {epsilon_target}")
 
@@ -930,21 +931,6 @@ def joint_cause_bounds_check(model: EprbModel) -> JointCauseReport:
     )
 
 
-def _group_laws(rng: np.random.Generator, g0_size: int, card: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell laws of a group of g0_size cells and of the other card - g0_size.
-
-    Bit for bit, and with the same use of the stream, what
-    rng.dirichlet(np.full(size, 2.0)) gives for the one group and then the
-    other: numpy's Dirichlet draws one gamma variate per cell and scales
-    them by the reciprocal of their running sum.
-    """
-    gammas = rng.standard_gamma(2.0, card)
-    laws = []
-    for part in (gammas[:g0_size], gammas[g0_size:]):
-        laws.append(part * (1.0 / left_sum(part.tolist())))
-    return laws[0], laws[1]
-
-
 def random_eprb_model(
     seed: int | np.random.Generator,
     cause_cards: Sequence[int] = (2, 2, 2, 2),
@@ -966,25 +952,27 @@ def random_eprb_model(
     """
     rng = np.random.default_rng(seed)
     cards = cause_cardinalities(cause_cards, 2)
+    epsilon_target = real_number("epsilon_target", epsilon_target, GenerationFailed)
     if not (0.0 <= epsilon_target <= 0.1):
         raise GenerationFailed(
             f"epsilon_target must be in [0, 0.1] for this generator, got {epsilon_target}"
         )
     sp = setting_law(setting_probs)  # a zero entry leaves a setting pair empty: EprbModel rejects it
 
-    splits = []  # per cause variable: the (cells, law) group of each hidden pattern
+    groups = []  # per cause variable: the sorted cells of each hidden pattern's group
     laws = []  # per cause variable: its cell law under each pattern, (pattern, cell)
     for card in cards:
         g0_size = int(rng.integers(1, card))
         perm = rng.permutation(card)
-        idx0, idx1 = perm[:g0_size], perm[g0_size:]
-        idx0.sort()
-        idx1.sort()
-        w0, w1 = _group_laws(rng, g0_size, card)
-        splits.append(((idx0, w0), (idx1, w1)))
+        cells = np.sort(perm[:g0_size]), np.sort(perm[g0_size:])
+        # each group's law is rng.dirichlet(np.full(size, 2.0)) bit for bit,
+        # with the same use of the stream: one gamma variate per cell, scaled
+        # by the reciprocal of the group's running sum
+        gammas = rng.standard_gamma(2.0, card)
         law = np.zeros((2, card))
-        law[0, idx0] = w0
-        law[1, idx1] = w1
+        for z, part in enumerate((gammas[:g0_size], gammas[g0_size:])):
+            law[z, cells[z]] = part * (1.0 / left_sum(part.tolist()))
+        groups.append(cells)
         laws.append(law)
     scale = (0.5 * sp).reshape(1, 2, 2, 1, 1, 1, 1, 1, 1)
 
@@ -993,24 +981,21 @@ def random_eprb_model(
     delta = 0.45 * epsilon_target
     # each direction's deviations, own group then other group, in row order
     draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
-    start = 0
     w = None
-    for row in _WINGS:
-        card = cards[row.cause]
+    for row, start in zip(_WINGS, accumulate(cards, initial=0)):
+        card, law = cards[row.cause], laws[row.cause]
         # Alice's directions favour pattern 0, Bob's pattern 1
-        des_idx, des_w = splits[row.cause][row.wing]
-        oth_idx, oth_w = splits[row.cause][1 - row.wing]
+        des, oth = groups[row.cause][row.wing], groups[row.cause][1 - row.wing]
         vec = np.zeros(card)
         if draws is None:
-            vec[des_idx] = 1.0
+            vec[des] = 1.0
         else:
-            d_raw = draws[start : start + des_idx.size]
-            e_raw = draws[start + des_idx.size : start + card]
-            start += card
-            md = float(np.dot(des_w, d_raw))
-            me = float(np.dot(oth_w, e_raw))
-            vec[des_idx] = 1.0 - d_raw
-            vec[oth_idx] = e_raw * (md / me)
+            d_raw = draws[start : start + des.size]
+            e_raw = draws[start + des.size : start + card]
+            md = float(np.dot(law[row.wing, des], d_raw))
+            me = float(np.dot(law[1 - row.wing, oth], e_raw))
+            vec[des] = 1.0 - d_raw
+            vec[oth] = e_raw * (md / me)
         # (setting, outcome, cell): the outcome kernel at the own
         # setting, 1 at the other, where the outcome reads another cause
         kernel = np.ones((2, 2, card))
@@ -1018,7 +1003,7 @@ def random_eprb_model(
         # on the axes (pattern, a, b, A, B, c1..c4)
         shape = [2, 2 - row.wing, 1 + row.wing, 2 - row.wing, 1 + row.wing, 1, 1, 1, 1]
         shape[5 + row.cause] = card
-        factor = (laws[row.cause][:, None, None, :] * kernel).reshape(shape)
+        factor = (law[:, None, None, :] * kernel).reshape(shape)
         # The factors are multiplied in cause order and then scaled, the
         # rounding of the recorded weights (tests/golden); see
         # reference_eprb_weights in tests/helpers.py.

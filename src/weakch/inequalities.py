@@ -359,10 +359,15 @@ def epsilon_thresholds(
     Solves lin*x - quad*x^2 = excess for x = sqrt(eps) in closed form
     (smaller quadratic root) for both bound sides and returns
     (eps_lower_max, eps_upper_max). With excess = 0 both thresholds are 0.
+    An excess that is not a finite real number of at least 0 raises
+    WeakChError.
     """
+    excess = real_number("excess", excess)
+    if not 0.0 <= excess < math.inf:  # a NaN fails too
+        raise WeakChError(f"excess must be finite and at least 0, got {excess!r}")
     (lin_lo, quad_lo), (lin_up, quad_up) = bound_coefficients(sp)
-    x_lo = _smaller_root(lin_lo, quad_lo, float(excess))
-    x_up = _smaller_root(lin_up, quad_up, float(excess))
+    x_lo = _smaller_root(lin_lo, quad_lo, excess)
+    x_up = _smaller_root(lin_up, quad_up, excess)
     return x_lo * x_lo, x_up * x_up
 
 

@@ -33,7 +33,6 @@ from weakch.common_cause import (
     _WINGS,
     _aggregate,
     _deficit_scale,
-    _group_laws,
     _labelled_model,
     cell_stats,
     ch_atom_oracle,
@@ -160,6 +159,16 @@ def test_generator_rejects_a_non_integral_cell_count():
         random_screened_model(1, 2.5, 0.01)
     # an integral cell count of another integer type is read as a Python int
     assert random_screened_model(1, np.int64(3), 0.01).n_cells == 3
+
+
+@pytest.mark.parametrize("target", [False, True, "0.01", None], ids=["false", "true", "string", "none"])
+@pytest.mark.parametrize("generate", [
+    lambda target: random_screened_model(3, 4, target),
+    lambda target: random_eprb_model(3, (2, 2, 2, 2), target),
+], ids=["pairwise", "eprb"])
+def test_generators_read_the_target_as_a_real_number(generate, target):
+    with pytest.raises(GenerationFailed, match="^epsilon_target must be a real number"):
+        generate(target)
 
 
 def test_generator_rejects_large_target():
@@ -709,17 +718,6 @@ def test_generator_draws_numpys_dirichlet_laws():
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_eprb_model(rng, cards, epsilon).weights
         assert got.tobytes() == reference_eprb_weights(ref, cards, epsilon).tobytes()
-        assert rng.random() == ref.random()
-
-
-@pytest.mark.parametrize("g0_size, g1_size", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
-def test_group_laws_are_numpys_dirichlet_draws(g0_size, g1_size):
-    # the laws and the stream left behind, against two rng.dirichlet calls
-    for seed in range(1000):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        w0, w1 = _group_laws(rng, g0_size, g0_size + g1_size)
-        assert w0.tobytes() == ref.dirichlet(np.full(g0_size, 2.0)).tobytes()
-        assert w1.tobytes() == ref.dirichlet(np.full(g1_size, 2.0)).tobytes()
         assert rng.random() == ref.random()
 
 

@@ -341,6 +341,16 @@ def test_thresholds_degenerate_excess():
     assert epsilon_thresholds(excess=0.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "excess",
+    [-0.1, -math.inf, math.nan, math.inf, True, "0.2", None],
+    ids=["negative", "minus_inf", "nan", "inf", "bool", "string", "none"],
+)
+def test_thresholds_refuse_excess_that_is_no_finite_number_of_at_least_zero(excess):
+    with pytest.raises(WeakChError, match="^excess must be"):
+        epsilon_thresholds(excess=excess)
+
+
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_threshold_bracketing(side):
     lo, hi = epsilon_thresholds()

@@ -65,6 +65,14 @@ def test_bare_import_loads_no_numpy_and_reaches_submodules():
     assert proc.stdout.splitlines() == ["False (-1.0, 0.0) False", "True True"]
 
 
+def test_base_error_and_oracle_load_no_numpy():
+    # both are defined in the numpy-free inequalities
+    code = "import sys, weakch\nweakch.WeakChError, weakch.ch_atom_oracle\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_readme_library_quick_start_runs(capsys):
     # the section's one python block: an API change that breaks it fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
