@@ -964,13 +964,14 @@ def random_eprb_model(
     for card in cards:
         g0_size = int(rng.integers(1, card))
         perm = rng.permutation(card)
-        cells = np.sort(perm[:g0_size]), np.sort(perm[g0_size:])
+        cells = perm[:g0_size], perm[g0_size:]
         # each group's law is rng.dirichlet(np.full(size, 2.0)) bit for bit,
         # with the same use of the stream: one gamma variate per cell, scaled
         # by the reciprocal of the group's running sum
         gammas = rng.standard_gamma(2.0, card)
         law = np.zeros((2, card))
         for z, part in enumerate((gammas[:g0_size], gammas[g0_size:])):
+            cells[z].sort()
             law[z, cells[z]] = part * (1.0 / left_sum(part.tolist()))
         groups.append(cells)
         laws.append(law)
@@ -982,18 +983,19 @@ def random_eprb_model(
     # each direction's deviations, own group then other group, in row order
     draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
     w = None
-    for row, start in zip(_WINGS, accumulate(cards, initial=0)):
-        card, law = cards[row.cause], laws[row.cause]
+    # row k reads cause k
+    for row, cells, law, start in zip(_WINGS, groups, laws, accumulate(cards, initial=0)):
+        card = law.shape[1]
         # Alice's directions favour pattern 0, Bob's pattern 1
-        des, oth = groups[row.cause][row.wing], groups[row.cause][1 - row.wing]
+        des, oth = cells[row.wing], cells[1 - row.wing]
         vec = np.zeros(card)
         if draws is None:
             vec[des] = 1.0
         else:
             d_raw = draws[start : start + des.size]
             e_raw = draws[start + des.size : start + card]
-            md = float(np.dot(law[row.wing, des], d_raw))
-            me = float(np.dot(law[1 - row.wing, oth], e_raw))
+            md = float(np.dot(law[row.wing][des], d_raw))
+            me = float(np.dot(law[1 - row.wing][oth], e_raw))
             vec[des] = 1.0 - d_raw
             vec[oth] = e_raw * (md / me)
         # (setting, outcome, cell): the outcome kernel at the own
