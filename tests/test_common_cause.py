@@ -721,6 +721,22 @@ def test_generator_draws_numpys_dirichlet_laws():
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("g0_size, g1_size", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
+def test_group_laws_are_numpys_dirichlet_draws(g0_size, g1_size):
+    # the first cause split into groups of g0_size and g1_size cells, its laws
+    # against two rng.dirichlet calls in the reference: the weights bit for
+    # bit and the stream left behind
+    card = g0_size + g1_size
+    seeds = [s for s in range(2000) if int(np.random.default_rng(s).integers(1, card)) == g0_size][:60]
+    assert len(seeds) == 60
+    for i, seed in enumerate(seeds):
+        epsilon = (0.0, 1e-6, 1e-3)[i % 3]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_eprb_model(rng, (card, card, 2, 3), epsilon).weights
+        assert got.tobytes() == reference_eprb_weights(ref, (card, card, 2, 3), epsilon).tobytes()
+        assert rng.random() == ref.random()
+
+
 def test_generator_rejects_bad_arguments():
     with pytest.raises(BadModel):
         random_eprb_model(1, (1, 2, 2, 2), 1e-3)
