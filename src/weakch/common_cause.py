@@ -101,6 +101,10 @@ def cause_cardinalities(values, floor: int) -> tuple[int, int, int, int]:
     return cards
 
 
+# the even setting law, shared: it is read-only
+_EVEN_LAW = singlet._freeze(np.full((2, 2), 0.25))
+
+
 def setting_law(table) -> np.ndarray:
     """The 2x2 setting law p(a, b), read-only; None gives the even law.
 
@@ -110,7 +114,7 @@ def setting_law(table) -> np.ndarray:
     spaces._normalized, so a law read again keeps its bits.
     """
     if table is None:
-        return singlet._freeze(np.full((2, 2), 0.25))
+        return _EVEN_LAW
     sp = np.asarray(table, dtype=float)
     # NaN and -inf fail the first comparison, +inf the sum's
     if sp.shape != (2, 2) or not (sp >= 0.0).all() or not abs(float(sp.sum()) - 1.0) <= LAW_SUM_TOL:
@@ -554,7 +558,7 @@ class EprbModel:
         if not 0.0 < total < math.inf:
             raise BadModel(f"total mass must be positive and finite, got {total}")
         w = _normalized(w, total)
-        pair = w.sum(axis=tuple(range(2, w.ndim)))
+        pair = _marginal(w, (0, 1))
         if (pair <= 0.0).any():
             raise BadModel("every setting pair needs positive probability")
         w.flags.writeable = False
@@ -960,6 +964,7 @@ def random_eprb_model(
     sp = setting_law(setting_probs)  # a zero entry leaves a setting pair empty: EprbModel rejects it
 
     groups = []  # per cause variable: the sorted cells of each hidden pattern's group
+    group_laws = []  # per cause variable: each group's law over its sorted cells
     laws = []  # per cause variable: its cell law under each pattern, (pattern, cell)
     for card in cards:
         g0_size = int(rng.integers(1, card))
@@ -970,10 +975,12 @@ def random_eprb_model(
         # by the reciprocal of the group's running sum
         gammas = rng.standard_gamma(2.0, card)
         law = np.zeros((2, card))
-        for z, part in enumerate((gammas[:g0_size], gammas[g0_size:])):
+        parts = tuple(part * (1.0 / left_sum(part.tolist())) for part in (gammas[:g0_size], gammas[g0_size:]))
+        for z, part in enumerate(parts):
             cells[z].sort()
-            law[z, cells[z]] = part * (1.0 / left_sum(part.tolist()))
+            law[z, cells[z]] = part
         groups.append(cells)
+        group_laws.append(parts)
         laws.append(law)
     scale = (0.5 * sp).reshape(1, 2, 2, 1, 1, 1, 1, 1, 1)
 
@@ -984,7 +991,7 @@ def random_eprb_model(
     draws = rng.uniform(0.5, 1.0, sum(cards)) * delta if delta else None
     w = None
     # row k reads cause k
-    for row, cells, law, start in zip(_WINGS, groups, laws, accumulate(cards, initial=0)):
+    for row, cells, parts, law, start in zip(_WINGS, groups, group_laws, laws, accumulate(cards, initial=0)):
         card = law.shape[1]
         # Alice's directions favour pattern 0, Bob's pattern 1
         des, oth = cells[row.wing], cells[1 - row.wing]
@@ -994,18 +1001,21 @@ def random_eprb_model(
         else:
             d_raw = draws[start : start + des.size]
             e_raw = draws[start + des.size : start + card]
-            md = float(np.dot(law[row.wing][des], d_raw))
-            me = float(np.dot(law[1 - row.wing][oth], e_raw))
+            md = float(np.dot(parts[row.wing], d_raw))
+            me = float(np.dot(parts[1 - row.wing], e_raw))
             vec[des] = 1.0 - d_raw
             vec[oth] = e_raw * (md / me)
-        # (setting, outcome, cell): the outcome kernel at the own
-        # setting, 1 at the other, where the outcome reads another cause
-        kernel = np.ones((2, 2, card))
-        kernel[row.setting] = vec, 1.0 - vec
+        # (pattern, setting, outcome, cell): the law times the outcome
+        # kernel at the own setting, and times 1 at the other, where the
+        # outcome reads another cause
+        factor = np.empty((2, 2, 2, card))
+        np.multiply(law, vec, out=factor[:, row.setting, 0])
+        np.multiply(law, 1.0 - vec, out=factor[:, row.setting, 1])
+        factor[:, 1 - row.setting] = law[:, None]
         # on the axes (pattern, a, b, A, B, c1..c4)
         shape = [2, 2 - row.wing, 1 + row.wing, 2 - row.wing, 1 + row.wing, 1, 1, 1, 1]
         shape[5 + row.cause] = card
-        factor = (law[:, None, None, :] * kernel).reshape(shape)
+        factor = factor.reshape(shape)
         # The factors are multiplied in cause order and then scaled, the
         # rounding of the recorded weights (tests/golden); see
         # reference_eprb_weights in tests/helpers.py.

@@ -253,6 +253,9 @@ def ch_expression(terms) -> float:
     )
 
 
+_SETTINGS_NEEDED = "need one SettingProbs or four, one per pair"
+
+
 def weak_ch_bounds(
     epsilon: float,
     settings: SettingProbs | tuple[SettingProbs, ...] = SYMMETRIC_SETTINGS,
@@ -260,17 +263,27 @@ def weak_ch_bounds(
     """Corrected interval for the CH combination at deficit epsilon.
 
     settings is one SettingProbs shared by all four pairs, or four of them
-    in pair order 13, 14, 24, 23. At eps = 0 this returns exactly
-    (-1.0, 0.0). epsilon is read once, as correction_terms reads it.
+    in pair order 13, 14, 24, 23; anything else is a BadSettingProbs. At
+    eps = 0 this returns exactly (-1.0, 0.0). epsilon is read once, as
+    correction_terms reads it.
     """
-    sps = (settings,) * 4 if isinstance(settings, SettingProbs) else tuple(settings)
+    if isinstance(settings, SettingProbs):
+        sps = (settings,) * 4
+    else:
+        try:
+            sps = tuple(settings)
+        except TypeError:  # not iterable
+            sps = ()
     if not sps:  # refused for its length before epsilon is read
-        raise BadSettingProbs("need one SettingProbs or four, one per pair")
+        raise BadSettingProbs(_SETTINGS_NEEDED)
     eps = deficit(epsilon)
     root = math.sqrt(eps)
-    terms = [_terms(eps, root, sp) for sp in sps]
+    try:
+        terms = [_terms(eps, root, sp) for sp in sps]
+    except (AttributeError, TypeError):  # an entry without the three probabilities
+        raise BadSettingProbs(_SETTINGS_NEEDED) from None
     if len(terms) != 4:
-        raise BadSettingProbs("need one SettingProbs or four, one per pair")
+        raise BadSettingProbs(_SETTINGS_NEEDED)
     (m13, p13, d_minus, d_plus), (m14, p14, _, _), (m24, p24, _, _), (m23, p23, _, _) = terms
     lower = -1.0 - m13 - m14 - m24 - p23 - 2.0 * d_plus
     upper = p13 + p14 + p24 + m23 + 2.0 * d_minus
@@ -346,7 +359,7 @@ def _smaller_root(lin: float, quad: float, rhs: float) -> float:
     # does.
     disc = lin * lin - 4.0 * quad * rhs
     if disc < 0.0:
-        raise ValueError("no crossing: requested excess exceeds the correction maximum")
+        raise WeakChError("no crossing: requested excess exceeds the correction maximum")
     return 2.0 * rhs / (lin + math.sqrt(disc))
 
 
@@ -359,7 +372,8 @@ def epsilon_thresholds(
     Solves lin*x - quad*x^2 = excess for x = sqrt(eps) in closed form
     (smaller quadratic root) for both bound sides and returns
     (eps_lower_max, eps_upper_max). With excess = 0 both thresholds are 0.
-    An excess that is not a finite real number of at least 0 raises
+    An excess that is not a finite real number of at least 0, or that
+    exceeds either side's correction maximum lin^2 / (4 quad), raises
     WeakChError.
     """
     excess = real_number("excess", excess)

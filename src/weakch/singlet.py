@@ -117,7 +117,7 @@ class EpsilonProfile:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)  # what flags.writeable = False does, without building the flags object
     return arr
 
 
@@ -136,28 +136,39 @@ def epsilon_profile(tables: np.ndarray) -> EpsilonProfile:
     t = np.asarray(tables, dtype=float)
     if t.ndim != 4 or t.shape[2:] != (2, 2) or t.size == 0:
         raise ValueError(f"outcome tables need shape (n_alice, n_bob, 2, 2), both counts >= 1, got {t.shape}")
-    if not (np.isfinite(t).all() and t.min() >= 0.0):
-        raise ValueError("outcome tables must be finite and nonnegative")
-    # on nonnegative entries each conditional lies in [0, 1]
-    denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
-    denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps_ab = 1.0 - np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
-        eps_ba = 1.0 - np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
+    # Read as Python floats: on tables this small each numpy call costs
+    # more than its arithmetic. Each deficit is the one IEEE expression
+    # 1 - pm / (pm + mm) that numpy would evaluate, so it keeps its bits.
+    eps_ab = []
+    eps_ba = []
+    for row in t.tolist():
+        ab = []
+        ba = []
+        for (pp, pm), (mp, mm) in row:
+            if not (0.0 <= pp < math.inf and 0.0 <= pm < math.inf and 0.0 <= mp < math.inf and 0.0 <= mm < math.inf):
+                raise ValueError("outcome tables must be finite and nonnegative")
+            # on nonnegative entries each conditional lies in [0, 1]
+            b_minus = pm + mm
+            a_minus = mp + mm
+            ab.append(1.0 - (pm / b_minus if b_minus > 0.0 else 0.0))
+            ba.append(1.0 - (mp / a_minus if a_minus > 0.0 else 0.0))
+        eps_ab.append(ab)
+        eps_ba.append(ba)
 
-    eps_a = eps_ab.min(axis=1)
-    partner_a = eps_ab.argmin(axis=1)
-    eps_b = eps_ba.min(axis=0)
-    partner_b = eps_ba.argmin(axis=0)
-    eps_global = float(max(eps_a.max(), eps_b.max()))
+    # each minimum with the first index that reaches it, as argmin gives it
+    eps_a = [min(ab) for ab in eps_ab]
+    partner_a = [ab.index(e) for ab, e in zip(eps_ab, eps_a)]
+    columns = list(zip(*eps_ba))
+    eps_b = [min(col) for col in columns]
+    partner_b = [col.index(e) for col, e in zip(columns, eps_b)]
     return EpsilonProfile(
-        eps_ab=_freeze(eps_ab),
-        eps_ba=_freeze(eps_ba),
-        eps_a=_freeze(eps_a),
-        partner_a=_freeze(partner_a),
-        eps_b=_freeze(eps_b),
-        partner_b=_freeze(partner_b),
-        eps_global=eps_global,
+        eps_ab=_freeze(np.array(eps_ab)),
+        eps_ba=_freeze(np.array(eps_ba)),
+        eps_a=_freeze(np.array(eps_a)),
+        partner_a=_freeze(np.array(partner_a, dtype=np.intp)),
+        eps_b=_freeze(np.array(eps_b)),
+        partner_b=_freeze(np.array(partner_b, dtype=np.intp)),
+        eps_global=max(max(eps_a), max(eps_b)),
     )
 
 

@@ -408,6 +408,48 @@ def reference_outcome_tables(alice, bob) -> np.ndarray:
     return t
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def reference_epsilon_profile(tables) -> singlet.EpsilonProfile:
+    """singlet.epsilon_profile in numpy array operations: masked divisions, then min and argmin along each axis."""
+    t = np.asarray(tables, dtype=float)
+    if t.ndim != 4 or t.shape[2:] != (2, 2) or t.size == 0:
+        raise ValueError(f"outcome tables need shape (n_alice, n_bob, 2, 2), both counts >= 1, got {t.shape}")
+    if not (np.isfinite(t).all() and t.min() >= 0.0):
+        raise ValueError("outcome tables must be finite and nonnegative")
+    denom_b_minus = t[:, :, 0, 1] + t[:, :, 1, 1]
+    denom_a_minus = t[:, :, 1, 0] + t[:, :, 1, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps_ab = 1.0 - np.where(denom_b_minus > 0.0, t[:, :, 0, 1] / denom_b_minus, 0.0)
+        eps_ba = 1.0 - np.where(denom_a_minus > 0.0, t[:, :, 1, 0] / denom_a_minus, 0.0)
+    eps_a = eps_ab.min(axis=1)
+    eps_b = eps_ba.min(axis=0)
+    return singlet.EpsilonProfile(
+        eps_ab=_read_only(eps_ab),
+        eps_ba=_read_only(eps_ba),
+        eps_a=_read_only(eps_a),
+        partner_a=_read_only(eps_ab.argmin(axis=1)),
+        eps_b=_read_only(eps_b),
+        partner_b=_read_only(eps_ba.argmin(axis=0)),
+        eps_global=float(max(eps_a.max(), eps_b.max())),
+    )
+
+
+def same_profile(got: singlet.EpsilonProfile, want: singlet.EpsilonProfile) -> bool:
+    """Every array field of equal dtype, shape, bytes and read-only flag, and eps_global a float of equal bits."""
+    for name, want_value in vars(want).items():
+        got_value = getattr(got, name)
+        if isinstance(want_value, np.ndarray):
+            if not (same_array(got_value, want_value) and got_value.flags.writeable == want_value.flags.writeable):
+                return False
+        elif not (type(got_value) is float and got_value.hex() == want_value.hex()):
+            return False
+    return True
+
+
 def same_array(got, want) -> bool:
     """Equal dtype, shape and bytes; a NaN equals a NaN of the same bits."""
     got, want = np.asarray(got), np.asarray(want)

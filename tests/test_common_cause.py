@@ -18,6 +18,8 @@ from helpers import (
     count_labels,
     reference_checks,
     reference_eprb_weights,
+    reference_epsilon_profile,
+    same_profile,
     uniform_settings,
     within_tolerance_model,
 )
@@ -1096,13 +1098,6 @@ def test_full_check_profiles_the_model_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _profile_bits(prof):
-    return {
-        k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v.hex()
-        for k, v in vars(prof).items()
-    }
-
-
 def test_model_profile_is_the_profile_of_its_tables():
     rng = np.random.default_rng(4)
     w = rng.dirichlet(np.ones(256)).reshape(2, 2, 2, 2, 2, 2, 2, 2)
@@ -1110,9 +1105,11 @@ def test_model_profile_is_the_profile_of_its_tables():
     w[1, 0, 1] = 0.0  # pair (a2, b3): no A=- mass to condition p(+_b | -_a) on
     dirichlet = EprbModel(w, (2, 2, 2, 2))
     models = [random_eprb_model(seed, (2, 3, 2, 2), 1e-3) for seed in range(3)] + [dirichlet]
+    for seed, cards in enumerate([(2, 2, 2, 2), (4, 3, 2, 4), (3, 4, 4, 2), (4, 4, 4, 4)]):
+        models += [random_eprb_model([seed, k], cards, target) for k, target in enumerate((0.0, 1e-7, 1e-3, 0.1))]
     for m in models:
         prof = m.profile()
-        assert _profile_bits(prof) == _profile_bits(singlet.epsilon_profile(m.outcome_tables()))
+        assert same_profile(prof, reference_epsilon_profile(m.outcome_tables()))
         t = m.outcome_tables().tolist()
         for i, j in np.ndindex(2, 2):  # the reference: one float division per deficit
             (_, pm), (mp, mm) = t[i][j]

@@ -20,6 +20,7 @@ from weakch.inequalities import (
     SettingProbs,
     UnnormalizedTable,
     WeakChError,
+    _smaller_root,
     bound_coefficients,
     ch_atom_oracle,
     ch_expression,
@@ -235,6 +236,16 @@ def test_weak_bounds_refuse_bad_input_as_the_reference_does(epsilon, n_settings,
             bounds(epsilon, settings)
 
 
+@pytest.mark.parametrize(
+    "settings_arg",
+    [0.5, None, "abcd", (0.25,) * 4, "a", {"p13": SYMMETRIC_SETTINGS}, (SYMMETRIC_SETTINGS,) * 3 + (0.25,)],
+    ids=["float", "none", "string", "four_floats", "one_char", "dict", "three_and_a_float"],
+)
+def test_weak_bounds_refuse_settings_that_are_no_setting_probs(settings_arg):
+    with pytest.raises(BadSettingProbs, match="^need one SettingProbs or four"):
+        weak_ch_bounds(1e-4, settings_arg)
+
+
 @settings(deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_weak_bounds_bracket_strict_interval(eps):
@@ -349,6 +360,45 @@ def test_thresholds_degenerate_excess():
 def test_thresholds_refuse_excess_that_is_no_finite_number_of_at_least_zero(excess):
     with pytest.raises(WeakChError, match="^excess must be"):
         epsilon_thresholds(excess=excess)
+
+
+def _largest_crossing(lin, quad):
+    # the largest excess whose discriminant lin^2 - 4 quad excess is still >= 0
+    def crosses(r):
+        return lin * lin - 4.0 * quad * r >= 0.0
+
+    r = lin * lin / (4.0 * quad)
+    while not crosses(r):
+        r = math.nextafter(r, 0.0)
+    while crosses(math.nextafter(r, math.inf)):
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+@pytest.mark.parametrize("excess", [100.0, 1e300])
+def test_thresholds_refuse_excess_past_the_correction_maximum(excess):
+    with pytest.raises(WeakChError, match="^no crossing"):
+        epsilon_thresholds(excess=excess)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["lower", "upper"])
+def test_each_side_crosses_up_to_its_correction_maximum(side):
+    lin, quad = bound_coefficients()[side]
+    top = _largest_crossing(lin, quad)
+    assert top == pytest.approx(lin * lin / (4.0 * quad), rel=1e-15)
+    x = _smaller_root(lin, quad, top)  # near the vertex lin / (2 quad)
+    assert x == pytest.approx(lin / (2.0 * quad), rel=1e-6)
+    with pytest.raises(WeakChError, match="^no crossing"):
+        _smaller_root(lin, quad, math.nextafter(top, math.inf))
+
+
+def test_thresholds_cross_up_to_the_smaller_correction_maximum():
+    # the lower side's maximum, 40^2 / 48, is the smaller one
+    top = min(_largest_crossing(lin, quad) for lin, quad in bound_coefficients())
+    lo, hi = epsilon_thresholds(excess=top)
+    assert math.isfinite(lo) and math.isfinite(hi) and hi < lo
+    with pytest.raises(WeakChError, match="^no crossing"):
+        epsilon_thresholds(excess=math.nextafter(top, math.inf))
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])

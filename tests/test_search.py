@@ -12,6 +12,7 @@ import pytest
 
 import weakch.common_cause as common_cause_mod
 import weakch.search as search_mod
+import weakch.singlet as singlet_mod
 from helpers import (
     aligned_cause_joint,
     build_product_model,
@@ -606,6 +607,18 @@ def test_each_restart_runs_the_later_stages_once(monkeypatch):
     # each restart's weak report is read once, and the validators run once,
     # for the restart that wins
     assert calls == {"validate_no_conspiracy": 1, "validate_screening": 1, "weak_report": 2}
+
+
+def test_a_search_profiles_each_restart_once(monkeypatch):
+    # the generator's deficit check, the weak report, and the winner's
+    # validators, screening partners included, all read the one profile
+    # each restart's model keeps
+    calls = []
+    profile = singlet_mod.epsilon_profile
+    monkeypatch.setattr(singlet_mod, "epsilon_profile", lambda tables: calls.append(1) or profile(tables))
+    res = search_counterexample(SearchConfig(seed=5, restarts=3, cause_cards=(2, 3, 2, 2)))
+    assert res.penalty == constraint_penalty(res.model)  # the winner's validators ran
+    assert len(calls) == 3
 
 
 def test_importing_the_search_loads_no_thread_pool():

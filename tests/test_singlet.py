@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_outcome_tables, same_array
+from helpers import reference_epsilon_profile, reference_outcome_tables, same_array, same_profile
 from weakch.inequalities import TSIRELSON_LOWER, TSIRELSON_UPPER
 from weakch.singlet import (
     canonical_angle,
@@ -176,8 +176,51 @@ def test_profile_from_external_tables():
     ids=["three_axes", "not_2x2", "no_alice_direction", "no_bob_direction", "negative", "nan", "inf"],
 )
 def test_profile_rejects_malformed_tables(tables):
-    with pytest.raises(ValueError):
-        epsilon_profile(tables)
+    for profile in (epsilon_profile, reference_epsilon_profile):
+        with pytest.raises(ValueError):
+            profile(tables)
+
+
+def _grid_tables(rng, n_alice, n_bob):
+    # Random tables with zero-mass conditioners on either side, quarter-rounded
+    # entries, and cells copied along a row or a column for exact ties.
+    t = rng.random((n_alice, n_bob, 2, 2))
+    if rng.random() < 0.3:
+        t = np.round(4.0 * t) / 4.0  # zeros, ties and exact deficits 1/2 and 1/3
+    for i, j in np.ndindex(n_alice, n_bob):
+        kind = rng.integers(6)
+        if kind == 0:
+            t[i, j, :, 1] = 0.0  # no B=- mass
+        elif kind == 1:
+            t[i, j, 1, :] = 0.0  # no A=- mass
+        elif kind == 2:
+            t[i, j] = 0.0
+        elif kind == 3:
+            t[i, j] = t[i, rng.integers(n_bob)]
+        elif kind == 4:
+            t[i, j] = t[rng.integers(n_alice), j]
+    if rng.random() < 0.5:
+        t /= np.maximum(t.sum(axis=(2, 3), keepdims=True), 1e-300)  # each table a law, or all zero
+    return t
+
+
+@pytest.mark.parametrize("n_alice, n_bob", [(a, b) for a in range(1, 5) for b in range(1, 5)])
+def test_profile_matches_the_numpy_reference(n_alice, n_bob):
+    # every field by dtype, shape, bytes and read-only flag
+    rng = np.random.default_rng([n_alice, n_bob])
+    for _ in range(300):
+        t = _grid_tables(rng, n_alice, n_bob)
+        assert same_profile(epsilon_profile(t), reference_epsilon_profile(t))
+    for _ in range(20):
+        alice = rng.uniform(-2 * PI, 2 * PI, n_alice).tolist()
+        bob = rng.uniform(-2 * PI, 2 * PI, n_bob).tolist()
+        t = outcome_tables(alice, bob)
+        assert same_profile(epsilon_profile(t), reference_epsilon_profile(t))
+
+
+def test_profile_reads_nested_lists_as_the_reference_does():
+    t = [[[[0.25, 0.25], [0.25, 0.25]], [[0.5, 0.0], [0.5, 0.0]]]]
+    assert same_profile(epsilon_profile(t), reference_epsilon_profile(t))
 
 
 def test_singlet_profile_is_sin_squared_of_half_angle():
